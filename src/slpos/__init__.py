@@ -27,7 +27,6 @@ from .estimation import (
     hamming_window,
     rectangular_window,
     rtt_range,
-    unwrap_toa,
 )
 from .harness import (
     REQUIREMENT_SETS,
@@ -118,7 +117,6 @@ __all__ = [
     "segment_blocked",
     "synthesize_rx",
     "trace_paths",
-    "unwrap_toa",
 ]
 
 __version__ = "0.1.0"

@@ -41,28 +41,20 @@ class DelaySpectrum:
 
     power: np.ndarray
     bin_spacing: float
-    window: np.ndarray
 
 
 @dataclass(frozen=True)
 class ToaEstimate:
     toa: float
-    peak_power: float
-    peak_index: int
     interpolated: bool
 
 
 @dataclass(frozen=True)
 class RangeMeasurement:
-    """Round-trip-derived distance with its standard deviation.
-
-    ``clock_bias_model`` records the simulated clock offset for bookkeeping;
-    it does not affect the distance, which is bias-free by construction.
-    """
+    """Round-trip-derived distance with its standard deviation."""
 
     distance: float
     sigma: float
-    clock_bias_model: float = 0.0
 
     def __post_init__(self) -> None:
         if self.distance < 0:
@@ -90,8 +82,7 @@ def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
     compensated = (w[None, :] * (rx.symbols / pilots.symbols)).sum(axis=0)
     k = oversample * n_sub
     power = np.abs(np.fft.ifft(compensated, n=k)) ** 2
-    return DelaySpectrum(power=power, bin_spacing=1.0 / (k * config.subcarrier_spacing),
-                         window=w)
+    return DelaySpectrum(power=power, bin_spacing=1.0 / (k * config.subcarrier_spacing))
 
 
 def _local_maxima(power: np.ndarray) -> np.ndarray:
@@ -133,8 +124,7 @@ def estimate_toa(spectrum: DelaySpectrum, policy: str = "global_peak",
             offset = float(np.clip(0.5 * (logs[0] - logs[2]) / denom, -0.5, 0.5))
             interpolated = True
     toa = ((peak + offset) % k_bins) * spectrum.bin_spacing
-    return ToaEstimate(toa=toa, peak_power=float(power[peak]), peak_index=peak,
-                       interpolated=interpolated)
+    return ToaEstimate(toa=toa, interpolated=interpolated)
 
 
 def low_confidence(spectrum: DelaySpectrum) -> bool:
@@ -144,32 +134,27 @@ def low_confidence(spectrum: DelaySpectrum) -> bool:
 
 def rtt_range(toa_fwd: float, toa_rev: float, processing_time: float = 0.0, *,
               one_way_toa_var: float | None = None,
-              clock_bias: float = 0.0) -> RangeMeasurement:
+              period: float | None = None) -> RangeMeasurement:
     """Combine a two-way exchange into a distance.
 
     distance = c * (toa_fwd + toa_rev - processing_time) / 2; a clock bias
     entering +B on the forward and -B on the reverse arrival cancels
-    exactly.  The standard deviation follows from doubling the one-way
-    time-of-arrival variance (two noisy arrivals combine) before the /2
-    distance conversion: sigma = (c / 2) * sqrt(2 * one_way_toa_var).
+    exactly.  Arrivals read off a delay spectrum are only known modulo its
+    alias period 1/subcarrier_spacing; pass that as ``period`` and the
+    round trip is reduced modulo it, which cancels a bias of any size as
+    long as the true round trip is shorter than one period.  The standard
+    deviation follows from doubling the one-way time-of-arrival variance
+    (two noisy arrivals combine) before the /2 distance conversion:
+    sigma = (c / 2) * sqrt(2 * one_way_toa_var).
     """
     total = toa_fwd + toa_rev - processing_time
-    if total <= 0:
+    if period is not None:
+        total %= period
+    elif total <= 0:
         raise ValueError("round trip shorter than the processing time")
     dist = SPEED_OF_LIGHT * total / 2.0
     if one_way_toa_var is None:
         sigma = math.nan
     else:
         sigma = 0.5 * SPEED_OF_LIGHT * math.sqrt(2.0 * one_way_toa_var)
-    return RangeMeasurement(distance=dist, sigma=sigma, clock_bias_model=clock_bias)
-
-
-def unwrap_toa(toa: float, config: OfdmConfig) -> float:
-    """Map a modular time of arrival to the signed window around zero.
-
-    Clock biases larger than the propagation delay push the apparent
-    arrival negative; it aliases to the top of the [0, 1/spacing) window
-    and must be unwrapped before round-trip combining.
-    """
-    period = config.unambiguous_delay
-    return toa - period if toa > period / 2.0 else toa
+    return RangeMeasurement(distance=dist, sigma=sigma)

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import DEFAULT_BETA, reb_waa
-from .constants import SPEED_OF_LIGHT
 from .estimation import (
     RangeMeasurement,
     delay_spectrum,
@@ -25,7 +24,6 @@ from .estimation import (
     hamming_window,
     low_confidence,
     rtt_range,
-    unwrap_toa,
 )
 from .positioning import Anchor, linear_init, ml_position, range_position_crb
 from .propagation import (
@@ -89,6 +87,8 @@ class RunConfig:
             raise ValueError("need at least one trial")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not (math.isfinite(self.clock_bias_std) and self.clock_bias_std >= 0):
+            raise ValueError("clock bias std must be finite and nonnegative")
         if self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}")
         if self.link == "vehicle-bicycle" and self.scenario_id != 2:
@@ -141,8 +141,21 @@ def run_ranging_sweep(cfg: RunConfig, scenario: ScenarioConfig | None = None,
     Each trial draws a fresh clock bias and independent noise for the two
     directions of the exchange.  Samples where blockage removes the
     line-of-sight path keep their raw RMSE but carry NaN bounds.  Identical
-    configurations produce identical results regardless of worker count.
+    configurations produce identical results.
     """
+    return _sweep(cfg, scenario, ofdm, monte_carlo=True)
+
+
+def run_bounds_sweep(cfg: RunConfig, scenario: ScenarioConfig | None = None,
+                     ofdm: OfdmConfig | None = None) -> list[CurvePoint]:
+    """Bound curves only (no Monte Carlo): rmse is NaN in every point."""
+    return _sweep(cfg, scenario, ofdm, monte_carlo=False)
+
+
+def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | None,
+           monte_carlo: bool) -> list[CurvePoint]:
+    """One point per trajectory sample: the bounds of the forward link, and
+    with ``monte_carlo`` the RMSE of ``cfg.trials`` round trips (else NaN)."""
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
     ofdm = ofdm if ofdm is not None else default_config()
     pilots = make_pilots(ofdm, "all_ones")
@@ -155,102 +168,61 @@ def run_ranging_sweep(cfg: RunConfig, scenario: ScenarioConfig | None = None,
         t = sample_idx * scenario.measurement_interval
         vehicle, bicycle = sample_trajectory(scenario, min(t, horizon))
         end_a, end_b, coord = _link_endpoints(cfg, scenario, vehicle, bicycle)
-        snap_fwd = trace_paths(end_a, end_b, scenario, ofdm.wavelength, time=t)
-        snap_rev = trace_paths(end_b, end_a, scenario, ofdm.wavelength, time=t)
-        true_range = distance(end_a.position, end_b.position)
-
-        if snap_fwd.has_los:
-            report = reb_waa(snap_fwd, pilots, ofdm, beta=cfg.beta)
-            reb_los = report.reb_los_only
-            reb_all = report.reb_all_paths
-            reb_waa_m = report.reb_waa
-            waa_bias = report.waa_bias_m
-            n_cell = len(report.cell_indices)
-            one_way_var = (reb_waa_m / SPEED_OF_LIGHT) ** 2 if math.isfinite(reb_waa_m) else None
-        else:
-            reb_los = reb_all = reb_waa_m = waa_bias = math.nan
-            n_cell = 0
-            one_way_var = None
-
-        sq_err = 0.0
-        n_low_confidence = 0
-        for trial_idx in range(cfg.trials):
-            root = np.random.SeedSequence(entropy=(cfg.seed, sample_idx, trial_idx))
-            bias_seed, fwd_seed, rev_seed = root.spawn(3)
-            bias = float(np.random.default_rng(bias_seed).normal(0.0, cfg.clock_bias_std))
-            measurement, weak = _rtt_trial(snap_fwd, snap_rev, pilots, ofdm, cfg, window,
-                                           bias, fwd_seed, rev_seed, one_way_var)
-            n_low_confidence += weak
-            sq_err += (measurement.distance - true_range) ** 2
-        rmse = math.sqrt(sq_err / cfg.trials)
-        if n_low_confidence:
-            _log.debug("sample %d: %d/%d low-confidence spectra",
-                       sample_idx, n_low_confidence, cfg.trials)
-
-        points.append(CurvePoint(
-            sweep_coord=coord, true_range=true_range, rmse=rmse,
-            reb_los=reb_los, reb_all=reb_all, reb_waa=reb_waa_m, waa_bias=waa_bias,
-            n_paths=len(snap_fwd.paths), n_cell_paths=n_cell,
-            los_present=snap_fwd.has_los,
-        ))
-
-    if cfg.output_path is not None:
-        export_csv(points, cfg.output_path)
-    return points
-
-
-def _rtt_trial(snap_fwd, snap_rev, pilots, ofdm, cfg: RunConfig, window,
-               bias: float, fwd_seed, rev_seed,
-               one_way_var) -> tuple[RangeMeasurement, bool]:
-    """One round-trip exchange; clock bias flips sign on the reverse link."""
-    toas = []
-    weak = False
-    for snap, seed, b in ((snap_fwd, fwd_seed, bias), (snap_rev, rev_seed, -bias)):
-        rx = synthesize_rx(snap, pilots, ofdm, noise_seed=seed,
-                           doppler_enabled=cfg.doppler_enabled, clock_bias=b)
-        spec = delay_spectrum(rx, pilots, ofdm, window=window, oversample=cfg.oversample)
-        est = estimate_toa(spec, policy=cfg.peak_policy,
-                           threshold_db=cfg.first_peak_threshold_db)
-        weak = weak or low_confidence(spec)
-        toas.append(unwrap_toa(est.toa, ofdm))
-    try:
-        measurement = rtt_range(toas[0], toas[1], 0.0, one_way_toa_var=one_way_var,
-                                clock_bias=bias)
-    except ValueError:
-        # Noise-only spectra can produce a nonphysical negative round trip;
-        # score it as a zero-distance outlier rather than aborting the sweep.
-        measurement = RangeMeasurement(distance=0.0, sigma=math.nan, clock_bias_model=bias)
-    return measurement, weak
-
-
-def run_bounds_sweep(cfg: RunConfig, scenario: ScenarioConfig | None = None,
-                     ofdm: OfdmConfig | None = None) -> list[CurvePoint]:
-    """Bound curves only (no Monte Carlo): rmse is NaN in every point."""
-    scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
-    ofdm = ofdm if ofdm is not None else default_config()
-    pilots = make_pilots(ofdm, "all_ones")
-    horizon = _link_horizon(cfg, scenario)
-    n_samples = int(round(horizon / scenario.measurement_interval)) + 1
-    points = []
-    for sample_idx in range(n_samples):
-        t = sample_idx * scenario.measurement_interval
-        vehicle, bicycle = sample_trajectory(scenario, min(t, horizon))
-        end_a, end_b, coord = _link_endpoints(cfg, scenario, vehicle, bicycle)
         snap = trace_paths(end_a, end_b, scenario, ofdm.wavelength, time=t)
         true_range = distance(end_a.position, end_b.position)
+
         if snap.has_los:
             report = reb_waa(snap, pilots, ofdm, beta=cfg.beta)
-            points.append(CurvePoint(coord, true_range, math.nan,
-                                     report.reb_los_only, report.reb_all_paths,
-                                     report.reb_waa, report.waa_bias_m,
-                                     len(snap.paths), len(report.cell_indices), True))
+            bounds = (report.reb_los_only, report.reb_all_paths, report.reb_waa,
+                      report.waa_bias_m)
+            n_cell = len(report.cell_indices)
         else:
-            points.append(CurvePoint(coord, true_range, math.nan, math.nan,
-                                     math.nan, math.nan, math.nan,
-                                     len(snap.paths), 0, False))
+            bounds = (math.nan,) * 4
+            n_cell = 0
+
+        rmse = math.nan
+        if monte_carlo:
+            snap_rev = trace_paths(end_b, end_a, scenario, ofdm.wavelength, time=t)
+            rmse = _monte_carlo_rmse(cfg, sample_idx, snap, snap_rev, true_range,
+                                     pilots, ofdm, window)
+        points.append(CurvePoint(coord, true_range, rmse, *bounds,
+                                 len(snap.paths), n_cell, snap.has_los))
+
     if cfg.output_path is not None:
         export_csv(points, cfg.output_path)
     return points
+
+
+def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap_fwd, snap_rev,
+                      true_range: float, pilots, ofdm: OfdmConfig, window) -> float:
+    """RMSE of the round-trip distance over ``cfg.trials`` exchanges.
+
+    The clock bias flips sign on the reverse link; combining the two
+    arrivals modulo the alias period cancels it whatever its size.
+    """
+    period = ofdm.unambiguous_delay
+    sq_err = 0.0
+    n_low_confidence = 0
+    for trial_idx in range(cfg.trials):
+        root = np.random.SeedSequence(entropy=(cfg.seed, sample_idx, trial_idx))
+        bias_seed, fwd_seed, rev_seed = root.spawn(3)
+        bias = float(np.random.default_rng(bias_seed).normal(0.0, cfg.clock_bias_std))
+        toas = []
+        weak = False
+        for snap, seed, b in ((snap_fwd, fwd_seed, bias), (snap_rev, rev_seed, -bias)):
+            rx = synthesize_rx(snap, pilots, ofdm, noise_seed=seed,
+                               doppler_enabled=cfg.doppler_enabled, clock_bias=b)
+            spec = delay_spectrum(rx, pilots, ofdm, window=window, oversample=cfg.oversample)
+            est = estimate_toa(spec, policy=cfg.peak_policy,
+                               threshold_db=cfg.first_peak_threshold_db)
+            weak = weak or low_confidence(spec)
+            toas.append(est.toa)
+        n_low_confidence += weak
+        sq_err += (rtt_range(toas[0], toas[1], period=period).distance - true_range) ** 2
+    if n_low_confidence:
+        _log.debug("sample %d: %d/%d low-confidence spectra",
+                   sample_idx, n_low_confidence, cfg.trials)
+    return math.sqrt(sq_err / cfg.trials)
 
 
 @dataclass(frozen=True)
@@ -282,6 +254,10 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
     confidence), the strict rate the fraction within the fine bound
     (compared to the upper confidence).
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("range noise sigma must be finite and nonnegative")
     true = np.array([true_point.x, true_point.y, true_point.z][:dim])
     anchor_xyz = np.array([[a.position.x, a.position.y, a.position.z][:dim]
                            for a in anchors])
@@ -339,8 +315,10 @@ def coherence_and_latency_check(config: OfdmConfig, v_max: float,
     """Symbol-count margin against wavelength * spacing / v_max, and the
     latency budget 0.1 * accuracy / v_max.  A zero v_max reports unbounded
     (infinite) margins rather than dividing by zero."""
-    if v_max < 0:
+    if not v_max >= 0:
         raise ValueError("maximum speed must be nonnegative")
+    if not accuracy_req > 0:
+        raise ValueError("accuracy requirement must be positive")
     if v_max == 0.0:
         return CoherenceReport(math.inf, config.num_symbols, math.inf, math.inf)
     limit = config.wavelength * config.subcarrier_spacing / v_max

@@ -16,6 +16,9 @@ import numpy as np
 from .estimation import RangeMeasurement
 from .propagation import Vec3
 
+# Relative Gauss-Newton step below which a stalled solve counts as converged.
+_STEP_TOL = math.sqrt(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class Anchor:
@@ -85,7 +88,9 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
     defaults to the closed-form linear starting point.  Steps are halved
     (backtracking) until the cost decreases; iteration stops when the
     gradient norm drops below ``tol``, no decrease is possible, or
-    ``max_iters`` is reached.  Non-convergence is reported through
+    ``max_iters`` is reached.  A solve that stops because no decrease is
+    possible has converged when its full step is below sqrt(eps) relative
+    to the iterate.  Non-convergence is reported through
     ``converged=False``, never an exception.
     """
     anchors, dists, sigmas = _anchor_matrix(measurements, dim)
@@ -144,6 +149,9 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
             scale *= 0.5
         iterations += 1
         if not improved:
+            # Backtracking can no longer lower the cost in floating point:
+            # a stationary point if the full step is negligible against x.
+            converged = bool(np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(x)))
             break
 
     if not converged:

@@ -8,6 +8,7 @@ plus circular complex Gaussian noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +90,9 @@ class PilotGrid:
 
 @dataclass(frozen=True)
 class RxSymbols:
-    """T x N_s received grid plus the noise variance used to generate it."""
+    """T x N_s received grid."""
 
     symbols: np.ndarray
-    noise_variance_per_sample: float
 
 
 def make_pilots(config: OfdmConfig, phase_mode: str = "all_ones",
@@ -127,8 +127,9 @@ def synthesize_rx(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfi
     The clock bias adds to every path delay in the phase ramp.  With
     ``noise_seed`` None the output is noiseless; otherwise i.i.d. circular
     complex Gaussian noise with variance ``noise_variance(config)`` is added,
-    deterministic in the seed.  Apparent delays must stay within one alias
-    period (|delay + bias| < 1/subcarrier_spacing).
+    deterministic in the seed.  Path delays must stay below one alias period
+    1/subcarrier_spacing.  The clock bias may take any value: the ramp is
+    periodic in that period, so the bias is reduced modulo it first.
     """
     n_sym, n_sub = pilots.symbols.shape
     if (n_sym, n_sub) != (config.num_symbols, config.num_subcarriers):
@@ -136,9 +137,10 @@ def synthesize_rx(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfi
 
     mean = np.zeros((n_sym, n_sub), dtype=complex)
     if channel.paths:
-        delays = np.array([p.delay for p in channel.paths]) + clock_bias
-        if np.any(np.abs(delays) >= config.unambiguous_delay):
-            raise ValueError("apparent path delay exceeds the unambiguous range")
+        delays = np.array([p.delay for p in channel.paths])
+        if np.any(delays >= config.unambiguous_delay):
+            raise ValueError("path delay exceeds the unambiguous range")
+        delays = delays + math.remainder(clock_bias, config.unambiguous_delay)
         gains = np.array([p.gain for p in channel.paths])
         n = np.arange(n_sub)
         ramps = np.exp(-2j * np.pi * np.outer(delays, n) * config.subcarrier_spacing)
@@ -151,10 +153,9 @@ def synthesize_rx(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfi
             doppler = np.ones((n_sym, len(channel.paths)))
         mean = pilots.symbols * (doppler @ (gains[:, None] * ramps))
 
-    sigma2 = noise_variance(config)
     if noise_seed is not None:
         rng = np.random.default_rng(noise_seed)
-        scale = np.sqrt(sigma2 / 2.0)
+        scale = np.sqrt(noise_variance(config) / 2.0)
         noise = scale * (rng.standard_normal(mean.shape) + 1j * rng.standard_normal(mean.shape))
         mean = mean + noise
-    return RxSymbols(symbols=mean, noise_variance_per_sample=sigma2)
+    return RxSymbols(symbols=mean)

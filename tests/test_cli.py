@@ -89,3 +89,34 @@ def test_io_failure_exits_2(capsys):
                  "--out", "/nonexistent-dir/sweep.csv"])
     assert code == 2
     assert "I/O error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--clock-bias-std", "nan"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--clock-bias-std=-1e-6"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--clock-bias-std", "inf"],
+    ["position", "--sigma=-1"],
+    ["position", "--sigma", "nan"],
+    ["position", "--sigma", "inf"],
+    ["position", "--sigma", "1", "--trials", "0"],
+    ["check", "--vmax", "14", "--accuracy=-3"],
+    ["check", "--vmax", "14", "--accuracy", "0"],
+    ["check", "--vmax", "0", "--accuracy", "nan"],
+    ["check", "--vmax", "nan", "--accuracy", "3"],
+])
+def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] == "ranging":
+        argv = argv + ["--out", str(out)]
+    if argv[0] == "position":
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
+        argv = argv + ["--anchors", str(anchors)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert captured.out == ""
+    assert not out.exists()

@@ -16,7 +16,6 @@ from slpos.estimation import (
     low_confidence,
     rectangular_window,
     rtt_range,
-    unwrap_toa,
 )
 from slpos.propagation import Vec3, friis_gain
 from slpos.signal import make_pilots, synthesize_rx
@@ -146,7 +145,7 @@ def test_first_peak_picks_earlier_path(ofdm, pilots):
 
 
 def test_all_zero_spectrum_rejected():
-    spec = DelaySpectrum(power=np.zeros(64), bin_spacing=1e-9, window=np.ones(8))
+    spec = DelaySpectrum(power=np.zeros(64), bin_spacing=1e-9)
     with pytest.raises(ValueError):
         estimate_toa(spec)
 
@@ -221,6 +220,11 @@ def test_rtt_bias_cancellation_property(bias_ns, d_cm):
     bias = bias_ns * 1e-9
     m = rtt_range(tau + bias, tau - bias, 0.0, one_way_toa_var=1e-18)
     assert m.distance == pytest.approx(d, abs=1e-9)
+    # Spectrum arrivals are known only modulo the alias period; the modular
+    # combination cancels biases beyond half a period as well.
+    period = 1 / 120e3
+    m = rtt_range((tau + bias) % period, (tau - bias) % period, period=period)
+    assert m.distance == pytest.approx(d, abs=1e-9)
 
 
 def test_rtt_sigma_from_one_way_variance():
@@ -252,22 +256,16 @@ def test_rtt_variance_doubles_single_link(ofdm):
     assert np.var(dists) == pytest.approx(2 * single_link_var, rel=0.2)
 
 
-def test_unwrap_toa(ofdm):
-    period = 1 / ofdm.subcarrier_spacing
-    assert unwrap_toa(100e-9, ofdm) == 100e-9
-    wrapped = period - 900e-9
-    assert unwrap_toa(wrapped, ofdm) == pytest.approx(-900e-9, rel=1e-9)
-
-
-def test_negative_apparent_delay_wraps_and_unwraps(ofdm, pilots):
+def test_negative_apparent_delay_wraps_and_round_trip_cancels(ofdm, pilots):
     # A clock bias larger than the propagation delay aliases the arrival to
-    # the top of the window; the estimate stays in [0, 1/spacing) and
-    # unwrapping recovers the signed value.
+    # the top of the window; the estimate stays in [0, 1/spacing) and the
+    # modular round trip with the oppositely biased reverse arrival
+    # recovers the distance.
     tau = 100e-9
     bias = -2e-6
-    spec = spectrum_of([los_path(tau)], ofdm, pilots, clock_bias=bias)
-    est = estimate_toa(spec)
     period = 1 / ofdm.subcarrier_spacing
-    assert 0 <= est.toa < period
-    assert est.toa > period / 2
-    assert unwrap_toa(est.toa, ofdm) == pytest.approx(tau + bias, abs=0.05 / SPEED_OF_LIGHT)
+    fwd = estimate_toa(spectrum_of([los_path(tau)], ofdm, pilots, clock_bias=bias)).toa
+    rev = estimate_toa(spectrum_of([los_path(tau)], ofdm, pilots, clock_bias=-bias)).toa
+    assert period / 2 < fwd < period
+    m = rtt_range(fwd, rev, period=period)
+    assert m.distance == pytest.approx(tau * SPEED_OF_LIGHT, abs=0.05)

@@ -1,10 +1,14 @@
 import math
+import pathlib
+import statistics
 
 import numpy as np
 import pytest
 
+from slpos.cli import main
 from slpos.harness import (
     CSV_COLUMNS,
+    LINKS,
     REQUIREMENT_SETS,
     CurvePoint,
     RunConfig,
@@ -18,6 +22,8 @@ from slpos.harness import (
 from slpos.positioning import Anchor
 from slpos.propagation import BuildingBox, ScenarioConfig, Vec3
 from slpos.signal import OfdmConfig, default_config
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 SQUARE = [Anchor(Vec3(0.0, 0.0, 0.0)), Anchor(Vec3(10.0, 0.0, 0.0)),
           Anchor(Vec3(0.0, 10.0, 0.0)), Anchor(Vec3(10.0, 10.0, 0.0))]
@@ -77,6 +83,53 @@ def test_blocked_samples_flagged_with_nan_bounds():
         assert math.isnan(p.reb_waa) and math.isnan(p.waa_bias)
         assert p.n_cell_paths == 0
         assert p.rmse >= 0  # raw error still reported
+
+
+def test_rmse_does_not_depend_on_clock_bias_std():
+    # The two-way exchange cancels a clock bias of any size, up to and
+    # beyond half the alias period P = 1/subcarrier_spacing.
+    period = default_config().unambiguous_delay
+    runs = {}
+    for std in (0.0, 1e-6, 4e-6, period / 2, period):
+        cfg = RunConfig(scenario_id=2, link="vehicle-bicycle", trials=3, seed=7,
+                        clock_bias_std=std)
+        runs[std] = [p.rmse for p in run_ranging_sweep(cfg)]
+    reference = runs[0.0]
+    for std, rmses in runs.items():
+        assert statistics.median(rmses) == pytest.approx(statistics.median(reference),
+                                                         rel=0.05), std
+        assert sum(r > 5.0 for r in rmses) <= sum(r > 5.0 for r in reference), std
+
+
+@pytest.mark.parametrize("link", LINKS)
+def test_ranging_and_bounds_sweeps_share_every_non_rmse_column(link):
+    cfg = RunConfig(scenario_id=2 if link == "vehicle-bicycle" else 1, link=link,
+                    trials=1, seed=0)
+    ranging = run_ranging_sweep(cfg)
+    bounds = run_bounds_sweep(cfg)
+    assert len(ranging) == len(bounds)
+    for a, b in zip(ranging, bounds):
+        for name in CurvePoint.__dataclass_fields__:
+            if name != "rmse":
+                np.testing.assert_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+def test_ranging_csv_matches_committed_reference(tmp_path, capsys):
+    # Output of `slpos ranging --scenario 2 --link vehicle-bicycle --trials 2
+    # --seed 42`: a refactor that keeps the sweep arithmetic keeps this file.
+    out = tmp_path / "sweep.csv"
+    assert main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
+                 "--trials", "2", "--seed", "42", "--out", str(out)]) == 0
+    expected = (DATA / "ranging_scenario2_vehicle-bicycle_trials2_seed42.csv").read_text()
+    got_lines, want_lines = out.read_text().splitlines(), expected.splitlines()
+    assert got_lines[0] == want_lines[0]
+    assert len(got_lines) == len(want_lines)
+    rmse_col = CSV_COLUMNS.index("rmse_m")
+    for got, want in zip(got_lines[1:], want_lines[1:]):
+        got_cells, want_cells = got.split(","), want.split(",")
+        assert float(got_cells.pop(rmse_col)) == pytest.approx(
+            float(want_cells.pop(rmse_col)), rel=1e-9)
+        assert got_cells == want_cells
 
 
 def test_higher_power_lowers_mean_rmse():

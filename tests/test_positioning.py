@@ -116,6 +116,19 @@ def test_nonconvergence_reported_not_raised():
     assert isinstance(est.converged, bool)
 
 
+def test_noisy_fixes_report_converged():
+    # Noisy fixes end where backtracking can no longer lower the cost in
+    # floating point, often with a gradient just above the tolerance.
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        measurements = []
+        for anchor in SQUARE:
+            d = math.dist((3.0, 4.0, 0.0), (anchor.position.x, anchor.position.y, 0.0))
+            measurements.append((RangeMeasurement(distance=max(d + rng.normal(0, 1.0), 0.0),
+                                                  sigma=1.0), anchor))
+        assert ml_position(measurements, dim=2).converged
+
+
 def test_cost_not_above_initial_cost():
     rng = np.random.default_rng(8)
     measurements = []

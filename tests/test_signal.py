@@ -175,10 +175,14 @@ def test_delay_beyond_alias_period_rejected(ofdm, pilots):
     snap = make_snapshot([los_path(9e-6)])
     with pytest.raises(ValueError):
         synthesize_rx(snap, pilots, ofdm, noise_seed=None)
-    # Also through a large clock bias.
+    # A clock bias wraps instead: the ramp is periodic in the alias period.
+    # Both biases lie in [P/2, 2P], so bias - P is exact in floating point.
     snap = make_snapshot([los_path(100e-9)])
-    with pytest.raises(ValueError):
-        synthesize_rx(snap, pilots, ofdm, noise_seed=None, clock_bias=8.3e-6)
+    period = ofdm.unambiguous_delay
+    for bias in (6e-6, 8.3e-6):
+        a = synthesize_rx(snap, pilots, ofdm, noise_seed=None, clock_bias=bias)
+        b = synthesize_rx(snap, pilots, ofdm, noise_seed=None, clock_bias=bias - period)
+        assert np.array_equal(a.symbols, b.symbols)
 
 
 def test_pilot_grid_shape_mismatch_rejected(ofdm):
