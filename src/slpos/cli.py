@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .estimation import PEAK_POLICIES
 from .harness import (
     RunConfig,
     coherence_and_latency_check,
@@ -83,7 +84,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--trials", type=int, default=100)
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--oversample", type=int, default=16)
-            p.add_argument("--peak-policy", choices=("global_peak", "first_peak"),
+            p.add_argument("--peak-policy", choices=PEAK_POLICIES,
                            default="global_peak")
             p.add_argument("--first-peak-threshold-db", type=float, default=6.0)
             p.add_argument("--no-doppler", action="store_true")

@@ -2,12 +2,14 @@
 
 The delay spectrum is the squared magnitude of the zero-padded IDFT of the
 windowed, pilot-compensated received symbols accumulated over the pilot
-block; peaks indicate path delays.  A two-way exchange cancels the unknown
-clock bias between unsynchronized devices.
+block; peaks indicate path delays.  The zero-padded IDFT is evaluated in
+polyphase form, as ``oversample`` IDFTs of length N_s.  A two-way exchange
+cancels the unknown clock bias between unsynchronized devices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +17,9 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .signal import OfdmConfig, PilotGrid, RxSymbols
+
+
+PEAK_POLICIES = ("global_peak", "first_peak")
 
 
 def hamming_window(n: int) -> np.ndarray:
@@ -35,8 +40,9 @@ def rectangular_window(n: int) -> np.ndarray:
 class DelaySpectrum:
     """Oversampled delay-power profile.
 
-    ``power`` has length oversample * N_s and nonnegative entries;
-    ``bin_spacing`` is 1 / (len(power) * subcarrier_spacing) seconds.
+    ``power`` has length K = oversample * N_s along its last axis and
+    nonnegative entries; a batch of spectra stacks them as ... x K.
+    ``bin_spacing`` is 1 / (K * subcarrier_spacing) seconds.
     """
 
     power: np.ndarray
@@ -63,13 +69,29 @@ class RangeMeasurement:
             raise ValueError("sigma must be positive")
 
 
+@functools.lru_cache(maxsize=None)
+def _polyphase_twiddles(n_sub: int, oversample: int) -> np.ndarray:
+    """oversample x n_sub matrix exp(2j pi n r / K), K = oversample * n_sub."""
+    r = np.arange(oversample)[:, None]
+    n = np.arange(n_sub)[None, :]
+    twiddles = np.exp(2j * np.pi * (r * n) / (oversample * n_sub))
+    twiddles.flags.writeable = False
+    return twiddles
+
+
 def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
                    window: np.ndarray | None = None, oversample: int = 16) -> DelaySpectrum:
     """Accumulate window * (rx / pilots) over symbols, zero-pad, |IDFT|^2.
 
-    Only peak locations and power ratios are consumed downstream, so the
-    fixed 1/K IDFT normalization is immaterial.  Pilot entries must be
-    nonzero (element-wise division removes them exactly).
+    ``rx.symbols`` is one T x N_s grid or a stack ... x T x N_s, and the
+    power has shape ... x K with K = oversample * N_s.  The length-K IDFT
+    of the zero-padded vector c is taken in polyphase form: bin
+    q * oversample + r equals 1/oversample times the length-N_s IDFT of
+    c[n] * exp(2j pi n r / K), at bin q.  This is exact and avoids a long
+    transform whose length has a large prime factor.  Only peak locations
+    and power ratios are consumed downstream, so the fixed 1/K IDFT
+    normalization is immaterial.  Pilot entries must be nonzero
+    (element-wise division removes them exactly).
     """
     if oversample < 1:
         raise ValueError("oversample factor must be >= 1")
@@ -79,9 +101,15 @@ def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
     w = hamming_window(n_sub) if window is None else np.asarray(window, dtype=float)
     if w.shape != (n_sub,):
         raise ValueError("window length must equal the subcarrier count")
-    compensated = (w[None, :] * (rx.symbols / pilots.symbols)).sum(axis=0)
+    compensated = rx.symbols / pilots.symbols
+    compensated *= w
+    compensated = compensated.sum(axis=-2)
+    phases = compensated[..., None, :] * _polyphase_twiddles(n_sub, oversample)
+    power = np.abs(np.fft.ifft(phases, out=phases))
+    power **= 2
+    power /= oversample ** 2
     k = oversample * n_sub
-    power = np.abs(np.fft.ifft(compensated, n=k)) ** 2
+    power = np.swapaxes(power, -1, -2).reshape(compensated.shape[:-1] + (k,))
     return DelaySpectrum(power=power, bin_spacing=1.0 / (k * config.subcarrier_spacing))
 
 

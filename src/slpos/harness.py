@@ -18,6 +18,8 @@ import numpy as np
 
 from .bounds import DEFAULT_BETA, reb_waa
 from .estimation import (
+    PEAK_POLICIES,
+    DelaySpectrum,
     RangeMeasurement,
     delay_spectrum,
     estimate_toa,
@@ -46,6 +48,10 @@ CSV_COLUMNS = (
 LINKS = ("rsu-vehicle", "rsu-bicycle", "vehicle-bicycle")
 
 _log = logging.getLogger(__name__)
+
+# Monte Carlo trials synthesized and transformed together; bounds the memory
+# of one batch independently of the trial count.
+_TRIAL_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,16 @@ class RunConfig:
             raise ValueError("seed must be nonnegative")
         if not (math.isfinite(self.clock_bias_std) and self.clock_bias_std >= 0):
             raise ValueError("clock bias std must be finite and nonnegative")
+        if not 1.0 < self.beta < 2.0:
+            raise ValueError(f"beta must lie in (1, 2), got {self.beta}")
+        if self.oversample < 1:
+            raise ValueError("oversample factor must be >= 1")
+        if self.peak_policy not in PEAK_POLICIES:
+            raise ValueError(f"unknown peak policy {self.peak_policy!r}")
+        if not (math.isfinite(self.first_peak_threshold_db)
+                and self.first_peak_threshold_db >= 0):
+            raise ValueError("first-peak threshold must be finite and nonnegative, "
+                             f"got {self.first_peak_threshold_db} dB")
         if self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}")
         if self.link == "vehicle-bicycle" and self.scenario_id != 2:
@@ -198,27 +214,32 @@ def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap_fwd, snap_rev,
     """RMSE of the round-trip distance over ``cfg.trials`` exchanges.
 
     The clock bias flips sign on the reverse link; combining the two
-    arrivals modulo the alias period cancels it whatever its size.
+    arrivals modulo the alias period cancels it whatever its size.  Up to
+    ``_TRIAL_BATCH`` trials share one synthesis and one delay-spectrum call
+    per direction; peak picking and ranging run per trial, in trial order.
     """
     period = ofdm.unambiguous_delay
     sq_err = 0.0
     n_low_confidence = 0
-    for trial_idx in range(cfg.trials):
-        root = np.random.SeedSequence(entropy=(cfg.seed, sample_idx, trial_idx))
-        bias_seed, fwd_seed, rev_seed = root.spawn(3)
-        bias = float(np.random.default_rng(bias_seed).normal(0.0, cfg.clock_bias_std))
-        toas = []
-        weak = False
-        for snap, seed, b in ((snap_fwd, fwd_seed, bias), (snap_rev, rev_seed, -bias)):
-            rx = synthesize_rx(snap, pilots, ofdm, noise_seed=seed,
+    for start in range(0, cfg.trials, _TRIAL_BATCH):
+        trials = range(start, min(start + _TRIAL_BATCH, cfg.trials))
+        bias_seeds, fwd_seeds, rev_seeds = zip(*(
+            np.random.SeedSequence(entropy=(cfg.seed, sample_idx, trial_idx)).spawn(3)
+            for trial_idx in trials))
+        biases = np.array([np.random.default_rng(seed).normal(0.0, cfg.clock_bias_std)
+                           for seed in bias_seeds])
+        spectra = []
+        for snap, seeds, b in ((snap_fwd, fwd_seeds, biases), (snap_rev, rev_seeds, -biases)):
+            rx = synthesize_rx(snap, pilots, ofdm, noise_seed=seeds,
                                doppler_enabled=cfg.doppler_enabled, clock_bias=b)
-            spec = delay_spectrum(rx, pilots, ofdm, window=window, oversample=cfg.oversample)
-            est = estimate_toa(spec, policy=cfg.peak_policy,
-                               threshold_db=cfg.first_peak_threshold_db)
-            weak = weak or low_confidence(spec)
-            toas.append(est.toa)
-        n_low_confidence += weak
-        sq_err += (rtt_range(toas[0], toas[1], period=period).distance - true_range) ** 2
+            batch = delay_spectrum(rx, pilots, ofdm, window=window, oversample=cfg.oversample)
+            spectra.append([DelaySpectrum(power, batch.bin_spacing) for power in batch.power])
+        for spec_fwd, spec_rev in zip(*spectra):
+            toas = [estimate_toa(spec, policy=cfg.peak_policy,
+                                 threshold_db=cfg.first_peak_threshold_db).toa
+                    for spec in (spec_fwd, spec_rev)]
+            n_low_confidence += low_confidence(spec_fwd) or low_confidence(spec_rev)
+            sq_err += (rtt_range(toas[0], toas[1], period=period).distance - true_range) ** 2
     if n_low_confidence:
         _log.debug("sample %d: %d/%d low-confidence spectra",
                    sample_idx, n_low_confidence, cfg.trials)

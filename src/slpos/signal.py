@@ -9,7 +9,8 @@ plus circular complex Gaussian noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +36,9 @@ class OfdmConfig:
     noise_figure_db: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.num_subcarriers < 2:
             raise ValueError("need at least 2 subcarriers")
         if self.subcarrier_spacing <= 0:
@@ -90,7 +94,7 @@ class PilotGrid:
 
 @dataclass(frozen=True)
 class RxSymbols:
-    """T x N_s received grid."""
+    """T x N_s received grid, or B x T x N_s for a batch of B trials."""
 
     symbols: np.ndarray
 
@@ -119,31 +123,44 @@ def make_pilots(config: OfdmConfig, phase_mode: str = "all_ones",
 
 
 def synthesize_rx(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
-                  noise_seed: int | np.random.SeedSequence | None = None,
+                  noise_seed: int | np.random.SeedSequence | Sequence | None = None,
                   doppler_enabled: bool = True,
-                  clock_bias: float = 0.0) -> RxSymbols:
+                  clock_bias: float | np.ndarray = 0.0) -> RxSymbols:
     """Received grid: sum over paths of gain * pilots * delay ramp * Doppler.
 
     The clock bias adds to every path delay in the phase ramp.  With
     ``noise_seed`` None the output is noiseless; otherwise i.i.d. circular
     complex Gaussian noise with variance ``noise_variance(config)`` is added,
-    deterministic in the seed.  Path delays must stay below one alias period
-    1/subcarrier_spacing.  The clock bias may take any value: the ramp is
-    periodic in that period, so the bias is reduced modulo it first.
+    deterministic in the seed (real parts drawn first, then imaginary).
+    Path delays must stay below one alias period 1/subcarrier_spacing.  The
+    clock bias may take any value: the ramp is periodic in that period, so
+    the bias is reduced modulo it first.
+
+    A scalar ``clock_bias`` gives a T x N_s grid.  A 1-D array of B biases
+    gives a batch of B grids, B x T x N_s; ``noise_seed`` is then None or a
+    sequence of B seeds, and row b equals the scalar call with
+    ``clock_bias[b]`` and ``noise_seed[b]``.
     """
     n_sym, n_sub = pilots.symbols.shape
     if (n_sym, n_sub) != (config.num_symbols, config.num_subcarriers):
         raise ValueError("pilot grid does not match the OFDM configuration")
+    biases = np.asarray(clock_bias, dtype=float)
+    if biases.ndim > 1:
+        raise ValueError("clock bias must be a scalar or a 1-D array")
+    if biases.ndim == 1 and noise_seed is not None and len(noise_seed) != len(biases):
+        raise ValueError(f"{len(noise_seed)} noise seeds for {len(biases)} clock biases")
+    batch = biases.shape
 
-    mean = np.zeros((n_sym, n_sub), dtype=complex)
+    mean = np.zeros(batch + (n_sym, n_sub), dtype=complex)
     if channel.paths:
         delays = np.array([p.delay for p in channel.paths])
         if np.any(delays >= config.unambiguous_delay):
             raise ValueError("path delay exceeds the unambiguous range")
-        delays = delays + math.remainder(clock_bias, config.unambiguous_delay)
+        wrapped = [math.remainder(b, config.unambiguous_delay) for b in biases.flat]
+        delays = delays + np.reshape(wrapped, batch + (1,))
         gains = np.array([p.gain for p in channel.paths])
         n = np.arange(n_sub)
-        ramps = np.exp(-2j * np.pi * np.outer(delays, n) * config.subcarrier_spacing)
+        ramps = np.exp(-2j * np.pi * (delays[..., None] * n) * config.subcarrier_spacing)
         if doppler_enabled:
             velocities = np.array([p.radial_velocity for p in channel.paths])
             t = np.arange(1, n_sym + 1)
@@ -151,11 +168,16 @@ def synthesize_rx(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfi
                              * config.symbol_duration / config.wavelength)
         else:
             doppler = np.ones((n_sym, len(channel.paths)))
-        mean = pilots.symbols * (doppler @ (gains[:, None] * ramps))
+        mean = doppler @ (gains[:, None] * ramps)
+        mean *= pilots.symbols
 
     if noise_seed is not None:
-        rng = np.random.default_rng(noise_seed)
         scale = np.sqrt(noise_variance(config) / 2.0)
-        noise = scale * (rng.standard_normal(mean.shape) + 1j * rng.standard_normal(mean.shape))
-        mean = mean + noise
+        draws = np.empty((2, n_sym, n_sub))
+        for grid, seed in zip(mean.reshape(-1, n_sym, n_sub),
+                              noise_seed if batch else [noise_seed]):
+            np.random.default_rng(seed).standard_normal(out=draws)
+            draws *= scale
+            grid.real += draws[0]
+            grid.imag += draws[1]
     return RxSymbols(symbols=mean)

@@ -106,10 +106,28 @@ def test_io_failure_exits_2(capsys):
     ["check", "--vmax", "14", "--accuracy", "0"],
     ["check", "--vmax", "0", "--accuracy", "nan"],
     ["check", "--vmax", "nan", "--accuracy", "3"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--peak-policy", "first_peak", "--first-peak-threshold-db", "nan"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--peak-policy", "first_peak", "--first-peak-threshold-db=-3"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--tx-power-dbm", "nan"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--tx-power-dbm=inf"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--noise-figure-db=inf"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--oversample", "0"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--beta", "2"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--beta", "nan"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--beta", "1"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "nan"],
 ])
 def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    if argv[0] == "ranging":
+    if argv[0] in ("ranging", "bounds"):
         argv = argv + ["--out", str(out)]
     if argv[0] == "position":
         anchors = tmp_path / "anchors.txt"

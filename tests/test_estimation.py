@@ -18,7 +18,7 @@ from slpos.estimation import (
     rtt_range,
 )
 from slpos.propagation import Vec3, friis_gain
-from slpos.signal import make_pilots, synthesize_rx
+from slpos.signal import OfdmConfig, RxSymbols, make_pilots, synthesize_rx
 
 
 def spectrum_of(paths, ofdm, pilots, window=None, oversample=16, noise_seed=None,
@@ -97,6 +97,24 @@ def test_bad_oversample_rejected(ofdm, pilots):
     rx = synthesize_rx(make_snapshot([los_path(1e-7)]), pilots, ofdm)
     with pytest.raises(ValueError):
         delay_spectrum(rx, pilots, ofdm, oversample=0)
+
+
+@pytest.mark.parametrize("n_sub, oversample", [(167, 16), (167, 1), (64, 4), (7, 3)])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_polyphase_spectrum_matches_zero_padded_ifft(ofdm, n_sub, oversample, batch):
+    cfg = OfdmConfig(**{**ofdm.__dict__, "num_subcarriers": n_sub})
+    grid_pilots = make_pilots(cfg, "seeded_random_phase", seed=2)
+    rng = np.random.default_rng(n_sub * oversample)
+    shape = batch + (cfg.num_symbols, n_sub)
+    rx = RxSymbols(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    spec = delay_spectrum(rx, grid_pilots, cfg, oversample=oversample)
+    k = oversample * n_sub
+    compensated = (hamming_window(n_sub) * rx.symbols / grid_pilots.symbols).sum(axis=-2)
+    expected = np.abs(np.fft.ifft(compensated, n=k)) ** 2
+    assert spec.power.shape == batch + (k,)
+    assert spec.bin_spacing == 1.0 / (k * cfg.subcarrier_spacing)
+    np.testing.assert_allclose(spec.power, expected, rtol=0,
+                               atol=1e-12 * expected.max())
 
 
 def test_pilot_invariance(ofdm):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import statistics
@@ -5,6 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
+from slpos import harness
 from slpos.cli import main
 from slpos.harness import (
     CSV_COLUMNS,
@@ -20,7 +22,7 @@ from slpos.harness import (
     run_ranging_sweep,
 )
 from slpos.positioning import Anchor
-from slpos.propagation import BuildingBox, ScenarioConfig, Vec3
+from slpos.propagation import BuildingBox, ScenarioConfig, Vec3, build_scenario
 from slpos.signal import OfdmConfig, default_config
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -40,6 +42,26 @@ def test_link_scenario_consistency():
         RunConfig(scenario_id=1, link="rsu-vehicle", trials=0)
     with pytest.raises(ValueError):
         RunConfig(scenario_id=1, link="teleporter")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("peak_policy", "psychic"),
+    ("first_peak_threshold_db", math.nan),
+    ("first_peak_threshold_db", -3.0),
+    ("first_peak_threshold_db", math.inf),
+    ("oversample", 0),
+    ("beta", 1.0),
+    ("beta", 2.0),
+    ("beta", math.nan),
+])
+def test_estimator_knobs_validated_up_front(field, value):
+    with pytest.raises(ValueError):
+        RunConfig(scenario_id=1, link="rsu-vehicle", **{field: value})
+
+
+def test_zero_first_peak_threshold_accepted():
+    assert RunConfig(scenario_id=1, link="rsu-vehicle",
+                     first_peak_threshold_db=0.0).first_peak_threshold_db == 0.0
 
 
 # --- ranging sweep ----------------------------------------------------------------
@@ -114,13 +136,11 @@ def test_ranging_and_bounds_sweeps_share_every_non_rmse_column(link):
                 np.testing.assert_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
-def test_ranging_csv_matches_committed_reference(tmp_path, capsys):
-    # Output of `slpos ranging --scenario 2 --link vehicle-bicycle --trials 2
-    # --seed 42`: a refactor that keeps the sweep arithmetic keeps this file.
+def _assert_csv_matches_reference(argv, reference, tmp_path):
+    """Non-RMSE cells as exact strings, rmse_m to 1e-9 relative."""
     out = tmp_path / "sweep.csv"
-    assert main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
-                 "--trials", "2", "--seed", "42", "--out", str(out)]) == 0
-    expected = (DATA / "ranging_scenario2_vehicle-bicycle_trials2_seed42.csv").read_text()
+    assert main(argv + ["--out", str(out)]) == 0
+    expected = (DATA / reference).read_text()
     got_lines, want_lines = out.read_text().splitlines(), expected.splitlines()
     assert got_lines[0] == want_lines[0]
     assert len(got_lines) == len(want_lines)
@@ -130,6 +150,36 @@ def test_ranging_csv_matches_committed_reference(tmp_path, capsys):
         assert float(got_cells.pop(rmse_col)) == pytest.approx(
             float(want_cells.pop(rmse_col)), rel=1e-9)
         assert got_cells == want_cells
+
+
+def test_ranging_csv_matches_committed_reference(tmp_path, capsys):
+    # Output of `slpos ranging --scenario 2 --link vehicle-bicycle --trials 2
+    # --seed 42`: a refactor that keeps the sweep arithmetic keeps this file.
+    _assert_csv_matches_reference(
+        ["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
+         "--trials", "2", "--seed", "42"],
+        "ranging_scenario2_vehicle-bicycle_trials2_seed42.csv", tmp_path)
+
+
+def test_first_peak_csv_matches_committed_reference(tmp_path, capsys):
+    # Output of the first-peak estimator, whose candidate threshold depends
+    # on the spectrum values away from the global peak.
+    _assert_csv_matches_reference(
+        ["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
+         "--peak-policy", "first_peak", "--trials", "4", "--seed", "1"],
+        "ranging_scenario2_vehicle-bicycle_first_peak_trials4_seed1.csv", tmp_path)
+
+
+def test_trial_batch_size_does_not_change_rmse(monkeypatch):
+    # One batch plus a remainder against one trial per batch.
+    scenario = dataclasses.replace(build_scenario(2), measurement_interval=1.0)
+    cfg = RunConfig(scenario_id=2, link="vehicle-bicycle",
+                    trials=harness._TRIAL_BATCH + 3, seed=9)
+    batched = [p.rmse for p in run_ranging_sweep(cfg, scenario=scenario)]
+    monkeypatch.setattr(harness, "_TRIAL_BATCH", 1)
+    single = [p.rmse for p in run_ranging_sweep(cfg, scenario=scenario)]
+    assert len(batched) > 5
+    np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
 
 
 def test_higher_power_lowers_mean_rmse():

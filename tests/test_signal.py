@@ -41,6 +41,14 @@ def test_config_validation():
                    noise_psd=4e-21, noise_figure_db=8.0)
 
 
+@pytest.mark.parametrize("field", ["subcarrier_spacing", "symbol_duration", "carrier_freq",
+                                   "tx_power", "noise_psd", "noise_figure_db"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_fields(ofdm, field, value):
+    with pytest.raises(ValueError, match=field):
+        OfdmConfig(**{**ofdm.__dict__, field: value})
+
+
 def test_noise_variance_with_noise_figure(ofdm):
     assert noise_variance(ofdm) == pytest.approx(2.512e-20, rel=1e-3)
 
@@ -183,6 +191,40 @@ def test_delay_beyond_alias_period_rejected(ofdm, pilots):
         a = synthesize_rx(snap, pilots, ofdm, noise_seed=None, clock_bias=bias)
         b = synthesize_rx(snap, pilots, ofdm, noise_seed=None, clock_bias=bias - period)
         assert np.array_equal(a.symbols, b.symbols)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_batched_synthesis_matches_scalar_rows(ofdm, pilots, noisy):
+    snap = make_snapshot([los_path(120e-9, gain=0.7 - 0.1j, velocity=9.0),
+                          echo_path(310e-9, gain=-0.2 + 0.3j, index=0, velocity=-4.0)])
+    biases = np.array([0.0, 1e-6, -2.5e-6, 7e-6, -9e-6])
+    seeds = [np.random.SeedSequence(entropy=(3, k)) for k in range(len(biases))]
+    batch = synthesize_rx(snap, pilots, ofdm, noise_seed=seeds if noisy else None,
+                          clock_bias=biases)
+    assert batch.symbols.shape == (len(biases), ofdm.num_symbols, ofdm.num_subcarriers)
+    for row, bias, seed in zip(batch.symbols, biases, seeds):
+        single = synthesize_rx(snap, pilots, ofdm, noise_seed=seed if noisy else None,
+                               clock_bias=bias)
+        np.testing.assert_array_equal(row, single.symbols)
+
+
+def test_batched_noise_keeps_the_scalar_stream(ofdm, pilots):
+    # Real parts first, then imaginary parts, from one generator per trial.
+    seeds = [11, 12]
+    rx = synthesize_rx(make_snapshot([]), pilots, ofdm, noise_seed=seeds,
+                       clock_bias=np.zeros(2))
+    scale = np.sqrt(noise_variance(ofdm) / 2.0)
+    for row, seed in zip(rx.symbols, seeds):
+        rng = np.random.default_rng(seed)
+        re = rng.standard_normal(row.shape)
+        im = rng.standard_normal(row.shape)
+        np.testing.assert_array_equal(row, scale * (re + 1j * im))
+
+
+def test_batched_seed_count_mismatch_rejected(ofdm, pilots):
+    snap = make_snapshot([los_path(1e-7)])
+    with pytest.raises(ValueError):
+        synthesize_rx(snap, pilots, ofdm, noise_seed=[1, 2], clock_bias=np.zeros(3))
 
 
 def test_pilot_grid_shape_mismatch_rejected(ofdm):
