@@ -34,7 +34,7 @@ from .signal import OfdmConfig, PilotGrid, noise_variance
 
 # Condition number (of the diagonally equilibrated FIM) above which the
 # matrix is treated as rank-deficient and the bound reported infinite.
-DEFAULT_CONDITION_CUTOFF = 1e12
+_CONDITION_CUTOFF = 1e12
 
 # Resolution-cell width factor, bounded to (1, 2).
 DEFAULT_BETA = 1.5
@@ -76,14 +76,14 @@ def fim(paths: list[PathComponent] | tuple[PathComponent, ...], pilots: PilotGri
     return 0.5 * (j + j.T)
 
 
-def crb_delay(j: np.ndarray, condition_cutoff: float = DEFAULT_CONDITION_CUTOFF) -> float:
+def crb_delay(j: np.ndarray) -> float:
     """[J^-1]_{0,0}: delay-variance bound for the parameter at index 0.
 
     Inversion goes through an eigendecomposition of the diagonally
     equilibrated matrix; equilibration keeps the conditioning check about
     path geometry rather than the disparate units of delay and gain
     entries.  Returns +inf when the equilibrated condition number exceeds
-    ``condition_cutoff`` (near rank deficiency from unresolvable paths).
+    ``_CONDITION_CUTOFF`` (near rank deficiency from unresolvable paths).
     """
     j = np.asarray(j, dtype=float)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
@@ -94,7 +94,7 @@ def crb_delay(j: np.ndarray, condition_cutoff: float = DEFAULT_CONDITION_CUTOFF)
     scale = 1.0 / np.sqrt(diag)
     balanced = scale[:, None] * j * scale[None, :]
     eigvals, eigvecs = np.linalg.eigh(balanced)
-    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > condition_cutoff:
+    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > _CONDITION_CUTOFF:
         return math.inf
     inv00 = float(np.sum(eigvecs[0, :] ** 2 / eigvals))
     return scale[0] ** 2 * inv00
@@ -133,36 +133,39 @@ class BoundReport:
     cell_indices: tuple[int, ...]
     weights: tuple[float, ...]
     merged_gain: complex
-    beta: float
     destructive_interference: bool = False
 
 
-def reb_los_only(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
-                 condition_cutoff: float = DEFAULT_CONDITION_CUTOFF) -> float:
+def _reb(paths: list[PathComponent] | tuple[PathComponent, ...], pilots: PilotGrid,
+         config: OfdmConfig, bias_s: float = 0.0) -> float:
+    """c * sqrt(delay CRB of ``paths[0]`` + ``bias_s``^2) in meters, or inf
+    when the joint FIM of ``paths`` is near-singular."""
+    variance = crb_delay(fim(paths, pilots, config))
+    if not math.isfinite(variance):
+        return math.inf
+    return SPEED_OF_LIGHT * math.sqrt(variance + bias_s ** 2)
+
+
+def reb_los_only(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig) -> float:
     """Range error bound with every other path perfectly known (meters)."""
     if not channel.has_los:
         raise ValueError("channel has no line-of-sight path")
-    variance = crb_delay(fim([channel.paths[0]], pilots, config), condition_cutoff)
-    return SPEED_OF_LIGHT * math.sqrt(variance) if math.isfinite(variance) else math.inf
+    return _reb(channel.paths[:1], pilots, config)
 
 
 def reb_all_paths(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
-                  beta: float = DEFAULT_BETA,
-                  condition_cutoff: float = DEFAULT_CONDITION_CUTOFF) -> float:
+                  beta: float = DEFAULT_BETA) -> float:
     """Range error bound estimating all in-cell paths jointly (meters or inf).
 
     Paths outside the resolution cell do not affect the accuracy of the
     line-of-sight delay and are removed to tighten the bound.
     """
     cell = resolution_cell(channel, beta, config)
-    j = fim([channel.paths[i] for i in cell], pilots, config)
-    variance = crb_delay(j, condition_cutoff)
-    return SPEED_OF_LIGHT * math.sqrt(variance) if math.isfinite(variance) else math.inf
+    return _reb([channel.paths[i] for i in cell], pilots, config)
 
 
 def reb_waa(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
-            beta: float = DEFAULT_BETA,
-            condition_cutoff: float = DEFAULT_CONDITION_CUTOFF) -> BoundReport:
+            beta: float = DEFAULT_BETA) -> BoundReport:
     """Weighted-average approximation of the achievable ranging error.
 
     The in-cell paths merge into one effective path: weights are the
@@ -179,11 +182,11 @@ def reb_waa(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
     delays = np.array([p.delay for p in cell_paths])
     merged_toa = float(weights @ delays)
     merged_gain = complex(sum(p.gain for p in cell_paths))
-    toa = channel.paths[0].delay
-    bias_s = toa - merged_toa
+    bias_s = cell_paths[0].delay - merged_toa
 
-    los_value = reb_los_only(channel, pilots, config, condition_cutoff)
-    all_value = reb_all_paths(channel, pilots, config, beta, condition_cutoff)
+    # The cell always starts with the line-of-sight path.
+    los_value = _reb(cell_paths[:1], pilots, config)
+    all_value = _reb(cell_paths, pilots, config)
 
     destructive = abs(merged_gain) < _DESTRUCTIVE_GAIN_FRACTION * amps.max()
     if destructive:
@@ -191,11 +194,7 @@ def reb_waa(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
     else:
         effective = PathComponent(delay=merged_toa, gain=merged_gain,
                                   radial_velocity=0.0, kind=PathKind.LOS)
-        variance = crb_delay(fim([effective], pilots, config), condition_cutoff)
-        if math.isfinite(variance):
-            waa_value = SPEED_OF_LIGHT * math.sqrt(variance + bias_s ** 2)
-        else:
-            waa_value = math.inf
+        waa_value = _reb([effective], pilots, config, bias_s)
 
     return BoundReport(
         reb_los_only=los_value,
@@ -206,6 +205,5 @@ def reb_waa(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
         cell_indices=tuple(cell),
         weights=tuple(float(w) for w in weights),
         merged_gain=merged_gain,
-        beta=beta,
         destructive_interference=destructive,
     )

@@ -9,10 +9,12 @@ demo), ``check`` (coherence and latency budget).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .estimation import PEAK_POLICIES
 from .harness import (
+    LINKS,
     RunConfig,
     coherence_and_latency_check,
     run_bounds_sweep,
@@ -21,7 +23,7 @@ from .harness import (
 )
 from .positioning import Anchor
 from .propagation import Vec3, build_scenario, scenario_from_text, scenario_to_text
-from .signal import OfdmConfig, default_config
+from .signal import default_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,23 +74,23 @@ def _build_parser() -> _Parser:
                             ("bounds", "bound curves only, no Monte Carlo")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", type=int, choices=(1, 2), required=True)
-        p.add_argument("--link", choices=("rsu-vehicle", "rsu-bicycle", "vehicle-bicycle"),
-                       required=True)
+        p.add_argument("--link", choices=LINKS, required=True)
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--beta", type=float, default=1.5)
+        p.add_argument("--beta", type=float, default=RunConfig.beta)
         p.add_argument("--scenario-file", help="override the built-in geometry "
                                                "with a key=value scenario file")
         p.add_argument("--tx-power-dbm", type=float, default=10.0)
         p.add_argument("--noise-figure-db", type=float, default=8.0)
         if name == "ranging":
-            p.add_argument("--trials", type=int, default=100)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--oversample", type=int, default=16)
+            p.add_argument("--trials", type=int, default=RunConfig.trials)
+            p.add_argument("--seed", type=int, default=RunConfig.seed)
+            p.add_argument("--oversample", type=int, default=RunConfig.oversample)
             p.add_argument("--peak-policy", choices=PEAK_POLICIES,
-                           default="global_peak")
-            p.add_argument("--first-peak-threshold-db", type=float, default=6.0)
+                           default=RunConfig.peak_policy)
+            p.add_argument("--first-peak-threshold-db", type=float,
+                           default=RunConfig.first_peak_threshold_db)
             p.add_argument("--no-doppler", action="store_true")
-            p.add_argument("--clock-bias-std", type=float, default=1e-6)
+            p.add_argument("--clock-bias-std", type=float, default=RunConfig.clock_bias_std)
 
     p_pos = sub.add_parser("position", help="synthetic multilateration demo")
     p_pos.add_argument("--anchors", required=True,
@@ -124,10 +126,9 @@ def _cmd_sweep(args: argparse.Namespace, monte_carlo: bool) -> int:
             scenario = scenario_from_text(handle.read())
         if scenario.scenario_id != args.scenario:
             raise ValueError("scenario file id does not match --scenario")
-    base = default_config()
-    ofdm = OfdmConfig(**{**base.__dict__,
-                         "tx_power": 10 ** (args.tx_power_dbm / 10.0) * 1e-3,
-                         "noise_figure_db": args.noise_figure_db})
+    ofdm = dataclasses.replace(default_config(),
+                               tx_power=10 ** (args.tx_power_dbm / 10.0) * 1e-3,
+                               noise_figure_db=args.noise_figure_db)
     if monte_carlo:
         cfg = RunConfig(
             scenario_id=args.scenario, link=args.link, trials=args.trials,

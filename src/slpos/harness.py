@@ -9,7 +9,6 @@ results are independent of execution order.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +23,7 @@ from .estimation import (
     delay_spectrum,
     estimate_toa,
     hamming_window,
-    low_confidence,
+    low_confidence,  # noqa: F401 - the benchmark tracer wraps harness.low_confidence
     rtt_range,
 )
 from .positioning import Anchor, linear_init, ml_position, range_position_crb
@@ -46,8 +45,6 @@ CSV_COLUMNS = (
 )
 
 LINKS = ("rsu-vehicle", "rsu-bicycle", "vehicle-bicycle")
-
-_log = logging.getLogger(__name__)
 
 # Monte Carlo trials synthesized and transformed together; bounds the memory
 # of one batch independently of the trial count.
@@ -220,7 +217,6 @@ def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap_fwd, snap_rev,
     """
     period = ofdm.unambiguous_delay
     sq_err = 0.0
-    n_low_confidence = 0
     for start in range(0, cfg.trials, _TRIAL_BATCH):
         trials = range(start, min(start + _TRIAL_BATCH, cfg.trials))
         bias_seeds, fwd_seeds, rev_seeds = zip(*(
@@ -238,11 +234,7 @@ def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap_fwd, snap_rev,
             toas = [estimate_toa(spec, policy=cfg.peak_policy,
                                  threshold_db=cfg.first_peak_threshold_db).toa
                     for spec in (spec_fwd, spec_rev)]
-            n_low_confidence += low_confidence(spec_fwd) or low_confidence(spec_rev)
             sq_err += (rtt_range(toas[0], toas[1], period=period).distance - true_range) ** 2
-    if n_low_confidence:
-        _log.debug("sample %d: %d/%d low-confidence spectra",
-                   sample_idx, n_low_confidence, cfg.trials)
     return math.sqrt(sq_err / cfg.trials)
 
 

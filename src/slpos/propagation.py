@@ -11,6 +11,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,9 +43,6 @@ class Vec3:
 
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def scaled(self, k: float) -> "Vec3":
-        return Vec3(k * self.x, k * self.y, k * self.z)
 
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -193,10 +191,21 @@ class ScenarioConfig:
             raise ValueError("scenario 1 requires an RSU")
         if self.scenario_id == 2 and self.rsu is not None:
             raise ValueError("scenario 2 has no RSU")
-        if not self.measurement_interval > 0:
-            raise ValueError("measurement interval must be positive")
+        for name in ("vehicle_speed", "bicycle_speed", "measurement_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("ground_reflection_coeff", "wall_reflection_coeff"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if abs(self.ground_reflection_coeff) > 1 or abs(self.wall_reflection_coeff) > 1:
             raise ValueError("reflection coefficient magnitudes must be <= 1")
+        for name, value in (("vehicle_start.y", self.vehicle_start.y),
+                            ("bicycle_start.x", self.bicycle_start.x)):
+            if not value < LANE_END_M:
+                raise ValueError(f"{name} must lie below the lane end {LANE_END_M} m, "
+                                 f"got {value}")
 
 
 def _default_buildings() -> tuple[BuildingBox, ...]:
@@ -343,17 +352,27 @@ def _radial_velocity(pa: Vec3, va: Vec3, pb: Vec3, vb: Vec3) -> float:
     return sep.dot(vb - va) / sep.norm()
 
 
-def _mirror_ground(p: Pose) -> Pose:
-    return Pose(Vec3(p.position.x, p.position.y, -p.position.z),
-                Vec3(p.velocity.x, p.velocity.y, -p.velocity.z))
-
-
-def _mirror_facade(p: Pose, facade: Facade) -> Pose:
+def _mirror(p: Pose, axis: int, coord: float) -> Pose:
+    """Image of a pose in the plane where coordinate ``axis`` equals ``coord``."""
     pos = [p.position.x, p.position.y, p.position.z]
     vel = [p.velocity.x, p.velocity.y, p.velocity.z]
-    pos[facade.axis] = 2.0 * facade.coord - pos[facade.axis]
-    vel[facade.axis] = -vel[facade.axis]
+    pos[axis] = 2.0 * coord - pos[axis]
+    vel[axis] = -vel[axis]
     return Pose(Vec3(*pos), Vec3(*vel))
+
+
+def _image_path(tx: Pose, image: Pose, wavelength: float, coeff: complex,
+                kind: PathKind, wall_index: int | None = None) -> PathComponent:
+    """Path from ``tx`` to the receiver (or its mirror image), its free-space
+    gain scaled by the reflection coefficient ``coeff``."""
+    return PathComponent(
+        delay=distance(tx.position, image.position) / SPEED_OF_LIGHT,
+        gain=friis_gain(tx.position, image.position, wavelength) * coeff,
+        radial_velocity=_radial_velocity(tx.position, tx.velocity,
+                                         image.position, image.velocity),
+        kind=kind,
+        wall_index=wall_index,
+    )
 
 
 def wall_reflection_point(tx: Vec3, rx: Vec3, facade: Facade) -> Vec3 | None:
@@ -397,15 +416,9 @@ def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
     buildings = config.buildings
 
     if not segment_blocked(tx.position, rx.position, buildings):
-        paths.append(PathComponent(
-            delay=distance(tx.position, rx.position) / SPEED_OF_LIGHT,
-            gain=friis_gain(tx.position, rx.position, wavelength),
-            radial_velocity=_radial_velocity(tx.position, tx.velocity, rx.position, rx.velocity),
-            kind=PathKind.LOS,
-        ))
+        paths.append(_image_path(tx, rx, wavelength, 1.0, PathKind.LOS))
 
     if config.ground_reflection_coeff != 0 and tx.position.z > 0 and rx.position.z > 0:
-        img = _mirror_ground(rx)
         # Height-weighted ground touch point; symmetric in (tx, rx).
         heights = tx.position.z + rx.position.z
         point = Vec3(
@@ -415,14 +428,8 @@ def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
         )
         if not segment_blocked(tx.position, point, buildings) and \
                 not segment_blocked(point, rx.position, buildings):
-            paths.append(PathComponent(
-                delay=distance(tx.position, img.position) / SPEED_OF_LIGHT,
-                gain=friis_gain(tx.position, img.position, wavelength)
-                * config.ground_reflection_coeff,
-                radial_velocity=_radial_velocity(tx.position, tx.velocity,
-                                                 img.position, img.velocity),
-                kind=PathKind.GROUND,
-            ))
+            paths.append(_image_path(tx, _mirror(rx, 2, 0.0), wavelength,
+                                     config.ground_reflection_coeff, PathKind.GROUND))
 
     if config.wall_reflection_coeff != 0:
         for b_idx, box in enumerate(buildings):
@@ -433,16 +440,9 @@ def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
                 if segment_blocked(tx.position, point, buildings) or \
                         segment_blocked(point, rx.position, buildings):
                     continue
-                img = _mirror_facade(rx, facade)
-                paths.append(PathComponent(
-                    delay=distance(tx.position, img.position) / SPEED_OF_LIGHT,
-                    gain=friis_gain(tx.position, img.position, wavelength)
-                    * config.wall_reflection_coeff,
-                    radial_velocity=_radial_velocity(tx.position, tx.velocity,
-                                                     img.position, img.velocity),
-                    kind=PathKind.WALL,
-                    wall_index=4 * b_idx + f_idx,
-                ))
+                paths.append(_image_path(tx, _mirror(rx, facade.axis, facade.coord),
+                                         wavelength, config.wall_reflection_coeff,
+                                         PathKind.WALL, wall_index=4 * b_idx + f_idx))
 
     paths.sort(key=lambda p: p.delay)
     return ChannelSnapshot(paths=tuple(paths), tx_pose=tx, rx_pose=rx, time=time)

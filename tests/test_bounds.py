@@ -258,6 +258,19 @@ def test_waa_weight_normalization(ofdm, pilots):
         assert all(0 < w <= 1 for w in report.weights)
 
 
+def test_waa_report_repeats_the_standalone_bounds(ofdm, pilots):
+    rng = np.random.default_rng(57)
+    n_inf = 0
+    for _ in range(200):
+        snap = make_snapshot(random_multipath(rng, int(rng.integers(1, 5)),
+                                              delay_lo=90e-9, delay_hi=160e-9))
+        report = reb_waa(snap, pilots, ofdm)
+        assert report.reb_los_only == reb_los_only(snap, pilots, ofdm)
+        assert report.reb_all_paths == reb_all_paths(snap, pilots, ofdm)
+        n_inf += math.isinf(report.reb_all_paths)
+    assert 0 < n_inf < 200
+
+
 @settings(max_examples=20, deadline=None)
 @given(scale=st.floats(min_value=0.1, max_value=30.0,
                        allow_nan=False, allow_infinity=False))

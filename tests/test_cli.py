@@ -1,8 +1,10 @@
 import pytest
 
+import slpos.cli
 from slpos.cli import main
-from slpos.harness import read_csv
-from slpos.propagation import scenario_from_text
+from slpos.harness import RunConfig, read_csv
+from slpos.propagation import build_scenario, scenario_from_text, scenario_to_text
+from slpos.signal import default_config
 
 
 def test_scenario_dump_round_trips(capsys):
@@ -138,3 +140,42 @@ def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     assert "configuration error" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("vehicle_speed", "0.0"),
+    ("bicycle_speed", "0.0"),
+    ("vehicle_speed", "-14.0"),
+    ("vehicle_speed", "nan"),
+    ("vehicle_speed", "inf"),
+    ("vehicle_start", "1.6,80.0,1.5"),
+    ("bicycle_start", "80.0,-7.0,1.0"),
+    ("measurement_interval", "inf"),
+    ("ground_reflection_coeff", "nan"),
+    ("wall_reflection_coeff", "infj"),
+])
+def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, capsys):
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in scenario_to_text(build_scenario(2)).splitlines()]
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    code = main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
+                 "--trials", "1", "--scenario-file", str(scn_file), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert key in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_ranging_defaults_are_the_run_config_defaults(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(slpos.cli, "run_ranging_sweep",
+                        lambda cfg, scenario, ofdm: calls.append((cfg, scenario, ofdm)) or [])
+    out = str(tmp_path / "out.csv")
+    assert main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
+                 "--out", out]) == 0
+    assert calls == [(RunConfig(scenario_id=2, link="vehicle-bicycle", output_path=out),
+                      None, default_config())]
