@@ -1,6 +1,7 @@
 """Monte Carlo sweeps, bound curves, requirement scoring, and CSV export.
 
-Drives the full chain: trajectory sampling, path tracing, two-way signal
+Drives the full chain: trajectory sampling, path tracing (once per sample:
+both directions cross the same reciprocal channel), two-way signal
 synthesis with a fresh clock bias per exchange, delay-spectrum time-of-
 arrival estimation, round-trip ranging, and the three range error bounds
 per sweep sample.  All randomness derives from (seed, sample, trial), so
@@ -167,8 +168,9 @@ def run_bounds_sweep(cfg: RunConfig, scenario: ScenarioConfig | None = None,
 
 def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | None,
            monte_carlo: bool) -> list[CurvePoint]:
-    """One point per trajectory sample: the bounds of the forward link, and
-    with ``monte_carlo`` the RMSE of ``cfg.trials`` round trips (else NaN)."""
+    """One point per trajectory sample.  The link channel is traced once per
+    sample; it gives the bounds and, with ``monte_carlo``, both directions
+    of ``cfg.trials`` round trips, whose RMSE is reported (else NaN)."""
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
     ofdm = ofdm if ofdm is not None else default_config()
     pilots = make_pilots(ofdm, "all_ones")
@@ -195,9 +197,7 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
 
         rmse = math.nan
         if monte_carlo:
-            snap_rev = trace_paths(end_b, end_a, scenario, ofdm.wavelength, time=t)
-            rmse = _monte_carlo_rmse(cfg, sample_idx, snap, snap_rev, true_range,
-                                     pilots, ofdm, window)
+            rmse = _monte_carlo_rmse(cfg, sample_idx, snap, true_range, pilots, ofdm, window)
         points.append(CurvePoint(coord, true_range, rmse, *bounds,
                                  len(snap.paths), n_cell, snap.has_los))
 
@@ -206,14 +206,16 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     return points
 
 
-def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap_fwd, snap_rev,
-                      true_range: float, pilots, ofdm: OfdmConfig, window) -> float:
+def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap, true_range: float,
+                      pilots, ofdm: OfdmConfig, window) -> float:
     """RMSE of the round-trip distance over ``cfg.trials`` exchanges.
 
-    The clock bias flips sign on the reverse link; combining the two
-    arrivals modulo the alias period cancels it whatever its size.  Up to
-    ``_TRIAL_BATCH`` trials share one synthesis and one delay-spectrum call
-    per direction; peak picking and ranging run per trial, in trial order.
+    The channel is reciprocal, so ``snap`` serves both directions; the
+    clock bias flips sign on the reverse link, and combining the two
+    arrivals modulo the alias period cancels it whatever its size.  Both
+    directions of up to ``_TRIAL_BATCH`` trials share one synthesis and one
+    delay-spectrum call: row i is trial i's forward link and row n + i its
+    reverse link.  Peak picking and ranging run per trial, in trial order.
     """
     period = ofdm.unambiguous_delay
     sq_err = 0.0
@@ -224,17 +226,15 @@ def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap_fwd, snap_rev,
             for trial_idx in trials))
         biases = np.array([np.random.default_rng(seed).normal(0.0, cfg.clock_bias_std)
                            for seed in bias_seeds])
-        spectra = []
-        for snap, seeds, b in ((snap_fwd, fwd_seeds, biases), (snap_rev, rev_seeds, -biases)):
-            rx = synthesize_rx(snap, pilots, ofdm, noise_seed=seeds,
-                               doppler_enabled=cfg.doppler_enabled, clock_bias=b)
-            batch = delay_spectrum(rx, pilots, ofdm, window=window, oversample=cfg.oversample)
-            spectra.append([DelaySpectrum(power, batch.bin_spacing) for power in batch.power])
-        for spec_fwd, spec_rev in zip(*spectra):
-            toas = [estimate_toa(spec, policy=cfg.peak_policy,
-                                 threshold_db=cfg.first_peak_threshold_db).toa
-                    for spec in (spec_fwd, spec_rev)]
-            sq_err += (rtt_range(toas[0], toas[1], period=period).distance - true_range) ** 2
+        rx = synthesize_rx(snap, pilots, ofdm, noise_seed=fwd_seeds + rev_seeds,
+                           doppler_enabled=cfg.doppler_enabled,
+                           clock_bias=np.concatenate([biases, -biases]))
+        batch = delay_spectrum(rx, pilots, ofdm, window=window, oversample=cfg.oversample)
+        toas = [estimate_toa(DelaySpectrum(power, batch.bin_spacing), policy=cfg.peak_policy,
+                             threshold_db=cfg.first_peak_threshold_db).toa
+                for power in batch.power]
+        for toa_fwd, toa_rev in zip(toas[:len(trials)], toas[len(trials):]):
+            sq_err += (rtt_range(toa_fwd, toa_rev, period=period).distance - true_range) ** 2
     return math.sqrt(sq_err / cfg.trials)
 
 
@@ -273,8 +273,10 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
         raise ValueError("range noise sigma must be finite and nonnegative")
     true = np.array([true_point.x, true_point.y, true_point.z][:dim])
     anchor_xyz = np.array([[a.position.x, a.position.y, a.position.z][:dim]
-                           for a in anchors])
+                           for a in anchors]).reshape(-1, dim)
     true_ranges = np.linalg.norm(anchor_xyz - true, axis=1)
+    if np.any(true_ranges == 0):
+        raise ValueError("true point coincides with an anchor")
 
     errors = np.empty(trials)
     for trial in range(trials):
@@ -328,10 +330,10 @@ def coherence_and_latency_check(config: OfdmConfig, v_max: float,
     """Symbol-count margin against wavelength * spacing / v_max, and the
     latency budget 0.1 * accuracy / v_max.  A zero v_max reports unbounded
     (infinite) margins rather than dividing by zero."""
-    if not v_max >= 0:
-        raise ValueError("maximum speed must be nonnegative")
-    if not accuracy_req > 0:
-        raise ValueError("accuracy requirement must be positive")
+    if not (math.isfinite(v_max) and v_max >= 0):
+        raise ValueError("maximum speed must be finite and nonnegative")
+    if not (math.isfinite(accuracy_req) and accuracy_req > 0):
+        raise ValueError("accuracy requirement must be finite and positive")
     if v_max == 0.0:
         return CoherenceReport(math.inf, config.num_symbols, math.inf, math.inf)
     limit = config.wavelength * config.subcarrier_spacing / v_max
@@ -343,25 +345,15 @@ def coherence_and_latency_check(config: OfdmConfig, v_max: float,
     )
 
 
-def _format_float(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.9e}"
-
-
 def export_csv(points: Sequence[CurvePoint], path: str) -> None:
     """Write sweep points in the fixed column order; infinities serialize
     as the literal ``inf`` and floats carry nine significant digits."""
     lines = [",".join(CSV_COLUMNS)]
     for p in points:
         lines.append(",".join([
-            _format_float(p.sweep_coord), _format_float(p.true_range),
-            _format_float(p.rmse), _format_float(p.reb_los),
-            _format_float(p.reb_all), _format_float(p.reb_waa),
-            _format_float(p.waa_bias), str(p.n_paths), str(p.n_cell_paths),
-            "true" if p.los_present else "false",
+            *(f"{v:.9e}" for v in (p.sweep_coord, p.true_range, p.rmse, p.reb_los,
+                                   p.reb_all, p.reb_waa, p.waa_bias)),
+            str(p.n_paths), str(p.n_cell_paths), "true" if p.los_present else "false",
         ]))
     try:
         with open(path, "w", encoding="ascii") as handle:

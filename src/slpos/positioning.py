@@ -63,11 +63,11 @@ def linear_init(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
     if len(anchors) < dim + 1:
         raise ValueError(f"need at least {dim + 1} anchors for a {dim}D fix")
     a_mat = 2.0 * (anchors[1:] - anchors[0])
-    if np.linalg.matrix_rank(a_mat) < dim:
-        raise ValueError("degenerate anchor geometry (collinear or coplanar)")
     rhs = (dists[0] ** 2 - dists[1:] ** 2
            + np.sum(anchors[1:] ** 2, axis=1) - np.sum(anchors[0] ** 2))
-    solution, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+    if rank < dim:
+        raise ValueError("degenerate anchor geometry (collinear or coplanar)")
     coords = list(solution) + [0.0] * (3 - dim)
     return Vec3(*coords)
 

@@ -206,6 +206,22 @@ class ScenarioConfig:
             if not value < LANE_END_M:
                 raise ValueError(f"{name} must lie below the lane end {LANE_END_M} m, "
                                  f"got {value}")
+        heights = [("vehicle_start.z", self.vehicle_start.z),
+                   ("bicycle_start.z", self.bicycle_start.z)]
+        if self.rsu is not None:
+            heights.append(("rsu_position.z", self.rsu.position.z))
+        for name, value in heights:
+            if not value > 0:
+                raise ValueError(f"{name} must be above ground (> 0 m), got {value}")
+        if self.rsu is not None:
+            rsu, v, b = self.rsu.position, self.vehicle_start, self.bicycle_start
+            nearest = (("vehicle", Vec3(v.x, min(max(rsu.y, v.y), LANE_END_M), v.z)),
+                       ("bicycle", Vec3(min(max(rsu.x, b.x), LANE_END_M), b.y, b.z)))
+            for lane, point in nearest:
+                # 1 m is 20 wavelengths: closer, the far-field Friis gain means nothing.
+                if distance(rsu, point) < 1.0:
+                    raise ValueError(f"rsu_position must lie at least 1 m from the {lane} "
+                                     f"lane, got {distance(rsu, point):.3g} m")
 
 
 def _default_buildings() -> tuple[BuildingBox, ...]:

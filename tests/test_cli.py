@@ -126,6 +126,10 @@ def test_io_failure_exits_2(capsys):
      "--beta", "nan"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--beta", "1"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "nan"],
+    ["check", "--vmax", "inf", "--accuracy", "3"],
+    ["check", "--vmax", "14", "--accuracy", "inf"],
+    ["position", "--sigma", "1", "--true-point", "0,0,0"],
+    ["position", "--sigma", "1", "--true-point", "10,10,5"],
 ])
 def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -153,14 +157,23 @@ def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     ("measurement_interval", "inf"),
     ("ground_reflection_coeff", "nan"),
     ("wall_reflection_coeff", "infj"),
+    ("rsu_position", "1.6,0.0,1.5"),
+    ("rsu_position", "1.6,0.0,-1.0"),
+    ("rsu_position", "0.0,0.0,0.0"),
+    ("rsu_position", "0.0,-6.5,1.0"),
+    ("rsu_position", "1.6,70.5,1.5"),
+    ("vehicle_start", "1.6,-70.0,0.0"),
+    ("bicycle_start", "-16.4,-7.0,-1.0"),
 ])
 def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, capsys):
+    # Only scenario 1 has an RSU; every other key is edited in scenario 2.
+    scenario, link = ("1", "rsu-vehicle") if key == "rsu_position" else ("2", "vehicle-bicycle")
     lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
-             for line in scenario_to_text(build_scenario(2)).splitlines()]
+             for line in scenario_to_text(build_scenario(int(scenario))).splitlines()]
     scn_file = tmp_path / "scn.txt"
     scn_file.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out.csv"
-    code = main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
+    code = main(["ranging", "--scenario", scenario, "--link", link,
                  "--trials", "1", "--scenario-file", str(scn_file), "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()

@@ -22,7 +22,7 @@ from slpos.harness import (
     run_ranging_sweep,
 )
 from slpos.positioning import Anchor
-from slpos.propagation import BuildingBox, ScenarioConfig, Vec3, build_scenario
+from slpos.propagation import BuildingBox, ScenarioConfig, Vec3, build_scenario, trace_paths
 from slpos.signal import OfdmConfig, default_config
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -134,6 +134,33 @@ def test_ranging_and_bounds_sweeps_share_every_non_rmse_column(link):
         for name in CurvePoint.__dataclass_fields__:
             if name != "rmse":
                 np.testing.assert_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+@pytest.mark.parametrize("link", LINKS)
+def test_every_sweep_sample_traces_a_reciprocal_channel(link, monkeypatch):
+    # Both directions of a sample's round trips share the one traced channel,
+    # so tracing each sample's link backwards must give that channel again.
+    calls = []
+
+    def recording_trace(*args, **kwargs):
+        calls.append((args, kwargs))
+        return trace_paths(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "trace_paths", recording_trace)
+    cfg = RunConfig(scenario_id=2 if link == "vehicle-bicycle" else 1, link=link)
+    n_samples = len(run_bounds_sweep(cfg))
+    assert len(calls) == n_samples > 100
+    for (tx, rx, *rest), kwargs in calls:
+        fwd = trace_paths(tx, rx, *rest, **kwargs).paths
+        rev = trace_paths(rx, tx, *rest, **kwargs).paths
+        assert [(p.kind, p.wall_index) for p in rev] == [(p.kind, p.wall_index) for p in fwd]
+        for f, r in zip(fwd, rev):
+            for name in ("delay", "gain", "radial_velocity"):
+                a, b = getattr(f, name), getattr(r, name)
+                if cfg.scenario_id == 1:
+                    assert a == b, name
+                else:
+                    assert abs(a - b) <= 1e-10 * abs(a), name
 
 
 def _assert_csv_matches_reference(argv, reference, tmp_path):
@@ -313,6 +340,26 @@ def test_noisy_demo_rates_match_percentiles():
     assert set2.met_strict == (set2.fraction_within_strict >= 0.99)
 
 
+def test_coinciding_true_point_rejected_before_any_fix(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "linear_init", lambda *args, **kwargs: calls.append(args))
+    # In 2-D only x and y count, so (10, 10, 5) sits on the anchor at (10, 10).
+    with pytest.raises(ValueError, match="coincides with an anchor"):
+        run_positioning_demo(SQUARE, Vec3(10.0, 10.0, 5.0), sigma=1.0, trials=1000)
+    assert calls == []
+
+
+@pytest.mark.parametrize("anchors, dim, message", [
+    ([], 2, "need at least 3 anchors"),
+    (SQUARE[:2], 2, "need at least 3 anchors"),
+    (SQUARE, 3, "degenerate"),
+    ([Anchor(Vec3(x, 0.0, 0.0)) for x in (0.0, 5.0, 10.0)], 2, "degenerate"),
+])
+def test_bad_anchor_layout_gets_the_initializer_message(anchors, dim, message):
+    with pytest.raises(ValueError, match=message):
+        run_positioning_demo(anchors, Vec3(3.0, 4.0, 1.0), sigma=1.0, trials=5, dim=dim)
+
+
 def test_demo_deterministic():
     a = run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=1.0, trials=50, seed=9)
     b = run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=1.0, trials=50, seed=9)
@@ -343,3 +390,9 @@ def test_zero_speed_reports_unbounded(ofdm):
 def test_negative_speed_rejected(ofdm):
     with pytest.raises(ValueError):
         coherence_and_latency_check(ofdm, v_max=-1.0, accuracy_req=3.0)
+
+
+@pytest.mark.parametrize("v_max, accuracy", [(math.inf, 3.0), (14.0, math.inf)])
+def test_infinite_speed_or_accuracy_rejected(ofdm, v_max, accuracy):
+    with pytest.raises(ValueError, match="finite"):
+        coherence_and_latency_check(ofdm, v_max=v_max, accuracy_req=accuracy)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -63,6 +64,25 @@ def test_scenario_config_validation():
                        measurement_interval=0.1)
     with pytest.raises(ValueError):
         BuildingBox(Vec3(0, 0, 0), Vec3(1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("rsu, accepted", [
+    (Vec3(1.6, 0.0, 2.5), True),      # 1 m above the vehicle lane
+    (Vec3(1.6, 0.0, 2.4), False),
+    (Vec3(1.6, 71.0, 1.5), True),     # 1 m beyond the lane end
+    (Vec3(1.6, 70.5, 1.5), False),
+    (Vec3(1.6, -71.0, 1.5), True),    # 1 m before the lane start
+    (Vec3(-70.5, -7.0, 1.0), False),  # 0.5 m before the bicycle lane start
+    (Vec3(0.0, 0.0, 1e-9), True),
+    (Vec3(0.0, 0.0, 0.0), False),
+])
+def test_rsu_clearance_is_measured_to_the_lane_segments(rsu, accepted):
+    scn = build_scenario(1)
+    if accepted:
+        assert dataclasses.replace(scn, rsu=Pose(rsu)).rsu.position == rsu
+    else:
+        with pytest.raises(ValueError, match="rsu_position"):
+            dataclasses.replace(scn, rsu=Pose(rsu))
 
 
 # --- trajectories ------------------------------------------------------------
