@@ -79,19 +79,31 @@ def _polyphase_twiddles(n_sub: int, oversample: int) -> np.ndarray:
     return twiddles
 
 
+def _polyphase_power(c: np.ndarray, oversample: int) -> np.ndarray:
+    """|IDFT|^2 of c zero-padded to K = oversample * N_s, along the last axis.
+
+    Bin q * oversample + r equals 1/oversample times the length-N_s IDFT of
+    c[n] * exp(2j pi n r / K), at bin q.  This is exact and avoids a long
+    transform whose length has a large prime factor.
+    """
+    n_sub = c.shape[-1]
+    phases = c[..., None, :] * _polyphase_twiddles(n_sub, oversample)
+    power = np.abs(np.fft.ifft(phases, out=phases))
+    power **= 2
+    power /= oversample ** 2
+    return np.swapaxes(power, -1, -2).reshape(c.shape[:-1] + (oversample * n_sub,))
+
+
 def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
                    window: np.ndarray | None = None, oversample: int = 16) -> DelaySpectrum:
     """Accumulate window * (rx / pilots) over symbols, zero-pad, |IDFT|^2.
 
     ``rx.symbols`` is one T x N_s grid or a stack ... x T x N_s, and the
     power has shape ... x K with K = oversample * N_s.  The length-K IDFT
-    of the zero-padded vector c is taken in polyphase form: bin
-    q * oversample + r equals 1/oversample times the length-N_s IDFT of
-    c[n] * exp(2j pi n r / K), at bin q.  This is exact and avoids a long
-    transform whose length has a large prime factor.  Only peak locations
-    and power ratios are consumed downstream, so the fixed 1/K IDFT
-    normalization is immaterial.  Pilot entries must be nonzero
-    (element-wise division removes them exactly).
+    is taken in polyphase form, as ``oversample`` IDFTs of length N_s.
+    Only peak locations and power ratios are consumed downstream, so the
+    fixed 1/K IDFT normalization is immaterial.  Pilot entries must be
+    nonzero (element-wise division removes them exactly).
     """
     if oversample < 1:
         raise ValueError("oversample factor must be >= 1")
@@ -103,13 +115,8 @@ def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
         raise ValueError("window length must equal the subcarrier count")
     compensated = rx.symbols / pilots.symbols
     compensated *= w
-    compensated = compensated.sum(axis=-2)
-    phases = compensated[..., None, :] * _polyphase_twiddles(n_sub, oversample)
-    power = np.abs(np.fft.ifft(phases, out=phases))
-    power **= 2
-    power /= oversample ** 2
+    power = _polyphase_power(compensated.sum(axis=-2), oversample)
     k = oversample * n_sub
-    power = np.swapaxes(power, -1, -2).reshape(compensated.shape[:-1] + (k,))
     return DelaySpectrum(power=power, bin_spacing=1.0 / (k * config.subcarrier_spacing))
 
 
@@ -117,6 +124,37 @@ def _local_maxima(power: np.ndarray) -> np.ndarray:
     left = np.roll(power, 1)
     right = np.roll(power, -1)
     return np.flatnonzero((power > left) & (power >= right))
+
+
+def _pick_peak(power: np.ndarray, policy: str, threshold_db: float) -> int:
+    """Bin chosen by ``policy`` on one full K-bin spectrum."""
+    peak_value = power.max()
+    if not peak_value > 0:
+        raise ValueError("degenerate (all-zero) delay spectrum")
+    if policy == "global_peak":
+        return int(np.argmax(power))
+    if policy == "first_peak":
+        candidates = _local_maxima(power)
+        candidates = candidates[power[candidates] >= peak_value * 10 ** (-threshold_db / 10.0)]
+        return int(candidates[0]) if len(candidates) else int(np.argmax(power))
+    raise ValueError(f"unknown peak policy {policy!r}")
+
+
+def _parabolic_offset(neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sub-bin offset of a peak from the parabola through its log power.
+
+    ``neighbors`` is 3 x ... : the power one bin before, at and one bin after
+    each peak.  The offset is clipped to [-0.5, 0.5]; a peak with a
+    nonpositive neighbour or a log power that is not concave keeps offset 0
+    and reports ``interpolated`` False.
+    """
+    positive = np.all(neighbors > 0, axis=0)
+    logs = np.log(np.where(positive, neighbors, 1.0))
+    denom = logs[0] - 2.0 * logs[1] + logs[2]
+    interpolated = positive & (denom < 0)
+    offset = np.divide(0.5 * (logs[0] - logs[2]), denom, out=np.zeros_like(denom),
+                       where=interpolated)
+    return np.minimum(np.maximum(offset, -0.5), 0.5), interpolated
 
 
 def estimate_toa(spectrum: DelaySpectrum, policy: str = "global_peak",
@@ -129,30 +167,176 @@ def estimate_toa(spectrum: DelaySpectrum, policy: str = "global_peak",
     """
     power = spectrum.power
     k_bins = len(power)
-    peak_value = power.max()
-    if not peak_value > 0:
-        raise ValueError("degenerate (all-zero) delay spectrum")
+    peak = _pick_peak(power, policy, threshold_db)
+    offset, interpolated = _parabolic_offset(
+        power[[(peak - 1) % k_bins, peak, (peak + 1) % k_bins]])
+    toa = ((peak + float(offset)) % k_bins) * spectrum.bin_spacing
+    return ToaEstimate(toa=toa, interpolated=bool(interpolated))
 
-    if policy == "global_peak":
-        peak = int(np.argmax(power))
-    elif policy == "first_peak":
-        candidates = _local_maxima(power)
-        candidates = candidates[power[candidates] >= peak_value * 10 ** (-threshold_db / 10.0)]
-        peak = int(candidates[0]) if len(candidates) else int(np.argmax(power))
-    else:
+
+# Coarse search: a zero-padded IDFT at about this many points per DFT bin of
+# c, rounded up to a power of two (512 for 167 subcarriers).
+_COARSE_OVERSAMPLE = 3
+# A fine bin lies within half a coarse bin of a coarse sample, which may be
+# this much weaker; every coarse sample within the margin of the coarse
+# maximum (below the first-peak threshold, for that policy) is zoomed on.
+# A single Hamming-windowed path loses at most 0.2 dB at 512 coarse points.
+_SCALLOP_MARGIN_DB = 3.0
+# A row with more zoom windows than this (a spectrum near its noise floor,
+# or a large first-peak threshold) is cheaper to transform in full, and
+# zooming it would grow the batch's memory with the threshold.
+_MAX_ZOOM_WINDOWS = 24
+
+
+def _coarse_length(n_sub: int, oversample: int) -> int:
+    """Length of the coarse IDFT: a power of two, capped at K."""
+    return min(oversample * n_sub, 1 << math.ceil(math.log2(_COARSE_OVERSAMPLE * n_sub)))
+
+
+def _zoom_half_width(n_sub: int, oversample: int) -> int:
+    """Fine bins zoomed on either side of a coarse sample: one coarse bin
+    plus two, so the interiors of windows two coarse bins apart overlap
+    (17 bins in all at 16x oversampling and 512 coarse points)."""
+    k_bins = oversample * n_sub
+    return math.ceil(k_bins / _coarse_length(n_sub, oversample)) + 2
+
+
+@functools.lru_cache(maxsize=None)
+def _zoom_kernels(n_sub: int, oversample: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit circle exp(2j pi m / K), m < K, and the N_s x (2h + 1) DTFT
+    matrix exp(2j pi n d / K), d = -h..h, of the zoom."""
+    k_bins = oversample * n_sub
+    half = _zoom_half_width(n_sub, oversample)
+    circle = np.exp(2j * np.pi * np.arange(k_bins) / k_bins)
+    dtft = circle[np.outer(np.arange(n_sub), np.arange(-half, half + 1)) % k_bins]
+    circle.flags.writeable = False
+    dtft.flags.writeable = False
+    return circle, dtft
+
+
+@dataclass(frozen=True)
+class ZoomedToas:
+    """Times of arrival of a batch of symbol sums, one per row.
+
+    ``peak`` is the chosen bin of the K-bin spectrum and ``fallback`` marks
+    the rows whose zoom could not certify its peak, so their peak was
+    picked on the full spectrum.
+    """
+
+    toa: np.ndarray
+    peak: np.ndarray
+    fallback: np.ndarray
+
+
+def coarse_search(c: np.ndarray, oversample: int, policy: str = "global_peak",
+                  threshold_db: float = 6.0) -> tuple[np.ndarray, np.ndarray]:
+    """Where to zoom in the delay spectrum of each row of ``c``.
+
+    ``c`` is B x N_s: windowed, pilot-compensated symbol sums.  A zero-padded
+    IDFT on a coarse grid (``_coarse_length`` points) finds the coarse
+    samples within the scalloping margin of the row's coarse maximum (for
+    ``first_peak``, within the threshold plus that margin).  Of each run of
+    such samples it keeps both ends and the even samples between, so that
+    the zoom windows tile the run.  Returns (rows, centres): the row of each
+    window, in ascending order, and its centre rounded to the
+    K = oversample * N_s bin grid.
+    """
+    if policy not in PEAK_POLICIES:
         raise ValueError(f"unknown peak policy {policy!r}")
+    n_sub = c.shape[-1]
+    k_bins = oversample * n_sub
+    length = _coarse_length(n_sub, oversample)
+    power = np.fft.ifft(c, n=length, axis=-1)
+    power = power.real ** 2 + power.imag ** 2
+    margin_db = _SCALLOP_MARGIN_DB + (threshold_db if policy == "first_peak" else 0.0)
+    above = power >= power.max(axis=-1, keepdims=True) * 10 ** (-margin_db / 10.0)
+    wrapped = np.concatenate([above[:, -1:], above, above[:, :1]], axis=-1)
+    run_end = ~wrapped[:, :-2] | ~wrapped[:, 2:]
+    rows, coarse = np.nonzero(above & (run_end | (np.arange(length) % 2 == 0)))
+    centres = (2 * coarse * k_bins + length) // (2 * length) % k_bins
+    return rows, centres
 
-    neighbors = power[[(peak - 1) % k_bins, peak, (peak + 1) % k_bins]]
-    interpolated = False
-    offset = 0.0
-    if np.all(neighbors > 0):
-        logs = np.log(neighbors)
-        denom = logs[0] - 2.0 * logs[1] + logs[2]
-        if denom < 0:
-            offset = float(np.clip(0.5 * (logs[0] - logs[2]) / denom, -0.5, 0.5))
-            interpolated = True
-    toa = ((peak + offset) % k_bins) * spectrum.bin_spacing
-    return ToaEstimate(toa=toa, interpolated=interpolated)
+
+def zoom(c: np.ndarray, rows: np.ndarray, centres: np.ndarray, config: OfdmConfig,
+         oversample: int, policy: str = "global_peak",
+         threshold_db: float = 6.0) -> ZoomedToas:
+    """Pick each row's peak on the exact K-bin grid inside its zoom windows.
+
+    ``rows`` and ``centres`` are as ``coarse_search`` returns them: rows
+    ascending, each row of ``c`` at least once.  Each window's 2h + 1 fine bins centred on ``centres`` are evaluated by
+    a direct DTFT: one phase shift of the row of ``c`` and a fixed matmul.
+    The peak is chosen among the windows' interior bins, whose neighbours
+    are known, as ``estimate_toa`` chooses it on the full spectrum, and
+    refined by the same parabolic log-power step.  A row whose windows
+    cannot certify the choice has its peak picked on the full polyphase
+    spectrum instead: its strongest bin lies on window edges only, or an
+    edge not inside another window of the row reaches the pick threshold
+    (the strongest bin; for ``first_peak``, ``threshold_db`` below it).
+    So has a row with more than ``_MAX_ZOOM_WINDOWS`` windows.
+    """
+    n_rows, n_sub = c.shape
+    k_bins = oversample * n_sub
+    counts = np.bincount(rows, minlength=n_rows)
+    crowded = counts > _MAX_ZOOM_WINDOWS
+    if crowded.any():
+        keep = ~crowded[rows]
+        keep[(np.cumsum(counts) - counts)[crowded]] = True
+        rows, centres = rows[keep], centres[keep]
+        counts = np.bincount(rows, minlength=n_rows)
+    ends = np.cumsum(counts) - 1                          # each row's last window
+    starts = ends + 1 - counts                            # and its first
+    circle, dtft = _zoom_kernels(n_sub, oversample)
+    width = dtft.shape[1]
+    values = c[rows] * circle[np.outer(centres, np.arange(n_sub)) % k_bins]
+    values = values @ dtft
+    power = values.real ** 2 + values.imag ** 2
+    bins = (centres[:, None] + np.arange(-(width // 2), width // 2 + 1)) % k_bins
+
+    windows = np.arange(len(rows))
+    inner = power[:, 1:-1]
+    best_pos = inner.argmax(axis=1) + 1
+    best = np.lexsort((-power[windows, best_pos], rows))[starts]
+    row_max = power[best, best_pos[best]]
+    if not np.all(row_max > 0):
+        raise ValueError("degenerate (all-zero) delay spectrum")
+    level = row_max * 10 ** (-(threshold_db if policy == "first_peak" else 0.0) / 10.0)
+
+    edge_pos = power.argmax(axis=1)
+    strongest = np.lexsort((-power[windows, edge_pos], rows))[starts]
+    fallback = crowded | (bins[strongest, edge_pos[strongest]] != bins[best, best_pos[best]])
+    # A row's centres ascend, so the window nearest past an edge is the
+    # previous (next) one of the row, cyclically.  Centres 1..2h - 1 apart
+    # leave no bin between the two windows' interiors.
+    previous, following = windows - 1, windows + 1
+    previous[starts], following[ends] = ends, starts
+    for edge, gap in ((0, centres - centres[previous]), (-1, centres[following] - centres)):
+        gap %= k_bins
+        open_edge = ((gap < 1) | (gap > width - 2)) & (power[:, edge] >= level[rows])
+        fallback |= np.logical_or.reduceat(open_edge, starts)
+
+    chosen, pos = best, best_pos[best]
+    if policy == "first_peak":
+        # The earliest interior local maximum within the threshold of the
+        # strongest (the strongest itself is one).
+        is_peak = ((inner > power[:, :-2]) & (inner >= power[:, 2:])
+                   & (inner >= level[rows, None]))
+        first_bin = np.where(is_peak, bins[:, 1:-1], k_bins)
+        first_pos = first_bin.argmin(axis=1)
+        first = np.lexsort((first_bin[windows, first_pos], rows))[starts]
+        has_first = first_bin[first, first_pos[first]] < k_bins
+        chosen = np.where(has_first, first, best)
+        pos = np.where(has_first, first_pos[first] + 1, pos)
+    peak = bins[chosen, pos]
+    neighbors = power[chosen, pos + np.array([[-1], [0], [1]])]
+    redo = np.flatnonzero(fallback)
+    if len(redo):
+        for row, full in zip(redo, _polyphase_power(c[redo], oversample)):
+            peak[row] = _pick_peak(full, policy, threshold_db)
+            neighbors[:, row] = full[[(peak[row] + d) % k_bins for d in (-1, 0, 1)]]
+    offset, _ = _parabolic_offset(neighbors)
+    bin_spacing = 1.0 / (k_bins * config.subcarrier_spacing)
+    return ZoomedToas(toa=((peak + offset) % k_bins) * bin_spacing, peak=peak,
+                      fallback=fallback)
 
 
 def low_confidence(spectrum: DelaySpectrum) -> bool:

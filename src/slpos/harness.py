@@ -11,6 +11,7 @@ results are independent of execution order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,13 +20,14 @@ import numpy as np
 from .bounds import DEFAULT_BETA, reb_waa
 from .estimation import (
     PEAK_POLICIES,
-    DelaySpectrum,
     RangeMeasurement,
-    delay_spectrum,
-    estimate_toa,
+    coarse_search,
+    delay_spectrum,  # noqa: F401 - the benchmark tracer wraps harness.delay_spectrum
+    estimate_toa,  # noqa: F401 - the benchmark tracer wraps harness.estimate_toa
     hamming_window,
     low_confidence,  # noqa: F401 - the benchmark tracer wraps harness.low_confidence
     rtt_range,
+    zoom,
 )
 from .positioning import Anchor, linear_init, ml_position, range_position_crb
 from .propagation import (
@@ -38,7 +40,14 @@ from .propagation import (
     trace_paths,
     vehicle_horizon,
 )
-from .signal import OfdmConfig, default_config, make_pilots, synthesize_rx
+from .signal import (
+    OfdmConfig,
+    default_config,
+    make_pilots,
+    mean_vector,
+    noise_sum,
+    synthesize_rx,  # noqa: F401 - the benchmark tracer wraps harness.synthesize_rx
+)
 
 CSV_COLUMNS = (
     "sweep_coord_m", "true_range_m", "rmse_m", "reb_los_m", "reb_all_m",
@@ -47,8 +56,8 @@ CSV_COLUMNS = (
 
 LINKS = ("rsu-vehicle", "rsu-bicycle", "vehicle-bicycle")
 
-# Monte Carlo trials synthesized and transformed together; bounds the memory
-# of one batch independently of the trial count.
+# Monte Carlo trials whose symbol sums are formed and searched together;
+# bounds the memory of one batch independently of the trial count.
 _TRIAL_BATCH = 32
 
 
@@ -171,6 +180,8 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     """One point per trajectory sample.  The link channel is traced once per
     sample; it gives the bounds and, with ``monte_carlo``, both directions
     of ``cfg.trials`` round trips, whose RMSE is reported (else NaN)."""
+    if cfg.output_path is not None:
+        _check_writable(cfg.output_path)
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
     ofdm = ofdm if ofdm is not None else default_config()
     pilots = make_pilots(ofdm, "all_ones")
@@ -212,27 +223,33 @@ def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap, true_range: float,
 
     The channel is reciprocal, so ``snap`` serves both directions; the
     clock bias flips sign on the reverse link, and combining the two
-    arrivals modulo the alias period cancels it whatever its size.  Both
-    directions of up to ``_TRIAL_BATCH`` trials share one synthesis and one
-    delay-spectrum call: row i is trial i's forward link and row n + i its
-    reverse link.  Peak picking and ranging run per trial, in trial order.
+    arrivals modulo the alias period cancels it whatever its size.  Each
+    arrival is collapsed to the length-N_s symbol sum that
+    ``delay_spectrum`` would transform: its noiseless part from
+    ``mean_vector``, plus the trial's noise folded in by ``noise_sum``.  Its
+    peak is found by ``coarse_search`` and ``zoom``, and it is the bin that
+    ``estimate_toa`` picks on the full spectrum.  Both directions of up to
+    ``_TRIAL_BATCH`` trials share one batch: row i is trial i's forward link
+    and row n + i its reverse link.
     """
     period = ofdm.unambiguous_delay
     sq_err = 0.0
     for start in range(0, cfg.trials, _TRIAL_BATCH):
         trials = range(start, min(start + _TRIAL_BATCH, cfg.trials))
-        bias_seeds, fwd_seeds, rev_seeds = zip(*(
-            np.random.SeedSequence(entropy=(cfg.seed, sample_idx, trial_idx)).spawn(3)
-            for trial_idx in trials))
+        # Child i of SeedSequence((seed, sample, trial)).spawn(3), built directly.
+        bias_seeds, fwd_seeds, rev_seeds = (
+            [np.random.SeedSequence(entropy=(cfg.seed, sample_idx, trial_idx), spawn_key=(i,))
+             for trial_idx in trials]
+            for i in range(3))
         biases = np.array([np.random.default_rng(seed).normal(0.0, cfg.clock_bias_std)
                            for seed in bias_seeds])
-        rx = synthesize_rx(snap, pilots, ofdm, noise_seed=fwd_seeds + rev_seeds,
-                           doppler_enabled=cfg.doppler_enabled,
-                           clock_bias=np.concatenate([biases, -biases]))
-        batch = delay_spectrum(rx, pilots, ofdm, window=window, oversample=cfg.oversample)
-        toas = [estimate_toa(DelaySpectrum(power, batch.bin_spacing), policy=cfg.peak_policy,
-                             threshold_db=cfg.first_peak_threshold_db).toa
-                for power in batch.power]
+        c = mean_vector(snap, ofdm, window, np.concatenate([biases, -biases]),
+                        doppler_enabled=cfg.doppler_enabled)
+        c += noise_sum(fwd_seeds + rev_seeds, pilots, ofdm, window)
+        rows, centres = coarse_search(c, cfg.oversample, cfg.peak_policy,
+                                      cfg.first_peak_threshold_db)
+        toas = zoom(c, rows, centres, ofdm, cfg.oversample, cfg.peak_policy,
+                    cfg.first_peak_threshold_db).toa.tolist()
         for toa_fwd, toa_rev in zip(toas[:len(trials)], toas[len(trials):]):
             sq_err += (rtt_range(toa_fwd, toa_rev, period=period).distance - true_range) ** 2
     return math.sqrt(sq_err / cfg.trials)
@@ -343,6 +360,23 @@ def coherence_and_latency_check(config: OfdmConfig, v_max: float,
         coherence_margin=limit / config.num_symbols,
         latency_budget_s=0.1 * accuracy_req / v_max,
     )
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError ``export_csv`` would raise for an unwritable
+    ``path``, before any sample runs; the file is neither created nor
+    truncated."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no directory {directory!r}"
+    elif not os.access(directory, os.W_OK) or (os.path.exists(path)
+                                               and not os.access(path, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise OSError(f"cannot write sweep CSV to {path!r}: {reason}")
 
 
 def export_csv(points: Sequence[CurvePoint], path: str) -> None:

@@ -21,6 +21,10 @@ from .constants import SPEED_OF_LIGHT
 # Lanes run the full width of the modeled intersection, ending at +70 m.
 LANE_END_M = 70.0
 
+# Closest the two moving devices may come (5 wavelengths at 5.9 GHz);
+# closer, the far-field path gain is meaningless.
+MIN_DEVICE_GAP_M = 0.25
+
 # Parametric overlap below this fraction of the segment counts as grazing
 # contact, not blockage.
 _GRAZE_EPS = 1e-12
@@ -222,6 +226,19 @@ class ScenarioConfig:
                 if distance(rsu, point) < 1.0:
                     raise ValueError(f"rsu_position must lie at least 1 m from the {lane} "
                                      f"lane, got {distance(rsu, point):.3g} m")
+        # Both devices move in straight lines until the first reaches its lane
+        # end, so their closest approach before then has a closed form.
+        v, b = self.vehicle_start, self.bicycle_start
+        dx, dy = v.x - b.x, v.y - b.y
+        ux, uy = -self.bicycle_speed, self.vehicle_speed     # vehicle relative to bicycle
+        horizon = min((LANE_END_M - v.y) / self.vehicle_speed,
+                      (LANE_END_M - b.x) / self.bicycle_speed)
+        t = min(max(-(dx * ux + dy * uy) / (ux * ux + uy * uy), 0.0), horizon)
+        gap = math.sqrt((dx + ux * t) ** 2 + (dy + uy * t) ** 2 + (v.z - b.z) ** 2)
+        if gap < MIN_DEVICE_GAP_M:
+            raise ValueError(f"vehicle_start and bicycle_start bring the devices {gap:.3g} m "
+                             f"apart at t = {t:.3g} s; they must stay at least "
+                             f"{MIN_DEVICE_GAP_M} m apart")
 
 
 def _default_buildings() -> tuple[BuildingBox, ...]:

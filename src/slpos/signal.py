@@ -94,7 +94,7 @@ class PilotGrid:
 
 @dataclass(frozen=True)
 class RxSymbols:
-    """T x N_s received grid, or B x T x N_s for a batch of B trials."""
+    """T x N_s received grid."""
 
     symbols: np.ndarray
 
@@ -122,10 +122,33 @@ def make_pilots(config: OfdmConfig, phase_mode: str = "all_ones",
     return PilotGrid(symbols=grid)
 
 
+def _path_terms(channel: ChannelSnapshot, config: OfdmConfig,
+                doppler_enabled: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delays, gains, T x L Doppler rotations) of the channel's L paths."""
+    delays = np.array([p.delay for p in channel.paths])
+    if np.any(delays >= config.unambiguous_delay):
+        raise ValueError("path delay exceeds the unambiguous range")
+    gains = np.array([p.gain for p in channel.paths])
+    if doppler_enabled:
+        velocities = np.array([p.radial_velocity for p in channel.paths])
+        t = np.arange(1, config.num_symbols + 1)
+        doppler = np.exp(2j * np.pi * np.outer(t, velocities)
+                         * config.symbol_duration / config.wavelength)
+    else:
+        doppler = np.ones((config.num_symbols, len(channel.paths)))
+    return delays, gains, doppler
+
+
+def _ramps(delays, config: OfdmConfig) -> np.ndarray:
+    """exp(-2j pi n delay subcarrier_spacing): one row per delay."""
+    n = np.arange(config.num_subcarriers)
+    return np.exp(-2j * np.pi * (np.asarray(delays)[:, None] * n) * config.subcarrier_spacing)
+
+
 def synthesize_rx(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
-                  noise_seed: int | np.random.SeedSequence | Sequence | None = None,
+                  noise_seed: int | np.random.SeedSequence | None = None,
                   doppler_enabled: bool = True,
-                  clock_bias: float | np.ndarray = 0.0) -> RxSymbols:
+                  clock_bias: float = 0.0) -> RxSymbols:
     """Received grid: sum over paths of gain * pilots * delay ramp * Doppler.
 
     The clock bias adds to every path delay in the phase ramp.  With
@@ -135,49 +158,58 @@ def synthesize_rx(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfi
     Path delays must stay below one alias period 1/subcarrier_spacing.  The
     clock bias may take any value: the ramp is periodic in that period, so
     the bias is reduced modulo it first.
-
-    A scalar ``clock_bias`` gives a T x N_s grid.  A 1-D array of B biases
-    gives a batch of B grids, B x T x N_s; ``noise_seed`` is then None or a
-    sequence of B seeds, and row b equals the scalar call with
-    ``clock_bias[b]`` and ``noise_seed[b]``.
     """
     n_sym, n_sub = pilots.symbols.shape
     if (n_sym, n_sub) != (config.num_symbols, config.num_subcarriers):
         raise ValueError("pilot grid does not match the OFDM configuration")
-    biases = np.asarray(clock_bias, dtype=float)
-    if biases.ndim > 1:
-        raise ValueError("clock bias must be a scalar or a 1-D array")
-    if biases.ndim == 1 and noise_seed is not None and len(noise_seed) != len(biases):
-        raise ValueError(f"{len(noise_seed)} noise seeds for {len(biases)} clock biases")
-    batch = biases.shape
-
-    mean = np.zeros(batch + (n_sym, n_sub), dtype=complex)
+    mean = np.zeros((n_sym, n_sub), dtype=complex)
     if channel.paths:
-        delays = np.array([p.delay for p in channel.paths])
-        if np.any(delays >= config.unambiguous_delay):
-            raise ValueError("path delay exceeds the unambiguous range")
-        wrapped = [math.remainder(b, config.unambiguous_delay) for b in biases.flat]
-        delays = delays + np.reshape(wrapped, batch + (1,))
-        gains = np.array([p.gain for p in channel.paths])
-        n = np.arange(n_sub)
-        ramps = np.exp(-2j * np.pi * (delays[..., None] * n) * config.subcarrier_spacing)
-        if doppler_enabled:
-            velocities = np.array([p.radial_velocity for p in channel.paths])
-            t = np.arange(1, n_sym + 1)
-            doppler = np.exp(2j * np.pi * np.outer(t, velocities)
-                             * config.symbol_duration / config.wavelength)
-        else:
-            doppler = np.ones((n_sym, len(channel.paths)))
+        delays, gains, doppler = _path_terms(channel, config, doppler_enabled)
+        ramps = _ramps(delays + math.remainder(clock_bias, config.unambiguous_delay), config)
         mean = doppler @ (gains[:, None] * ramps)
         mean *= pilots.symbols
 
     if noise_seed is not None:
-        scale = np.sqrt(noise_variance(config) / 2.0)
-        draws = np.empty((2, n_sym, n_sub))
-        for grid, seed in zip(mean.reshape(-1, n_sym, n_sub),
-                              noise_seed if batch else [noise_seed]):
-            np.random.default_rng(seed).standard_normal(out=draws)
-            draws *= scale
-            grid.real += draws[0]
-            grid.imag += draws[1]
+        draws = np.random.default_rng(noise_seed).standard_normal((2, n_sym, n_sub))
+        draws *= np.sqrt(noise_variance(config) / 2.0)
+        mean.real += draws[0]
+        mean.imag += draws[1]
     return RxSymbols(symbols=mean)
+
+
+def mean_vector(channel: ChannelSnapshot, config: OfdmConfig, window: np.ndarray,
+                clock_bias: np.ndarray, doppler_enabled: bool = True) -> np.ndarray:
+    """Noiseless symbol sums that ``delay_spectrum`` would form, one row per bias.
+
+    Pilots divide out exactly, so the windowed, pilot-compensated sum over
+    symbols of the noiseless grid is e^{-j 2 pi n B df} m[n], with
+    m[n] = w[n] sum_l g_l (sum_t e^{j 2 pi t v_l T_s / lambda}) e^{-j 2 pi n tau_l df}.
+    Returns B x N_s for the 1-D array ``clock_bias``; row b equals the
+    symbol sum of ``synthesize_rx(..., clock_bias=clock_bias[b])`` up to
+    rounding.
+    """
+    if not channel.paths:
+        return np.zeros((len(clock_bias), config.num_subcarriers), dtype=complex)
+    delays, gains, doppler = _path_terms(channel, config, doppler_enabled)
+    m = window * ((gains * doppler.sum(axis=0)) @ _ramps(delays, config))
+    wrapped = [math.remainder(b, config.unambiguous_delay) for b in clock_bias]
+    return _ramps(wrapped, config) * m
+
+
+def noise_sum(noise_seeds: Sequence, pilots: PilotGrid, config: OfdmConfig,
+              window: np.ndarray) -> np.ndarray:
+    """Noise part of the symbol sums, one row per seed: B x N_s.
+
+    Row b is w[n] sum_t z_b[t, n] / p[t, n], where z_b is the noise grid that
+    ``synthesize_rx(..., noise_seed=noise_seeds[b])`` adds: one generator per
+    seed, real parts drawn first, then imaginary.
+    """
+    n_sym, n_sub = pilots.symbols.shape
+    draws = np.empty((len(noise_seeds), 2, n_sym, n_sub))
+    for row, seed in zip(draws, noise_seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    # Weights of the real and imaginary draws: sum over both and over t.
+    weights = window * np.sqrt(noise_variance(config) / 2.0) / pilots.symbols
+    weights = np.stack([weights, 1j * weights])
+    return (np.einsum("bstn,stn->bn", draws, weights.real)
+            + 1j * np.einsum("bstn,stn->bn", draws, weights.imag))

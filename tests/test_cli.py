@@ -1,6 +1,7 @@
 import pytest
 
 import slpos.cli
+from slpos import harness
 from slpos.cli import main
 from slpos.harness import RunConfig, read_csv
 from slpos.propagation import build_scenario, scenario_from_text, scenario_to_text
@@ -164,6 +165,7 @@ def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     ("rsu_position", "1.6,70.5,1.5"),
     ("vehicle_start", "1.6,-70.0,0.0"),
     ("bicycle_start", "-16.4,-7.0,-1.0"),
+    ("bicycle_start", "-16.4,-7.0,1.5"),
 ])
 def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, capsys):
     # Only scenario 1 has an RSU; every other key is edited in scenario 2.
@@ -181,6 +183,35 @@ def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, caps
     assert key in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ranging", "bounds"])
+def test_unwritable_out_rejected_before_the_first_sample(command, tmp_path, monkeypatch,
+                                                         capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep sample ran")
+
+    monkeypatch.setattr(harness, "trace_paths", never)
+    for out in (tmp_path / "missing_dir" / "x.csv", tmp_path):
+        assert main([command, "--scenario", "1", "--link", "rsu-vehicle",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write sweep CSV" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def test_existing_out_is_kept_until_the_sweep_ends(tmp_path, monkeypatch):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+
+    def interrupted(*args, **kwargs):
+        assert out.read_text() == "old\n"
+        raise ValueError("stop")
+
+    monkeypatch.setattr(harness, "trace_paths", interrupted)
+    assert main(["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--out", str(out)]) == 1
+    assert out.read_text() == "old\n"
 
 
 def test_ranging_defaults_are_the_run_config_defaults(tmp_path, monkeypatch):

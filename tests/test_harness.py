@@ -1,13 +1,27 @@
 import dataclasses
+import importlib
+import importlib.util
 import math
 import pathlib
 import statistics
+import sys
 
 import numpy as np
 import pytest
 
-from slpos import harness
+from channels import make_snapshot
+from slpos import estimation, harness
 from slpos.cli import main
+from slpos.constants import SPEED_OF_LIGHT
+from slpos.estimation import (
+    PEAK_POLICIES,
+    coarse_search,
+    delay_spectrum,
+    estimate_toa,
+    hamming_window,
+    rtt_range,
+    zoom,
+)
 from slpos.harness import (
     CSV_COLUMNS,
     LINKS,
@@ -22,10 +36,25 @@ from slpos.harness import (
     run_ranging_sweep,
 )
 from slpos.positioning import Anchor
-from slpos.propagation import BuildingBox, ScenarioConfig, Vec3, build_scenario, trace_paths
-from slpos.signal import OfdmConfig, default_config
+from slpos.propagation import (
+    BuildingBox,
+    ScenarioConfig,
+    Vec3,
+    build_scenario,
+    sample_trajectory,
+    trace_paths,
+)
+from slpos.signal import (
+    OfdmConfig,
+    default_config,
+    make_pilots,
+    mean_vector,
+    noise_sum,
+    synthesize_rx,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).parent.parent
 
 SQUARE = [Anchor(Vec3(0.0, 0.0, 0.0)), Anchor(Vec3(10.0, 0.0, 0.0)),
           Anchor(Vec3(0.0, 10.0, 0.0)), Anchor(Vec3(10.0, 10.0, 0.0))]
@@ -207,6 +236,126 @@ def test_trial_batch_size_does_not_change_rmse(monkeypatch):
     single = [p.rmse for p in run_ranging_sweep(cfg, scenario=scenario)]
     assert len(batched) > 5
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+
+
+# Clock biases of 0, +-P/2 and beyond +-P, P = 1/subcarrier_spacing.
+_PERIOD = default_config().unambiguous_delay
+_BIASES = np.array([0.0, _PERIOD / 2, -_PERIOD / 2, 1.3 * _PERIOD, -2.7 * _PERIOD,
+                    4e-7, -1e-6])
+
+
+def _kernel_and_scalar_chain(scenario_id, link, policy, oversample, doppler):
+    """For six sweep samples: the zoomed ToAs of the sample's round trips at
+    _BIASES, and for each row the spectrum of the scalar chain
+    synthesize_rx -> delay_spectrum."""
+    ofdm = default_config()
+    pilots = make_pilots(ofdm, "all_ones")
+    window = hamming_window(ofdm.num_subcarriers)
+    scenario = build_scenario(scenario_id)
+    for t in (0.0, 2.5, 4.9, 5.0, 7.3, 10.0):
+        vehicle, bicycle = sample_trajectory(scenario, t)
+        ends = (scenario.rsu, vehicle) if link == "rsu-vehicle" else (vehicle, bicycle)
+        snap = trace_paths(*ends, scenario, ofdm.wavelength, time=t)
+        biases = np.concatenate([_BIASES, -_BIASES])
+        seeds = [np.random.SeedSequence(entropy=(7, int(t * 10), row))
+                 for row in range(len(biases))]
+        c = mean_vector(snap, ofdm, window, biases, doppler_enabled=doppler)
+        c += noise_sum(seeds, pilots, ofdm, window)
+        rows, centres = coarse_search(c, oversample, policy, 6.0)
+        zoomed = zoom(c, rows, centres, ofdm, oversample, policy, 6.0)
+        spectra = [delay_spectrum(synthesize_rx(snap, pilots, ofdm, noise_seed=seed,
+                                                doppler_enabled=doppler, clock_bias=bias),
+                                  pilots, ofdm, window=window, oversample=oversample)
+                   for seed, bias in zip(seeds, biases)]
+        yield zoomed, spectra
+
+
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+@pytest.mark.parametrize("oversample", [1, 4, 16])
+@pytest.mark.parametrize("doppler", [True, False])
+@pytest.mark.parametrize("scenario_id, link", [(1, "rsu-vehicle"), (2, "vehicle-bicycle")])
+def test_zoomed_kernel_matches_the_scalar_chain(scenario_id, link, policy, oversample,
+                                                 doppler):
+    # The collapsed symbol sum and its coarse-to-fine peak search pick the
+    # bin estimate_toa picks on the full spectrum, and every round trip
+    # lands within 1e-9 m of the scalar chain's, without a full-spectrum
+    # fallback.
+    n = len(_BIASES)
+    fallbacks = 0
+    for zoomed, spectra in _kernel_and_scalar_chain(scenario_id, link, policy,
+                                                    oversample, doppler):
+        fallbacks += int(zoomed.fallback.sum())
+        for row, spec in enumerate(spectra):
+            assert zoomed.peak[row] == estimation._pick_peak(spec.power, policy, 6.0), row
+        scalar = [estimate_toa(spec, policy=policy, threshold_db=6.0).toa for spec in spectra]
+        for i in range(n):
+            want = rtt_range(scalar[i], scalar[n + i], period=_PERIOD).distance
+            got = rtt_range(zoomed.toa[i], zoomed.toa[n + i], period=_PERIOD).distance
+            assert abs(got - want) <= 1e-9, (i, got, want)
+    assert fallbacks == 0
+
+
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+def test_narrow_zoom_falls_back_to_the_full_spectrum(policy, monkeypatch):
+    # Three-bin windows miss most fine peaks: those rows fall back to the
+    # full spectrum, and every row still picks the scalar chain's bin.
+    monkeypatch.setattr(estimation, "_zoom_half_width", lambda n_sub, oversample: 1)
+    estimation._zoom_kernels.cache_clear()
+    try:
+        fallbacks = 0
+        for zoomed, spectra in _kernel_and_scalar_chain(2, "vehicle-bicycle", policy, 16, True):
+            fallbacks += int(zoomed.fallback.sum())
+            for row, spec in enumerate(spectra):
+                assert zoomed.peak[row] == estimation._pick_peak(spec.power, policy, 6.0)
+                want = estimate_toa(spec, policy=policy, threshold_db=6.0).toa
+                assert abs(zoomed.toa[row] - want) * SPEED_OF_LIGHT <= 1e-9
+        assert fallbacks >= 6 * len(_BIASES)   # at least half the rows
+    finally:
+        estimation._zoom_kernels.cache_clear()
+
+
+def test_noise_floor_rows_take_the_full_spectrum():
+    # With no path and a 40 dB first-peak threshold, nearly every coarse
+    # sample is a zoom candidate: such rows are transformed in full instead,
+    # and still pick the full spectrum's bin.
+    ofdm = default_config()
+    pilots = make_pilots(ofdm, "all_ones")
+    window = hamming_window(ofdm.num_subcarriers)
+    seeds = [np.random.SeedSequence(entropy=(5, row)) for row in range(6)]
+    c = noise_sum(seeds, pilots, ofdm, window)
+    rows, centres = coarse_search(c, 16, "first_peak", 40.0)
+    assert np.bincount(rows).min() > estimation._MAX_ZOOM_WINDOWS
+    zoomed = zoom(c, rows, centres, ofdm, 16, "first_peak", 40.0)
+    assert zoomed.fallback.all()
+    for row, seed in enumerate(seeds):
+        spec = delay_spectrum(synthesize_rx(make_snapshot([]), pilots, ofdm, noise_seed=seed),
+                              pilots, ofdm, window=window, oversample=16)
+        assert zoomed.peak[row] == estimation._pick_peak(spec.power, "first_peak", 40.0)
+
+
+def test_scenario1_csv_matches_committed_reference(tmp_path, capsys):
+    # The benchmarked configuration: scenario 1 rsu-vehicle, 10 trials.
+    _assert_csv_matches_reference(
+        ["ranging", "--scenario", "1", "--link", "rsu-vehicle",
+         "--trials", "10", "--seed", "1"],
+        "ranging_scenario1_rsu-vehicle_trials10_seed1.csv", tmp_path)
+
+
+def test_every_name_the_benchmark_tracer_wraps_still_exists(monkeypatch):
+    # bench/tracing.py times each layer by replacing names such as
+    # slpos.harness.synthesize_rx; a name that disappears from its module
+    # drops that span from `bench/run.py --trace 1`.
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{attr}" for _, module, attr in tracing.SPAN_TARGETS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, (
+        f"{missing} no longer exist, but bench/tracing.py wraps them to trace its "
+        "spans; keep each name importable there (with noqa: F401 if unused) or "
+        "retarget its span in bench/tracing.py")
 
 
 def test_higher_power_lowers_mean_rmse():

@@ -85,6 +85,22 @@ def test_rsu_clearance_is_measured_to_the_lane_segments(rsu, accepted):
             dataclasses.replace(scn, rsu=Pose(rsu))
 
 
+@pytest.mark.parametrize("bicycle_z, accepted", [
+    (1.0, True),     # the default scenario 2: 0.5 m apart at t = 4.5 s
+    (1.2, True),     # 0.3 m
+    (1.3, False),    # 0.2 m
+    (1.5, False),    # the devices meet
+])
+def test_devices_must_stay_apart_while_both_move(bicycle_z, accepted):
+    scn = build_scenario(2)
+    start = Vec3(scn.bicycle_start.x, scn.bicycle_start.y, bicycle_z)
+    if accepted:
+        assert dataclasses.replace(scn, bicycle_start=start).bicycle_start == start
+    else:
+        with pytest.raises(ValueError, match="vehicle_start and bicycle_start"):
+            dataclasses.replace(scn, bicycle_start=start)
+
+
 # --- trajectories ------------------------------------------------------------
 
 def test_scenario_2_start_positions():

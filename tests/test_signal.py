@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channels import echo_path, los_path, make_snapshot
+from slpos.estimation import hamming_window
 from slpos.signal import (
     OfdmConfig,
     default_config,
     make_pilots,
+    mean_vector,
+    noise_sum,
     noise_variance,
     synthesize_rx,
 )
@@ -193,38 +196,45 @@ def test_delay_beyond_alias_period_rejected(ofdm, pilots):
         assert np.array_equal(a.symbols, b.symbols)
 
 
-@pytest.mark.parametrize("noisy", [False, True])
-def test_batched_synthesis_matches_scalar_rows(ofdm, pilots, noisy):
+def _symbol_sum(rx, pilots, window):
+    """What delay_spectrum transforms: sum over symbols of window * rx / pilots."""
+    return (window * rx.symbols / pilots.symbols).sum(axis=0)
+
+
+@pytest.mark.parametrize("doppler", [True, False])
+def test_mean_vector_is_the_noiseless_symbol_sum(ofdm, doppler):
+    pilots = make_pilots(ofdm, "seeded_random_phase", seed=4)
+    window = hamming_window(ofdm.num_subcarriers)
     snap = make_snapshot([los_path(120e-9, gain=0.7 - 0.1j, velocity=9.0),
                           echo_path(310e-9, gain=-0.2 + 0.3j, index=0, velocity=-4.0)])
-    biases = np.array([0.0, 1e-6, -2.5e-6, 7e-6, -9e-6])
-    seeds = [np.random.SeedSequence(entropy=(3, k)) for k in range(len(biases))]
-    batch = synthesize_rx(snap, pilots, ofdm, noise_seed=seeds if noisy else None,
-                          clock_bias=biases)
-    assert batch.symbols.shape == (len(biases), ofdm.num_symbols, ofdm.num_subcarriers)
-    for row, bias, seed in zip(batch.symbols, biases, seeds):
-        single = synthesize_rx(snap, pilots, ofdm, noise_seed=seed if noisy else None,
-                               clock_bias=bias)
-        np.testing.assert_array_equal(row, single.symbols)
+    period = ofdm.unambiguous_delay
+    biases = np.array([0.0, 1e-6, -2.5e-6, period / 2, -period / 2, 1.3 * period])
+    rows = mean_vector(snap, ofdm, window, biases, doppler_enabled=doppler)
+    assert rows.shape == (len(biases), ofdm.num_subcarriers)
+    for row, bias in zip(rows, biases):
+        want = _symbol_sum(synthesize_rx(snap, pilots, ofdm, doppler_enabled=doppler,
+                                         clock_bias=bias), pilots, window)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-def test_batched_noise_keeps_the_scalar_stream(ofdm, pilots):
-    # Real parts first, then imaginary parts, from one generator per trial.
-    seeds = [11, 12]
-    rx = synthesize_rx(make_snapshot([]), pilots, ofdm, noise_seed=seeds,
-                       clock_bias=np.zeros(2))
-    scale = np.sqrt(noise_variance(ofdm) / 2.0)
-    for row, seed in zip(rx.symbols, seeds):
-        rng = np.random.default_rng(seed)
-        re = rng.standard_normal(row.shape)
-        im = rng.standard_normal(row.shape)
-        np.testing.assert_array_equal(row, scale * (re + 1j * im))
+def test_mean_vector_of_an_empty_channel_is_zero(ofdm):
+    window = hamming_window(ofdm.num_subcarriers)
+    rows = mean_vector(make_snapshot([]), ofdm, window, np.zeros(3))
+    assert rows.shape == (3, ofdm.num_subcarriers) and not rows.any()
 
 
-def test_batched_seed_count_mismatch_rejected(ofdm, pilots):
-    snap = make_snapshot([los_path(1e-7)])
-    with pytest.raises(ValueError):
-        synthesize_rx(snap, pilots, ofdm, noise_seed=[1, 2], clock_bias=np.zeros(3))
+def test_noise_sum_folds_the_scalar_noise_grid(ofdm):
+    # One generator per seed, real parts drawn first, then imaginary: the
+    # stream synthesize_rx adds, summed as delay_spectrum sums it.
+    pilots = make_pilots(ofdm, "seeded_random_phase", seed=4)
+    window = hamming_window(ofdm.num_subcarriers)
+    seeds = [11, np.random.SeedSequence(entropy=(3, 1, 2), spawn_key=(1,))]
+    rows = noise_sum(seeds, pilots, ofdm, window)
+    assert rows.shape == (2, ofdm.num_subcarriers)
+    for row, seed in zip(rows, seeds):
+        want = _symbol_sum(synthesize_rx(make_snapshot([]), pilots, ofdm, noise_seed=seed),
+                           pilots, window)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_pilot_grid_shape_mismatch_rejected(ofdm):
