@@ -20,7 +20,6 @@ import numpy as np
 from .bounds import DEFAULT_BETA, reb_waa
 from .estimation import (
     PEAK_POLICIES,
-    RangeMeasurement,
     coarse_search,
     delay_spectrum,  # noqa: F401 - the benchmark tracer wraps harness.delay_spectrum
     estimate_toa,  # noqa: F401 - the benchmark tracer wraps harness.estimate_toa
@@ -29,7 +28,13 @@ from .estimation import (
     rtt_range,
     zoom,
 )
-from .positioning import Anchor, linear_init, ml_position, range_position_crb
+from .positioning import (
+    Anchor,
+    linear_init,  # noqa: F401 - the benchmark tracer wraps harness.linear_init
+    ml_position,  # noqa: F401 - the benchmark tracer wraps harness.ml_position
+    range_position_crb,
+    solve_fixes,
+)
 from .propagation import (
     Pose,
     ScenarioConfig,
@@ -59,6 +64,9 @@ LINKS = ("rsu-vehicle", "rsu-bicycle", "vehicle-bicycle")
 # Monte Carlo trials whose symbol sums are formed and searched together;
 # bounds the memory of one batch independently of the trial count.
 _TRIAL_BATCH = 32
+
+# Positioning fixes solved together, for the same reason.
+_FIX_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -272,44 +280,58 @@ class PositioningSummary:
     scores: tuple[RequirementScore, ...]
 
 
+def _range_noise(seed: int, start: int, stop: int, n_anchors: int) -> np.ndarray:
+    """Unit-variance range noise of fixes start..stop-1, one (seed, fix) stream each."""
+    draws = np.empty((stop - start, n_anchors))
+    for row, trial in zip(draws, range(start, stop)):
+        np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial))).standard_normal(
+            out=row)
+    return draws
+
+
 def run_positioning_demo(anchors: Sequence[Anchor], true_point,
                          sigma: float, trials: int, seed: int = 0,
                          dim: int = 2) -> PositioningSummary:
     """Monte Carlo position RMSE on a synthetic anchor layout.
 
-    Per trial, ranges get i.i.d. Gaussian noise, the closed-form
-    initializer seeds the Gauss-Newton solve, and the position error is
-    scored against each requirement set: the loose rate is the fraction of
-    trials within the coarse accuracy bound (compared to the lower
-    confidence), the strict rate the fraction within the fine bound
-    (compared to the upper confidence).
+    Per trial, ranges get i.i.d. Gaussian noise from the trial's own
+    (seed, trial) stream, the closed-form initializer seeds the Gauss-Newton
+    solve (``solve_fixes``, up to ``_FIX_BATCH`` trials at a time), and the
+    position error is scored against each requirement set: the loose rate
+    is the fraction of trials within the coarse accuracy bound (compared to
+    the lower confidence), the strict rate the fraction within the fine
+    bound (compared to the upper confidence).  A layout or noise level whose
+    squared ranges overflow is rejected before any result is returned.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("range noise sigma must be finite and nonnegative")
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
     true = np.array([true_point.x, true_point.y, true_point.z][:dim])
     anchor_xyz = np.array([[a.position.x, a.position.y, a.position.z][:dim]
                            for a in anchors]).reshape(-1, dim)
-    true_ranges = np.linalg.norm(anchor_xyz - true, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        true_ranges = np.linalg.norm(anchor_xyz - true, axis=1)
+        squares = np.sum(anchor_xyz ** 2) + np.sum(true_ranges ** 2)
+    if not np.isfinite(squares):
+        raise ValueError("anchor layout and true point too far apart or from the "
+                         "origin: their squared distances overflow")
     if np.any(true_ranges == 0):
         raise ValueError("true point coincides with an anchor")
 
     errors = np.empty(trials)
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
-        noisy = true_ranges + (rng.standard_normal(len(anchors)) * sigma if sigma > 0
-                               else 0.0)
-        measurements = [
-            (RangeMeasurement(distance=max(d, 0.0), sigma=sigma if sigma > 0 else 1.0),
-             anchor)
-            for d, anchor in zip(noisy, anchors)
-        ]
-        init = linear_init(measurements, dim)
-        estimate = ml_position(measurements, init=init, dim=dim)
-        est = np.array([estimate.position.x, estimate.position.y,
-                        estimate.position.z][:dim])
-        errors[trial] = np.linalg.norm(est - true)
+    for start in range(0, trials, _FIX_BATCH):
+        stop = min(start + _FIX_BATCH, trials)
+        noisy = np.tile(true_ranges, (stop - start, 1))
+        if sigma > 0:
+            noisy += _range_noise(seed, start, stop, len(anchors)) * sigma
+        with np.errstate(over="ignore", invalid="ignore"):
+            fixes, costs, _, _ = solve_fixes(anchor_xyz, np.maximum(noisy, 0.0))
+            errors[start:stop] = np.linalg.norm(fixes - true, axis=1)
+        if not (np.all(np.isfinite(costs)) and np.all(np.isfinite(errors[start:stop]))):
+            raise ValueError(f"range noise sigma={sigma} m overflows the position fix")
 
     rmse = float(np.sqrt(np.mean(errors ** 2)))
     crb = range_position_crb(anchors, true_point,

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 import slpos.cli
@@ -131,6 +133,8 @@ def test_io_failure_exits_2(capsys):
     ["check", "--vmax", "14", "--accuracy", "inf"],
     ["position", "--sigma", "1", "--true-point", "0,0,0"],
     ["position", "--sigma", "1", "--true-point", "10,10,5"],
+    ["position", "--sigma", "1e160"],
+    ["position", "--sigma", "1", "--true-point", "1e200,0,0"],
 ])
 def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -140,7 +144,10 @@ def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
         anchors = tmp_path / "anchors.txt"
         anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
         argv = argv + ["--anchors", str(anchors)]
-    assert main(argv) == 1
+    with warnings.catch_warnings():
+        # A rejected value is caught by a check, not by overflowing on the way.
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert captured.out == ""

@@ -491,7 +491,7 @@ def test_noisy_demo_rates_match_percentiles():
 
 def test_coinciding_true_point_rejected_before_any_fix(monkeypatch):
     calls = []
-    monkeypatch.setattr(harness, "linear_init", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
     # In 2-D only x and y count, so (10, 10, 5) sits on the anchor at (10, 10).
     with pytest.raises(ValueError, match="coincides with an anchor"):
         run_positioning_demo(SQUARE, Vec3(10.0, 10.0, 5.0), sigma=1.0, trials=1000)
@@ -513,6 +513,30 @@ def test_demo_deterministic():
     a = run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=1.0, trials=50, seed=9)
     b = run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=1.0, trials=50, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_fix_batch_size_does_not_change_the_summary(monkeypatch, batch):
+    # One chunk against one fix per chunk, and chunks with a remainder.
+    true_point = Vec3(3.0, 4.0, 0.0)
+    whole = run_positioning_demo(SQUARE, true_point, sigma=1.0, trials=50, seed=9)
+    monkeypatch.setattr(harness, "_FIX_BATCH", batch)
+    assert run_positioning_demo(SQUARE, true_point, sigma=1.0, trials=50, seed=9) == whole
+
+
+# Stdout of `slpos position` before the fixes were solved in one batch: the
+# README's square-layout loop (seed 7, 1000 trials) and a 3-D layout.
+@pytest.mark.parametrize("anchors, options, golden", [
+    ("anchors_square.txt", ["--sigma", "0.05"], "position_square_sigma0.05_seed7.txt"),
+    ("anchors_square.txt", ["--sigma", "1.0"], "position_square_sigma1.0_seed7.txt"),
+    ("anchors_square.txt", ["--sigma", "3.0"], "position_square_sigma3.0_seed7.txt"),
+    ("anchors_3d.txt", ["--sigma", "1.0", "--dim", "3", "--true-point", "3,4,1.5"],
+     "position_3d_sigma1.0_seed7.txt"),
+])
+def test_position_stdout_matches_committed_reference(anchors, options, golden, capsys):
+    argv = ["position", "--anchors", str(DATA / anchors), "--trials", "1000", "--seed", "7"]
+    assert main(argv + options) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
 # --- coherence / latency --------------------------------------------------------------

@@ -11,6 +11,7 @@ from slpos.positioning import (
     linear_init,
     ml_position,
     range_position_crb,
+    solve_fixes,
 )
 from slpos.propagation import Vec3
 
@@ -182,6 +183,64 @@ def test_monte_carlo_rmse_near_crb():
         errors.append(math.hypot(est.position.x - true.x, est.position.y - true.y))
     rmse = float(np.sqrt(np.mean(np.square(errors))))
     assert rmse == pytest.approx(crb, rel=0.25)
+
+
+# --- batched solver -------------------------------------------------------------
+
+MAST = SQUARE + [Anchor(Vec3(5.0, 5.0, 8.0))]
+
+
+def _noisy_batch(anchors, point, dim, n_fixes, seed, sigma=1.0):
+    """(F, A) clipped noisy ranges to `point`; row 0 is noise-free."""
+    xyz = np.array([[a.position.x, a.position.y, a.position.z][:dim] for a in anchors])
+    true = np.linalg.norm(xyz - np.array([point.x, point.y, point.z][:dim]), axis=1)
+    noise = np.random.default_rng(seed).normal(0.0, sigma, (n_fixes, len(anchors)))
+    noise[0] = 0.0
+    return xyz, np.maximum(true + noise, 0.0)
+
+
+@pytest.mark.parametrize("anchors, point, dim, options", [
+    (SQUARE, Vec3(3.0, 4.0, 0.0), 2, {}),
+    (MAST, Vec3(3.0, 4.0, 1.5), 3, {}),
+    # Every iterate starts on an anchor and must be nudged off it.
+    (SQUARE, Vec3(4.0, 5.0, 0.0), 2, {"init": "on_anchor"}),
+    (SQUARE, Vec3(3.0, 4.0, 0.0), 2, {"init": "far", "max_iters": 1}),
+    (SQUARE, Vec3(6.0, 2.0, 0.0), 2, {"weights": np.array([1.0, 4.0, 0.25, 2.0])}),
+])
+def test_batched_rows_equal_single_fix_solves(anchors, point, dim, options):
+    xyz, dists = _noisy_batch(anchors, point, dim, n_fixes=40, seed=5)
+    weights = options.get("weights")
+    init = {"on_anchor": np.tile(xyz[0], (len(dists), 1)),
+            "far": np.tile([500.0, -500.0], (len(dists), 1))}.get(options.get("init"))
+    max_iters = options.get("max_iters", 50)
+    positions, costs, iterations, converged = solve_fixes(
+        xyz, dists, weights=weights, init=init, max_iters=max_iters)
+    if options.get("init") == "far":
+        assert not converged.any()
+    else:
+        # Row 0 is noise-free: it recovers the point.
+        true = np.array([point.x, point.y, point.z][:dim])
+        np.testing.assert_allclose(positions[0], true, atol=1e-6)
+    for row, (d, position) in enumerate(zip(dists, positions)):
+        measurements = [(RangeMeasurement(distance=float(r), sigma=1.0), a)
+                        for r, a in zip(d, anchors)]
+        start = None if init is None else Vec3(*init[row], *[0.0] * (3 - dim))
+        single = ml_position(measurements, weights=weights, init=start, dim=dim,
+                             max_iters=max_iters)
+        got = np.array([single.position.x, single.position.y, single.position.z][:dim])
+        assert np.linalg.norm(got - position) <= 1e-12
+        assert single.iterations == iterations[row]
+        assert single.converged == converged[row]
+        assert single.cost == pytest.approx(costs[row], rel=1e-12, abs=1e-300)
+
+
+def test_singular_gauss_newton_system_does_not_raise():
+    # Two anchors and an iterate on the line through them: the Jacobian has
+    # rank 1, so the step is the minimum-norm one along that line.
+    xyz = np.array([[0.0, 0.0], [10.0, 0.0]])
+    dists = np.array([[3.0, 7.0], [4.0, 6.0]])
+    positions, _, _, _ = solve_fixes(xyz, dists, init=np.array([[5.0, 0.0], [1.0, 0.0]]))
+    np.testing.assert_allclose(positions, [[3.0, 0.0], [4.0, 0.0]], atol=1e-9)
 
 
 def test_crb_rejects_point_on_anchor():
