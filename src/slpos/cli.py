@@ -163,6 +163,10 @@ def _cmd_position(args: argparse.Namespace) -> int:
               f"(need >= {req.confidence_lo:.0%}: {'pass' if score.met_loose else 'fail'}), "
               f"within {req.accuracy_lo} m on {score.fraction_within_strict:.1%} "
               f"(need >= {req.confidence_hi:.0%}: {'pass' if score.met_strict else 'fail'})")
+    if summary.unconverged:
+        print(f"slpos: {summary.unconverged} of {summary.trials} fixes stopped at the "
+              "iteration limit without converging; they are included in the RMSE and "
+              "the requirement rates", file=sys.stderr)
     return EXIT_OK
 
 

@@ -182,10 +182,11 @@ _COARSE_OVERSAMPLE = 3
 # maximum (below the first-peak threshold, for that policy) is zoomed on.
 # A single Hamming-windowed path loses at most 0.2 dB at 512 coarse points.
 _SCALLOP_MARGIN_DB = 3.0
-# A row with more zoom windows than this (a spectrum near its noise floor,
-# or a large first-peak threshold) is cheaper to transform in full, and
-# zooming it would grow the batch's memory with the threshold.
-_MAX_ZOOM_WINDOWS = 24
+# A row whose zoom window is wider than this many fine bins (a spectrum
+# near its noise floor, or a large first-peak threshold) is cheaper to
+# transform in full; it also sizes the cached DTFT kernel (684 kB for 167
+# subcarriers).
+_MAX_ZOOM_BINS = 256
 
 
 def _coarse_length(n_sub: int, oversample: int) -> int:
@@ -194,21 +195,21 @@ def _coarse_length(n_sub: int, oversample: int) -> int:
 
 
 def _zoom_half_width(n_sub: int, oversample: int) -> int:
-    """Fine bins zoomed on either side of a coarse sample: one coarse bin
-    plus two, so the interiors of windows two coarse bins apart overlap
-    (17 bins in all at 16x oversampling and 512 coarse points)."""
+    """Fine bins zoomed beyond the first and last coarse candidate: one
+    coarse bin plus two, so every fine bin within half a coarse bin of a
+    candidate is interior to the window with both neighbours inside it
+    (8 bins at 16x oversampling and 512 coarse points)."""
     k_bins = oversample * n_sub
     return math.ceil(k_bins / _coarse_length(n_sub, oversample)) + 2
 
 
 @functools.lru_cache(maxsize=None)
 def _zoom_kernels(n_sub: int, oversample: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unit circle exp(2j pi m / K), m < K, and the N_s x (2h + 1) DTFT
-    matrix exp(2j pi n d / K), d = -h..h, of the zoom."""
+    """The unit circle exp(2j pi m / K), m < K, and the N_s x _MAX_ZOOM_BINS
+    DTFT matrix exp(2j pi n d / K), d = 0.._MAX_ZOOM_BINS - 1, of the zoom."""
     k_bins = oversample * n_sub
-    half = _zoom_half_width(n_sub, oversample)
     circle = np.exp(2j * np.pi * np.arange(k_bins) / k_bins)
-    dtft = circle[np.outer(np.arange(n_sub), np.arange(-half, half + 1)) % k_bins]
+    dtft = circle[np.outer(np.arange(n_sub), np.arange(_MAX_ZOOM_BINS)) % k_bins]
     circle.flags.writeable = False
     dtft.flags.writeable = False
     return circle, dtft
@@ -235,11 +236,12 @@ def coarse_search(c: np.ndarray, oversample: int, policy: str = "global_peak",
     ``c`` is B x N_s: windowed, pilot-compensated symbol sums.  A zero-padded
     IDFT on a coarse grid (``_coarse_length`` points) finds the coarse
     samples within the scalloping margin of the row's coarse maximum (for
-    ``first_peak``, within the threshold plus that margin).  Of each run of
-    such samples it keeps both ends and the even samples between, so that
-    the zoom windows tile the run.  Returns (rows, centres): the row of each
-    window, in ascending order, and its centre rounded to the
-    K = oversample * N_s bin grid.
+    ``first_peak``, within the threshold plus that margin).  Each row's zoom
+    window runs, on the K = oversample * N_s bin grid, from the bin nearest
+    the candidate with the most negative circular offset from the maximum,
+    less ``_zoom_half_width``, to the bin nearest the one with the most
+    positive offset, plus it.  Returns (start, width) per row: the window's
+    first bin, in [0, K), and its number of bins.
     """
     if policy not in PEAK_POLICIES:
         raise ValueError(f"unknown peak policy {policy!r}")
@@ -250,84 +252,65 @@ def coarse_search(c: np.ndarray, oversample: int, policy: str = "global_peak",
     power = power.real ** 2 + power.imag ** 2
     margin_db = _SCALLOP_MARGIN_DB + (threshold_db if policy == "first_peak" else 0.0)
     above = power >= power.max(axis=-1, keepdims=True) * 10 ** (-margin_db / 10.0)
-    wrapped = np.concatenate([above[:, -1:], above, above[:, :1]], axis=-1)
-    run_end = ~wrapped[:, :-2] | ~wrapped[:, 2:]
-    rows, coarse = np.nonzero(above & (run_end | (np.arange(length) % 2 == 0)))
-    centres = (2 * coarse * k_bins + length) // (2 * length) % k_bins
-    return rows, centres
+    top = power.argmax(axis=-1)
+    offset = (np.arange(length) - top[:, None] + length // 2) % length - length // 2
+    half = _zoom_half_width(n_sub, oversample)
+    # Nearest fine bin of coarse sample j, round(j K / L), for j of either sign.
+    first, last = ((2 * (top + edge) * k_bins + length) // (2 * length)
+                   for edge in (np.where(above, offset, length).min(axis=-1),
+                                np.where(above, offset, -length).max(axis=-1)))
+    return (first - half) % k_bins, last - first + 2 * half + 1
 
 
-def zoom(c: np.ndarray, rows: np.ndarray, centres: np.ndarray, config: OfdmConfig,
+def zoom(c: np.ndarray, start: np.ndarray, width: np.ndarray, config: OfdmConfig,
          oversample: int, policy: str = "global_peak",
          threshold_db: float = 6.0) -> ZoomedToas:
-    """Pick each row's peak on the exact K-bin grid inside its zoom windows.
+    """Pick each row's peak on the exact K-bin grid inside its zoom window.
 
-    ``rows`` and ``centres`` are as ``coarse_search`` returns them: rows
-    ascending, each row of ``c`` at least once.  Each window's 2h + 1 fine bins centred on ``centres`` are evaluated by
-    a direct DTFT: one phase shift of the row of ``c`` and a fixed matmul.
-    The peak is chosen among the windows' interior bins, whose neighbours
-    are known, as ``estimate_toa`` chooses it on the full spectrum, and
-    refined by the same parabolic log-power step.  A row whose windows
-    cannot certify the choice has its peak picked on the full polyphase
-    spectrum instead: its strongest bin lies on window edges only, or an
-    edge not inside another window of the row reaches the pick threshold
-    (the strongest bin; for ``first_peak``, ``threshold_db`` below it).
-    So has a row with more than ``_MAX_ZOOM_WINDOWS`` windows.
+    ``start`` and ``width`` are as ``coarse_search`` returns them.  The
+    window's bins are evaluated by a direct DTFT: one phase shift of the
+    row of ``c`` and a matmul against the first columns of a fixed kernel,
+    every row padded to the batch's widest window.  The peak is chosen
+    among the window's interior bins, whose neighbours are known, as
+    ``estimate_toa`` chooses it on the full spectrum, and refined by the
+    same parabolic log-power step.  A row whose window cannot certify the
+    choice, because an edge bin reaches the pick threshold (the strongest
+    interior bin; for ``first_peak``, ``threshold_db`` below it), or whose
+    window is wider than ``_MAX_ZOOM_BINS``, has its peak picked on the
+    full polyphase spectrum instead.
     """
     n_rows, n_sub = c.shape
     k_bins = oversample * n_sub
-    counts = np.bincount(rows, minlength=n_rows)
-    crowded = counts > _MAX_ZOOM_WINDOWS
-    if crowded.any():
-        keep = ~crowded[rows]
-        keep[(np.cumsum(counts) - counts)[crowded]] = True
-        rows, centres = rows[keep], centres[keep]
-        counts = np.bincount(rows, minlength=n_rows)
-    ends = np.cumsum(counts) - 1                          # each row's last window
-    starts = ends + 1 - counts                            # and its first
     circle, dtft = _zoom_kernels(n_sub, oversample)
-    width = dtft.shape[1]
-    values = c[rows] * circle[np.outer(centres, np.arange(n_sub)) % k_bins]
-    values = values @ dtft
+    crowded = width > dtft.shape[1]
+    # A crowded row is picked in full below; here it zooms on its first bins
+    # only (at least three, so that every row has an interior bin).
+    span = width[~crowded].max(initial=3)
+    width = np.minimum(width, span)
+    values = c * circle[np.outer(start, np.arange(n_sub)) % k_bins]
+    values = values @ dtft[:, :span]
     power = values.real ** 2 + values.imag ** 2
-    bins = (centres[:, None] + np.arange(-(width // 2), width // 2 + 1)) % k_bins
+    pos = np.arange(span)
+    bins = (start[:, None] + pos) % k_bins
 
-    windows = np.arange(len(rows))
-    inner = power[:, 1:-1]
-    best_pos = inner.argmax(axis=1) + 1
-    best = np.lexsort((-power[windows, best_pos], rows))[starts]
-    row_max = power[best, best_pos[best]]
-    if not np.all(row_max > 0):
-        raise ValueError("degenerate (all-zero) delay spectrum")
-    level = row_max * 10 ** (-(threshold_db if policy == "first_peak" else 0.0) / 10.0)
-
-    edge_pos = power.argmax(axis=1)
-    strongest = np.lexsort((-power[windows, edge_pos], rows))[starts]
-    fallback = crowded | (bins[strongest, edge_pos[strongest]] != bins[best, best_pos[best]])
-    # A row's centres ascend, so the window nearest past an edge is the
-    # previous (next) one of the row, cyclically.  Centres 1..2h - 1 apart
-    # leave no bin between the two windows' interiors.
-    previous, following = windows - 1, windows + 1
-    previous[starts], following[ends] = ends, starts
-    for edge, gap in ((0, centres - centres[previous]), (-1, centres[following] - centres)):
-        gap %= k_bins
-        open_edge = ((gap < 1) | (gap > width - 2)) & (power[:, edge] >= level[rows])
-        fallback |= np.logical_or.reduceat(open_edge, starts)
-
-    chosen, pos = best, best_pos[best]
+    rows = np.arange(n_rows)
+    last = width - 1
+    interior = (pos > 0) & (pos < last[:, None])
+    pick = np.where(interior, power, -1.0).argmax(axis=1)
+    level = power[rows, pick] * 10 ** (-(threshold_db if policy == "first_peak" else 0.0) / 10.0)
+    # An all-zero row (zero level) falls back, and _pick_peak rejects it.
+    fallback = crowded | (power[:, 0] >= level) | (power[rows, last] >= level)
     if policy == "first_peak":
         # The earliest interior local maximum within the threshold of the
-        # strongest (the strongest itself is one).
-        is_peak = ((inner > power[:, :-2]) & (inner >= power[:, 2:])
-                   & (inner >= level[rows, None]))
+        # strongest, by bin index, so that a window may wrap past bin K - 1.
+        inner = power[:, 1:-1]
+        is_peak = (interior[:, 1:-1] & (inner > power[:, :-2]) & (inner >= power[:, 2:])
+                   & (inner >= level[:, None]))
         first_bin = np.where(is_peak, bins[:, 1:-1], k_bins)
-        first_pos = first_bin.argmin(axis=1)
-        first = np.lexsort((first_bin[windows, first_pos], rows))[starts]
-        has_first = first_bin[first, first_pos[first]] < k_bins
-        chosen = np.where(has_first, first, best)
-        pos = np.where(has_first, first_pos[first] + 1, pos)
-    peak = bins[chosen, pos]
-    neighbors = power[chosen, pos + np.array([[-1], [0], [1]])]
+        first = first_bin.argmin(axis=1)
+        pick = np.where(first_bin[rows, first] < k_bins, first + 1, pick)
+    peak = bins[rows, pick]
+    neighbors = power[rows, pick + np.array([[-1], [0], [1]])]
     redo = np.flatnonzero(fallback)
     if len(redo):
         for row, full in zip(redo, _polyphase_power(c[redo], oversample)):

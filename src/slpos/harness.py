@@ -254,9 +254,9 @@ def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap, true_range: float,
         c = mean_vector(snap, ofdm, window, np.concatenate([biases, -biases]),
                         doppler_enabled=cfg.doppler_enabled)
         c += noise_sum(fwd_seeds + rev_seeds, pilots, ofdm, window)
-        rows, centres = coarse_search(c, cfg.oversample, cfg.peak_policy,
-                                      cfg.first_peak_threshold_db)
-        toas = zoom(c, rows, centres, ofdm, cfg.oversample, cfg.peak_policy,
+        zoom_start, zoom_width = coarse_search(c, cfg.oversample, cfg.peak_policy,
+                                               cfg.first_peak_threshold_db)
+        toas = zoom(c, zoom_start, zoom_width, ofdm, cfg.oversample, cfg.peak_policy,
                     cfg.first_peak_threshold_db).toa.tolist()
         for toa_fwd, toa_rev in zip(toas[:len(trials)], toas[len(trials):]):
             sq_err += (rtt_range(toa_fwd, toa_rev, period=period).distance - true_range) ** 2
@@ -274,9 +274,13 @@ class RequirementScore:
 
 @dataclass(frozen=True)
 class PositioningSummary:
+    """``unconverged`` counts the trials whose fix stopped at the iteration
+    limit; they are in ``rmse`` and the scores all the same."""
+
     rmse: float
     crb: float
     trials: int
+    unconverged: int
     scores: tuple[RequirementScore, ...]
 
 
@@ -322,14 +326,16 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
         raise ValueError("true point coincides with an anchor")
 
     errors = np.empty(trials)
+    unconverged = 0
     for start in range(0, trials, _FIX_BATCH):
         stop = min(start + _FIX_BATCH, trials)
         noisy = np.tile(true_ranges, (stop - start, 1))
         if sigma > 0:
             noisy += _range_noise(seed, start, stop, len(anchors)) * sigma
         with np.errstate(over="ignore", invalid="ignore"):
-            fixes, costs, _, _ = solve_fixes(anchor_xyz, np.maximum(noisy, 0.0))
+            fixes, costs, _, converged = solve_fixes(anchor_xyz, np.maximum(noisy, 0.0))
             errors[start:stop] = np.linalg.norm(fixes - true, axis=1)
+        unconverged += int(np.count_nonzero(~converged))
         if not (np.all(np.isfinite(costs)) and np.all(np.isfinite(errors[start:stop]))):
             raise ValueError(f"range noise sigma={sigma} m overflows the position fix")
 
@@ -347,7 +353,8 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
             met_loose=loose >= req.confidence_lo,
             met_strict=strict >= req.confidence_hi,
         ))
-    return PositioningSummary(rmse=rmse, crb=crb, trials=trials, scores=tuple(scores))
+    return PositioningSummary(rmse=rmse, crb=crb, trials=trials, unconverged=unconverged,
+                              scores=tuple(scores))
 
 
 @dataclass(frozen=True)

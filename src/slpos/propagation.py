@@ -226,6 +226,17 @@ class ScenarioConfig:
                 if distance(rsu, point) < 1.0:
                     raise ValueError(f"rsu_position must lie at least 1 m from the {lane} "
                                      f"lane, got {distance(rsu, point):.3g} m")
+            for i, box in enumerate(self.buildings):
+                lo, hi = box.min_corner, box.max_corner
+                if all(lo.component(a) < rsu.component(a) < hi.component(a) for a in range(3)):
+                    raise ValueError(f"rsu_position {rsu} lies inside building {i}")
+        lanes = (("vehicle_start", self.vehicle_start,
+                  Vec3(self.vehicle_start.x, LANE_END_M, self.vehicle_start.z)),
+                 ("bicycle_start", self.bicycle_start,
+                  Vec3(LANE_END_M, self.bicycle_start.y, self.bicycle_start.z)))
+        for name, lane_start, lane_end in lanes:
+            if segment_blocked(lane_start, lane_end, self.buildings):
+                raise ValueError(f"{name} puts its lane to {lane_end} through a building")
         # Both devices move in straight lines until the first reaches its lane
         # end, so their closest approach before then has a closed form.
         v, b = self.vehicle_start, self.bicycle_start

@@ -173,6 +173,9 @@ def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     ("vehicle_start", "1.6,-70.0,0.0"),
     ("bicycle_start", "-16.4,-7.0,-1.0"),
     ("bicycle_start", "-16.4,-7.0,1.5"),
+    ("rsu_position", "45.0,45.0,10.0"),
+    ("vehicle_start", "45.0,-70.0,1.5"),
+    ("bicycle_start", "-16.4,45.0,1.0"),
 ])
 def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, capsys):
     # Only scenario 1 has an RSU; every other key is edited in scenario 2.

@@ -118,8 +118,8 @@ def test_sweep_covers_the_lane():
 
 
 def test_blocked_samples_flagged_with_nan_bounds():
-    # A slab across the vehicle lane blocks the middle of the sweep.
-    slab = BuildingBox(Vec3(1.6, 0.0, 15.0), Vec3(4.0, 4.0, 15.0))
+    # A slab between the two lanes, clear of both, blocks the start of the sweep.
+    slab = BuildingBox(Vec3(-7.0, -38.0, 15.0), Vec3(4.0, 4.0, 15.0))
     scenario = ScenarioConfig(
         scenario_id=2, rsu=None, vehicle_start=Vec3(1.6, -70.0, 1.5),
         bicycle_start=Vec3(-16.4, -7.0, 1.0), vehicle_speed=14.0, bicycle_speed=4.0,
@@ -254,15 +254,16 @@ def _kernel_and_scalar_chain(scenario_id, link, policy, oversample, doppler):
     scenario = build_scenario(scenario_id)
     for t in (0.0, 2.5, 4.9, 5.0, 7.3, 10.0):
         vehicle, bicycle = sample_trajectory(scenario, t)
-        ends = (scenario.rsu, vehicle) if link == "rsu-vehicle" else (vehicle, bicycle)
+        ends = {"rsu-vehicle": (scenario.rsu, vehicle), "rsu-bicycle": (scenario.rsu, bicycle),
+                "vehicle-bicycle": (vehicle, bicycle)}[link]
         snap = trace_paths(*ends, scenario, ofdm.wavelength, time=t)
         biases = np.concatenate([_BIASES, -_BIASES])
         seeds = [np.random.SeedSequence(entropy=(7, int(t * 10), row))
                  for row in range(len(biases))]
         c = mean_vector(snap, ofdm, window, biases, doppler_enabled=doppler)
         c += noise_sum(seeds, pilots, ofdm, window)
-        rows, centres = coarse_search(c, oversample, policy, 6.0)
-        zoomed = zoom(c, rows, centres, ofdm, oversample, policy, 6.0)
+        start, width = coarse_search(c, oversample, policy, 6.0)
+        zoomed = zoom(c, start, width, ofdm, oversample, policy, 6.0)
         spectra = [delay_spectrum(synthesize_rx(snap, pilots, ofdm, noise_seed=seed,
                                                 doppler_enabled=doppler, clock_bias=bias),
                                   pilots, ofdm, window=window, oversample=oversample)
@@ -273,7 +274,8 @@ def _kernel_and_scalar_chain(scenario_id, link, policy, oversample, doppler):
 @pytest.mark.parametrize("policy", PEAK_POLICIES)
 @pytest.mark.parametrize("oversample", [1, 4, 16])
 @pytest.mark.parametrize("doppler", [True, False])
-@pytest.mark.parametrize("scenario_id, link", [(1, "rsu-vehicle"), (2, "vehicle-bicycle")])
+@pytest.mark.parametrize("scenario_id, link", [(1, "rsu-vehicle"), (2, "vehicle-bicycle"),
+                                               (1, "rsu-bicycle")])
 def test_zoomed_kernel_matches_the_scalar_chain(scenario_id, link, policy, oversample,
                                                  doppler):
     # The collapsed symbol sum and its coarse-to-fine peak search pick the
@@ -297,40 +299,62 @@ def test_zoomed_kernel_matches_the_scalar_chain(scenario_id, link, policy, overs
 
 @pytest.mark.parametrize("policy", PEAK_POLICIES)
 def test_narrow_zoom_falls_back_to_the_full_spectrum(policy, monkeypatch):
-    # Three-bin windows miss most fine peaks: those rows fall back to the
-    # full spectrum, and every row still picks the scalar chain's bin.
+    # With no scalloping margin and one bin beyond the candidates, the
+    # window misses most fine peaks (three bins round the coarse maximum,
+    # for global_peak): those rows fall back to the full spectrum, and every
+    # row still picks the scalar chain's bin.
     monkeypatch.setattr(estimation, "_zoom_half_width", lambda n_sub, oversample: 1)
-    estimation._zoom_kernels.cache_clear()
-    try:
-        fallbacks = 0
-        for zoomed, spectra in _kernel_and_scalar_chain(2, "vehicle-bicycle", policy, 16, True):
-            fallbacks += int(zoomed.fallback.sum())
-            for row, spec in enumerate(spectra):
-                assert zoomed.peak[row] == estimation._pick_peak(spec.power, policy, 6.0)
-                want = estimate_toa(spec, policy=policy, threshold_db=6.0).toa
-                assert abs(zoomed.toa[row] - want) * SPEED_OF_LIGHT <= 1e-9
-        assert fallbacks >= 6 * len(_BIASES)   # at least half the rows
-    finally:
-        estimation._zoom_kernels.cache_clear()
+    monkeypatch.setattr(estimation, "_SCALLOP_MARGIN_DB", 0.0)
+    fallbacks = 0
+    for zoomed, spectra in _kernel_and_scalar_chain(2, "vehicle-bicycle", policy, 16, True):
+        fallbacks += int(zoomed.fallback.sum())
+        for row, spec in enumerate(spectra):
+            assert zoomed.peak[row] == estimation._pick_peak(spec.power, policy, 6.0)
+            want = estimate_toa(spec, policy=policy, threshold_db=6.0).toa
+            assert abs(zoomed.toa[row] - want) * SPEED_OF_LIGHT <= 1e-9
+    assert fallbacks >= 6 * len(_BIASES)   # at least half the rows
 
 
 def test_noise_floor_rows_take_the_full_spectrum():
     # With no path and a 40 dB first-peak threshold, nearly every coarse
-    # sample is a zoom candidate: such rows are transformed in full instead,
-    # and still pick the full spectrum's bin.
+    # sample is a zoom candidate, so the windows are wider than the cap:
+    # such rows are transformed in full instead, and still pick the full
+    # spectrum's bin.
     ofdm = default_config()
     pilots = make_pilots(ofdm, "all_ones")
     window = hamming_window(ofdm.num_subcarriers)
     seeds = [np.random.SeedSequence(entropy=(5, row)) for row in range(6)]
     c = noise_sum(seeds, pilots, ofdm, window)
-    rows, centres = coarse_search(c, 16, "first_peak", 40.0)
-    assert np.bincount(rows).min() > estimation._MAX_ZOOM_WINDOWS
-    zoomed = zoom(c, rows, centres, ofdm, 16, "first_peak", 40.0)
+    start, width = coarse_search(c, 16, "first_peak", 40.0)
+    assert width.min() > estimation._MAX_ZOOM_BINS
+    zoomed = zoom(c, start, width, ofdm, 16, "first_peak", 40.0)
     assert zoomed.fallback.all()
     for row, seed in enumerate(seeds):
         spec = delay_spectrum(synthesize_rx(make_snapshot([]), pilots, ofdm, noise_seed=seed),
                               pilots, ofdm, window=window, oversample=16)
         assert zoomed.peak[row] == estimation._pick_peak(spec.power, "first_peak", 40.0)
+
+
+def test_first_peak_sweep_zooms_on_the_full_spectrum_peak(monkeypatch):
+    # A whole rsu-bicycle first-peak sweep, the link whose two-path lobes can
+    # be flat-topped: every arrival's zoomed peak is the bin picked on its
+    # full spectrum, and no row falls back.
+    checked = []
+
+    def checked_zoom(c, start, width, ofdm, oversample, policy, threshold_db):
+        zoomed = zoom(c, start, width, ofdm, oversample, policy, threshold_db)
+        assert not zoomed.fallback.any()
+        want = [estimation._pick_peak(full, policy, threshold_db)
+                for full in estimation._polyphase_power(c, oversample)]
+        np.testing.assert_array_equal(zoomed.peak, want)
+        checked.append(len(c))
+        return zoomed
+
+    monkeypatch.setattr(harness, "zoom", checked_zoom)
+    cfg = RunConfig(scenario_id=1, link="rsu-bicycle", trials=2, seed=2,
+                    peak_policy="first_peak")
+    points = run_ranging_sweep(cfg)
+    assert sum(checked) == 2 * cfg.trials * len(points)
 
 
 def test_scenario1_csv_matches_committed_reference(tmp_path, capsys):
@@ -537,6 +561,22 @@ def test_position_stdout_matches_committed_reference(anchors, options, golden, c
     argv = ["position", "--anchors", str(DATA / anchors), "--trials", "1000", "--seed", "7"]
     assert main(argv + options) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("sigma, unconverged", [("1.0", 0), ("3.0", 116)])
+def test_position_reports_unconverged_fixes_on_stderr(sigma, unconverged, capsys):
+    # Fixes that stop at the iteration limit stay in the summary, and
+    # stderr says how many there are.
+    argv = ["position", "--anchors", str(DATA / "anchors_square.txt"), "--sigma", sigma,
+            "--trials", "1000", "--seed", "7"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    if unconverged:
+        assert err == (f"slpos: {unconverged} of 1000 fixes stopped at the iteration limit "
+                       "without converging; they are included in the RMSE and the "
+                       "requirement rates\n")
+    else:
+        assert err == ""
 
 
 # --- coherence / latency --------------------------------------------------------------

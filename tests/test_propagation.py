@@ -326,12 +326,14 @@ def test_reciprocity(a, b):
        cx=st.integers(min_value=-50, max_value=50),
        cy=st.integers(min_value=-50, max_value=50))
 def test_monotonic_blockage_without_wall_reflections(a, b, cx, cy):
-    # With reflections off, an extra opaque box can only remove paths.
+    # With reflections off, an extra opaque box can only remove paths.  The
+    # lanes run above the box (at most 20 m high), which may stand anywhere
+    # in the plane, and a lane may not cross a building.
     if a == b:
         return
     base = ScenarioConfig(
-        scenario_id=2, rsu=None, vehicle_start=Vec3(1.6, -70.0, 1.5),
-        bicycle_start=Vec3(-16.4, -7.0, 1.0), vehicle_speed=14.0,
+        scenario_id=2, rsu=None, vehicle_start=Vec3(1.6, -70.0, 25.5),
+        bicycle_start=Vec3(-16.4, -7.0, 25.0), vehicle_speed=14.0,
         bicycle_speed=4.0, buildings=(), measurement_interval=0.1,
         ground_reflection_coeff=-0.5, wall_reflection_coeff=0.0,
     )
