@@ -25,7 +25,6 @@ from .estimation import (
     delay_spectrum,
     estimate_toa,
     hamming_window,
-    rectangular_window,
     rtt_range,
 )
 from .harness import (
@@ -105,7 +104,6 @@ __all__ = [
     "reb_all_paths",
     "reb_los_only",
     "reb_waa",
-    "rectangular_window",
     "resolution_cell",
     "rtt_range",
     "run_bounds_sweep",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .estimation import PEAK_POLICIES
@@ -54,9 +55,8 @@ def _load_anchors(path: str) -> list[Anchor]:
                 continue
             parts = [p.strip() for p in line.split(",")]
             if len(parts) not in (3, 4):
-                raise ValueError(f"anchor line needs x,y,z[,id]: {line!r}")
-            position = Vec3(float(parts[0]), float(parts[1]), float(parts[2]))
-            anchors.append(Anchor(position=position, id=parts[3] if len(parts) == 4 else ""))
+                raise ValueError(f"anchor line needs x,y,z[,label]: {line!r}")
+            anchors.append(Anchor(Vec3(float(parts[0]), float(parts[1]), float(parts[2]))))
     return anchors
 
 
@@ -70,6 +70,7 @@ def _build_parser() -> _Parser:
                        help="print the flat key=value form to stdout")
     p_scn.add_argument("--out", help="write the key=value form to a file")
 
+    budget = default_config()
     for name, help_text in (("ranging", "Monte Carlo RMSE sweep with bounds"),
                             ("bounds", "bound curves only, no Monte Carlo")):
         p = sub.add_parser(name, help=help_text)
@@ -79,8 +80,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--beta", type=float, default=RunConfig.beta)
         p.add_argument("--scenario-file", help="override the built-in geometry "
                                                "with a key=value scenario file")
-        p.add_argument("--tx-power-dbm", type=float, default=10.0)
-        p.add_argument("--noise-figure-db", type=float, default=8.0)
+        p.add_argument("--tx-power-dbm", type=float,
+                       default=10.0 * math.log10(budget.tx_power / 1e-3))
+        p.add_argument("--noise-figure-db", type=float, default=budget.noise_figure_db)
         if name == "ranging":
             p.add_argument("--trials", type=int, default=RunConfig.trials)
             p.add_argument("--seed", type=int, default=RunConfig.seed)
@@ -94,7 +96,7 @@ def _build_parser() -> _Parser:
 
     p_pos = sub.add_parser("position", help="synthetic multilateration demo")
     p_pos.add_argument("--anchors", required=True,
-                       help="text file, one 'x,y,z[,id]' anchor per line")
+                       help="text file, one 'x,y,z[,label]' anchor per line")
     p_pos.add_argument("--sigma", type=float, required=True)
     p_pos.add_argument("--trials", type=int, default=1000)
     p_pos.add_argument("--seed", type=int, default=0)
@@ -126,8 +128,12 @@ def _cmd_sweep(args: argparse.Namespace, monte_carlo: bool) -> int:
             scenario = scenario_from_text(handle.read())
         if scenario.scenario_id != args.scenario:
             raise ValueError("scenario file id does not match --scenario")
-    ofdm = dataclasses.replace(default_config(),
-                               tx_power=10 ** (args.tx_power_dbm / 10.0) * 1e-3,
+    try:
+        tx_power = 10 ** (args.tx_power_dbm / 10.0) * 1e-3
+    except OverflowError:
+        raise ValueError(f"--tx-power-dbm {args.tx_power_dbm} overflows the transmit "
+                         "power") from None
+    ofdm = dataclasses.replace(default_config(), tx_power=tx_power,
                                noise_figure_db=args.noise_figure_db)
     if monte_carlo:
         cfg = RunConfig(

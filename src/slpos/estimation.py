@@ -2,9 +2,8 @@
 
 The delay spectrum is the squared magnitude of the zero-padded IDFT of the
 windowed, pilot-compensated received symbols accumulated over the pilot
-block; peaks indicate path delays.  The zero-padded IDFT is evaluated in
-polyphase form, as ``oversample`` IDFTs of length N_s.  A two-way exchange
-cancels the unknown clock bias between unsynchronized devices.
+block; peaks indicate path delays.  A two-way exchange cancels the unknown
+clock bias between unsynchronized devices.
 """
 
 from __future__ import annotations
@@ -27,13 +26,6 @@ def hamming_window(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("window needs at least 2 points")
     return np.hamming(n)
-
-
-def rectangular_window(n: int) -> np.ndarray:
-    """Identity weighting (no side-lobe suppression)."""
-    if n < 2:
-        raise ValueError("window needs at least 2 points")
-    return np.ones(n)
 
 
 @dataclass(frozen=True)
@@ -69,29 +61,10 @@ class RangeMeasurement:
             raise ValueError("sigma must be positive")
 
 
-@functools.lru_cache(maxsize=None)
-def _polyphase_twiddles(n_sub: int, oversample: int) -> np.ndarray:
-    """oversample x n_sub matrix exp(2j pi n r / K), K = oversample * n_sub."""
-    r = np.arange(oversample)[:, None]
-    n = np.arange(n_sub)[None, :]
-    twiddles = np.exp(2j * np.pi * (r * n) / (oversample * n_sub))
-    twiddles.flags.writeable = False
-    return twiddles
-
-
-def _polyphase_power(c: np.ndarray, oversample: int) -> np.ndarray:
-    """|IDFT|^2 of c zero-padded to K = oversample * N_s, along the last axis.
-
-    Bin q * oversample + r equals 1/oversample times the length-N_s IDFT of
-    c[n] * exp(2j pi n r / K), at bin q.  This is exact and avoids a long
-    transform whose length has a large prime factor.
-    """
-    n_sub = c.shape[-1]
-    phases = c[..., None, :] * _polyphase_twiddles(n_sub, oversample)
-    power = np.abs(np.fft.ifft(phases, out=phases))
-    power **= 2
-    power /= oversample ** 2
-    return np.swapaxes(power, -1, -2).reshape(c.shape[:-1] + (oversample * n_sub,))
+def _idft_power(c: np.ndarray, length: int) -> np.ndarray:
+    """|IDFT|^2 of c zero-padded to ``length`` points, along the last axis."""
+    power = np.fft.ifft(c, n=length, axis=-1)
+    return power.real ** 2 + power.imag ** 2
 
 
 def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
@@ -99,11 +72,10 @@ def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
     """Accumulate window * (rx / pilots) over symbols, zero-pad, |IDFT|^2.
 
     ``rx.symbols`` is one T x N_s grid or a stack ... x T x N_s, and the
-    power has shape ... x K with K = oversample * N_s.  The length-K IDFT
-    is taken in polyphase form, as ``oversample`` IDFTs of length N_s.
-    Only peak locations and power ratios are consumed downstream, so the
-    fixed 1/K IDFT normalization is immaterial.  Pilot entries must be
-    nonzero (element-wise division removes them exactly).
+    power has shape ... x K with K = oversample * N_s.  Only peak locations
+    and power ratios are consumed downstream, so the fixed 1/K IDFT
+    normalization is immaterial.  Pilot entries must be nonzero
+    (element-wise division removes them exactly).
     """
     if oversample < 1:
         raise ValueError("oversample factor must be >= 1")
@@ -115,8 +87,8 @@ def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
         raise ValueError("window length must equal the subcarrier count")
     compensated = rx.symbols / pilots.symbols
     compensated *= w
-    power = _polyphase_power(compensated.sum(axis=-2), oversample)
     k = oversample * n_sub
+    power = _idft_power(compensated.sum(axis=-2), k)
     return DelaySpectrum(power=power, bin_spacing=1.0 / (k * config.subcarrier_spacing))
 
 
@@ -248,8 +220,7 @@ def coarse_search(c: np.ndarray, oversample: int, policy: str = "global_peak",
     n_sub = c.shape[-1]
     k_bins = oversample * n_sub
     length = _coarse_length(n_sub, oversample)
-    power = np.fft.ifft(c, n=length, axis=-1)
-    power = power.real ** 2 + power.imag ** 2
+    power = _idft_power(c, length)
     margin_db = _SCALLOP_MARGIN_DB + (threshold_db if policy == "first_peak" else 0.0)
     above = power >= power.max(axis=-1, keepdims=True) * 10 ** (-margin_db / 10.0)
     top = power.argmax(axis=-1)
@@ -277,7 +248,7 @@ def zoom(c: np.ndarray, start: np.ndarray, width: np.ndarray, config: OfdmConfig
     choice, because an edge bin reaches the pick threshold (the strongest
     interior bin; for ``first_peak``, ``threshold_db`` below it), or whose
     window is wider than ``_MAX_ZOOM_BINS``, has its peak picked on the
-    full polyphase spectrum instead.
+    full spectrum instead.
     """
     n_rows, n_sub = c.shape
     k_bins = oversample * n_sub
@@ -313,7 +284,7 @@ def zoom(c: np.ndarray, start: np.ndarray, width: np.ndarray, config: OfdmConfig
     neighbors = power[rows, pick + np.array([[-1], [0], [1]])]
     redo = np.flatnonzero(fallback)
     if len(redo):
-        for row, full in zip(redo, _polyphase_power(c[redo], oversample)):
+        for row, full in zip(redo, _idft_power(c[redo], k_bins)):
             peak[row] = _pick_peak(full, policy, threshold_db)
             neighbors[:, row] = full[[(peak[row] + d) % k_bins for d in (-1, 0, 1)]]
     offset, _ = _parabolic_offset(neighbors)

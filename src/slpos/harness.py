@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import DEFAULT_BETA, reb_waa
+from .constants import SPEED_OF_LIGHT
 from .estimation import (
     PEAK_POLICIES,
     coarse_search,
@@ -187,7 +188,9 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
            monte_carlo: bool) -> list[CurvePoint]:
     """One point per trajectory sample.  The link channel is traced once per
     sample; it gives the bounds and, with ``monte_carlo``, both directions
-    of ``cfg.trials`` round trips, whose RMSE is reported (else NaN)."""
+    of ``cfg.trials`` round trips, whose RMSE is reported (else NaN).  With
+    ``monte_carlo``, a link whose range reaches c / (2 subcarrier_spacing),
+    where round trips alias, is rejected before the first trace."""
     if cfg.output_path is not None:
         _check_writable(cfg.output_path)
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
@@ -197,13 +200,21 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     horizon = _link_horizon(cfg, scenario)
     n_samples = int(round(horizon / scenario.measurement_interval)) + 1
 
-    points: list[CurvePoint] = []
+    samples = []
     for sample_idx in range(n_samples):
         t = sample_idx * scenario.measurement_interval
-        vehicle, bicycle = sample_trajectory(scenario, min(t, horizon))
-        end_a, end_b, coord = _link_endpoints(cfg, scenario, vehicle, bicycle)
+        end_a, end_b, coord = _link_endpoints(cfg, scenario,
+                                              *sample_trajectory(scenario, min(t, horizon)))
+        samples.append((t, end_a, end_b, coord, distance(end_a.position, end_b.position)))
+    limit = SPEED_OF_LIGHT * ofdm.unambiguous_delay / 2.0
+    farthest = max(sample[-1] for sample in samples)
+    if monte_carlo and farthest >= limit:
+        raise ValueError(f"link {cfg.link} reaches {farthest:.1f} m, but a round trip is "
+                         f"unambiguous only below c / (2 subcarrier_spacing) = {limit:.1f} m")
+
+    points: list[CurvePoint] = []
+    for sample_idx, (t, end_a, end_b, coord, true_range) in enumerate(samples):
         snap = trace_paths(end_a, end_b, scenario, ofdm.wavelength, time=t)
-        true_range = distance(end_a.position, end_b.position)
 
         if snap.has_los:
             report = reb_waa(snap, pilots, ofdm, beta=cfg.beta)

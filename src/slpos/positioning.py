@@ -29,7 +29,6 @@ class Anchor:
     """Reference node with known position."""
 
     position: Vec3
-    id: str = ""
 
 
 @dataclass(frozen=True)

@@ -156,8 +156,6 @@ class ChannelSnapshot:
     """Multipath channel at one instant, paths sorted by increasing delay."""
 
     paths: tuple[PathComponent, ...]
-    tx_pose: Pose
-    rx_pose: Pose
     time: float = 0.0
 
     def __post_init__(self) -> None:
@@ -489,7 +487,7 @@ def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
                                          PathKind.WALL, wall_index=4 * b_idx + f_idx))
 
     paths.sort(key=lambda p: p.delay)
-    return ChannelSnapshot(paths=tuple(paths), tx_pose=tx, rx_pose=rx, time=time)
+    return ChannelSnapshot(paths=tuple(paths), time=time)
 
 
 # --- flat key=value serialization -------------------------------------------

@@ -49,6 +49,13 @@ class OfdmConfig:
             raise ValueError("symbol duration shorter than 1/subcarrier_spacing")
         if self.carrier_freq <= 0 or self.tx_power <= 0 or self.noise_psd <= 0:
             raise ValueError("carrier frequency and powers must be positive")
+        try:
+            variance = noise_variance(self)
+        except OverflowError:
+            variance = math.inf
+        if not (math.isfinite(variance) and variance > 0):
+            raise ValueError(f"noise_figure_db={self.noise_figure_db} gives a noise variance "
+                             "that is not finite and positive")
 
     @property
     def wavelength(self) -> float:

@@ -2,13 +2,15 @@
 
 import numpy as np
 
-from slpos.propagation import ChannelSnapshot, PathComponent, PathKind, Pose, Vec3
+from slpos.propagation import ChannelSnapshot, PathComponent, PathKind
 
 
-def make_snapshot(paths, tx=Vec3(0.0, 0.0, 0.0), rx=Vec3(10.0, 0.0, 0.0)):
-    """Channel snapshot from a bare path list (sorted here for convenience)."""
-    ordered = tuple(sorted(paths, key=lambda p: p.delay))
-    return ChannelSnapshot(paths=ordered, tx_pose=Pose(tx), rx_pose=Pose(rx))
+def make_snapshot(paths, tx=None, rx=None):
+    """Channel snapshot from a bare path list (sorted here for convenience).
+
+    ``tx`` and ``rx`` only document a caller's link geometry: a snapshot
+    holds its paths, not the poses of its ends."""
+    return ChannelSnapshot(paths=tuple(sorted(paths, key=lambda p: p.delay)))
 
 
 def los_path(delay, gain=1.0 + 0j, velocity=0.0):

@@ -9,7 +9,7 @@ arbitrary because the mean is linear in the gain components.
 
 import numpy as np
 
-from slpos.propagation import ChannelSnapshot, PathComponent, Pose, Vec3
+from slpos.propagation import ChannelSnapshot, PathComponent
 from slpos.signal import noise_variance, synthesize_rx
 
 _GAIN_STEP = 1e-6
@@ -23,8 +23,7 @@ def _mean_vector(params, kinds, wall_indices, pilots, config):
                                    radial_velocity=0.0, kind=kinds[i],
                                    wall_index=wall_indices[i]))
     paths.sort(key=lambda p: p.delay)
-    snapshot = ChannelSnapshot(paths=tuple(paths), tx_pose=Pose(Vec3(0, 0, 0)),
-                               rx_pose=Pose(Vec3(1, 0, 0)))
+    snapshot = ChannelSnapshot(paths=tuple(paths))
     rx = synthesize_rx(snapshot, pilots, config, noise_seed=None, doppler_enabled=False)
     return rx.symbols.ravel()
 

@@ -135,6 +135,9 @@ def test_io_failure_exits_2(capsys):
     ["position", "--sigma", "1", "--true-point", "10,10,5"],
     ["position", "--sigma", "1e160"],
     ["position", "--sigma", "1", "--true-point", "1e200,0,0"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "4000"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db", "4000"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db=-4000"],
 ])
 def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -209,6 +212,32 @@ def test_unwritable_out_rejected_before_the_first_sample(command, tmp_path, monk
         assert "cannot write sweep CSV" in captured.err
         assert captured.out == ""
     assert not (tmp_path / "missing_dir").exists()
+
+
+def test_ranging_beyond_the_alias_range_rejected_before_the_first_sample(tmp_path, monkeypatch,
+                                                                        capsys):
+    # A vehicle starting 1300 m out passes c / (2 * 120 kHz) = 1249.1 m, where
+    # a round trip combined modulo the alias period wraps to a short range.
+    lines = ["vehicle_start=1.6,-1300.0,1.5" if line.startswith("vehicle_start=") else line
+             for line in scenario_to_text(build_scenario(1)).splitlines()]
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text("\n".join(lines) + "\n")
+    common = ["--scenario", "1", "--link", "rsu-vehicle", "--scenario-file", str(scn_file)]
+    # Bounds combine no round trip, so they keep the file.
+    assert main(["bounds", *common, "--out", str(tmp_path / "bounds.csv")]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep sample ran")
+
+    monkeypatch.setattr(harness, "trace_paths", never)
+    out = tmp_path / "out.csv"
+    assert main(["ranging", *common, "--trials", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "rsu-vehicle" in captured.err and "1249.1 m" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_existing_out_is_kept_until_the_sweep_ends(tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from slpos.estimation import (
     estimate_toa,
     hamming_window,
     low_confidence,
-    rectangular_window,
     rtt_range,
 )
 from slpos.propagation import Vec3, friis_gain
@@ -41,16 +40,10 @@ def test_hamming_symmetry():
     assert np.allclose(w, w[::-1])
 
 
-def test_rectangular_window_is_identity_weighting():
-    assert np.all(rectangular_window(8) == 1.0)
-
-
 @pytest.mark.parametrize("n", [0, 1])
 def test_window_needs_two_points(n):
     with pytest.raises(ValueError):
         hamming_window(n)
-    with pytest.raises(ValueError):
-        rectangular_window(n)
 
 
 # --- delay spectrum ------------------------------------------------------------
@@ -66,7 +59,7 @@ def test_single_path_peak_within_one_bin(ofdm, pilots):
 def test_near_zero_delay_peaks_at_bin_zero(ofdm, pilots):
     # Apparent delay collapsed to zero through the clock-bias term.
     tau = 100e-9
-    spec = spectrum_of([los_path(tau)], ofdm, pilots, window=rectangular_window(167),
+    spec = spectrum_of([los_path(tau)], ofdm, pilots, window=np.ones(167),
                        oversample=8, clock_bias=-tau)
     assert np.argmax(spec.power) == 0
     assert np.all(spec.power[1:] < spec.power[0])
@@ -101,7 +94,7 @@ def test_bad_oversample_rejected(ofdm, pilots):
 
 @pytest.mark.parametrize("n_sub, oversample", [(167, 16), (167, 1), (64, 4), (7, 3)])
 @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
-def test_polyphase_spectrum_matches_zero_padded_ifft(ofdm, n_sub, oversample, batch):
+def test_delay_spectrum_matches_zero_padded_ifft(ofdm, n_sub, oversample, batch):
     cfg = OfdmConfig(**{**ofdm.__dict__, "num_subcarriers": n_sub})
     grid_pilots = make_pilots(cfg, "seeded_random_phase", seed=2)
     rng = np.random.default_rng(n_sub * oversample)

@@ -345,7 +345,7 @@ def test_first_peak_sweep_zooms_on_the_full_spectrum_peak(monkeypatch):
         zoomed = zoom(c, start, width, ofdm, oversample, policy, threshold_db)
         assert not zoomed.fallback.any()
         want = [estimation._pick_peak(full, policy, threshold_db)
-                for full in estimation._polyphase_power(c, oversample)]
+                for full in estimation._idft_power(c, oversample * c.shape[-1])]
         np.testing.assert_array_equal(zoomed.peak, want)
         checked.append(len(c))
         return zoomed

@@ -158,7 +158,7 @@ def test_translation_equivariance(vx, vy):
         d = math.dist((3.0, 4.0, 0.0), (anchor.position.x, anchor.position.y, 0.0))
         base_meas.append((RangeMeasurement(distance=max(d + noise, 0.01), sigma=1.0),
                           anchor))
-        moved = Anchor(anchor.position + shift, anchor.id)
+        moved = Anchor(anchor.position + shift)
         shifted_meas.append((RangeMeasurement(distance=max(d + noise, 0.01), sigma=1.0),
                              moved))
     base = ml_position(base_meas, dim=2)

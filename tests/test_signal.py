@@ -52,6 +52,13 @@ def test_config_rejects_non_finite_fields(ofdm, field, value):
         OfdmConfig(**{**ofdm.__dict__, field: value})
 
 
+@pytest.mark.parametrize("figure_db", [4000.0, -4000.0])
+def test_config_rejects_a_noise_figure_whose_variance_is_not_finite_and_positive(ofdm,
+                                                                                 figure_db):
+    with pytest.raises(ValueError, match="noise_figure_db"):
+        OfdmConfig(**{**ofdm.__dict__, "noise_figure_db": figure_db})
+
+
 def test_noise_variance_with_noise_figure(ofdm):
     assert noise_variance(ofdm) == pytest.approx(2.512e-20, rel=1e-3)
 
