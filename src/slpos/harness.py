@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,6 +70,10 @@ _TRIAL_BATCH = 32
 # Positioning fixes solved together, for the same reason.
 _FIX_BATCH = 1024
 
+# Largest clock bias standard deviation (s): a bias draw overflows to inf
+# only beyond 64 sigma.  Only the bias modulo the alias period matters.
+_MAX_CLOCK_BIAS_STD = sys.float_info.max / 64
+
 
 @dataclass(frozen=True)
 class RequirementSet:
@@ -109,8 +114,10 @@ class RunConfig:
             raise ValueError("need at least one trial")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not (math.isfinite(self.clock_bias_std) and self.clock_bias_std >= 0):
-            raise ValueError("clock bias std must be finite and nonnegative")
+        if not 0 <= self.clock_bias_std <= _MAX_CLOCK_BIAS_STD:
+            raise ValueError(f"clock_bias_std={self.clock_bias_std} s must lie in "
+                             f"[0, {_MAX_CLOCK_BIAS_STD:.4g}]; beyond it a bias draw within "
+                             "64 sigma can overflow")
         if not 1.0 < self.beta < 2.0:
             raise ValueError(f"beta must lie in (1, 2), got {self.beta}")
         if self.oversample < 1:
@@ -351,8 +358,9 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
             raise ValueError(f"range noise sigma={sigma} m overflows the position fix")
 
     rmse = float(np.sqrt(np.mean(errors ** 2)))
-    crb = range_position_crb(anchors, true_point,
-                             [sigma if sigma > 0 else 1.0] * len(anchors), dim)
+    # The CRB is linear in a common sigma; scaling the unit bound keeps
+    # sigma = 0 and a sigma whose square underflows exact.
+    crb = sigma * range_position_crb(anchors, true_point, [1.0] * len(anchors), dim)
     scores = []
     for req in REQUIREMENT_SETS:
         loose = float(np.mean(errors <= req.accuracy_hi))

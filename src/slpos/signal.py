@@ -56,14 +56,21 @@ class OfdmConfig:
         if not (math.isfinite(variance) and variance > 0):
             raise ValueError(f"noise_figure_db={self.noise_figure_db} gives a noise variance "
                              "that is not finite and positive")
+        # With every path gain at most 1, no entry of the Fisher information
+        # Gram matrix exceeds the larger of the delay and gain columns'
+        # energies, (2 pi N_s df)^2 T tx_power/df and T tx_power/df, and no
+        # entry of the FIM exceeds 2/N0 times that.  2/N0 > 0, so the product
+        # is infinite whenever the Gram cap is.
+        delay_scale = 2.0 * math.pi * self.num_subcarriers * self.subcarrier_spacing
+        gram = max(1.0, delay_scale * delay_scale) * (
+            self.num_symbols * self.tx_power / self.subcarrier_spacing)
+        if not math.isfinite(2.0 / variance * gram):
+            raise ValueError(f"tx_power={self.tx_power} W with noise_figure_db="
+                             f"{self.noise_figure_db} overflows the Fisher information")
 
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
-
-    @property
-    def bandwidth(self) -> float:
-        return self.num_subcarriers * self.subcarrier_spacing
 
     @property
     def unambiguous_delay(self) -> float:

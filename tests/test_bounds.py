@@ -69,6 +69,20 @@ def test_fim_scales_inversely_with_noise(ofdm, pilots):
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("field, accepted, rejected", [
+    ("tx_power", 10 ** (2791.0 / 10) * 1e-3, 10 ** (2792.0 / 10) * 1e-3),
+    ("noise_figure_db", -2773.0, -2774.0),
+])
+def test_config_rejects_a_budget_whose_fisher_information_overflows(ofdm, field, accepted,
+                                                                    rejected):
+    # Up to the limit a unit-gain path keeps the FIM and its CRB finite.
+    config = OfdmConfig(**{**ofdm.__dict__, field: accepted})
+    variance = crb_delay(fim([los_path(150e-9)], make_pilots(config), config))
+    assert 0 < variance < math.inf
+    with pytest.raises(ValueError, match="tx_power=.* noise_figure_db="):
+        OfdmConfig(**{**ofdm.__dict__, field: rejected})
+
+
 def test_empty_path_list_rejected(ofdm, pilots):
     with pytest.raises(ValueError):
         fim([], pilots, ofdm)

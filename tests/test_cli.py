@@ -138,6 +138,8 @@ def test_io_failure_exits_2(capsys):
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "4000"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db", "4000"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db=-4000"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "3000"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db=-2900"],
 ])
 def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -236,6 +238,23 @@ def test_ranging_beyond_the_alias_range_rejected_before_the_first_sample(tmp_pat
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert "rsu-vehicle" in captured.err and "1249.1 m" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_clock_bias_std_that_can_overflow_rejected_before_the_first_sample(tmp_path,
+                                                                         monkeypatch, capsys):
+    # A draw of 1e308 * N(0, 1) overflows to inf as soon as |N(0, 1)| > 1.8.
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep sample ran")
+
+    monkeypatch.setattr(harness, "trace_paths", never)
+    out = tmp_path / "out.csv"
+    assert main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+                 "--clock-bias-std", "1e308", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "clock_bias_std" in captured.err
     assert captured.out == ""
     assert not out.exists()
 

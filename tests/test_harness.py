@@ -3,13 +3,16 @@ import importlib
 import importlib.util
 import math
 import pathlib
+import re
 import statistics
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from channels import make_snapshot
+import slpos
 from slpos import estimation, harness
 from slpos.cli import main
 from slpos.constants import SPEED_OF_LIGHT
@@ -35,7 +38,7 @@ from slpos.harness import (
     run_positioning_demo,
     run_ranging_sweep,
 )
-from slpos.positioning import Anchor
+from slpos.positioning import Anchor, range_position_crb
 from slpos.propagation import (
     BuildingBox,
     ScenarioConfig,
@@ -382,6 +385,21 @@ def test_every_name_the_benchmark_tracer_wraps_still_exists(monkeypatch):
         "retarget its span in bench/tracing.py")
 
 
+def test_every_root_name_the_benchmark_set_up_calls_resolves():
+    # bench/run.py warms the package up through slpos.<name>(...) calls.
+    called = set(re.findall(r"\bslpos\.(\w+)\(", (ROOT / "bench" / "run.py").read_text()))
+    assert called
+    missing = sorted(name for name in called if not hasattr(slpos, name))
+    assert not missing, f"bench/run.py calls slpos.{missing}, which the package root lacks"
+
+
+def test_package_root_exports_only_the_benchmark_set_up_names():
+    # The CLI is the entry point; everything else imports from the modules.
+    public = {name for name, value in vars(slpos).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {"build_scenario", "default_config", "make_pilots", "hamming_window"}
+
+
 def test_higher_power_lowers_mean_rmse():
     base = default_config()
     loud = OfdmConfig(**{**base.__dict__, "tx_power": base.tx_power * 100})
@@ -500,6 +518,14 @@ def test_noiseless_demo_passes_every_set():
         assert score.fraction_within_loose == 1.0
         assert score.fraction_within_strict == 1.0
         assert score.met_loose and score.met_strict
+
+
+def test_demo_crb_is_sigma_times_the_unit_bound():
+    # Exactly 0 without noise, and no nan where sigma**2 underflows.
+    unit = range_position_crb(SQUARE, Vec3(3.0, 4.0, 0.0), [1.0] * len(SQUARE))
+    for sigma in (0.0, 1e-170):
+        summary = run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=sigma, trials=3)
+        assert summary.crb == sigma * unit
 
 
 def test_noisy_demo_rates_match_percentiles():

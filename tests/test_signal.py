@@ -28,10 +28,6 @@ def test_default_config_values(ofdm):
     assert ofdm.noise_figure_db == 8.0
 
 
-def test_default_bandwidth_is_about_20_mhz(ofdm):
-    assert ofdm.bandwidth == pytest.approx(20e6, rel=0.01)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         OfdmConfig(num_subcarriers=1, subcarrier_spacing=120e3, num_symbols=12,
