@@ -4,8 +4,10 @@ Drives the full chain: trajectory sampling, path tracing (once per sample:
 both directions cross the same reciprocal channel), two-way signal
 synthesis with a fresh clock bias per exchange, delay-spectrum time-of-
 arrival estimation, round-trip ranging, and the three range error bounds
-per sweep sample.  All randomness derives from (seed, sample, trial), so
-results are independent of execution order.
+per sweep sample.  Each sweep sample draws its clock biases and the noise
+of both directions from three streams of its own, seeded by (seed, sample
+index), one trial after another: a sample's results do not depend on the
+other samples, and its first trials not on the trial count.
 """
 
 from __future__ import annotations
@@ -63,9 +65,15 @@ CSV_COLUMNS = (
 
 LINKS = ("rsu-vehicle", "rsu-bicycle", "vehicle-bicycle")
 
-# Monte Carlo trials whose symbol sums are formed and searched together;
-# bounds the memory of one batch independently of the trial count.
+# Monte Carlo trials whose symbol sums are searched together; bounds the
+# coarse-IDFT and zoom buffers of one batch independently of the trial count.
 _TRIAL_BATCH = 32
+
+# Largest delay-spectrum oversampling factor.  At 256 a bin is
+# c / (256 N_s subcarrier_spacing) = 5.8 cm for the default budget, against
+# a 15 m resolution cell, and a batch whose every row falls back to the
+# full spectrum allocates about 90 MB, growing linearly with the factor.
+_MAX_OVERSAMPLE = 256
 
 # Positioning fixes solved together, for the same reason.
 _FIX_BATCH = 1024
@@ -120,8 +128,9 @@ class RunConfig:
                              "64 sigma can overflow")
         if not 1.0 < self.beta < 2.0:
             raise ValueError(f"beta must lie in (1, 2), got {self.beta}")
-        if self.oversample < 1:
-            raise ValueError("oversample factor must be >= 1")
+        if not 1 <= self.oversample <= _MAX_OVERSAMPLE:
+            raise ValueError(f"oversample must lie in [1, {_MAX_OVERSAMPLE}], "
+                             f"got {self.oversample}")
         if self.peak_policy not in PEAK_POLICIES:
             raise ValueError(f"unknown peak policy {self.peak_policy!r}")
         if not (math.isfinite(self.first_peak_threshold_db)
@@ -252,31 +261,30 @@ def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap, true_range: float,
     arrivals modulo the alias period cancels it whatever its size.  Each
     arrival is collapsed to the length-N_s symbol sum that
     ``delay_spectrum`` would transform: its noiseless part from
-    ``mean_vector``, plus the trial's noise folded in by ``noise_sum``.  Its
-    peak is found by ``coarse_search`` and ``zoom``, and it is the bin that
+    ``mean_vector``, plus its noise drawn already summed by ``noise_sum``.
+    ``SeedSequence((seed, sample_idx))`` spawns the sample's bias, forward
+    and reverse noise streams, each drawn in trial order.  The peak is
+    found by ``coarse_search`` and ``zoom``, and it is the bin that
     ``estimate_toa`` picks on the full spectrum.  Both directions of up to
     ``_TRIAL_BATCH`` trials share one batch: row i is trial i's forward link
     and row n + i its reverse link.
     """
     period = ofdm.unambiguous_delay
+    bias_rng, fwd_rng, rev_rng = (np.random.default_rng(child) for child in
+                                  np.random.SeedSequence((cfg.seed, sample_idx)).spawn(3))
     sq_err = 0.0
     for start in range(0, cfg.trials, _TRIAL_BATCH):
-        trials = range(start, min(start + _TRIAL_BATCH, cfg.trials))
-        # Child i of SeedSequence((seed, sample, trial)).spawn(3), built directly.
-        bias_seeds, fwd_seeds, rev_seeds = (
-            [np.random.SeedSequence(entropy=(cfg.seed, sample_idx, trial_idx), spawn_key=(i,))
-             for trial_idx in trials]
-            for i in range(3))
-        biases = np.array([np.random.default_rng(seed).normal(0.0, cfg.clock_bias_std)
-                           for seed in bias_seeds])
+        n = min(_TRIAL_BATCH, cfg.trials - start)
+        biases = bias_rng.normal(0.0, cfg.clock_bias_std, n)
         c = mean_vector(snap, ofdm, window, np.concatenate([biases, -biases]),
                         doppler_enabled=cfg.doppler_enabled)
-        c += noise_sum(fwd_seeds + rev_seeds, pilots, ofdm, window)
+        c[:n] += noise_sum(fwd_rng, n, pilots, ofdm, window)
+        c[n:] += noise_sum(rev_rng, n, pilots, ofdm, window)
         zoom_start, zoom_width = coarse_search(c, cfg.oversample, cfg.peak_policy,
                                                cfg.first_peak_threshold_db)
         toas = zoom(c, zoom_start, zoom_width, ofdm, cfg.oversample, cfg.peak_policy,
                     cfg.first_peak_threshold_db).toa.tolist()
-        for toa_fwd, toa_rev in zip(toas[:len(trials)], toas[len(trials):]):
+        for toa_fwd, toa_rev in zip(toas[:n], toas[n:]):
             sq_err += (rtt_range(toa_fwd, toa_rev, period=period).distance - true_range) ** 2
     return math.sqrt(sq_err / cfg.trials)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -210,20 +209,17 @@ def mean_vector(channel: ChannelSnapshot, config: OfdmConfig, window: np.ndarray
     return _ramps(wrapped, config) * m
 
 
-def noise_sum(noise_seeds: Sequence, pilots: PilotGrid, config: OfdmConfig,
+def noise_sum(rng: np.random.Generator, rows: int, pilots: PilotGrid, config: OfdmConfig,
               window: np.ndarray) -> np.ndarray:
-    """Noise part of the symbol sums, one row per seed: B x N_s.
+    """Noise part of ``rows`` symbol sums, drawn from ``rng``: rows x N_s.
 
-    Row b is w[n] sum_t z_b[t, n] / p[t, n], where z_b is the noise grid that
-    ``synthesize_rx(..., noise_seed=noise_seeds[b])`` adds: one generator per
-    seed, real parts drawn first, then imaginary.
+    Pilots divide out exactly, so the symbol sum w[n] sum_t z[t, n] / p[t, n]
+    of the noise grid z that ``synthesize_rx`` adds is circular Gaussian
+    with variance w[n]^2 N0 sum_t 1/|p[t, n]|^2, independent across n.  It
+    is drawn in that form: 2 N_s normals per row, real parts first.
     """
-    n_sym, n_sub = pilots.symbols.shape
-    draws = np.empty((len(noise_seeds), 2, n_sym, n_sub))
-    for row, seed in zip(draws, noise_seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
-    # Weights of the real and imaginary draws: sum over both and over t.
-    weights = window * np.sqrt(noise_variance(config) / 2.0) / pilots.symbols
-    weights = np.stack([weights, 1j * weights])
-    return (np.einsum("bstn,stn->bn", draws, weights.real)
-            + 1j * np.einsum("bstn,stn->bn", draws, weights.imag))
+    n_sub = pilots.symbols.shape[1]
+    scale = window * np.sqrt(noise_variance(config) / 2.0
+                             * (np.abs(pilots.symbols) ** -2).sum(axis=0))
+    draws = rng.standard_normal((rows, 2, n_sub))
+    return scale * (draws[:, 0] + 1j * draws[:, 1])

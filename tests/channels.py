@@ -1,4 +1,4 @@
-"""Shared channel-building helpers for the test suite."""
+"""Shared channel-building and symbol-sum helpers for the test suite."""
 
 import numpy as np
 
@@ -11,6 +11,11 @@ def make_snapshot(paths, tx=None, rx=None):
     ``tx`` and ``rx`` only document a caller's link geometry: a snapshot
     holds its paths, not the poses of its ends."""
     return ChannelSnapshot(paths=tuple(sorted(paths, key=lambda p: p.delay)))
+
+
+def symbol_sum(rx, pilots, window):
+    """What delay_spectrum transforms: sum over symbols of window * rx / pilots."""
+    return (window * rx.symbols / pilots.symbols).sum(axis=0)
 
 
 def los_path(delay, gain=1.0 + 0j, velocity=0.0):

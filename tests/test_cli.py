@@ -242,6 +242,25 @@ def test_ranging_beyond_the_alias_range_rejected_before_the_first_sample(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("oversample", ["257", "10000"])
+def test_oversample_too_large_rejected_before_the_first_sample(oversample, tmp_path,
+                                                               monkeypatch, capsys):
+    # Beyond the cap, one batch of full-spectrum fallbacks can exhaust the
+    # memory partway through the sweep.
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep sample ran")
+
+    monkeypatch.setattr(harness, "trace_paths", never)
+    out = tmp_path / "x.csv"
+    assert main(["ranging", "--scenario", "1", "--link", "rsu-vehicle", "--trials", "32",
+                 "--oversample", oversample, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "oversample" in captured.err and oversample in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_clock_bias_std_that_can_overflow_rejected_before_the_first_sample(tmp_path,
                                                                          monkeypatch, capsys):
     # A draw of 1e308 * N(0, 1) overflows to inf as soon as |N(0, 1)| > 1.8.

@@ -11,7 +11,7 @@ import types
 import numpy as np
 import pytest
 
-from channels import make_snapshot
+from channels import make_snapshot, symbol_sum
 import slpos
 from slpos import estimation, harness
 from slpos.cli import main
@@ -52,7 +52,6 @@ from slpos.signal import (
     default_config,
     make_pilots,
     mean_vector,
-    noise_sum,
     synthesize_rx,
 )
 
@@ -82,6 +81,7 @@ def test_link_scenario_consistency():
     ("first_peak_threshold_db", -3.0),
     ("first_peak_threshold_db", math.inf),
     ("oversample", 0),
+    ("oversample", harness._MAX_OVERSAMPLE + 1),
     ("beta", 1.0),
     ("beta", 2.0),
     ("beta", math.nan),
@@ -89,6 +89,11 @@ def test_link_scenario_consistency():
 def test_estimator_knobs_validated_up_front(field, value):
     with pytest.raises(ValueError):
         RunConfig(scenario_id=1, link="rsu-vehicle", **{field: value})
+
+
+def test_largest_oversample_accepted():
+    assert RunConfig(scenario_id=1, link="rsu-vehicle",
+                     oversample=harness._MAX_OVERSAMPLE).oversample == 256
 
 
 def test_zero_first_peak_threshold_accepted():
@@ -241,10 +246,42 @@ def test_trial_batch_size_does_not_change_rmse(monkeypatch):
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
 
 
+def test_first_trials_do_not_depend_on_the_trial_count(monkeypatch):
+    # Each sample draws its trials one after another from its own streams,
+    # so a 40-trial sweep, whose second batch starts at trial 32, repeats
+    # the round trips of a 5-trial sweep as its first five per sample.
+    scenario = dataclasses.replace(build_scenario(2), measurement_interval=2.0)
+    distances = []
+
+    def recording_rtt_range(*args, **kwargs):
+        measurement = rtt_range(*args, **kwargs)
+        distances.append(measurement.distance)
+        return measurement
+
+    monkeypatch.setattr(harness, "rtt_range", recording_rtt_range)
+    per_sample = {}
+    for trials in (5, 40):
+        distances.clear()
+        cfg = RunConfig(scenario_id=2, link="vehicle-bicycle", trials=trials, seed=3)
+        n_samples = len(run_ranging_sweep(cfg, scenario=scenario))
+        assert len(distances) == trials * n_samples
+        per_sample[trials] = [distances[i * trials:i * trials + 5] for i in range(n_samples)]
+    assert 40 > harness._TRIAL_BATCH and n_samples > 3
+    assert per_sample[40] == per_sample[5]
+
+
 # Clock biases of 0, +-P/2 and beyond +-P, P = 1/subcarrier_spacing.
 _PERIOD = default_config().unambiguous_delay
 _BIASES = np.array([0.0, _PERIOD / 2, -_PERIOD / 2, 1.3 * _PERIOD, -2.7 * _PERIOD,
                     4e-7, -1e-6])
+
+
+def _scalar_noise_rows(seeds, pilots, ofdm, window):
+    """The scalar chain's noise-only symbol sums, one row per noise seed.
+    synthesize_rx is linear in its noise, so mean_vector's row plus row b
+    is the symbol sum of synthesize_rx(..., noise_seed=seeds[b])."""
+    return np.array([symbol_sum(synthesize_rx(make_snapshot([]), pilots, ofdm, noise_seed=seed),
+                                pilots, window) for seed in seeds])
 
 
 def _kernel_and_scalar_chain(scenario_id, link, policy, oversample, doppler):
@@ -264,7 +301,7 @@ def _kernel_and_scalar_chain(scenario_id, link, policy, oversample, doppler):
         seeds = [np.random.SeedSequence(entropy=(7, int(t * 10), row))
                  for row in range(len(biases))]
         c = mean_vector(snap, ofdm, window, biases, doppler_enabled=doppler)
-        c += noise_sum(seeds, pilots, ofdm, window)
+        c += _scalar_noise_rows(seeds, pilots, ofdm, window)
         start, width = coarse_search(c, oversample, policy, 6.0)
         zoomed = zoom(c, start, width, ofdm, oversample, policy, 6.0)
         spectra = [delay_spectrum(synthesize_rx(snap, pilots, ofdm, noise_seed=seed,
@@ -327,7 +364,7 @@ def test_noise_floor_rows_take_the_full_spectrum():
     pilots = make_pilots(ofdm, "all_ones")
     window = hamming_window(ofdm.num_subcarriers)
     seeds = [np.random.SeedSequence(entropy=(5, row)) for row in range(6)]
-    c = noise_sum(seeds, pilots, ofdm, window)
+    c = _scalar_noise_rows(seeds, pilots, ofdm, window)
     start, width = coarse_search(c, 16, "first_peak", 40.0)
     assert width.min() > estimation._MAX_ZOOM_BINS
     zoomed = zoom(c, start, width, ofdm, 16, "first_peak", 40.0)

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channels import echo_path, los_path, make_snapshot
+from channels import echo_path, los_path, make_snapshot, symbol_sum
 from slpos.estimation import hamming_window
 from slpos.signal import (
     OfdmConfig,
+    PilotGrid,
     default_config,
     make_pilots,
     mean_vector,
@@ -199,11 +202,6 @@ def test_delay_beyond_alias_period_rejected(ofdm, pilots):
         assert np.array_equal(a.symbols, b.symbols)
 
 
-def _symbol_sum(rx, pilots, window):
-    """What delay_spectrum transforms: sum over symbols of window * rx / pilots."""
-    return (window * rx.symbols / pilots.symbols).sum(axis=0)
-
-
 @pytest.mark.parametrize("doppler", [True, False])
 def test_mean_vector_is_the_noiseless_symbol_sum(ofdm, doppler):
     pilots = make_pilots(ofdm, "seeded_random_phase", seed=4)
@@ -215,8 +213,8 @@ def test_mean_vector_is_the_noiseless_symbol_sum(ofdm, doppler):
     rows = mean_vector(snap, ofdm, window, biases, doppler_enabled=doppler)
     assert rows.shape == (len(biases), ofdm.num_subcarriers)
     for row, bias in zip(rows, biases):
-        want = _symbol_sum(synthesize_rx(snap, pilots, ofdm, doppler_enabled=doppler,
-                                         clock_bias=bias), pilots, window)
+        want = symbol_sum(synthesize_rx(snap, pilots, ofdm, doppler_enabled=doppler,
+                                        clock_bias=bias), pilots, window)
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -226,18 +224,48 @@ def test_mean_vector_of_an_empty_channel_is_zero(ofdm):
     assert rows.shape == (3, ofdm.num_subcarriers) and not rows.any()
 
 
-def test_noise_sum_folds_the_scalar_noise_grid(ofdm):
-    # One generator per seed, real parts drawn first, then imaginary: the
-    # stream synthesize_rx adds, summed as delay_spectrum sums it.
-    pilots = make_pilots(ofdm, "seeded_random_phase", seed=4)
+def _chi2_interval(dof, z=5.3):
+    """Wilson-Hilferty bounds on chi2(dof) / dof, z standard deviations
+    out: each side is exceeded with probability about 6e-8."""
+    h = 2.0 / (9.0 * dof)
+    return tuple((1.0 - h + side * z * math.sqrt(h)) ** 3 for side in (-1.0, 1.0))
+
+
+def test_noise_sum_has_the_scalar_chain_symbol_sum_statistics(ofdm):
+    # Pilot amplitudes vary per symbol and subcarrier, so each subcarrier's
+    # variance w^2 N0 / 2 sum_t 1/|p[t, n]|^2 per part weighs every symbol.
+    rng = np.random.default_rng(4)
+    base = make_pilots(ofdm, "seeded_random_phase", seed=4)
+    pilots = PilotGrid(base.symbols * rng.uniform(0.3, 2.0, base.symbols.shape))
     window = hamming_window(ofdm.num_subcarriers)
-    seeds = [11, np.random.SeedSequence(entropy=(3, 1, 2), spawn_key=(1,))]
-    rows = noise_sum(seeds, pilots, ofdm, window)
-    assert rows.shape == (2, ofdm.num_subcarriers)
-    for row, seed in zip(rows, seeds):
-        want = _symbol_sum(synthesize_rx(make_snapshot([]), pilots, ofdm, noise_seed=seed),
-                           pilots, window)
-        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    var = window ** 2 * noise_variance(ofdm) / 2.0 * (np.abs(pilots.symbols) ** -2).sum(axis=0)
+
+    rows = 4000
+    z = noise_sum(np.random.default_rng(11), rows, pilots, ofdm, window)
+    assert z.shape == (rows, ofdm.num_subcarriers)
+    lo, hi = _chi2_interval(rows)
+    for part in (z.real, z.imag):
+        # Zero-mean parts: rows * (mean square) / var is chi2(rows) per subcarrier.
+        ratio = (part ** 2).mean(axis=0) / var
+        assert lo <= ratio.min() and ratio.max() <= hi, (ratio.min(), ratio.max())
+    # Independent parts: rows * rho^2 is about chi2(1), below z^2 = 28.1.
+    rho = (z.real * z.imag).sum(axis=0) / np.sqrt((z.real ** 2).sum(axis=0)
+                                                  * (z.imag ** 2).sum(axis=0))
+    assert np.max(rows * rho ** 2) <= 5.3 ** 2
+
+    # The scalar chain's noise-only symbol sums over as many noise seeds:
+    # sum_n |s_n|^2 / var_n is chi2(2 N_s) per seed, in both chains.
+    seeds = 3000
+    scalar = np.array([symbol_sum(synthesize_rx(make_snapshot([]), pilots, ofdm,
+                                                 noise_seed=seed), pilots, window)
+                       for seed in range(seeds)])
+    lo, hi = _chi2_interval(2 * seeds)
+    per_subcarrier = (np.abs(scalar) ** 2).mean(axis=0) / (2.0 * var)
+    assert lo <= per_subcarrier.min() and per_subcarrier.max() <= hi
+    lo, hi = _chi2_interval(2 * seeds * ofdm.num_subcarriers)
+    assert lo <= per_subcarrier.mean() <= hi
+    lo, hi = _chi2_interval(2 * rows * ofdm.num_subcarriers)
+    assert lo <= ((np.abs(z) ** 2).mean(axis=0) / (2.0 * var)).mean() <= hi
 
 
 def test_pilot_grid_shape_mismatch_rejected(ofdm):
