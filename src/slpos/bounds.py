@@ -19,6 +19,12 @@ over all samples.  Three meter-domain range error bounds (REBs) follow:
 
 Doppler rotations are treated as known constants and do not appear in the
 parameterization.
+
+The line-of-sight and weighted-average bounds, and the all-paths bound of a
+one-path cell, each concern a single path.  Its delay bound does not depend
+on its delay and takes a closed form in the pilot moments
+(``_single_path_crb``); only cells of two or more paths build the FIM and
+invert it.
 """
 
 from __future__ import annotations
@@ -136,11 +142,45 @@ class BoundReport:
     destructive_interference: bool = False
 
 
+def _single_path_crb(gain: complex, pilots: PilotGrid, config: OfdmConfig) -> float:
+    """``crb_delay(fim([path], pilots, config))`` in closed form, for a lone
+    path of gain ``gain`` at any delay.
+
+    With pilot moments P_k = sum_{t,n} |s_{t,n}|^2 n^k, the delay's Fisher
+    information is (2 / N0) |g|^2 (2 pi spacing)^2 P2, its correlation with
+    the gain rho = P1 / sqrt(P0 P2), and the variance bound
+
+        N0 / (2 |g|^2 (2 pi spacing)^2 (P2 - P1^2 / P0)).
+
+    The equilibrated FIM has eigenvalues 1 and 1 +- rho, so as in
+    ``crb_delay`` the bound is inf when (1 + rho) / (1 - rho) exceeds
+    ``_CONDITION_CUTOFF`` or the information is not positive.
+    """
+    energy = (pilots.symbols.real ** 2 + pilots.symbols.imag ** 2).sum(axis=0)
+    n = np.arange(energy.size, dtype=float)
+    p0, p1, p2 = float(energy.sum()), float(energy @ n), float(energy @ (n * n))
+    amplitude = abs(gain)
+    if not (p0 > 0 and p2 > 0 and amplitude > 0):
+        return math.inf
+    rho = p1 / math.sqrt(p0 * p2)
+    if not rho < 1.0 or (1.0 + rho) / (1.0 - rho) > _CONDITION_CUTOFF:
+        return math.inf
+    ramp = 2.0 * math.pi * config.subcarrier_spacing
+    unit_info = (2.0 / noise_variance(config)) * (ramp * ramp) * (p2 - p1 * p1 / p0)
+    # Dividing by the amplitude twice keeps a tiny gain's |g|^2 from
+    # underflowing; a subnormal one overflows the bound to inf.
+    return 1.0 / unit_info / amplitude / amplitude
+
+
 def _reb(paths: list[PathComponent] | tuple[PathComponent, ...], pilots: PilotGrid,
          config: OfdmConfig, bias_s: float = 0.0) -> float:
     """c * sqrt(delay CRB of ``paths[0]`` + ``bias_s``^2) in meters, or inf
-    when the joint FIM of ``paths`` is near-singular."""
-    variance = crb_delay(fim(paths, pilots, config))
+    when the joint FIM of ``paths`` is near-singular.  A lone path takes the
+    closed form; several go through ``fim`` and ``crb_delay``."""
+    if len(paths) == 1:
+        variance = _single_path_crb(paths[0].gain, pilots, config)
+    else:
+        variance = crb_delay(fim(paths, pilots, config))
     if not math.isfinite(variance):
         return math.inf
     return SPEED_OF_LIGHT * math.sqrt(variance + bias_s ** 2)

@@ -8,6 +8,11 @@ per sweep sample.  Each sweep sample draws its clock biases and the noise
 of both directions from three streams of its own, seeded by (seed, sample
 index), one trial after another: a sample's results do not depend on the
 other samples, and its first trials not on the trial count.
+
+A sweep traces and bounds every sample first.  Its round trips then fill
+peak-search batches of ``_TRIAL_BATCH`` in (sample, trial) order, so with
+few trials per sample one coarse search and one zoom serve several
+samples; each sample still sums its own squared errors in trial order.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .positioning import (
     solve_fixes,
 )
 from .propagation import (
+    ChannelSnapshot,
     Pose,
     ScenarioConfig,
     bicycle_horizon,
@@ -54,6 +60,7 @@ from .signal import (
     default_config,
     make_pilots,
     mean_vector,
+    noise_scale,
     noise_sum,
     synthesize_rx,  # noqa: F401 - the benchmark tracer wraps harness.synthesize_rx
 )
@@ -65,8 +72,9 @@ CSV_COLUMNS = (
 
 LINKS = ("rsu-vehicle", "rsu-bicycle", "vehicle-bicycle")
 
-# Monte Carlo trials whose symbol sums are searched together; bounds the
-# coarse-IDFT and zoom buffers of one batch independently of the trial count.
+# Monte Carlo round trips whose symbol sums are searched together, filled
+# across sweep samples; bounds the coarse-IDFT and zoom buffers of one batch
+# (2 _TRIAL_BATCH rows) independently of the trial and sample counts.
 _TRIAL_BATCH = 32
 
 # Largest delay-spectrum oversampling factor.  At 256 a bin is
@@ -204,7 +212,8 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
            monte_carlo: bool) -> list[CurvePoint]:
     """One point per trajectory sample.  The link channel is traced once per
     sample; it gives the bounds and, with ``monte_carlo``, both directions
-    of ``cfg.trials`` round trips, whose RMSE is reported (else NaN).  With
+    of ``cfg.trials`` round trips, whose RMSE is reported (else NaN).  Every
+    sample is traced and bounded before the Monte Carlo starts.  With
     ``monte_carlo``, a link whose range reaches c / (2 subcarrier_spacing),
     where round trips alias, is rejected before the first trace."""
     if cfg.output_path is not None:
@@ -228,10 +237,9 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
         raise ValueError(f"link {cfg.link} reaches {farthest:.1f} m, but a round trip is "
                          f"unambiguous only below c / (2 subcarrier_spacing) = {limit:.1f} m")
 
-    points: list[CurvePoint] = []
-    for sample_idx, (t, end_a, end_b, coord, true_range) in enumerate(samples):
+    traced = []
+    for t, end_a, end_b, *_ in samples:
         snap = trace_paths(end_a, end_b, scenario, ofdm.wavelength, time=t)
-
         if snap.has_los:
             report = reb_waa(snap, pilots, ofdm, beta=cfg.beta)
             bounds = (report.reb_los_only, report.reb_all_paths, report.reb_waa,
@@ -240,53 +248,88 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
         else:
             bounds = (math.nan,) * 4
             n_cell = 0
+        traced.append((snap, bounds, n_cell))
 
-        rmse = math.nan
-        if monte_carlo:
-            rmse = _monte_carlo_rmse(cfg, sample_idx, snap, true_range, pilots, ofdm, window)
-        points.append(CurvePoint(coord, true_range, rmse, *bounds,
-                                 len(snap.paths), n_cell, snap.has_los))
+    true_ranges = [sample[-1] for sample in samples]
+    rmses = [math.nan] * n_samples
+    if monte_carlo:
+        rmses = _monte_carlo_rmse(cfg, [snap for snap, _, _ in traced], true_ranges,
+                                  pilots, ofdm, window)
+    points = [CurvePoint(coord, true_range, rmse, *bounds, len(snap.paths), n_cell,
+                         snap.has_los)
+              for (*_, coord, true_range), rmse, (snap, bounds, n_cell)
+              in zip(samples, rmses, traced)]
 
     if cfg.output_path is not None:
         export_csv(points, cfg.output_path)
     return points
 
 
-def _monte_carlo_rmse(cfg: RunConfig, sample_idx: int, snap, true_range: float,
-                      pilots, ofdm: OfdmConfig, window) -> float:
-    """RMSE of the round-trip distance over ``cfg.trials`` exchanges.
+def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
+                      true_ranges: Sequence[float], pilots, ofdm: OfdmConfig,
+                      window) -> list[float]:
+    """RMSE of the round-trip distance over ``cfg.trials`` exchanges, per sample.
 
-    The channel is reciprocal, so ``snap`` serves both directions; the
-    clock bias flips sign on the reverse link, and combining the two
-    arrivals modulo the alias period cancels it whatever its size.  Each
-    arrival is collapsed to the length-N_s symbol sum that
+    The channel is reciprocal, so a sample's snapshot serves both
+    directions; the clock bias flips sign on the reverse link, and
+    combining the two arrivals modulo the alias period cancels it whatever
+    its size.  Each arrival is collapsed to the length-N_s symbol sum that
     ``delay_spectrum`` would transform: its noiseless part from
     ``mean_vector``, plus its noise drawn already summed by ``noise_sum``.
-    ``SeedSequence((seed, sample_idx))`` spawns the sample's bias, forward
-    and reverse noise streams, each drawn in trial order.  The peak is
-    found by ``coarse_search`` and ``zoom``, and it is the bin that
-    ``estimate_toa`` picks on the full spectrum.  Both directions of up to
-    ``_TRIAL_BATCH`` trials share one batch: row i is trial i's forward link
-    and row n + i its reverse link.
+    ``SeedSequence((seed, sample_idx))`` spawns each sample's bias, forward
+    and reverse noise streams, each drawn in trial order.  Round trips fill
+    batches of ``_TRIAL_BATCH`` in (sample, trial) order, so a batch may
+    span samples and a sample may span batches; each batch's peaks are
+    found by one ``coarse_search`` and one ``zoom`` (``_search_batch``),
+    and each is the bin that ``estimate_toa`` picks on the full spectrum.
+    """
+    scale = noise_scale(pilots, ofdm, window)
+    sq_err = [0.0] * len(snaps)
+    batch: list[tuple[int, np.ndarray]] = []
+    filled = 0
+    for sample_idx, snap in enumerate(snaps):
+        bias_rng, fwd_rng, rev_rng = (np.random.default_rng(child) for child in
+                                      np.random.SeedSequence((cfg.seed, sample_idx)).spawn(3))
+        left = cfg.trials
+        while left:
+            n = min(left, _TRIAL_BATCH - filled)
+            biases = bias_rng.normal(0.0, cfg.clock_bias_std, n)
+            c = mean_vector(snap, ofdm, window, np.concatenate([biases, -biases]),
+                            doppler_enabled=cfg.doppler_enabled)
+            c[:n] += noise_sum(fwd_rng, n, scale)
+            c[n:] += noise_sum(rev_rng, n, scale)
+            batch.append((sample_idx, c))
+            filled += n
+            left -= n
+            if filled == _TRIAL_BATCH:
+                _search_batch(cfg, ofdm, batch, true_ranges, sq_err)
+                batch, filled = [], 0
+    if batch:
+        _search_batch(cfg, ofdm, batch, true_ranges, sq_err)
+    return [math.sqrt(total / cfg.trials) for total in sq_err]
+
+
+def _search_batch(cfg: RunConfig, ofdm: OfdmConfig, batch: list[tuple[int, np.ndarray]],
+                  true_ranges: Sequence[float], sq_err: list[float]) -> None:
+    """Add the squared round-trip errors of ``batch`` to ``sq_err``.
+
+    ``batch`` holds (sample index, 2n x N_s symbol sums) in trial order,
+    each with its n forward rows before its n reverse rows.  All forward
+    rows, then all reverse rows, are searched as one B x N_s block.
     """
     period = ofdm.unambiguous_delay
-    bias_rng, fwd_rng, rev_rng = (np.random.default_rng(child) for child in
-                                  np.random.SeedSequence((cfg.seed, sample_idx)).spawn(3))
-    sq_err = 0.0
-    for start in range(0, cfg.trials, _TRIAL_BATCH):
-        n = min(_TRIAL_BATCH, cfg.trials - start)
-        biases = bias_rng.normal(0.0, cfg.clock_bias_std, n)
-        c = mean_vector(snap, ofdm, window, np.concatenate([biases, -biases]),
-                        doppler_enabled=cfg.doppler_enabled)
-        c[:n] += noise_sum(fwd_rng, n, pilots, ofdm, window)
-        c[n:] += noise_sum(rev_rng, n, pilots, ofdm, window)
-        zoom_start, zoom_width = coarse_search(c, cfg.oversample, cfg.peak_policy,
-                                               cfg.first_peak_threshold_db)
-        toas = zoom(c, zoom_start, zoom_width, ofdm, cfg.oversample, cfg.peak_policy,
-                    cfg.first_peak_threshold_db).toa.tolist()
-        for toa_fwd, toa_rev in zip(toas[:n], toas[n:]):
-            sq_err += (rtt_range(toa_fwd, toa_rev, period=period).distance - true_range) ** 2
-    return math.sqrt(sq_err / cfg.trials)
+    fwd = [rows[:len(rows) // 2] for _, rows in batch]
+    rev = [rows[len(rows) // 2:] for _, rows in batch]
+    c = np.concatenate(fwd + rev)
+    zoom_start, zoom_width = coarse_search(c, cfg.oversample, cfg.peak_policy,
+                                           cfg.first_peak_threshold_db)
+    toas = zoom(c, zoom_start, zoom_width, ofdm, cfg.oversample, cfg.peak_policy,
+                cfg.first_peak_threshold_db).toa.tolist()
+    owners = [sample_idx for (sample_idx, _), rows in zip(batch, fwd) for _ in rows]
+    b = len(owners)
+    for sample_idx, toa_fwd, toa_rev in zip(owners, toas[:b], toas[b:]):
+        sq_err[sample_idx] += (rtt_range(toa_fwd, toa_rev, period=period).distance
+                               - true_ranges[sample_idx]) ** 2
 
 
 @dataclass(frozen=True)

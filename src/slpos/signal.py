@@ -209,17 +209,23 @@ def mean_vector(channel: ChannelSnapshot, config: OfdmConfig, window: np.ndarray
     return _ramps(wrapped, config) * m
 
 
-def noise_sum(rng: np.random.Generator, rows: int, pilots: PilotGrid, config: OfdmConfig,
-              window: np.ndarray) -> np.ndarray:
-    """Noise part of ``rows`` symbol sums, drawn from ``rng``: rows x N_s.
+def noise_scale(pilots: PilotGrid, config: OfdmConfig, window: np.ndarray) -> np.ndarray:
+    """Per-subcarrier standard deviation of each part of a noise symbol sum.
 
     Pilots divide out exactly, so the symbol sum w[n] sum_t z[t, n] / p[t, n]
     of the noise grid z that ``synthesize_rx`` adds is circular Gaussian
-    with variance w[n]^2 N0 sum_t 1/|p[t, n]|^2, independent across n.  It
-    is drawn in that form: 2 N_s normals per row, real parts first.
+    with variance w[n]^2 N0 sum_t 1/|p[t, n]|^2, independent across n:
+    returns w[n] sqrt(N0 / 2 sum_t 1/|p[t, n]|^2), length N_s.
     """
-    n_sub = pilots.symbols.shape[1]
-    scale = window * np.sqrt(noise_variance(config) / 2.0
-                             * (np.abs(pilots.symbols) ** -2).sum(axis=0))
-    draws = rng.standard_normal((rows, 2, n_sub))
+    return window * np.sqrt(noise_variance(config) / 2.0
+                            * (np.abs(pilots.symbols) ** -2).sum(axis=0))
+
+
+def noise_sum(rng: np.random.Generator, rows: int, scale: np.ndarray) -> np.ndarray:
+    """Noise part of ``rows`` symbol sums, drawn from ``rng``: rows x N_s.
+
+    ``scale`` is ``noise_scale``'s; each row takes 2 N_s normals, real
+    parts first.
+    """
+    draws = rng.standard_normal((rows, 2, len(scale)))
     return scale * (draws[:, 0] + 1j * draws[:, 1])

@@ -9,6 +9,7 @@ from channels import echo_path, los_path, make_snapshot, random_multipath
 from oracle_fim import finite_difference_fim
 from slpos.bounds import (
     BoundReport,
+    _single_path_crb,
     crb_delay,
     fim,
     reb_all_paths,
@@ -18,7 +19,7 @@ from slpos.bounds import (
 )
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.propagation import Vec3, friis_gain
-from slpos.signal import OfdmConfig, default_config, make_pilots
+from slpos.signal import OfdmConfig, PilotGrid, default_config, make_pilots
 
 
 def friis_los_snapshot(distance_m, ofdm):
@@ -115,6 +116,43 @@ def test_crb_rejects_nonsquare():
 
 def test_crb_nonpositive_diagonal_is_infinite():
     assert crb_delay(np.diag([0.0, 1.0])) == math.inf
+
+
+# --- one-path closed form ------------------------------------------------------
+
+def _pilot_grid(ofdm, kind):
+    if kind == "varying_amplitude":
+        base = make_pilots(ofdm, "seeded_random_phase", seed=5)
+        amplitudes = np.random.default_rng(6).uniform(0.3, 2.0, base.symbols.shape)
+        return PilotGrid(base.symbols * amplitudes)
+    return make_pilots(ofdm, kind, seed=5)
+
+
+@pytest.mark.parametrize("kind", ["all_ones", "seeded_random_phase", "varying_amplitude"])
+def test_single_path_closed_form_matches_the_fim(ofdm, kind):
+    pilots = _pilot_grid(ofdm, kind)
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        delay = float(rng.uniform(0.0, 0.99 * ofdm.unambiguous_delay))
+        gain = complex(10 ** rng.uniform(-9.0, 0.0) * np.exp(2j * np.pi * rng.uniform()))
+        want = crb_delay(fim([los_path(delay, gain)], pilots, ofdm))
+        assert 0 < want < math.inf
+        assert _single_path_crb(gain, pilots, ofdm) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_single_path_closed_form_is_infinite_without_information(ofdm, pilots):
+    # A subnormal gain carries no delay information, nor does pilot energy
+    # on a single subcarrier: at subcarrier 0 the delay column vanishes, and
+    # elsewhere it is parallel to the gain columns.
+    cases = [(complex(5e-324, 0.0), pilots), (complex(0.0, -1e-310), pilots)]
+    for k in (0, 80):
+        symbols = np.zeros_like(pilots.symbols)
+        symbols[:, k] = pilots.symbols[:, k]
+        cases.append((0.3 + 0.1j, PilotGrid(symbols)))
+    for gain, grid in cases:
+        assert crb_delay(fim([los_path(150e-9, gain)], grid, ofdm)) == math.inf
+        assert _single_path_crb(gain, grid, ofdm) == math.inf
+        assert reb_los_only(make_snapshot([los_path(150e-9, gain)]), grid, ofdm) == math.inf
 
 
 # --- resolution cell ---------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from channels import make_snapshot, symbol_sum
 import slpos
 from slpos import estimation, harness
+from slpos.bounds import fim
 from slpos.cli import main
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.estimation import (
@@ -244,6 +245,80 @@ def test_trial_batch_size_does_not_change_rmse(monkeypatch):
     single = [p.rmse for p in run_ranging_sweep(cfg, scenario=scenario)]
     assert len(batched) > 5
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+
+
+def _mixed_scenario(measurement_interval):
+    """Scenario 2 without the ground bounce, plus a slab that blocks the
+    start of the sweep: blocked samples, one-path cells and two-path cells."""
+    base = build_scenario(2)
+    slab = BuildingBox(Vec3(-7.0, -38.0, 15.0), Vec3(4.0, 4.0, 15.0))
+    return dataclasses.replace(base, buildings=base.buildings + (slab,),
+                               ground_reflection_coeff=0.0,
+                               measurement_interval=measurement_interval)
+
+
+@pytest.mark.parametrize("trials", [5, 10, 33, 100])
+def test_peak_search_batches_are_filled_across_samples(trials, monkeypatch):
+    # Round trips fill each batch in (sample, trial) order, whatever the
+    # trial count, so no coarse search sees more than 2 _TRIAL_BATCH rows
+    # and only the last batch is short.
+    rows = []
+
+    def recording_coarse_search(c, *args, **kwargs):
+        rows.append(len(c))
+        return coarse_search(c, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "coarse_search", recording_coarse_search)
+    cfg = RunConfig(scenario_id=2, link="vehicle-bicycle", trials=trials, seed=4)
+    n_samples = len(run_ranging_sweep(cfg, scenario=_mixed_scenario(1.0)))
+    assert max(rows) <= 2 * harness._TRIAL_BATCH
+    assert sum(rows) == 2 * trials * n_samples
+    assert rows[:-1] == [2 * harness._TRIAL_BATCH] * (len(rows) - 1)
+
+
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+def test_batches_spanning_samples_keep_each_samples_rmse(policy, monkeypatch):
+    # Seven trials per sample put most samples' round trips in batches
+    # shared with their neighbours; a narrow zoom makes some rows fall back
+    # to the full spectrum.  Every RMSE equals that of one-trial batches.
+    monkeypatch.setattr(estimation, "_zoom_half_width", lambda n_sub, oversample: 1)
+    monkeypatch.setattr(estimation, "_SCALLOP_MARGIN_DB", 0.0)
+    fallbacks = []
+
+    def recording_zoom(*args, **kwargs):
+        zoomed = zoom(*args, **kwargs)
+        fallbacks.extend(zoomed.fallback.tolist())
+        return zoomed
+
+    monkeypatch.setattr(harness, "zoom", recording_zoom)
+    cfg = RunConfig(scenario_id=2, link="vehicle-bicycle", trials=7, seed=11,
+                    peak_policy=policy)
+    scenario = _mixed_scenario(0.5)
+    batched = run_ranging_sweep(cfg, scenario=scenario)
+    assert 0 < sum(fallbacks) < len(fallbacks)
+    kinds = {(p.los_present, p.n_cell_paths) for p in batched}
+    assert {(False, 0), (True, 1), (True, 2)} <= kinds
+    monkeypatch.setattr(harness, "_TRIAL_BATCH", 1)
+    single = run_ranging_sweep(cfg, scenario=scenario)
+    np.testing.assert_allclose([p.rmse for p in batched], [p.rmse for p in single],
+                               rtol=1e-12, atol=0)
+
+
+def test_bounds_sweep_builds_a_fim_only_for_cells_of_several_paths(monkeypatch):
+    # One-path bounds take the closed form: the line-of-sight and merged-path
+    # bounds always, the all-paths bound of a one-path cell too.
+    cell_sizes = []
+
+    def counting_fim(paths, *args, **kwargs):
+        cell_sizes.append(len(paths))
+        return fim(paths, *args, **kwargs)
+
+    monkeypatch.setattr("slpos.bounds.fim", counting_fim)
+    points = run_bounds_sweep(RunConfig(scenario_id=2, link="vehicle-bicycle"),
+                              scenario=_mixed_scenario(0.5))
+    assert cell_sizes == [p.n_cell_paths for p in points
+                          if p.los_present and p.n_cell_paths >= 2]
+    assert 0 < len(cell_sizes) < sum(p.los_present for p in points) < len(points)
 
 
 def test_first_trials_do_not_depend_on_the_trial_count(monkeypatch):

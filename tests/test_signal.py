@@ -13,6 +13,7 @@ from slpos.signal import (
     default_config,
     make_pilots,
     mean_vector,
+    noise_scale,
     noise_sum,
     noise_variance,
     synthesize_rx,
@@ -241,7 +242,7 @@ def test_noise_sum_has_the_scalar_chain_symbol_sum_statistics(ofdm):
     var = window ** 2 * noise_variance(ofdm) / 2.0 * (np.abs(pilots.symbols) ** -2).sum(axis=0)
 
     rows = 4000
-    z = noise_sum(np.random.default_rng(11), rows, pilots, ofdm, window)
+    z = noise_sum(np.random.default_rng(11), rows, noise_scale(pilots, ofdm, window))
     assert z.shape == (rows, ofdm.num_subcarriers)
     lo, hi = _chi2_interval(rows)
     for part in (z.real, z.imag):
