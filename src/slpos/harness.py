@@ -353,31 +353,26 @@ class PositioningSummary:
     scores: tuple[RequirementScore, ...]
 
 
-def _range_noise(seed: int, start: int, stop: int, n_anchors: int) -> np.ndarray:
-    """Unit-variance range noise of fixes start..stop-1, one (seed, fix) stream each."""
-    draws = np.empty((stop - start, n_anchors))
-    for row, trial in zip(draws, range(start, stop)):
-        np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial))).standard_normal(
-            out=row)
-    return draws
-
-
 def run_positioning_demo(anchors: Sequence[Anchor], true_point,
                          sigma: float, trials: int, seed: int = 0,
                          dim: int = 2) -> PositioningSummary:
     """Monte Carlo position RMSE on a synthetic anchor layout.
 
-    Per trial, ranges get i.i.d. Gaussian noise from the trial's own
-    (seed, trial) stream, the closed-form initializer seeds the Gauss-Newton
-    solve (``solve_fixes``, up to ``_FIX_BATCH`` trials at a time), and the
-    position error is scored against each requirement set: the loose rate
-    is the fraction of trials within the coarse accuracy bound (compared to
-    the lower confidence), the strict rate the fraction within the fine
-    bound (compared to the upper confidence).  A layout or noise level whose
-    squared ranges overflow is rejected before any result is returned.
+    Per trial, ranges get i.i.d. Gaussian noise, the closed-form initializer
+    seeds the Gauss-Newton solve (``solve_fixes``, up to ``_FIX_BATCH``
+    trials at a time), and the position error is scored against each
+    requirement set: the loose rate is the fraction of trials within the
+    coarse accuracy bound (compared to the lower confidence), the strict
+    rate the fraction within the fine bound (compared to the upper
+    confidence).  One stream per run, ``default_rng(seed)``, draws the
+    noise fix after fix, so a fix's noise depends neither on the trial
+    count nor on the chunking.  A layout or noise level whose squared
+    ranges overflow is rejected before any result is returned.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("range noise sigma must be finite and nonnegative")
     if dim not in (2, 3):
@@ -394,14 +389,13 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
     if np.any(true_ranges == 0):
         raise ValueError("true point coincides with an anchor")
 
+    rng = np.random.default_rng(seed)
     errors = np.empty(trials)
     unconverged = 0
     for start in range(0, trials, _FIX_BATCH):
         stop = min(start + _FIX_BATCH, trials)
-        noisy = np.tile(true_ranges, (stop - start, 1))
-        if sigma > 0:
-            noisy += _range_noise(seed, start, stop, len(anchors)) * sigma
         with np.errstate(over="ignore", invalid="ignore"):
+            noisy = true_ranges + sigma * rng.standard_normal((stop - start, len(anchors)))
             fixes, costs, _, converged = solve_fixes(anchor_xyz, np.maximum(noisy, 0.0))
             errors[start:stop] = np.linalg.norm(fixes - true, axis=1)
         unconverged += int(np.count_nonzero(~converged))

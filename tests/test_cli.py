@@ -64,6 +64,19 @@ def test_position_subcommand(tmp_path, capsys):
     assert "set3 (0.1-0.5 m, 95%-99%)" in out
 
 
+def test_position_negative_seed_rejected_by_name_before_any_fix(tmp_path, monkeypatch,
+                                                                capsys):
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
+    calls = []
+    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
+    assert main(["position", "--anchors", str(anchors), "--sigma", "1", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "slpos: configuration error: seed must be nonnegative\n"
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_check_subcommand(capsys):
     assert main(["check", "--vmax", "14", "--accuracy", "3"]) == 0
     out = capsys.readouterr().out
@@ -134,6 +147,7 @@ def test_io_failure_exits_2(capsys):
     ["position", "--sigma", "1", "--true-point", "0,0,0"],
     ["position", "--sigma", "1", "--true-point", "10,10,5"],
     ["position", "--sigma", "1e160"],
+    ["position", "--sigma", "1e308"],
     ["position", "--sigma", "1", "--true-point", "1e200,0,0"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "4000"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db", "4000"],
