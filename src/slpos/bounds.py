@@ -65,9 +65,6 @@ def fim(paths: list[PathComponent] | tuple[PathComponent, ...], pilots: PilotGri
     if not paths:
         raise ValueError("FIM requires at least one path")
     n0 = noise_variance(config)
-    if not n0 > 0:
-        raise ValueError("noise variance must be positive")
-
     n_sym, n_sub = pilots.symbols.shape
     n = np.arange(n_sub)
     columns = []

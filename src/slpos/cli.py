@@ -24,7 +24,7 @@ from .harness import (
 )
 from .positioning import Anchor
 from .propagation import Vec3, build_scenario, scenario_from_text, scenario_to_text
-from .signal import default_config
+from .signal import OfdmConfig, default_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -121,6 +121,17 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _radio_budget(tx_power_dbm: float, noise_figure_db: float) -> OfdmConfig:
+    """The default waveform with ``--tx-power-dbm`` and ``--noise-figure-db``."""
+    try:
+        tx_power = 10 ** (tx_power_dbm / 10.0) * 1e-3
+    except OverflowError:
+        raise ValueError(f"--tx-power-dbm {tx_power_dbm} overflows the transmit "
+                         "power") from None
+    return dataclasses.replace(default_config(), tx_power=tx_power,
+                               noise_figure_db=noise_figure_db)
+
+
 def _cmd_sweep(args: argparse.Namespace, monte_carlo: bool) -> int:
     scenario = None
     if args.scenario_file:
@@ -128,13 +139,7 @@ def _cmd_sweep(args: argparse.Namespace, monte_carlo: bool) -> int:
             scenario = scenario_from_text(handle.read())
         if scenario.scenario_id != args.scenario:
             raise ValueError("scenario file id does not match --scenario")
-    try:
-        tx_power = 10 ** (args.tx_power_dbm / 10.0) * 1e-3
-    except OverflowError:
-        raise ValueError(f"--tx-power-dbm {args.tx_power_dbm} overflows the transmit "
-                         "power") from None
-    ofdm = dataclasses.replace(default_config(), tx_power=tx_power,
-                               noise_figure_db=args.noise_figure_db)
+    ofdm = _radio_budget(args.tx_power_dbm, args.noise_figure_db)
     if monte_carlo:
         cfg = RunConfig(
             scenario_id=args.scenario, link=args.link, trials=args.trials,

@@ -83,8 +83,13 @@ _TRIAL_BATCH = 32
 # full spectrum allocates about 90 MB, growing linearly with the factor.
 _MAX_OVERSAMPLE = 256
 
-# Positioning fixes solved together, for the same reason.
+# Positioning fixes solved together, bounding the solver's buffers as
+# _TRIAL_BATCH bounds the peak search's.
 _FIX_BATCH = 1024
+
+# Largest sweep sample count, about 3,000 times the 351-sample rsu-bicycle
+# sweep: every sample's snapshot is held before the Monte Carlo starts.
+_MAX_SAMPLES = 10**6
 
 # Largest clock bias standard deviation (s): a bias draw overflows to inf
 # only beyond 64 sigma.  Only the bias modulo the alias period matters.
@@ -223,7 +228,12 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     pilots = make_pilots(ofdm, "all_ones")
     window = hamming_window(ofdm.num_subcarriers)
     horizon = _link_horizon(cfg, scenario)
-    n_samples = int(round(horizon / scenario.measurement_interval)) + 1
+    steps = horizon / scenario.measurement_interval
+    if not (math.isfinite(steps) and round(steps) + 1 <= _MAX_SAMPLES):
+        raise ValueError(f"measurement_interval={scenario.measurement_interval} s over the "
+                         f"{horizon:.4g} s horizon of link {cfg.link} gives more than "
+                         f"{_MAX_SAMPLES} sweep samples")
+    n_samples = int(round(steps)) + 1
 
     samples = []
     for sample_idx in range(n_samples):
@@ -279,57 +289,43 @@ def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
     ``SeedSequence((seed, sample_idx))`` spawns each sample's bias, forward
     and reverse noise streams, each drawn in trial order.  Round trips fill
     batches of ``_TRIAL_BATCH`` in (sample, trial) order, so a batch may
-    span samples and a sample may span batches; each batch's peaks are
-    found by one ``coarse_search`` and one ``zoom`` (``_search_batch``),
-    and each is the bin that ``estimate_toa`` picks on the full spectrum.
+    span samples and a sample may span batches.  A full batch, or the last
+    one, stacks all its forward rows over all its reverse rows; one
+    ``coarse_search`` and one ``zoom`` find their peaks, each the bin that
+    ``estimate_toa`` picks on the full spectrum, and every round trip's
+    squared error goes to the sample that owns it.
     """
     scale = noise_scale(pilots, ofdm, window)
+    period = ofdm.unambiguous_delay
     sq_err = [0.0] * len(snaps)
-    batch: list[tuple[int, np.ndarray]] = []
-    filled = 0
+    owners: list[int] = []
+    fwd: list[np.ndarray] = []
+    rev: list[np.ndarray] = []
     for sample_idx, snap in enumerate(snaps):
         bias_rng, fwd_rng, rev_rng = (np.random.default_rng(child) for child in
                                       np.random.SeedSequence((cfg.seed, sample_idx)).spawn(3))
         left = cfg.trials
         while left:
-            n = min(left, _TRIAL_BATCH - filled)
+            n = min(left, _TRIAL_BATCH - len(owners))
             biases = bias_rng.normal(0.0, cfg.clock_bias_std, n)
             c = mean_vector(snap, ofdm, window, np.concatenate([biases, -biases]),
                             doppler_enabled=cfg.doppler_enabled)
-            c[:n] += noise_sum(fwd_rng, n, scale)
-            c[n:] += noise_sum(rev_rng, n, scale)
-            batch.append((sample_idx, c))
-            filled += n
+            fwd.append(c[:n] + noise_sum(fwd_rng, n, scale))
+            rev.append(c[n:] + noise_sum(rev_rng, n, scale))
+            owners += [sample_idx] * n
             left -= n
-            if filled == _TRIAL_BATCH:
-                _search_batch(cfg, ofdm, batch, true_ranges, sq_err)
-                batch, filled = [], 0
-    if batch:
-        _search_batch(cfg, ofdm, batch, true_ranges, sq_err)
+            if len(owners) == _TRIAL_BATCH or (not left and sample_idx == len(snaps) - 1):
+                block = np.concatenate(fwd + rev)
+                zoom_start, zoom_width = coarse_search(block, cfg.oversample, cfg.peak_policy,
+                                                       cfg.first_peak_threshold_db)
+                toas = zoom(block, zoom_start, zoom_width, ofdm, cfg.oversample,
+                            cfg.peak_policy, cfg.first_peak_threshold_db).toa.tolist()
+                b = len(owners)
+                for owner, toa_fwd, toa_rev in zip(owners, toas[:b], toas[b:]):
+                    sq_err[owner] += (rtt_range(toa_fwd, toa_rev, period=period).distance
+                                      - true_ranges[owner]) ** 2
+                owners, fwd, rev = [], [], []
     return [math.sqrt(total / cfg.trials) for total in sq_err]
-
-
-def _search_batch(cfg: RunConfig, ofdm: OfdmConfig, batch: list[tuple[int, np.ndarray]],
-                  true_ranges: Sequence[float], sq_err: list[float]) -> None:
-    """Add the squared round-trip errors of ``batch`` to ``sq_err``.
-
-    ``batch`` holds (sample index, 2n x N_s symbol sums) in trial order,
-    each with its n forward rows before its n reverse rows.  All forward
-    rows, then all reverse rows, are searched as one B x N_s block.
-    """
-    period = ofdm.unambiguous_delay
-    fwd = [rows[:len(rows) // 2] for _, rows in batch]
-    rev = [rows[len(rows) // 2:] for _, rows in batch]
-    c = np.concatenate(fwd + rev)
-    zoom_start, zoom_width = coarse_search(c, cfg.oversample, cfg.peak_policy,
-                                           cfg.first_peak_threshold_db)
-    toas = zoom(c, zoom_start, zoom_width, ofdm, cfg.oversample, cfg.peak_policy,
-                cfg.first_peak_threshold_db).toa.tolist()
-    owners = [sample_idx for (sample_idx, _), rows in zip(batch, fwd) for _ in rows]
-    b = len(owners)
-    for sample_idx, toa_fwd, toa_rev in zip(owners, toas[:b], toas[b:]):
-        sq_err[sample_idx] += (rtt_range(toa_fwd, toa_rev, period=period).distance
-                               - true_ranges[sample_idx]) ** 2
 
 
 @dataclass(frozen=True)

@@ -560,8 +560,8 @@ def scenario_from_text(text: str) -> ScenarioConfig:
     buildings = []
     i = 0
     while f"building{i}_center" in entries:
-        center = _parse_vec(entries.pop(f"building{i}_center"))
-        half = _parse_vec(entries.pop(f"building{i}_half_extents"))
+        center = _parse_vec(pop(f"building{i}_center"))
+        half = _parse_vec(pop(f"building{i}_half_extents"))
         buildings.append(BuildingBox(center, half))
         i += 1
     if entries:

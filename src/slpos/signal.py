@@ -9,6 +9,7 @@ plus circular complex Gaussian noise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -46,8 +47,9 @@ class OfdmConfig:
             raise ValueError("need at least 1 symbol")
         if self.symbol_duration < 1.0 / self.subcarrier_spacing - 1e-15:
             raise ValueError("symbol duration shorter than 1/subcarrier_spacing")
-        if self.carrier_freq <= 0 or self.tx_power <= 0 or self.noise_psd <= 0:
-            raise ValueError("carrier frequency and powers must be positive")
+        for name in ("carrier_freq", "tx_power", "noise_psd"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         try:
             variance = noise_variance(self)
         except OverflowError:
@@ -66,6 +68,33 @@ class OfdmConfig:
         if not math.isfinite(2.0 / variance * gram):
             raise ValueError(f"tx_power={self.tx_power} W with noise_figure_db="
                              f"{self.noise_figure_db} overflows the Fisher information")
+        # The pilot moments P_k = sum_{t,n} |s_{t,n}|^2 n^k of ``make_pilots``,
+        # whose every subcarrier carries T tx_power / (N_s df).  The one-path
+        # bound combines them as P1^2 and P0 P2 (P1^2 <= P0 P2); outside the
+        # normal float range these lose precision, then reach 0 or inf.
+        n = self.num_subcarriers
+        energy = self.num_symbols * self.tx_power / (n * self.subcarrier_spacing)
+        p0 = energy * n
+        p1 = energy * (n * (n - 1) / 2)
+        p2 = energy * ((n - 1) * n * (2 * n - 1) / 6)
+        if not (sys.float_info.min <= p1 * p1 and p0 * p2 <= sys.float_info.max):
+            raise ValueError(f"tx_power={self.tx_power} W puts the pilot moments of the "
+                             "one-path bound outside the normal float range")
+        # A lone unit-gain path's delay information, (2 / N0) (2 pi df)^2
+        # (P2 - P1^2 / P0) in the one-path bound's order of operations, and
+        # the bound's 1 / information must both be normal floats.
+        ramp = 2.0 * math.pi * self.subcarrier_spacing
+        info = 2.0 / variance * (ramp * ramp) * (p2 - p1 * p1 / p0)
+        if not sys.float_info.min <= info <= 1.0 / sys.float_info.min:
+            raise ValueError(f"tx_power={self.tx_power} W with noise_figure_db="
+                             f"{self.noise_figure_db} puts the one-path delay information "
+                             "outside the normal float range")
+        # A symbol sum's noise variance per part, N0 T^2 / (2 energy)
+        # (``noise_scale`` without the window), must stay finite.
+        if not math.isfinite(variance / 2.0 * self.num_symbols ** 2 / energy):
+            raise ValueError(f"tx_power={self.tx_power} W with noise_figure_db="
+                             f"{self.noise_figure_db} leaves the signal so far below the "
+                             "noise that a symbol sum's noise variance overflows")
 
     @property
     def wavelength(self) -> float:

@@ -70,17 +70,23 @@ def test_fim_scales_inversely_with_noise(ofdm, pilots):
                                rtol=1e-12)
 
 
-@pytest.mark.parametrize("field, accepted, rejected", [
-    ("tx_power", 10 ** (2791.0 / 10) * 1e-3, 10 ** (2792.0 / 10) * 1e-3),
-    ("noise_figure_db", -2773.0, -2774.0),
-])
-def test_config_rejects_a_budget_whose_fisher_information_overflows(ofdm, field, accepted,
-                                                                    rejected):
-    # Up to the limit a unit-gain path keeps the FIM and its CRB finite.
+@pytest.mark.parametrize("field, accepted, rejected, reason", [
+    ("tx_power", 10 ** (1591.0 / 10) * 1e-3, 10 ** (1592.0 / 10) * 1e-3, "pilot moments"),
+    ("tx_power", 10 ** (-1487.0 / 10) * 1e-3, 10 ** (-1488.0 / 10) * 1e-3, "pilot moments"),
+    ("noise_figure_db", -2757.0, -2758.0, "delay information"),
+    ("noise_figure_db", -2757.0, -2774.0, "Fisher information"),
+], ids=["tx_power-top", "tx_power-floor", "noise_figure_db-information",
+        "noise_figure_db-fisher"])
+def test_config_rejects_a_budget_outside_the_float_range(ofdm, field, accepted, rejected,
+                                                         reason):
+    # Up to each limit a unit-gain path keeps the FIM and its CRB finite, and
+    # the closed form agrees with them.
     config = OfdmConfig(**{**ofdm.__dict__, field: accepted})
-    variance = crb_delay(fim([los_path(150e-9)], make_pilots(config), config))
+    pilots = make_pilots(config)
+    variance = crb_delay(fim([los_path(150e-9)], pilots, config))
     assert 0 < variance < math.inf
-    with pytest.raises(ValueError, match="tx_power=.* noise_figure_db="):
+    assert _single_path_crb(1.0, pilots, config) == pytest.approx(variance, rel=1e-9)
+    with pytest.raises(ValueError, match=f"tx_power=.*{reason}"):
         OfdmConfig(**{**ofdm.__dict__, field: rejected})
 
 

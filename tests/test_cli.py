@@ -1,13 +1,20 @@
+import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slpos.cli
 from slpos import harness
 from slpos.cli import main
 from slpos.harness import RunConfig, read_csv
 from slpos.propagation import build_scenario, scenario_from_text, scenario_to_text
-from slpos.signal import default_config
+from channels import echo_path, los_path, make_snapshot
+from slpos.bounds import reb_waa
+from slpos.estimation import hamming_window
+from slpos.signal import default_config, make_pilots, noise_scale, noise_variance
 
 
 def test_scenario_dump_round_trips(capsys):
@@ -154,6 +161,15 @@ def test_io_failure_exits_2(capsys):
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db=-4000"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "3000"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db=-2900"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm=-1570"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm=-3000"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm=-3200"],
+    ["ranging", "--scenario", "1", "--link", "rsu-vehicle", "--trials", "1",
+     "--tx-power-dbm=-3200"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "2080",
+     "--noise-figure-db", "2200"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm=-1400",
+     "--noise-figure-db", "3000"],
 ])
 def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -195,6 +211,8 @@ def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     ("rsu_position", "45.0,45.0,10.0"),
     ("vehicle_start", "45.0,-70.0,1.5"),
     ("bicycle_start", "-16.4,45.0,1.0"),
+    ("measurement_interval", "1e-320"),
+    ("measurement_interval", "1e-6"),
 ])
 def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, capsys):
     # Only scenario 1 has an RSU; every other key is edited in scenario 2.
@@ -228,6 +246,30 @@ def test_unwritable_out_rejected_before_the_first_sample(command, tmp_path, monk
         assert "cannot write sweep CSV" in captured.err
         assert captured.out == ""
     assert not (tmp_path / "missing_dir").exists()
+
+
+@pytest.mark.parametrize("command", ["ranging", "bounds"])
+def test_sample_count_beyond_the_cap_rejected_before_the_first_sample(command, tmp_path,
+                                                                     monkeypatch, capsys):
+    # A vehicle at 1e-320 m/s never leaves its lane: the rsu-vehicle horizon
+    # is infinite, and so is its sample count at any measurement interval.
+    lines = ["vehicle_speed=1e-320" if line.startswith("vehicle_speed=") else line
+             for line in scenario_to_text(build_scenario(1)).splitlines()]
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text("\n".join(lines) + "\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep sample ran")
+
+    monkeypatch.setattr(harness, "sample_trajectory", never)
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", "1", "--link", "rsu-vehicle",
+                 "--scenario-file", str(scn_file), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "measurement_interval" in captured.err and "rsu-vehicle" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_ranging_beyond_the_alias_range_rejected_before_the_first_sample(tmp_path, monkeypatch,
@@ -314,3 +356,36 @@ def test_ranging_defaults_are_the_run_config_defaults(tmp_path, monkeypatch):
                  "--out", out]) == 0
     assert calls == [(RunConfig(scenario_id=2, link="vehicle-bicycle", output_path=out),
                       None, default_config())]
+
+
+_BUDGET_DB = st.floats(min_value=-4000.0, max_value=4000.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tx_power_dbm=_BUDGET_DB, noise_figure_db=_BUDGET_DB)
+@example(tx_power_dbm=-1520.0, noise_figure_db=8.0)
+@example(tx_power_dbm=-1560.0, noise_figure_db=8.0)
+@example(tx_power_dbm=-1400.0, noise_figure_db=1954.0)
+@example(tx_power_dbm=2791.0, noise_figure_db=8.0)
+@example(tx_power_dbm=0.0, noise_figure_db=-2758.0)
+def test_every_accepted_radio_budget_scales_the_bound_exactly(tx_power_dbm, noise_figure_db):
+    # A lone path's delay bound is N0 / (2 |g|^2 (2 pi df)^2 (P2 - P1^2 / P0))
+    # with every P_k proportional to P, so reb_los sqrt(P / N0) is the same
+    # for every budget the waveform accepts.
+    snap = make_snapshot([los_path(200e-9, 1e-3 + 0j),
+                          echo_path(230e-9, 4e-4 * complex(math.cos(1.0), math.sin(1.0)))])
+
+    def normalized_reb_los(ofdm):
+        report = reb_waa(snap, make_pilots(ofdm), ofdm)
+        return report.reb_los_only * math.sqrt(ofdm.tx_power) / math.sqrt(noise_variance(ofdm))
+
+    reference = normalized_reb_los(default_config())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            ofdm = slpos.cli._radio_budget(tx_power_dbm, noise_figure_db)
+        except ValueError:
+            return
+        assert normalized_reb_los(ofdm) == pytest.approx(reference, rel=1e-9)
+        scale = noise_scale(make_pilots(ofdm), ofdm, hamming_window(ofdm.num_subcarriers))
+    assert np.all(np.isfinite(scale)) and np.all(scale > 0)

@@ -480,6 +480,14 @@ def test_scenario1_csv_matches_committed_reference(tmp_path, capsys):
         "ranging_scenario1_rsu-vehicle_trials10_seed1.csv", tmp_path)
 
 
+def test_rsu_bicycle_csv_matches_committed_reference(tmp_path, capsys):
+    # Scenario 1's third link, whose two-path lobes can be flat-topped.
+    _assert_csv_matches_reference(
+        ["ranging", "--scenario", "1", "--link", "rsu-bicycle",
+         "--peak-policy", "first_peak", "--trials", "2", "--seed", "2"],
+        "ranging_scenario1_rsu-bicycle_first_peak_trials2_seed2.csv", tmp_path)
+
+
 def test_every_name_the_benchmark_tracer_wraps_still_exists(monkeypatch):
     # bench/tracing.py times each layer by replacing names such as
     # slpos.harness.synthesize_rx; a name that disappears from its module

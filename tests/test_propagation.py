@@ -364,7 +364,9 @@ def test_scenario_text_rejects_unknown_keys():
 
 
 def test_scenario_text_rejects_missing_keys():
-    text = "\n".join(line for line in scenario_to_text(build_scenario(2)).splitlines()
-                     if not line.startswith("vehicle_speed"))
-    with pytest.raises(ValueError):
-        scenario_from_text(text)
+    # A plain key, and the second key of a building.
+    for missing in ("vehicle_speed", "building0_half_extents"):
+        text = "\n".join(line for line in scenario_to_text(build_scenario(2)).splitlines()
+                         if not line.startswith(missing))
+        with pytest.raises(ValueError, match=missing):
+            scenario_from_text(text)
