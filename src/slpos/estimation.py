@@ -63,8 +63,9 @@ class RangeMeasurement:
 
 def _idft_power(c: np.ndarray, length: int) -> np.ndarray:
     """|IDFT|^2 of c zero-padded to ``length`` points, along the last axis."""
-    power = np.fft.ifft(c, n=length, axis=-1)
-    return power.real ** 2 + power.imag ** 2
+    values = np.fft.ifft(c, n=length, axis=-1)
+    re, im = values.real, values.imag
+    return re * re + im * im
 
 
 def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
@@ -260,7 +261,8 @@ def zoom(c: np.ndarray, start: np.ndarray, width: np.ndarray, config: OfdmConfig
     width = np.minimum(width, span)
     values = c * circle[np.outer(start, np.arange(n_sub)) % k_bins]
     values = values @ dtft[:, :span]
-    power = values.real ** 2 + values.imag ** 2
+    re, im = values.real, values.imag
+    power = re * re + im * im
     pos = np.arange(span)
     bins = (start[:, None] + pos) % k_bins
 

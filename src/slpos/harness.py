@@ -9,17 +9,29 @@ of both directions from three streams of its own, seeded by (seed, sample
 index), one trial after another: a sample's results do not depend on the
 other samples, and its first trials not on the trial count.
 
-A sweep traces and bounds every sample first.  Its round trips then fill
-peak-search batches of ``_TRIAL_BATCH`` in (sample, trial) order, so with
-few trials per sample one coarse search and one zoom serve several
-samples; each sample still sums its own squared errors in trial order.
+A sweep checks its inputs, then splits its samples into contiguous chunks,
+one per CPU the process may use, each of at least ``_MIN_CHUNK`` samples.
+The first chunk runs in this process and each other one in a worker of a
+forked ``multiprocessing`` pool, which sends its results back pickled.  A
+process without ``os.fork``, with other threads, or with a function this
+module imported replaced (a spy, a timing wrapper) runs the one chunk
+alone (``_usable_cpus``).  A chunk traces and bounds its samples first.
+Its round trips then fill peak-search batches of ``_TRIAL_BATCH`` in
+(sample, trial) order, so with few trials per sample one coarse search and
+one zoom serve several samples; each sample still sums its own squared
+errors in trial order.  Chunks start on batch boundaries, so the batches,
+and every bit of the CSV, are those of a single process whatever the CPU
+count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,6 +69,7 @@ from .propagation import (
 )
 from .signal import (
     OfdmConfig,
+    bias_ramps,
     default_config,
     make_pilots,
     mean_vector,
@@ -64,6 +77,11 @@ from .signal import (
     noise_sum,
     synthesize_rx,  # noqa: F401 - the benchmark tracer wraps harness.synthesize_rx
 )
+
+# The functions and classes imported above from the other slpos modules, as
+# imported (see ``_usable_cpus``).
+_AS_IMPORTED = {name: value for name, value in globals().items()
+                if callable(value) and getattr(value, "__module__", "").startswith("slpos.")}
 
 CSV_COLUMNS = (
     "sweep_coord_m", "true_range_m", "rmse_m", "reb_los_m", "reb_all_m",
@@ -82,6 +100,14 @@ _TRIAL_BATCH = 32
 # a 15 m resolution cell, and a batch whose every row falls back to the
 # full spectrum allocates about 90 MB, growing linearly with the factor.
 _MAX_OVERSAMPLE = 256
+
+# Fewest sweep samples worth a process of their own.  On a 2-vCPU KVM
+# guest a 2-way split adds 11-15 ms to a sweep (the pool's fork, threads
+# and pipes, the copy-on-write faults of a 40 MB process, the pickled task
+# and results, the reaping), and the cheapest sample, bounds only, takes
+# about 0.6 ms; a chunk of 40 samples does about twice the work the split
+# costs.
+_MIN_CHUNK = 40
 
 # Positioning fixes solved together, bounding the solver's buffers as
 # _TRIAL_BATCH bounds the peak search's.
@@ -217,10 +243,15 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
            monte_carlo: bool) -> list[CurvePoint]:
     """One point per trajectory sample.  The link channel is traced once per
     sample; it gives the bounds and, with ``monte_carlo``, both directions
-    of ``cfg.trials`` round trips, whose RMSE is reported (else NaN).  Every
-    sample is traced and bounded before the Monte Carlo starts.  With
+    of ``cfg.trials`` round trips, whose RMSE is reported (else NaN).  With
     ``monte_carlo``, a link whose range reaches c / (2 subcarrier_spacing),
-    where round trips alias, is rejected before the first trace."""
+    where round trips alias, is rejected before the first trace.  The
+    samples are split into contiguous chunks, one per usable CPU
+    (``_worker_count``); the first runs here and each other one in a forked
+    pool worker, whose exception, if it raises, is raised here with its
+    type and message.  With Monte Carlo, each chunk starts on a peak-search
+    batch boundary, so every batch is the one a single process would
+    search."""
     if cfg.output_path is not None:
         _check_writable(cfg.output_path)
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
@@ -247,8 +278,47 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
         raise ValueError(f"link {cfg.link} reaches {farthest:.1f} m, but a round trip is "
                          f"unambiguous only below c / (2 subcarrier_spacing) = {limit:.1f} m")
 
+    # A chunk starting at a sample whose first round trip is a multiple of
+    # _TRIAL_BATCH fills exactly the batches a single process would.
+    align = _TRIAL_BATCH // math.gcd(cfg.trials, _TRIAL_BATCH) if monte_carlo else 1
+    chunks = _chunks(n_samples, _worker_count(_usable_cpus(), n_samples), align)
+    work = functools.partial(_sweep_chunk, cfg, scenario, ofdm, pilots, window, samples,
+                             monte_carlo)
+    if len(chunks) == 1:
+        rows = work(chunks[0])
+    else:
+        # Imported only here: multiprocessing and what it loads take about
+        # 0.5 MB and 6 ms that a one-process run never needs.  Forked, not
+        # spawned: only a process without other threads gets here, and a
+        # spawned worker's fresh import of slpos and NumPy (about 0.1 s)
+        # would cost about what the split saves on a 101-sample, 10-trial
+        # sweep.  The children ignore Ctrl-C: interrupted, this process
+        # leaves the block, which terminates and reaps them.
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(
+                len(chunks) - 1, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+            pending = [pool.apply_async(work, (chunk,)) for chunk in chunks[1:]]
+            rows = work(chunks[0]) + [row for result in pending for row in result.get()]
+    points = [CurvePoint(coord, true_range, rmse, *bounds, n_paths, n_cell, los_present)
+              for (*_, coord, true_range), (n_paths, los_present, *bounds, n_cell, rmse)
+              in zip(samples, rows)]
+
+    if cfg.output_path is not None:
+        export_csv(points, cfg.output_path)
+    return points
+
+
+def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pilots,
+                 window, samples: Sequence[tuple], monte_carlo: bool,
+                 chunk: range) -> list[tuple]:
+    """Trace, bound and (with ``monte_carlo``) Monte-Carlo the samples of
+    ``chunk``, all traced and bounded first.  One tuple per sample:
+    (n_paths, los_present, reb_los, reb_all, reb_waa, waa_bias,
+    n_cell_paths, rmse)."""
+    chunk_samples = samples[chunk.start:chunk.stop]
     traced = []
-    for t, end_a, end_b, *_ in samples:
+    for t, end_a, end_b, *_ in chunk_samples:
         snap = trace_paths(end_a, end_b, scenario, ofdm.wavelength, time=t)
         if snap.has_los:
             report = reb_waa(snap, pilots, ofdm, beta=cfg.beta)
@@ -260,40 +330,36 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
             n_cell = 0
         traced.append((snap, bounds, n_cell))
 
-    true_ranges = [sample[-1] for sample in samples]
-    rmses = [math.nan] * n_samples
+    rmses = [math.nan] * len(chunk)
     if monte_carlo:
-        rmses = _monte_carlo_rmse(cfg, [snap for snap, _, _ in traced], true_ranges,
+        rmses = _monte_carlo_rmse(cfg, [snap for snap, _, _ in traced],
+                                  [sample[-1] for sample in chunk_samples], chunk.start,
                                   pilots, ofdm, window)
-    points = [CurvePoint(coord, true_range, rmse, *bounds, len(snap.paths), n_cell,
-                         snap.has_los)
-              for (*_, coord, true_range), rmse, (snap, bounds, n_cell)
-              in zip(samples, rmses, traced)]
-
-    if cfg.output_path is not None:
-        export_csv(points, cfg.output_path)
-    return points
+    return [(len(snap.paths), snap.has_los, *bounds, n_cell, rmse)
+            for (snap, bounds, n_cell), rmse in zip(traced, rmses)]
 
 
 def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
-                      true_ranges: Sequence[float], pilots, ofdm: OfdmConfig,
-                      window) -> list[float]:
-    """RMSE of the round-trip distance over ``cfg.trials`` exchanges, per sample.
+                      true_ranges: Sequence[float], first_sample: int, pilots,
+                      ofdm: OfdmConfig, window) -> list[float]:
+    """RMSE of the round-trip distance over ``cfg.trials`` exchanges, per
+    sample; ``snaps[i]`` is sweep sample ``first_sample + i``.
 
     The channel is reciprocal, so a sample's snapshot serves both
     directions; the clock bias flips sign on the reverse link, and
     combining the two arrivals modulo the alias period cancels it whatever
     its size.  Each arrival is collapsed to the length-N_s symbol sum that
-    ``delay_spectrum`` would transform: its noiseless part from
-    ``mean_vector``, plus its noise drawn already summed by ``noise_sum``.
-    ``SeedSequence((seed, sample_idx))`` spawns each sample's bias, forward
-    and reverse noise streams, each drawn in trial order.  Round trips fill
-    batches of ``_TRIAL_BATCH`` in (sample, trial) order, so a batch may
-    span samples and a sample may span batches.  A full batch, or the last
-    one, stacks all its forward rows over all its reverse rows; one
-    ``coarse_search`` and one ``zoom`` find their peaks, each the bin that
-    ``estimate_toa`` picks on the full spectrum, and every round trip's
-    squared error goes to the sample that owns it.
+    ``delay_spectrum`` would transform: its noiseless part, the sample's
+    ``mean_vector`` rotated by ``bias_ramps`` (conjugated for the reverse
+    arrival), plus its noise drawn already summed by ``noise_sum``.
+    ``SeedSequence((seed, sample index))`` spawns each sample's bias,
+    forward and reverse noise streams, each drawn in trial order.  Round
+    trips fill batches of ``_TRIAL_BATCH`` in (sample, trial) order, so a
+    batch may span samples and a sample may span batches.  A full batch,
+    or the last one, stacks all its forward rows over all its reverse rows;
+    one ``coarse_search`` and one ``zoom`` find their peaks, each the bin
+    that ``estimate_toa`` picks on the full spectrum, and every round
+    trip's squared error goes to the sample that owns it.
     """
     scale = noise_scale(pilots, ofdm, window)
     period = ofdm.unambiguous_delay
@@ -301,20 +367,20 @@ def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
     owners: list[int] = []
     fwd: list[np.ndarray] = []
     rev: list[np.ndarray] = []
-    for sample_idx, snap in enumerate(snaps):
-        bias_rng, fwd_rng, rev_rng = (np.random.default_rng(child) for child in
-                                      np.random.SeedSequence((cfg.seed, sample_idx)).spawn(3))
+    for i, snap in enumerate(snaps):
+        bias_rng, fwd_rng, rev_rng = (
+            np.random.default_rng(child) for child in
+            np.random.SeedSequence((cfg.seed, first_sample + i)).spawn(3))
+        m = mean_vector(snap, ofdm, window, doppler_enabled=cfg.doppler_enabled)
         left = cfg.trials
         while left:
             n = min(left, _TRIAL_BATCH - len(owners))
-            biases = bias_rng.normal(0.0, cfg.clock_bias_std, n)
-            c = mean_vector(snap, ofdm, window, np.concatenate([biases, -biases]),
-                            doppler_enabled=cfg.doppler_enabled)
-            fwd.append(c[:n] + noise_sum(fwd_rng, n, scale))
-            rev.append(c[n:] + noise_sum(rev_rng, n, scale))
-            owners += [sample_idx] * n
+            ramps = bias_ramps(bias_rng.normal(0.0, cfg.clock_bias_std, n), ofdm)
+            fwd.append(ramps * m + noise_sum(fwd_rng, n, scale))
+            rev.append(ramps.conj() * m + noise_sum(rev_rng, n, scale))
+            owners += [i] * n
             left -= n
-            if len(owners) == _TRIAL_BATCH or (not left and sample_idx == len(snaps) - 1):
+            if len(owners) == _TRIAL_BATCH or (not left and i == len(snaps) - 1):
                 block = np.concatenate(fwd + rev)
                 zoom_start, zoom_width = coarse_search(block, cfg.oversample, cfg.peak_policy,
                                                        cfg.first_peak_threshold_db)
@@ -326,6 +392,46 @@ def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
                                       - true_ranges[owner]) ** 2
                 owners, fwd, rev = [], [], []
     return [math.sqrt(total / cfg.trials) for total in sq_err]
+
+
+def _worker_count(cpus: int, n_samples: int) -> int:
+    """Processes a sweep of ``n_samples`` samples is split across: one per
+    CPU, as long as each gets ``_MIN_CHUNK`` samples, and at least one."""
+    return max(1, min(cpus, n_samples // _MIN_CHUNK))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where a sweep should not fork:
+    without ``os.fork`` or CPU affinity; with a function imported from the
+    other slpos modules replaced since (a spy, a tracer's timing wrapper),
+    which would see a forked chunk's calls only in the child; or with
+    threads besides this one, be they Python threads, whose locks a child
+    would inherit held, or a BLAS thread pool, which a second process would
+    oversubscribe the CPUs with (under OpenBLAS's default pool a 2-way split
+    of the criterion-9 sweep ran slower than none; imported before NumPy,
+    the ``slpos`` package starts it without one)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if any(globals()[name] is not value for name, value in _AS_IMPORTED.items()):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
+    return 1 if threads > 1 else len(os.sched_getaffinity(0))
+
+
+def _chunks(n_samples: int, workers: int, align: int) -> list[range]:
+    """range(n_samples) split into at most ``workers`` contiguous chunks.
+    Each starts at the multiple of ``align`` nearest its equal share; an
+    edge that would leave a chunk under ``_MIN_CHUNK`` samples is dropped."""
+    edges = [0]
+    for i in range(1, workers):
+        edge = (2 * i * n_samples + workers * align) // (2 * workers * align) * align
+        if edge - edges[-1] >= _MIN_CHUNK and n_samples - edge >= _MIN_CHUNK:
+            edges.append(edge)
+    edges.append(n_samples)
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)

@@ -89,12 +89,17 @@ class OfdmConfig:
             raise ValueError(f"tx_power={self.tx_power} W with noise_figure_db="
                              f"{self.noise_figure_db} puts the one-path delay information "
                              "outside the normal float range")
-        # A symbol sum's noise variance per part, N0 T^2 / (2 energy)
-        # (``noise_scale`` without the window), must stay finite.
-        if not math.isfinite(variance / 2.0 * self.num_symbols ** 2 / energy):
+        # A symbol sum's noise variance per part is at most N0 T^2 / (2 energy)
+        # (``noise_scale`` with the window's peak of 1).  With every noise
+        # draw within 64 sigma, a zoom bin, a direct DTFT of the N_s sums,
+        # has power at most (64 sqrt(2) N_s sigma)^2 = 8192 N_s^2 sigma^2
+        # (the noiseless part is negligible wherever this nears the float
+        # range), which must stay finite.
+        sigma2 = variance / 2.0 * self.num_symbols ** 2 / energy
+        if not math.isfinite(8192.0 * n * n * sigma2):
             raise ValueError(f"tx_power={self.tx_power} W with noise_figure_db="
                              f"{self.noise_figure_db} leaves the signal so far below the "
-                             "noise that a symbol sum's noise variance overflows")
+                             "noise that a delay spectrum's power overflows")
 
     @property
     def wavelength(self) -> float:
@@ -220,22 +225,32 @@ def synthesize_rx(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfi
 
 
 def mean_vector(channel: ChannelSnapshot, config: OfdmConfig, window: np.ndarray,
-                clock_bias: np.ndarray, doppler_enabled: bool = True) -> np.ndarray:
-    """Noiseless symbol sums that ``delay_spectrum`` would form, one row per bias.
+                doppler_enabled: bool = True) -> np.ndarray:
+    """Noiseless symbol sum that ``delay_spectrum`` would form at zero clock bias.
 
     Pilots divide out exactly, so the windowed, pilot-compensated sum over
-    symbols of the noiseless grid is e^{-j 2 pi n B df} m[n], with
-    m[n] = w[n] sum_l g_l (sum_t e^{j 2 pi t v_l T_s / lambda}) e^{-j 2 pi n tau_l df}.
-    Returns B x N_s for the 1-D array ``clock_bias``; row b equals the
-    symbol sum of ``synthesize_rx(..., clock_bias=clock_bias[b])`` up to
+    symbols of the noiseless grid is
+    m[n] = w[n] sum_l g_l (sum_t e^{j 2 pi t v_l T_s / lambda}) e^{-j 2 pi n tau_l df},
+    length N_s.  A clock bias B rotates it to ``bias_ramps(B) * m``, which
+    equals the symbol sum of ``synthesize_rx(..., clock_bias=B)`` up to
     rounding.
     """
     if not channel.paths:
-        return np.zeros((len(clock_bias), config.num_subcarriers), dtype=complex)
+        return np.zeros(config.num_subcarriers, dtype=complex)
     delays, gains, doppler = _path_terms(channel, config, doppler_enabled)
-    m = window * ((gains * doppler.sum(axis=0)) @ _ramps(delays, config))
-    wrapped = [math.remainder(b, config.unambiguous_delay) for b in clock_bias]
-    return _ramps(wrapped, config) * m
+    return window * ((gains * doppler.sum(axis=0)) @ _ramps(delays, config))
+
+
+def bias_ramps(clock_bias: np.ndarray, config: OfdmConfig) -> np.ndarray:
+    """e^{-j 2 pi n B df} per clock bias B of the 1-D ``clock_bias``: B x N_s.
+
+    Each bias is reduced modulo the alias period first, so any value is
+    accepted.  Row b times ``mean_vector``'s m is the arrival whose clock is
+    off by +B; its conjugate times m is the one off by -B, bit for bit:
+    the reduction and the phase products are odd in B, and the complex
+    exponential of a negated phase is the conjugate of the original.
+    """
+    return _ramps([math.remainder(b, config.unambiguous_delay) for b in clock_bias], config)
 
 
 def noise_scale(pilots: PilotGrid, config: OfdmConfig, window: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 import slpos.cli
 from slpos import harness
 from slpos.cli import main
-from slpos.harness import RunConfig, read_csv
+from slpos.harness import RunConfig, read_csv, run_ranging_sweep
 from slpos.propagation import build_scenario, scenario_from_text, scenario_to_text
 from channels import echo_path, los_path, make_snapshot
 from slpos.bounds import reb_waa
-from slpos.estimation import hamming_window
+from slpos.estimation import PEAK_POLICIES, hamming_window
 from slpos.signal import default_config, make_pilots, noise_scale, noise_variance
 
 
@@ -170,6 +171,8 @@ def test_io_failure_exits_2(capsys):
      "--noise-figure-db", "2200"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm=-1400",
      "--noise-figure-db", "3000"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "2",
+     "--tx-power-dbm=-1000", "--noise-figure-db", "2150"],
 ])
 def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -389,3 +392,20 @@ def test_every_accepted_radio_budget_scales_the_bound_exactly(tx_power_dbm, nois
         assert normalized_reb_los(ofdm) == pytest.approx(reference, rel=1e-9)
         scale = noise_scale(make_pilots(ofdm), ofdm, hamming_window(ofdm.num_subcarriers))
     assert np.all(np.isfinite(scale)) and np.all(scale > 0)
+
+
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+def test_noisiest_accepted_budget_ranges_without_overflow(policy):
+    # At -1000 dBm the waveform accepts noise figures up to about 2092 dB;
+    # there every delay spectrum's power stays finite (an overflow warning
+    # would fail the test), and one more decibel is rejected.
+    ofdm = slpos.cli._radio_budget(-1000.0, 2092.0)
+    with pytest.raises(ValueError, match="delay spectrum's power overflows"):
+        slpos.cli._radio_budget(-1000.0, 2093.0)
+    scenario = dataclasses.replace(build_scenario(2), measurement_interval=1.0)
+    cfg = RunConfig(scenario_id=2, link="vehicle-bicycle", trials=20, seed=1,
+                    peak_policy=policy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        points = run_ranging_sweep(cfg, scenario=scenario, ofdm=ofdm)
+    assert all(math.isfinite(p.rmse) for p in points)

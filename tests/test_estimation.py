@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from channels import echo_path, los_path, make_snapshot
 from slpos.bounds import reb_los_only, reb_waa
+from slpos import estimation
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.estimation import (
     DelaySpectrum,
@@ -108,6 +109,24 @@ def test_delay_spectrum_matches_zero_padded_ifft(ofdm, n_sub, oversample, batch)
     assert spec.bin_spacing == 1.0 / (k * cfg.subcarrier_spacing)
     np.testing.assert_allclose(spec.power, expected, rtol=0,
                                atol=1e-12 * expected.max())
+
+
+def test_power_from_products_is_the_squares_bit_for_bit():
+    # _idft_power and zoom form |x|^2 as re * re + im * im on the real and
+    # imaginary views; on random batches of coarse IDFTs and zoom DTFTs
+    # that equals re ** 2 + im ** 2 exactly.
+    rng = np.random.default_rng(31)
+    _, dtft = estimation._zoom_kernels(167, 16)
+    for _ in range(400):
+        shape = (int(rng.integers(1, 65)), 167)
+        c = 10.0 ** rng.uniform(-60, 60) * (rng.standard_normal(shape)
+                                           + 1j * rng.standard_normal(shape))
+        coarse = np.fft.ifft(c, n=512, axis=-1)
+        assert np.array_equal(estimation._idft_power(c, 512),
+                              coarse.real ** 2 + coarse.imag ** 2)
+        values = c @ dtft[:, :int(rng.integers(3, 257))]
+        re, im = values.real, values.imag
+        assert np.array_equal(re * re + im * im, values.real ** 2 + values.imag ** 2)
 
 
 def test_pilot_invariance(ofdm):

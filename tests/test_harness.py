@@ -2,9 +2,11 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import os
 import pathlib
 import re
 import statistics
+import subprocess
 import sys
 import types
 
@@ -50,6 +52,7 @@ from slpos.propagation import (
 )
 from slpos.signal import (
     OfdmConfig,
+    bias_ramps,
     default_config,
     make_pilots,
     mean_vector,
@@ -58,6 +61,13 @@ from slpos.signal import (
 
 DATA = pathlib.Path(__file__).parent / "data"
 ROOT = pathlib.Path(__file__).parent.parent
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Every sweep runs in this process, where a spy sees all of its calls."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+
 
 SQUARE = [Anchor(Vec3(0.0, 0.0, 0.0)), Anchor(Vec3(10.0, 0.0, 0.0)),
           Anchor(Vec3(0.0, 10.0, 0.0)), Anchor(Vec3(10.0, 10.0, 0.0))]
@@ -174,6 +184,7 @@ def test_ranging_and_bounds_sweeps_share_every_non_rmse_column(link):
                 np.testing.assert_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
+@pytest.mark.usefixtures("one_process")
 @pytest.mark.parametrize("link", LINKS)
 def test_every_sweep_sample_traces_a_reciprocal_channel(link, monkeypatch):
     # Both directions of a sample's round trips share the one traced channel,
@@ -257,6 +268,7 @@ def _mixed_scenario(measurement_interval):
                                measurement_interval=measurement_interval)
 
 
+@pytest.mark.usefixtures("one_process")
 @pytest.mark.parametrize("trials", [5, 10, 33, 100])
 def test_peak_search_batches_are_filled_across_samples(trials, monkeypatch):
     # Round trips fill each batch in (sample, trial) order, whatever the
@@ -304,6 +316,7 @@ def test_batches_spanning_samples_keep_each_samples_rmse(policy, monkeypatch):
                                rtol=1e-12, atol=0)
 
 
+@pytest.mark.usefixtures("one_process")
 def test_bounds_sweep_builds_a_fim_only_for_cells_of_several_paths(monkeypatch):
     # One-path bounds take the closed form: the line-of-sight and merged-path
     # bounds always, the all-paths bound of a one-path cell too.
@@ -353,8 +366,8 @@ _BIASES = np.array([0.0, _PERIOD / 2, -_PERIOD / 2, 1.3 * _PERIOD, -2.7 * _PERIO
 
 def _scalar_noise_rows(seeds, pilots, ofdm, window):
     """The scalar chain's noise-only symbol sums, one row per noise seed.
-    synthesize_rx is linear in its noise, so mean_vector's row plus row b
-    is the symbol sum of synthesize_rx(..., noise_seed=seeds[b])."""
+    synthesize_rx is linear in its noise, so a noiseless symbol sum plus row
+    b is the symbol sum of synthesize_rx(..., noise_seed=seeds[b])."""
     return np.array([symbol_sum(synthesize_rx(make_snapshot([]), pilots, ofdm, noise_seed=seed),
                                 pilots, window) for seed in seeds])
 
@@ -375,7 +388,7 @@ def _kernel_and_scalar_chain(scenario_id, link, policy, oversample, doppler):
         biases = np.concatenate([_BIASES, -_BIASES])
         seeds = [np.random.SeedSequence(entropy=(7, int(t * 10), row))
                  for row in range(len(biases))]
-        c = mean_vector(snap, ofdm, window, biases, doppler_enabled=doppler)
+        c = bias_ramps(biases, ofdm) * mean_vector(snap, ofdm, window, doppler_enabled=doppler)
         c += _scalar_noise_rows(seeds, pilots, ofdm, window)
         start, width = coarse_search(c, oversample, policy, 6.0)
         zoomed = zoom(c, start, width, ofdm, oversample, policy, 6.0)
@@ -450,6 +463,7 @@ def test_noise_floor_rows_take_the_full_spectrum():
         assert zoomed.peak[row] == estimation._pick_peak(spec.power, "first_peak", 40.0)
 
 
+@pytest.mark.usefixtures("one_process")
 def test_first_peak_sweep_zooms_on_the_full_spectrum_peak(monkeypatch):
     # A whole rsu-bicycle first-peak sweep, the link whose two-path lobes can
     # be flat-topped: every arrival's zoomed peak is the bin picked on its
@@ -486,6 +500,172 @@ def test_rsu_bicycle_csv_matches_committed_reference(tmp_path, capsys):
         ["ranging", "--scenario", "1", "--link", "rsu-bicycle",
          "--peak-policy", "first_peak", "--trials", "2", "--seed", "2"],
         "ranging_scenario1_rsu-bicycle_first_peak_trials2_seed2.csv", tmp_path)
+
+
+# --- sweeps split across processes -------------------------------------------------
+
+def _forks(monkeypatch, cpus):
+    """Let sweeps use ``cpus`` CPUs; the list returned gains one entry per fork."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+_LINK_ARGS = {"rsu-vehicle": ["--scenario", "1", "--link", "rsu-vehicle"],
+              "rsu-bicycle": ["--scenario", "1", "--link", "rsu-bicycle"],
+              "vehicle-bicycle": ["--scenario", "2", "--link", "vehicle-bicycle"]}
+
+
+@pytest.mark.parametrize("argv", [
+    # The committed ranging references, then the three bound sweeps.
+    ["ranging", *_LINK_ARGS["vehicle-bicycle"], "--trials", "2", "--seed", "42"],
+    ["ranging", *_LINK_ARGS["vehicle-bicycle"], "--peak-policy", "first_peak",
+     "--trials", "4", "--seed", "1"],
+    ["ranging", *_LINK_ARGS["rsu-vehicle"], "--trials", "10", "--seed", "1"],
+    ["ranging", *_LINK_ARGS["rsu-bicycle"], "--peak-policy", "first_peak",
+     "--trials", "2", "--seed", "2"],
+    *(["bounds", *args] for args in _LINK_ARGS.values()),
+], ids=lambda argv: "-".join(argv[:5:2] + argv[7::2]))
+def test_split_sweep_writes_the_single_process_csv(argv, tmp_path, monkeypatch, capsys):
+    csv = []
+    for cpus in (1, 2):
+        forks = _forks(monkeypatch, cpus)
+        out = tmp_path / f"{cpus}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(forks) == cpus - 1
+        csv.append(out.read_bytes())
+    assert csv[1] == csv[0]
+
+
+@pytest.mark.parametrize("policy", [*PEAK_POLICIES, None])
+def test_split_mixed_sweep_writes_the_single_process_csv(policy, tmp_path, monkeypatch):
+    # Blocked samples, one-path and two-path cells, and 7 trials per sample,
+    # so that batches span samples and chunks start on multiples of 32
+    # samples; None is the bound sweep.
+    scenario = _mixed_scenario(0.05)
+    cfg = RunConfig(scenario_id=2, link="vehicle-bicycle", trials=7, seed=11,
+                    peak_policy=policy or "global_peak")
+    sweep = run_bounds_sweep if policy is None else run_ranging_sweep
+    csv = []
+    for cpus in (1, 2):
+        forks = _forks(monkeypatch, cpus)
+        out = tmp_path / f"{cpus}.csv"
+        points = sweep(dataclasses.replace(cfg, output_path=str(out)), scenario=scenario)
+        assert len(forks) == cpus - 1
+        csv.append(out.read_bytes())
+    kinds = {(p.los_present, p.n_cell_paths) for p in points}
+    assert {(False, 0), (True, 1), (True, 2)} <= kinds
+    assert csv[1] == csv[0]
+
+
+@pytest.mark.parametrize("sweep", [run_ranging_sweep, run_bounds_sweep])
+@pytest.mark.parametrize("failing_chunk", [0, 1])
+def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_child(sweep, failing_chunk,
+                                                                  monkeypatch, tmp_path,
+                                                                  capsys):
+    # A sample whose trace raises, in this process's chunk or in the forked
+    # one: the caller gets the exception, main exits 1 without output, and
+    # no child is left to reap.  The fault sits inside trace_paths, which
+    # harness still calls as imported.
+    forks = _forks(monkeypatch, 2)
+    bad = (10, 70)[failing_chunk]
+    assert bad in harness._chunks(101, 2, 16)[failing_chunk]
+    interval = build_scenario(1).measurement_interval
+    snapshot = slpos.propagation.ChannelSnapshot
+
+    def failing_snapshot(*, paths, time):
+        if time == bad * interval:
+            raise ValueError(f"no channel at sample {bad}")
+        return snapshot(paths=paths, time=time)
+
+    monkeypatch.setattr(slpos.propagation, "ChannelSnapshot", failing_snapshot)
+    with pytest.raises(ValueError, match=f"^no channel at sample {bad}$"):
+        sweep(RunConfig(scenario_id=1, link="rsu-vehicle", trials=10, seed=1))
+    out = tmp_path / "sweep.csv"
+    command = "ranging" if sweep is run_ranging_sweep else "bounds"
+    assert main([command, *_LINK_ARGS["rsu-vehicle"], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"no channel at sample {bad}" in captured.err and captured.out == ""
+    assert not out.exists()
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_sweep_below_two_minimum_chunks_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("a sweep too short to split forked")
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    scenario = _mixed_scenario(0.2)
+    cfg = RunConfig(scenario_id=2, link="vehicle-bicycle", trials=3, seed=1)
+    n_samples = len(run_ranging_sweep(cfg, scenario=scenario))
+    assert harness._MIN_CHUNK <= n_samples < 2 * harness._MIN_CHUNK
+    run_bounds_sweep(cfg, scenario=scenario)
+
+
+@pytest.mark.parametrize("cpus, n_samples, workers", [
+    (1, 10**6, 1),
+    (2, 1, 1),
+    (2, 2 * harness._MIN_CHUNK - 1, 1),
+    (2, 2 * harness._MIN_CHUNK, 2),
+    (2, 10**6, 2),
+    (8, 5 * harness._MIN_CHUNK + 1, 5),
+    (8, 10**6, 8),
+])
+def test_one_worker_per_cpu_as_long_as_each_gets_a_minimum_chunk(cpus, n_samples, workers):
+    assert harness._worker_count(cpus, n_samples) == workers
+
+
+def test_chunks_cover_the_sweep_from_aligned_starts():
+    for n_samples in (1, 19, 40, 41, 101, 351, 1000):
+        for workers in range(1, 9):
+            for align in (1, 2, 4, 8, 16, 32):
+                chunks = harness._chunks(n_samples, workers, align)
+                assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+                assert chunks[0].start == 0 and chunks[-1].stop == n_samples
+                assert len(chunks) <= workers
+                assert all(c.start % align == 0 for c in chunks)
+                assert len(chunks) == 1 or min(map(len, chunks)) >= harness._MIN_CHUNK
+
+
+def test_an_slpos_process_forks_until_a_thread_starts_or_an_import_is_replaced():
+    # Imported first, slpos starts NumPy without a BLAS thread pool, so the
+    # usable CPUs are the affinity set, until a second thread starts or a
+    # function harness imported is replaced, and again once both are gone.
+    code = """if True:
+        import os, threading, time
+        from slpos import harness
+        print(harness._usable_cpus(), len(os.sched_getaffinity(0)))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        print(harness._usable_cpus())
+        stop.set()
+        thread.join()
+        while len(os.listdir("/proc/self/task")) > 1:  # the joined thread exiting
+            time.sleep(0.001)
+        trace = harness.trace_paths
+        harness.trace_paths = lambda *args, **kwargs: trace(*args, **kwargs)
+        print(harness._usable_cpus())
+        harness.trace_paths = trace
+        print(harness._usable_cpus())
+    """
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {name: value for name, value in os.environ.items() if name not in blas}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    alone, affinity, threaded, replaced, restored = map(int, result.stdout.split())
+    assert (alone, threaded, replaced, restored) == (affinity, 1, 1, affinity)
 
 
 def test_every_name_the_benchmark_tracer_wraps_still_exists(monkeypatch):

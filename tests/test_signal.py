@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from channels import echo_path, los_path, make_snapshot, symbol_sum
 from slpos.estimation import hamming_window
+from slpos import signal
 from slpos.signal import (
     OfdmConfig,
     PilotGrid,
+    bias_ramps,
     default_config,
     make_pilots,
     mean_vector,
@@ -205,24 +207,58 @@ def test_delay_beyond_alias_period_rejected(ofdm, pilots):
 
 @pytest.mark.parametrize("doppler", [True, False])
 def test_mean_vector_is_the_noiseless_symbol_sum(ofdm, doppler):
+    # Rotated by a bias's ramps, m is the symbol sum of an arrival whose
+    # clock is off by that bias; rotated by their conjugates, by its negative.
     pilots = make_pilots(ofdm, "seeded_random_phase", seed=4)
     window = hamming_window(ofdm.num_subcarriers)
     snap = make_snapshot([los_path(120e-9, gain=0.7 - 0.1j, velocity=9.0),
                           echo_path(310e-9, gain=-0.2 + 0.3j, index=0, velocity=-4.0)])
     period = ofdm.unambiguous_delay
     biases = np.array([0.0, 1e-6, -2.5e-6, period / 2, -period / 2, 1.3 * period])
-    rows = mean_vector(snap, ofdm, window, biases, doppler_enabled=doppler)
-    assert rows.shape == (len(biases), ofdm.num_subcarriers)
-    for row, bias in zip(rows, biases):
-        want = symbol_sum(synthesize_rx(snap, pilots, ofdm, doppler_enabled=doppler,
-                                        clock_bias=bias), pilots, window)
-        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    m = mean_vector(snap, ofdm, window, doppler_enabled=doppler)
+    ramps = bias_ramps(biases, ofdm)
+    assert ramps.shape == (len(biases), ofdm.num_subcarriers)
+    for sign, rows in ((1.0, ramps * m), (-1.0, ramps.conj() * m)):
+        for row, bias in zip(rows, biases):
+            want = symbol_sum(synthesize_rx(snap, pilots, ofdm, doppler_enabled=doppler,
+                                            clock_bias=sign * bias), pilots, window)
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_mean_vector_of_an_empty_channel_is_zero(ofdm):
     window = hamming_window(ofdm.num_subcarriers)
-    rows = mean_vector(make_snapshot([]), ofdm, window, np.zeros(3))
-    assert rows.shape == (3, ofdm.num_subcarriers) and not rows.any()
+    m = mean_vector(make_snapshot([]), ofdm, window)
+    assert m.shape == (ofdm.num_subcarriers,) and not m.any()
+
+
+def test_conjugate_ramps_are_the_negated_biases_ramps_bit_for_bit(ofdm):
+    # The reverse arrival's rows, taken as conjugates of the forward ramps,
+    # equal the ramps of the negated biases times m exactly: for biases of
+    # 1 ns to 1 ms of either sign, and for random batches of biases and
+    # channels.
+    window = hamming_window(ofdm.num_subcarriers)
+    period = ofdm.unambiguous_delay
+    rng = np.random.default_rng(23)
+
+    def old_rows(m, biases):
+        both = np.concatenate([biases, -biases])
+        return signal._ramps([math.remainder(b, period) for b in both], ofdm) * m
+
+    magnitudes = np.logspace(-9, -3, 61)
+    batches = [np.concatenate([magnitudes, -magnitudes])]
+    batches += [rng.normal(0.0, 10.0 ** rng.uniform(-9, -3), rng.integers(1, 33))
+                for _ in range(200)]
+    for biases in batches:
+        delays = np.sort(rng.uniform(1e-9, 2e-6, rng.integers(1, 5)))
+        snap = make_snapshot([los_path(delays[0], gain=complex(*rng.normal(size=2)),
+                                       velocity=rng.uniform(-30, 30))]
+                             + [echo_path(d, gain=complex(*rng.normal(size=2)), index=i,
+                                          velocity=rng.uniform(-30, 30))
+                                for i, d in enumerate(delays[1:])])
+        m = mean_vector(snap, ofdm, window)
+        ramps = bias_ramps(biases, ofdm)
+        assert np.array_equal(np.concatenate([ramps * m, ramps.conj() * m]),
+                              old_rows(m, biases))
 
 
 def _chi2_interval(dof, z=5.3):
