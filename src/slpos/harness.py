@@ -113,6 +113,11 @@ _MIN_CHUNK = 40
 # _TRIAL_BATCH bounds the peak search's.
 _FIX_BATCH = 1024
 
+# Largest positioning trial count, 10,000 times the CLI's default 1000: the
+# run holds one float64 error per trial (80 MB at the cap) and, at about
+# 13 us per fix, takes a few minutes.
+_MAX_POSITION_TRIALS = 10**7
+
 # Largest sweep sample count, about 3,000 times the 351-sample rsu-bicycle
 # sweep: every sample's snapshot is held before the Monte Carlo starts.
 _MAX_SAMPLES = 10**6
@@ -461,7 +466,7 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
     """Monte Carlo position RMSE on a synthetic anchor layout.
 
     Per trial, ranges get i.i.d. Gaussian noise, the closed-form initializer
-    seeds the Gauss-Newton solve (``solve_fixes``, up to ``_FIX_BATCH``
+    seeds the damped Newton solve (``solve_fixes``, up to ``_FIX_BATCH``
     trials at a time), and the position error is scored against each
     requirement set: the loose rate is the fraction of trials within the
     coarse accuracy bound (compared to the lower confidence), the strict
@@ -469,10 +474,13 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
     confidence).  One stream per run, ``default_rng(seed)``, draws the
     noise fix after fix, so a fix's noise depends neither on the trial
     count nor on the chunking.  A layout or noise level whose squared
-    ranges overflow is rejected before any result is returned.
+    ranges overflow is rejected before any result is returned, and a trial
+    count above ``_MAX_POSITION_TRIALS`` before any fix.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > _MAX_POSITION_TRIALS:
+        raise ValueError(f"trials must be at most {_MAX_POSITION_TRIALS}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if not (math.isfinite(sigma) and sigma >= 0):

@@ -1,8 +1,11 @@
 """Range-based position estimation.
 
 A closed-form linear initializer (squared-range differences) feeds an
-iteratively damped Gauss-Newton minimizer of the weighted least-squares
-cost sum_i (1/sigma_i^2) (d_i - ||x - x_i||)^2.
+iteratively damped Newton minimizer of the weighted least-squares cost
+sum_i (1/sigma_i^2) (d_i - ||x - x_i||)^2.  Each step solves with the cost's
+exact Hessian where it is positive definite, and with the Gauss-Newton
+normal matrix elsewhere: the range residuals do not vanish at the minimum,
+so Gauss-Newton alone converges only linearly there.
 """
 
 from __future__ import annotations
@@ -16,12 +19,21 @@ import numpy as np
 from .estimation import RangeMeasurement
 from .propagation import Vec3
 
-# Relative Gauss-Newton step below which a stalled solve counts as converged.
+# Relative Newton (or Gauss-Newton) step below which a stalled solve counts
+# as converged.
 _STEP_TOL = math.sqrt(np.finfo(float).eps)
 
-# Backtracking step scales: the full Gauss-Newton step, then 29 halvings,
+# Backtracking step scales: the full step, then 29 halvings,
 # tried in groups so that a group's trial arrays stay small.
 _STEP_SCALES = np.split(np.ldexp(1.0, -np.arange(30)), (1, 10, 20))
+
+# Relative margin of the Hessian's positive-definiteness test: a Hessian
+# whose leading minors clear zero only by rounding would give a step of
+# unbounded length.  Any margin from 0 to 1e-3 gives the same mean and
+# largest iteration counts, and the same unconverged count, on the square
+# and 3-D test layouts at sigma = 1, 3 and 10 m; 1e-1 leaves fixes at the
+# iteration limit again.
+_PD_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,14 +100,16 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
                 dim: int = 2,
                 max_iters: int = 50,
                 tol: float = 1e-9) -> PositionEstimate:
-    """Gauss-Newton minimization of the weighted range residuals.
+    """Damped Newton minimization of the weighted range residuals.
 
     Weights default to 1/sigma_i^2 from the measurements; pass an explicit
     array for uniform or custom weighting.  Only relative weights matter:
     they are normalized to unit maximum before iterating (the gradient
     tolerance applies to the normalized objective), so scaling every sigma
     by a common factor leaves the iterate trajectory unchanged.  ``init``
-    defaults to the closed-form linear starting point.  Steps are halved
+    defaults to the closed-form linear starting point.  Each step is a
+    Newton step on the cost's exact Hessian, or the Gauss-Newton step where
+    that Hessian is not positive definite.  Steps are halved
     (backtracking) until the cost decreases; iteration stops when the
     gradient norm drops below ``tol``, no decrease is possible, or
     ``max_iters`` is reached.  A solve that stops because no decrease is
@@ -145,23 +159,47 @@ def _gradient_norm(x: np.ndarray, ranges: np.ndarray, wres: np.ndarray,
     return jac, np.sqrt(sum(grad * grad))
 
 
-def _gauss_newton_step(jac_w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares steps (dim, n) of the weighted systems jac_w^T step = rhs.
+def _normal_and_hessian(jac: np.ndarray, res: np.ndarray, ranges: np.ndarray,
+                        dists: np.ndarray, weights: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton normal matrices N and half Hessians H (n, dim, dim) of
+    the weighted cost, from the range Jacobians (dim, A, n), residuals r_i,
+    ranges rho_i, measured distances d_i (A, n) and weights w_i (A, 1).
 
-    Solved through the dim x dim normal equations.  A system whose
-    determinant is below 1e-15 * trace^dim (pinv's default cutoff) is
-    near-singular and takes its minimum-norm step, so a degenerate fix never
-    raises.
+    With u_i the unit vector from anchor i, N = sum_i w_i u_i u_i^T and
+    H = sum_i w_i (d_i/rho_i) u_i u_i^T - (sum_i w_i r_i/rho_i) I: the normal
+    matrix with each anchor's weight scaled by d_i/rho_i, less a multiple of
+    the identity.
     """
-    rows = jac_w.swapaxes(0, 1)
-    normal = sum(rows[:, :, None] * rows[:, None]).transpose(2, 0, 1)
-    target = _anchor_sum(jac_w * rhs).T
+    outer = jac[:, None] * jac[None]
+    normal = _anchor_sum(weights * outer).transpose(2, 0, 1)
+    hessian = (_anchor_sum(weights * dists / ranges * outer).transpose(2, 0, 1)
+               - _anchor_sum(weights * res / ranges)[:, None, None] * np.eye(len(jac)))
+    return normal, hessian
+
+
+def _newton_step(jac: np.ndarray, res: np.ndarray, ranges: np.ndarray,
+                 dists: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Newton steps (dim, n) on the exact Hessian of the weighted cost.
+
+    A fix whose half Hessian H fails Sylvester's criterion, every leading
+    minor k above _PD_MARGIN * trace(N)^k, takes the Gauss-Newton step on
+    the normal matrix N instead.  A system whose determinant is below
+    1e-15 * trace^dim (pinv's default cutoff) is near-singular and takes its
+    minimum-norm step, so a degenerate fix never raises.
+    """
+    normal, hessian = _normal_and_hessian(jac, res, ranges, dists, weights)
     dim = normal.shape[-1]
-    singular = ~(np.linalg.det(normal) > 1e-15 * np.trace(normal, axis1=1, axis2=2) ** dim)
+    scale = np.trace(normal, axis1=1, axis2=2)
+    definite = np.all([np.linalg.det(hessian[:, :k, :k]) > _PD_MARGIN * scale ** k
+                       for k in range(1, dim + 1)], axis=0)
+    system = np.where(definite[:, None, None], hessian, normal)
+    target = _anchor_sum(jac * (-weights * res)).T
+    singular = ~(np.linalg.det(system) > 1e-15 * np.trace(system, axis1=1, axis2=2) ** dim)
     step = np.empty_like(target)
-    step[~singular] = np.linalg.solve(normal[~singular], target[~singular, :, None])[..., 0]
+    step[~singular] = np.linalg.solve(system[~singular], target[~singular, :, None])[..., 0]
     if np.any(singular):
-        pinv = np.linalg.pinv(normal[singular], hermitian=True)
+        pinv = np.linalg.pinv(system[singular], hermitian=True)
         step[singular] = np.sum(pinv * target[singular, None, :], axis=2)
     return step.T
 
@@ -195,7 +233,6 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
         raise ValueError("weights must be positive and finite")
     weight_scale = raw_weights.max()
     weights = (raw_weights / weight_scale)[:, None]
-    sqrt_w = np.sqrt(weights)
     anchor_cols = anchors.T[:, :, None]
 
     res, ranges = _residuals(x, anchor_cols, dists)
@@ -218,7 +255,8 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
         active, jac = active[~small], jac[..., ~small]
         if not active.size:
             break
-        step = _gauss_newton_step(jac * sqrt_w, -sqrt_w * res[:, active])
+        step = _newton_step(jac, res[:, active], ranges[:, active], dists[:, active],
+                            weights)
         # Backtracking: take the first of scale * step, scale = 1, 1/2, ...,
         # 2^-29, that lowers the cost.  Every fix tries the full step, and
         # those it did not lower try the next group of halvings at once, as

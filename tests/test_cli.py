@@ -85,6 +85,21 @@ def test_position_negative_seed_rejected_by_name_before_any_fix(tmp_path, monkey
     assert calls == []
 
 
+def test_position_trials_beyond_the_cap_rejected_by_name_before_any_fix(tmp_path,
+                                                                       monkeypatch, capsys):
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
+    calls = []
+    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
+    argv = ["position", "--anchors", str(anchors), "--sigma", "1", "--trials", "2000000000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("slpos: configuration error: trials must be at most "
+                            f"{harness._MAX_POSITION_TRIALS}\n")
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_check_subcommand(capsys):
     assert main(["check", "--vmax", "14", "--accuracy", "3"]) == 0
     out = capsys.readouterr().out

@@ -848,6 +848,24 @@ def test_coinciding_true_point_rejected_before_any_fix(monkeypatch):
     assert calls == []
 
 
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("trials, accepted", [
+    (harness._MAX_POSITION_TRIALS, True),
+    (harness._MAX_POSITION_TRIALS + 1, False),
+])
+def test_trial_count_checked_against_the_cap_before_any_fix(monkeypatch, trials, accepted):
+    # Only the check runs: the first solve raises, so no fix is ever made.
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(harness, "solve_fixes", reached)
+    with pytest.raises(_Reached if accepted else ValueError, match=None if accepted else "trials"):
+        run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=1.0, trials=trials)
+
+
 @pytest.mark.parametrize("anchors, dim, message", [
     ([], 2, "need at least 3 anchors"),
     (SQUARE[:2], 2, "need at least 3 anchors"),
@@ -913,10 +931,11 @@ def test_position_stdout_matches_committed_reference(anchors, options, golden, c
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
-@pytest.mark.parametrize("sigma, unconverged", [("1.0", 0), ("3.0", 102)])
+@pytest.mark.parametrize("sigma, unconverged", [("1.0", 0), ("3.0", 0), ("10", 4)])
 def test_position_reports_unconverged_fixes_on_stderr(sigma, unconverged, capsys):
     # Fixes that stop at the iteration limit stay in the summary, and
-    # stderr says how many there are.
+    # stderr says how many there are.  At 10 m of range noise on a 10 m
+    # square some fixes still reach the limit.
     argv = ["position", "--anchors", str(DATA / "anchors_square.txt"), "--sigma", sigma,
             "--trials", "1000", "--seed", "7"]
     assert main(argv) == 0

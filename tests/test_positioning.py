@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slpos import positioning
 from slpos.estimation import RangeMeasurement
 from slpos.positioning import (
     Anchor,
@@ -63,7 +64,7 @@ def test_linear_init_3d():
     assert (init.x, init.y, init.z) == pytest.approx((2.0, 3.0, 4.0), abs=1e-9)
 
 
-# --- Gauss-Newton solver --------------------------------------------------------
+# --- damped Newton solver ------------------------------------------------------
 
 def test_noiseless_recovery():
     measurements = exact_measurements(SQUARE, Vec3(3.0, 4.0, 0.0))
@@ -241,6 +242,71 @@ def test_singular_gauss_newton_system_does_not_raise():
     dists = np.array([[3.0, 7.0], [4.0, 6.0]])
     positions, _, _, _ = solve_fixes(xyz, dists, init=np.array([[5.0, 0.0], [1.0, 0.0]]))
     np.testing.assert_allclose(positions, [[3.0, 0.0], [4.0, 0.0]], atol=1e-9)
+
+
+def _half_hessians(xyz, dists, x, weights):
+    """The solver's Gauss-Newton normal matrices and half Hessians at the
+    iterates x (n, dim) for the ranges dists (n, A)."""
+    anchor_cols = xyz.T[:, :, None]
+    x, dists, weights = x.T, dists.T, weights[:, None]
+    res, ranges = positioning._residuals(x, anchor_cols, dists)
+    jac, _ = positioning._gradient_norm(x, ranges, weights * res, anchor_cols)
+    return positioning._normal_and_hessian(jac, res, ranges, dists, weights)
+
+
+def _cost_gradient(xyz, dists, x, weights):
+    """Gradient of sum_i w_i (d_i - ||x - a_i||)^2 at the point x (dim,)."""
+    offsets = x - xyz
+    ranges = np.linalg.norm(offsets, axis=1)
+    return -2.0 * np.sum((weights * (dists - ranges) / ranges)[:, None] * offsets, axis=0)
+
+
+@pytest.mark.parametrize("anchors, point, dim", [
+    (SQUARE, Vec3(3.0, 4.0, 0.0), 2),
+    (MAST, Vec3(3.0, 4.0, 1.5), 3),
+])
+def test_hessian_matches_finite_difference_of_the_gradient(anchors, point, dim):
+    xyz, dists = _noisy_batch(anchors, point, dim, n_fixes=6, seed=12, sigma=2.0)
+    weights = np.linspace(0.5, 1.0, len(anchors))
+    iterates = np.random.default_rng(13).uniform(-5.0, 15.0, (len(dists), dim))
+    _, hessians = _half_hessians(xyz, dists, iterates, weights)
+    step = 1e-5
+    for x, d, hessian in zip(iterates, dists, hessians):
+        columns = [(_cost_gradient(xyz, d, x + step * unit, weights)
+                    - _cost_gradient(xyz, d, x - step * unit, weights)) / (2.0 * step)
+                   for unit in np.eye(dim)]
+        np.testing.assert_allclose(2.0 * hessian, np.array(columns).T, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("point, start", [
+    (Vec3(3.0, 4.0, 0.0), [9.0, 1.0]),     # one negative Hessian eigenvalue
+    (Vec3(40.0, -30.0, 0.0), [5.0, 5.0]),  # both negative
+])
+def test_start_without_positive_definite_hessian_lowers_the_cost_every_step(point, start):
+    xyz, dists = _noisy_batch(SQUARE, point, 2, n_fixes=1, seed=0)
+    _, hessians = _half_hessians(xyz, dists, np.array([start]), np.ones(len(xyz)))
+    assert np.linalg.eigvalsh(hessians[0])[0] < 0.0
+    costs = []
+    for max_iters in range(51):
+        _, cost, iterations, converged = solve_fixes(xyz, dists, init=[start],
+                                                     max_iters=max_iters)
+        if iterations[0] < max_iters:
+            break
+        costs.append(cost[0])
+    assert converged[0] and len(costs) > 3
+    assert np.all(np.diff(costs) < 0.0)
+
+
+def test_benchmark_configuration_needs_few_iterations():
+    # The slowest fix sets how many passes the vectorised loop makes:
+    # square layout, point (3, 4), sigma 1 m, 1000 fixes per seed.
+    xyz = np.array([[a.position.x, a.position.y] for a in SQUARE])
+    true_ranges = np.linalg.norm(xyz - [3.0, 4.0], axis=1)
+    for seed in range(101, 111):
+        noise = np.random.default_rng(seed).standard_normal((1000, len(xyz)))
+        _, _, iterations, converged = solve_fixes(xyz, np.maximum(true_ranges + noise, 0.0))
+        assert converged.all()
+        assert iterations.max() <= 12
 
 
 def test_crb_rejects_point_on_anchor():
