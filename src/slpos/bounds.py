@@ -65,16 +65,18 @@ def fim(paths: list[PathComponent] | tuple[PathComponent, ...], pilots: PilotGri
     if not paths:
         raise ValueError("FIM requires at least one path")
     n0 = noise_variance(config)
-    n_sym, n_sub = pilots.symbols.shape
+    symbols = pilots.symbols
+    n_sym, n_sub = symbols.shape
     n = np.arange(n_sub)
-    columns = []
-    for path in paths:
-        ramp = np.exp(-2j * np.pi * n * path.delay * config.subcarrier_spacing)
-        base = (pilots.symbols * ramp[None, :]).ravel()
-        d_delay = path.gain * ((-2j * np.pi * config.subcarrier_spacing * n)[None, :]
-                               * pilots.symbols * ramp[None, :]).ravel()
-        columns.extend([d_delay, base, 1j * base])
-    grad = np.column_stack(columns)
+    # (-j 2 pi spacing n) s, the delay gradient of every path before its ramp.
+    slope = (-2j * np.pi * config.subcarrier_spacing * n)[None, :] * symbols
+    grad = np.empty((n_sym * n_sub, 3 * len(paths)), dtype=complex)
+    for i, path in enumerate(paths):
+        ramp = np.exp(-2j * np.pi * n * path.delay * config.subcarrier_spacing)[None, :]
+        base = (symbols * ramp).ravel()
+        grad[:, 3 * i] = path.gain * (slope * ramp).ravel()
+        grad[:, 3 * i + 1] = base
+        grad[:, 3 * i + 2] = 1j * base
     j = (2.0 / n0) * (grad.conj().T @ grad).real
     return 0.5 * (j + j.T)
 
@@ -153,9 +155,7 @@ def _single_path_crb(gain: complex, pilots: PilotGrid, config: OfdmConfig) -> fl
     ``crb_delay`` the bound is inf when (1 + rho) / (1 - rho) exceeds
     ``_CONDITION_CUTOFF`` or the information is not positive.
     """
-    energy = (pilots.symbols.real ** 2 + pilots.symbols.imag ** 2).sum(axis=0)
-    n = np.arange(energy.size, dtype=float)
-    p0, p1, p2 = float(energy.sum()), float(energy @ n), float(energy @ (n * n))
+    p0, p1, p2 = pilots.moments
     amplitude = abs(gain)
     if not (p0 > 0 and p2 > 0 and amplitude > 0):
         return math.inf

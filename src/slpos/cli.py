@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -60,7 +61,10 @@ def _load_anchors(path: str) -> list[Anchor]:
     return anchors
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: each
+    ``parse_args`` call fills a new namespace, so calls stay independent."""
     parser = _Parser(prog="slpos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -174,9 +178,10 @@ def _cmd_position(args: argparse.Namespace) -> int:
               f"(need >= {req.confidence_lo:.0%}: {'pass' if score.met_loose else 'fail'}), "
               f"within {req.accuracy_lo} m on {score.fraction_within_strict:.1%} "
               f"(need >= {req.confidence_hi:.0%}: {'pass' if score.met_strict else 'fail'})")
-    if summary.unconverged:
-        print(f"slpos: {summary.unconverged} of {summary.trials} fixes stopped at the "
-              "iteration limit without converging; they are included in the RMSE and "
+    if summary.at_limit or summary.stalled:
+        print(f"slpos: {summary.at_limit + summary.stalled} of {summary.trials} fixes did "
+              f"not converge ({summary.at_limit} stopped at the iteration limit, "
+              f"{summary.stalled} stalled before it); they are included in the RMSE and "
               "the requirement rates", file=sys.stderr)
     return EXIT_OK
 

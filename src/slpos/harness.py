@@ -50,6 +50,7 @@ from .estimation import (
     zoom,
 )
 from .positioning import (
+    MAX_ITERS,
     Anchor,
     linear_init,  # noqa: F401 - the benchmark tracer wraps harness.linear_init
     ml_position,  # noqa: F401 - the benchmark tracer wraps harness.ml_position
@@ -104,9 +105,11 @@ _MAX_OVERSAMPLE = 256
 # Fewest sweep samples worth a process of their own.  On a 2-vCPU KVM
 # guest a 2-way split adds 11-15 ms to a sweep (the pool's fork, threads
 # and pipes, the copy-on-write faults of a 40 MB process, the pickled task
-# and results, the reaping), and the cheapest sample, bounds only, takes
-# about 0.6 ms; a chunk of 40 samples does about twice the work the split
-# costs.
+# and results, the reaping).  The cheapest sample, bounds only, takes about
+# 0.3 ms (a vehicle-bicycle sample, traced and bounded), so a chunk of 40
+# such samples does about the work the split costs; a ranging sample at 10
+# trials takes about 1.4 ms, so the 101-sample ranging-mc sweep still
+# splits two ways with a clear gain.
 _MIN_CHUNK = 40
 
 # Positioning fixes solved together, bounding the solver's buffers as
@@ -450,13 +453,17 @@ class RequirementScore:
 
 @dataclass(frozen=True)
 class PositioningSummary:
-    """``unconverged`` counts the trials whose fix stopped at the iteration
-    limit; they are in ``rmse`` and the scores all the same."""
+    """``at_limit`` counts the trials whose fix stopped unconverged at the
+    solver's iteration limit, ``stalled`` those whose fix stopped
+    unconverged before it, where backtracking found no lower cost and the
+    full step was not negligible.  Both are in ``rmse`` and the scores all
+    the same."""
 
     rmse: float
     crb: float
     trials: int
-    unconverged: int
+    at_limit: int
+    stalled: int
     scores: tuple[RequirementScore, ...]
 
 
@@ -501,14 +508,17 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
 
     rng = np.random.default_rng(seed)
     errors = np.empty(trials)
-    unconverged = 0
+    at_limit = stalled = 0
     for start in range(0, trials, _FIX_BATCH):
         stop = min(start + _FIX_BATCH, trials)
         with np.errstate(over="ignore", invalid="ignore"):
             noisy = true_ranges + sigma * rng.standard_normal((stop - start, len(anchors)))
-            fixes, costs, _, converged = solve_fixes(anchor_xyz, np.maximum(noisy, 0.0))
+            fixes, costs, iterations, converged = solve_fixes(
+                anchor_xyz, np.maximum(noisy, 0.0), max_iters=MAX_ITERS)
             errors[start:stop] = np.linalg.norm(fixes - true, axis=1)
-        unconverged += int(np.count_nonzero(~converged))
+        limit = iterations >= MAX_ITERS
+        at_limit += int(np.count_nonzero(~converged & limit))
+        stalled += int(np.count_nonzero(~converged & ~limit))
         if not (np.all(np.isfinite(costs)) and np.all(np.isfinite(errors[start:stop]))):
             raise ValueError(f"range noise sigma={sigma} m overflows the position fix")
 
@@ -527,8 +537,8 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
             met_loose=loose >= req.confidence_lo,
             met_strict=strict >= req.confidence_hi,
         ))
-    return PositioningSummary(rmse=rmse, crb=crb, trials=trials, unconverged=unconverged,
-                              scores=tuple(scores))
+    return PositioningSummary(rmse=rmse, crb=crb, trials=trials, at_limit=at_limit,
+                              stalled=stalled, scores=tuple(scores))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,9 @@ _STEP_SCALES = np.split(np.ldexp(1.0, -np.arange(30)), (1, 10, 20))
 # iteration limit again.
 _PD_MARGIN = 1e-6
 
+# Iteration limit of a fix's solve.
+MAX_ITERS = 50
+
 
 @dataclass(frozen=True)
 class Anchor:
@@ -98,7 +101,7 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
                 weights: np.ndarray | None = None,
                 init: Vec3 | None = None,
                 dim: int = 2,
-                max_iters: int = 50,
+                max_iters: int = MAX_ITERS,
                 tol: float = 1e-9) -> PositionEstimate:
     """Damped Newton minimization of the weighted range residuals.
 
@@ -206,7 +209,7 @@ def _newton_step(jac: np.ndarray, res: np.ndarray, ranges: np.ndarray,
 
 def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                 weights: np.ndarray | None = None, init: np.ndarray | None = None,
-                max_iters: int = 50, tol: float = 1e-9
+                max_iters: int = MAX_ITERS, tol: float = 1e-9
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``ml_position`` for F fixes against one anchor layout, all at once.
 

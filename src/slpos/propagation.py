@@ -12,6 +12,7 @@ concurrent workers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -249,6 +250,18 @@ class ScenarioConfig:
                              f"apart at t = {t:.3g} s; they must stay at least "
                              f"{MIN_DEVICE_GAP_M} m apart")
 
+    @functools.cached_property
+    def _obstacles(self) -> tuple[tuple, tuple[tuple[int, Facade], ...]]:
+        """What ``trace_paths`` tests against, from ``buildings``: each
+        building's (min corner, max corner) coordinate triples, and every
+        facade with its wall index.  Computed on first use and kept: the
+        config and its buildings are frozen."""
+        slabs = tuple((_xyz(box.min_corner), _xyz(box.max_corner)) for box in self.buildings)
+        facades = tuple((4 * b_idx + f_idx, facade)
+                        for b_idx, box in enumerate(self.buildings)
+                        for f_idx, facade in enumerate(building_facades(box)))
+        return slabs, facades
+
 
 def _default_buildings() -> tuple[BuildingBox, ...]:
     half = Vec3(25.0, 25.0, 15.0)
@@ -347,40 +360,57 @@ def segment_blocked(a: Vec3, b: Vec3, buildings: tuple[BuildingBox, ...] | list[
     """
     if a == b:
         raise ValueError("degenerate segment")
-    if (b.x, b.y, b.z) < (a.x, a.y, a.z):
+    return _crosses(_xyz(a), _xyz(b),
+                    ((_xyz(box.min_corner), _xyz(box.max_corner)) for box in buildings))
+
+
+def _xyz(v: Vec3) -> tuple[float, float, float]:
+    return (v.x, v.y, v.z)
+
+
+def _finite(v: tuple[float, float, float]) -> tuple[float, float, float]:
+    """``v``, or the ValueError that building a ``Vec3`` of it raises."""
+    if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
+        Vec3(*v)
+    return v
+
+
+def _crosses(a: tuple[float, float, float], b: tuple[float, float, float], slabs) -> bool:
+    """``segment_blocked`` for distinct coordinate triples, against the
+    (min corner, max corner) triples of the buildings."""
+    if b < a:
         a, b = b, a
-    d = b - a
-    for box in buildings:
+    d = _finite((b[0] - a[0], b[1] - a[1], b[2] - a[2]))
+    for lo, hi in slabs:
         lo_t, hi_t = 0.0, 1.0
-        mn, mx = box.min_corner, box.max_corner
-        inside = True
-        for axis in range(3):
-            av = a.component(axis)
-            dv = d.component(axis)
-            lo_axis = mn.component(axis)
-            hi_axis = mx.component(axis)
+        for av, dv, lo_axis, hi_axis in zip(a, d, lo, hi):
             if dv == 0.0:
                 if not (lo_axis < av < hi_axis):
-                    inside = False
                     break
             else:
                 t0 = (lo_axis - av) / dv
                 t1 = (hi_axis - av) / dv
                 if t0 > t1:
                     t0, t1 = t1, t0
-                lo_t = max(lo_t, t0)
-                hi_t = min(hi_t, t1)
+                if t0 > lo_t:
+                    lo_t = t0
+                if t1 < hi_t:
+                    hi_t = t1
                 if lo_t >= hi_t:
-                    inside = False
                     break
-        if inside and hi_t - lo_t > _GRAZE_EPS:
-            return True
+        else:  # no axis puts the segment outside the box
+            if hi_t - lo_t > _GRAZE_EPS:
+                return True
     return False
 
 
 def friis_gain(tx: Vec3, rx: Vec3, wavelength: float) -> complex:
     """Free-space amplitude lambda/(4 pi d) with phase exp(-j 2 pi d / lambda)."""
-    d = distance(tx, rx)
+    return _free_space(distance(tx, rx), wavelength)
+
+
+def _free_space(d: float, wavelength: float) -> complex:
+    """``friis_gain`` of a link of length ``d``."""
     if d == 0.0:
         raise ValueError("zero-distance link")
     amp = wavelength / (4.0 * math.pi * d)
@@ -388,30 +418,32 @@ def friis_gain(tx: Vec3, rx: Vec3, wavelength: float) -> complex:
     return amp * complex(math.cos(phase), math.sin(phase))
 
 
-def _radial_velocity(pa: Vec3, va: Vec3, pb: Vec3, vb: Vec3) -> float:
-    """d/dt of ||pb - pa|| given endpoint velocities."""
-    sep = pb - pa
-    return sep.dot(vb - va) / sep.norm()
-
-
-def _mirror(p: Pose, axis: int, coord: float) -> Pose:
-    """Image of a pose in the plane where coordinate ``axis`` equals ``coord``."""
+def _mirror(p: Pose, axis: int, coord: float) -> tuple[list[float], list[float]]:
+    """Position and velocity coordinates of the image of a pose in the plane
+    where coordinate ``axis`` equals ``coord``."""
     pos = [p.position.x, p.position.y, p.position.z]
     vel = [p.velocity.x, p.velocity.y, p.velocity.z]
     pos[axis] = 2.0 * coord - pos[axis]
     vel[axis] = -vel[axis]
-    return Pose(Vec3(*pos), Vec3(*vel))
+    _finite(pos)
+    return pos, vel
 
 
-def _image_path(tx: Pose, image: Pose, wavelength: float, coeff: complex,
+def _image_path(tx: Pose, pos, vel, wavelength: float, coeff: complex,
                 kind: PathKind, wall_index: int | None = None) -> PathComponent:
-    """Path from ``tx`` to the receiver (or its mirror image), its free-space
-    gain scaled by the reflection coefficient ``coeff``."""
+    """Path from ``tx`` to the receiver (or its mirror image) at coordinates
+    ``pos`` moving at ``vel``, its free-space gain scaled by the reflection
+    coefficient ``coeff``.  Its radial velocity is the rate of change of the
+    length, sep . (vel - tx velocity) / |sep| with sep = pos - tx position."""
+    t, v = tx.position, tx.velocity
+    sep = _finite((pos[0] - t.x, pos[1] - t.y, pos[2] - t.z))
+    d = math.sqrt(sep[0] * sep[0] + sep[1] * sep[1] + sep[2] * sep[2])
+    gain = _free_space(d, wavelength) * coeff
+    dv = _finite((vel[0] - v.x, vel[1] - v.y, vel[2] - v.z))
     return PathComponent(
-        delay=distance(tx.position, image.position) / SPEED_OF_LIGHT,
-        gain=friis_gain(tx.position, image.position, wavelength) * coeff,
-        radial_velocity=_radial_velocity(tx.position, tx.velocity,
-                                         image.position, image.velocity),
+        delay=d / SPEED_OF_LIGHT,
+        gain=gain,
+        radial_velocity=(sep[0] * dv[0] + sep[1] * dv[1] + sep[2] * dv[2]) / d,
         kind=kind,
         wall_index=wall_index,
     )
@@ -426,20 +458,25 @@ def wall_reflection_point(tx: Vec3, rx: Vec3, facade: Facade) -> Vec3 | None:
     plane distances; that weighted form is symmetric in (tx, rx), so both
     link directions make bitwise-identical decisions.
     """
-    d_tx = facade.sign * (tx.component(facade.axis) - facade.coord)
-    d_rx = facade.sign * (rx.component(facade.axis) - facade.coord)
+    point = _reflection_point(_xyz(tx), _xyz(rx), facade)
+    return None if point is None else Vec3(*point)
+
+
+def _reflection_point(tx: tuple[float, float, float], rx: tuple[float, float, float],
+                      facade: Facade) -> tuple[float, float, float] | None:
+    """``wall_reflection_point`` on coordinate triples."""
+    axis = facade.axis
+    d_tx = facade.sign * (tx[axis] - facade.coord)
+    d_rx = facade.sign * (rx[axis] - facade.coord)
     if d_tx <= 0 or d_rx <= 0:
         return None
     total = d_tx + d_rx
-    u_axis = 1 - facade.axis
-    u = (tx.component(u_axis) * d_rx + rx.component(u_axis) * d_tx) / total
-    z = (tx.z * d_rx + rx.z * d_tx) / total
+    u_axis = 1 - axis
+    u = (tx[u_axis] * d_rx + rx[u_axis] * d_tx) / total
+    z = (tx[2] * d_rx + rx[2] * d_tx) / total
     if not (facade.u_lo <= u <= facade.u_hi and facade.z_lo <= z <= facade.z_hi):
         return None
-    coords = [0.0, 0.0, z]
-    coords[facade.axis] = facade.coord
-    coords[u_axis] = u
-    return Vec3(*coords)
+    return (facade.coord, u, z) if axis == 0 else (u, facade.coord, z)
 
 
 def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
@@ -450,41 +487,39 @@ def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
     it; a ground bounce via the receiver image mirrored at z = 0, scaled by
     the ground reflection coefficient; and one single-bounce path per facade
     whose specular point lies on the facade with both sub-segments clear.
-    An empty path list is legal under full blockage.
+    An empty path list is legal under full blockage.  The geometry runs on
+    coordinate triples, against the buildings' slabs and facades computed
+    once per scenario.
     """
     if tx.position == rx.position:
         raise ValueError("transmitter and receiver coincide")
     paths: list[PathComponent] = []
-    buildings = config.buildings
+    slabs, facades = config._obstacles
+    t, r = _xyz(tx.position), _xyz(rx.position)
 
-    if not segment_blocked(tx.position, rx.position, buildings):
-        paths.append(_image_path(tx, rx, wavelength, 1.0, PathKind.LOS))
+    if not _crosses(t, r, slabs):
+        paths.append(_image_path(tx, r, _xyz(rx.velocity), wavelength, 1.0, PathKind.LOS))
 
-    if config.ground_reflection_coeff != 0 and tx.position.z > 0 and rx.position.z > 0:
+    if config.ground_reflection_coeff != 0 and t[2] > 0 and r[2] > 0:
         # Height-weighted ground touch point; symmetric in (tx, rx).
-        heights = tx.position.z + rx.position.z
-        point = Vec3(
-            (tx.position.x * rx.position.z + rx.position.x * tx.position.z) / heights,
-            (tx.position.y * rx.position.z + rx.position.y * tx.position.z) / heights,
-            0.0,
-        )
-        if not segment_blocked(tx.position, point, buildings) and \
-                not segment_blocked(point, rx.position, buildings):
-            paths.append(_image_path(tx, _mirror(rx, 2, 0.0), wavelength,
+        heights = t[2] + r[2]
+        point = _finite(((t[0] * r[2] + r[0] * t[2]) / heights,
+                         (t[1] * r[2] + r[1] * t[2]) / heights,
+                         0.0))
+        if not _crosses(t, point, slabs) and not _crosses(point, r, slabs):
+            paths.append(_image_path(tx, *_mirror(rx, 2, 0.0), wavelength,
                                      config.ground_reflection_coeff, PathKind.GROUND))
 
     if config.wall_reflection_coeff != 0:
-        for b_idx, box in enumerate(buildings):
-            for f_idx, facade in enumerate(building_facades(box)):
-                point = wall_reflection_point(tx.position, rx.position, facade)
-                if point is None:
-                    continue
-                if segment_blocked(tx.position, point, buildings) or \
-                        segment_blocked(point, rx.position, buildings):
-                    continue
-                paths.append(_image_path(tx, _mirror(rx, facade.axis, facade.coord),
-                                         wavelength, config.wall_reflection_coeff,
-                                         PathKind.WALL, wall_index=4 * b_idx + f_idx))
+        for wall_index, facade in facades:
+            point = _reflection_point(t, r, facade)
+            if point is None:
+                continue
+            if _crosses(t, point, slabs) or _crosses(point, r, slabs):
+                continue
+            paths.append(_image_path(tx, *_mirror(rx, facade.axis, facade.coord),
+                                     wavelength, config.wall_reflection_coeff,
+                                     PathKind.WALL, wall_index=wall_index))
 
     paths.sort(key=lambda p: p.delay)
     return ChannelSnapshot(paths=tuple(paths), time=time)

@@ -8,6 +8,7 @@ plus circular complex Gaussian noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -134,9 +135,20 @@ def noise_variance(config: OfdmConfig) -> float:
 
 @dataclass(frozen=True)
 class PilotGrid:
-    """T x N_s complex pilot symbols, one OFDM symbol per row."""
+    """T x N_s complex pilot symbols, one OFDM symbol per row.
+
+    The grid is frozen, and its symbols must not be changed in place once
+    it is in use: ``moments`` is computed from them once and kept.
+    """
 
     symbols: np.ndarray
+
+    @functools.cached_property
+    def moments(self) -> tuple[float, float, float]:
+        """Pilot moments (P0, P1, P2), P_k = sum_{t,n} |s_{t,n}|^2 n^k."""
+        energy = (self.symbols.real ** 2 + self.symbols.imag ** 2).sum(axis=0)
+        n = np.arange(energy.size, dtype=float)
+        return float(energy.sum()), float(energy @ n), float(energy @ (n * n))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
-"""Independent finite-difference Fisher information oracle.
+"""Reference Fisher information matrices for the bounds tests.
 
-Builds the information matrix from central finite differences of the
-noiseless received mean (via the signal-synthesis path, never the analytic
-gradient under test).  Step sizes follow the parameter scales: the delay
-step is a small fraction of the inverse band edge; the gain steps are
-arbitrary because the mean is linear in the gain components.
+``finite_difference_fim`` is an independent oracle: it builds the
+information matrix from central finite differences of the noiseless
+received mean (via the signal-synthesis path, never the analytic gradient
+under test).  Step sizes follow the parameter scales: the delay step is a
+small fraction of the inverse band edge; the gain steps are arbitrary
+because the mean is linear in the gain components.
+
+``column_stack_fim`` is the analytic FIM as ``slpos.bounds.fim`` first
+computed it, one gradient column at a time, stacked by ``np.column_stack``:
+the reference that ``fim`` must match bit for bit.
 """
 
 import numpy as np
@@ -52,3 +57,21 @@ def finite_difference_fim(paths, pilots, config):
         columns.append(derivative)
     grad = np.column_stack(columns)
     return (2.0 / noise_variance(config)) * (grad.conj().T @ grad).real
+
+
+def column_stack_fim(paths, pilots, config):
+    """(2/N0) Re{G^H G}, symmetrized, with the analytic gradient columns of
+    each path built separately and stacked."""
+    n0 = noise_variance(config)
+    n_sym, n_sub = pilots.symbols.shape
+    n = np.arange(n_sub)
+    columns = []
+    for path in paths:
+        ramp = np.exp(-2j * np.pi * n * path.delay * config.subcarrier_spacing)
+        base = (pilots.symbols * ramp[None, :]).ravel()
+        d_delay = path.gain * ((-2j * np.pi * config.subcarrier_spacing * n)[None, :]
+                               * pilots.symbols * ramp[None, :]).ravel()
+        columns.extend([d_delay, base, 1j * base])
+    grad = np.column_stack(columns)
+    j = (2.0 / n0) * (grad.conj().T @ grad).real
+    return 0.5 * (j + j.T)

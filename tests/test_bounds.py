@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channels import echo_path, los_path, make_snapshot, random_multipath
-from oracle_fim import finite_difference_fim
+import slpos.cli
+from oracle_fim import column_stack_fim, finite_difference_fim
+from slpos import bounds, harness
 from slpos.bounds import (
     BoundReport,
     _single_path_crb,
@@ -19,7 +21,8 @@ from slpos.bounds import (
 )
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.propagation import Vec3, friis_gain
-from slpos.signal import OfdmConfig, PilotGrid, default_config, make_pilots
+from slpos.harness import RunConfig, run_bounds_sweep
+from slpos.signal import OfdmConfig, PilotGrid, default_config, make_pilots, noise_variance
 
 
 def friis_los_snapshot(distance_m, ofdm):
@@ -159,6 +162,58 @@ def test_single_path_closed_form_is_infinite_without_information(ofdm, pilots):
         assert crb_delay(fim([los_path(150e-9, gain)], grid, ofdm)) == math.inf
         assert _single_path_crb(gain, grid, ofdm) == math.inf
         assert reb_los_only(make_snapshot([los_path(150e-9, gain)]), grid, ofdm) == math.inf
+
+
+def _single_path_crb_from_scratch(gain, pilots, ofdm):
+    # The closed form with the pilot moments recomputed from the grid.
+    energy = (pilots.symbols.real ** 2 + pilots.symbols.imag ** 2).sum(axis=0)
+    n = np.arange(energy.size, dtype=float)
+    p0, p1, p2 = float(energy.sum()), float(energy @ n), float(energy @ (n * n))
+    ramp = 2.0 * math.pi * ofdm.subcarrier_spacing
+    unit_info = (2.0 / noise_variance(ofdm)) * (ramp * ramp) * (p2 - p1 * p1 / p0)
+    return 1.0 / unit_info / abs(gain) / abs(gain)
+
+
+def test_one_path_bound_follows_each_pilot_grid_of_a_process():
+    # The pilot moments are kept per grid.  Grids of the same shape for two
+    # --tx-power-dbm values, used in turn in one process (each freed before
+    # the next is made), each give the closed form of their own symbols.
+    gain = 1e-3 * complex(math.cos(0.7), math.sin(0.7))
+    snap = make_snapshot([los_path(200e-9, gain), echo_path(230e-9, 4e-4 + 1e-4j)])
+    seen = set()
+    for tx_power_dbm in (10.0, -20.0, 10.0, -20.0, 23.0):
+        ofdm = slpos.cli._radio_budget(tx_power_dbm, 8.0)
+        grid = make_pilots(ofdm)
+        want = _single_path_crb_from_scratch(gain, grid, ofdm)
+        assert _single_path_crb(gain, grid, ofdm) == want
+        assert reb_waa(snap, grid, ofdm).reb_los_only == SPEED_OF_LIGHT * math.sqrt(want)
+        seen.add(want)
+    assert len(seen) == 3
+
+
+# --- FIM against its column-stacked form ----------------------------------------
+
+@pytest.mark.parametrize("scenario_id, link", [(1, "rsu-vehicle"), (1, "rsu-bicycle"),
+                                               (2, "vehicle-bicycle")])
+def test_sweep_fims_are_the_column_stacked_fims_bit_for_bit(monkeypatch, scenario_id, link):
+    # fim writes its gradient columns into one array; the Gram matrix it
+    # forms is the one of the columns built and stacked one by one, to the
+    # last bit, in every cell of two or more paths that a bounds sweep
+    # builds a FIM for.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    cells = []
+
+    def spy(paths, pilots, config):
+        cells.append((paths, pilots, config))
+        return fim(paths, pilots, config)
+
+    monkeypatch.setattr(bounds, "fim", spy)
+    run_bounds_sweep(RunConfig(scenario_id=scenario_id, link=link))
+    assert len(cells) > 100
+    for paths, pilots, config in cells:
+        assert len(paths) >= 2
+        assert np.array_equal(fim(paths, pilots, config),
+                              column_stack_fim(paths, pilots, config))
 
 
 # --- resolution cell ---------------------------------------------------------

@@ -376,6 +376,20 @@ def test_ranging_defaults_are_the_run_config_defaults(tmp_path, monkeypatch):
                       None, default_config())]
 
 
+def test_successive_main_calls_parse_independently(tmp_path, monkeypatch):
+    # The parser is built once per process; options given to one call do
+    # not carry over to the next.
+    calls = []
+    monkeypatch.setattr(slpos.cli, "run_ranging_sweep",
+                        lambda cfg, scenario, ofdm: calls.append(cfg) or [])
+    argv = ["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv + ["--oversample", "8", "--no-doppler"]) == 0
+    assert main(argv) == 0
+    assert [(cfg.oversample, cfg.doppler_enabled) for cfg in calls] == [(8, False), (16, True)]
+    assert slpos.cli._build_parser() is slpos.cli._build_parser()
+
+
 _BUDGET_DB = st.floats(min_value=-4000.0, max_value=4000.0)
 
 

@@ -41,7 +41,7 @@ from slpos.harness import (
     run_positioning_demo,
     run_ranging_sweep,
 )
-from slpos.positioning import Anchor, range_position_crb
+from slpos.positioning import MAX_ITERS, Anchor, range_position_crb, solve_fixes
 from slpos.propagation import (
     BuildingBox,
     ScenarioConfig,
@@ -933,19 +933,33 @@ def test_position_stdout_matches_committed_reference(anchors, options, golden, c
 
 @pytest.mark.parametrize("sigma, unconverged", [("1.0", 0), ("3.0", 0), ("10", 4)])
 def test_position_reports_unconverged_fixes_on_stderr(sigma, unconverged, capsys):
-    # Fixes that stop at the iteration limit stay in the summary, and
-    # stderr says how many there are.  At 10 m of range noise on a 10 m
-    # square some fixes still reach the limit.
+    # Fixes that do not converge stay in the summary, and stderr says how
+    # many stopped at the iteration limit and how many stalled before it.
+    # At 10 m of range noise on a 10 m square there are 2 of each.
     argv = ["position", "--anchors", str(DATA / "anchors_square.txt"), "--sigma", sigma,
             "--trials", "1000", "--seed", "7"]
     assert main(argv) == 0
     err = capsys.readouterr().err
     if unconverged:
-        assert err == (f"slpos: {unconverged} of 1000 fixes stopped at the iteration limit "
-                       "without converging; they are included in the RMSE and the "
-                       "requirement rates\n")
+        assert err == (f"slpos: {unconverged} of 1000 fixes did not converge (2 stopped at "
+                       "the iteration limit, 2 stalled before it); they are included in "
+                       "the RMSE and the requirement rates\n")
     else:
         assert err == ""
+
+
+def test_positioning_summary_splits_unconverged_fixes_by_iteration_count():
+    # The two counts are the unconverged fixes of solve_fixes at and below
+    # its iteration limit, drawn from the run's one stream.
+    summary = run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), 10.0, 1000, seed=7)
+    anchors = np.array([[a.position.x, a.position.y] for a in SQUARE])
+    true_ranges = np.linalg.norm(anchors - [3.0, 4.0], axis=1)
+    noisy = true_ranges + 10.0 * np.random.default_rng(7).standard_normal((1000, 4))
+    _, _, iterations, converged = solve_fixes(anchors, np.maximum(noisy, 0.0))
+    assert (summary.at_limit, summary.stalled) == (
+        np.count_nonzero(~converged & (iterations == MAX_ITERS)),
+        np.count_nonzero(~converged & (iterations < MAX_ITERS)))
+    assert (summary.at_limit, summary.stalled) == (2, 2)
 
 
 # --- coherence / latency --------------------------------------------------------------

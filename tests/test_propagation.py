@@ -171,6 +171,33 @@ def test_degenerate_segment_rejected():
         segment_blocked(Vec3(1, 1, 1), Vec3(1, 1, 1), [])
 
 
+def test_a_moved_building_blocks_by_its_own_geometry():
+    # trace_paths keeps each scenario's building slabs and facades: a
+    # scenario parsed with building 0 moved, traced after the stock one in
+    # the same process, is tested against its own buildings, and the stock
+    # one still against the stock buildings afterwards.
+    stock = build_scenario(1)
+    text = scenario_to_text(stock)
+    assert "building0_center=45.0,45.0,15.0\n" in text
+    moved = scenario_from_text(text.replace("building0_center=45.0,45.0,15.0",
+                                            "building0_center=55.0,55.0,15.0"))
+    # The segment crosses (22.5, 22.5), inside building 0 at x, y in [20, 70]
+    # and clear of it at x, y in [30, 80].
+    a, b = Pose(Vec3(15.0, 30.0, 1.5)), Pose(Vec3(30.0, 15.0, 1.5))
+    for scn, blocked in ((stock, True), (moved, False), (stock, True)):
+        assert segment_blocked(a.position, b.position, scn.buildings) is blocked
+        assert trace_paths(a, b, scn, WAVELENGTH).has_los is not blocked
+        assert trace_paths(b, a, scn, WAVELENGTH).has_los is not blocked
+
+
+def test_trace_of_overflowing_coordinates_is_rejected():
+    # The segment's extent overflows; the trace raises where the vector
+    # arithmetic of the endpoints would.
+    with pytest.raises(ValueError, match="non-finite vector components"):
+        trace_paths(Pose(Vec3(1e308, 0.0, 1.0)), Pose(Vec3(-1e308, 0.0, 1.0)),
+                    build_scenario(2), WAVELENGTH)
+
+
 # --- free-space gain ---------------------------------------------------------
 
 def test_friis_amplitude_at_70_5_m():
