@@ -37,6 +37,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .propagation import ChannelSnapshot, PathComponent, PathKind
 from .signal import OfdmConfig, PilotGrid, noise_variance
+from .workarrays import work_array
 
 # Condition number (of the diagonally equilibrated FIM) above which the
 # matrix is treated as rank-deficient and the bound reported infinite.
@@ -61,6 +62,9 @@ def fim(paths: list[PathComponent] | tuple[PathComponent, ...], pilots: PilotGri
         d mu / d delay   = gain * (-j 2 pi n spacing) * s * ramp
         d mu / d Re gain = s * ramp
         d mu / d Im gain = j * s * ramp
+
+    The gradient and its conjugate go to this thread's work arrays
+    (``work_array``), reused from call to call.
     """
     if not paths:
         raise ValueError("FIM requires at least one path")
@@ -70,14 +74,16 @@ def fim(paths: list[PathComponent] | tuple[PathComponent, ...], pilots: PilotGri
     n = np.arange(n_sub)
     # (-j 2 pi spacing n) s, the delay gradient of every path before its ramp.
     slope = (-2j * np.pi * config.subcarrier_spacing * n)[None, :] * symbols
-    grad = np.empty((n_sym * n_sub, 3 * len(paths)), dtype=complex)
+    shape = (n_sym * n_sub, 3 * len(paths))
+    grad = work_array(("fim_grad",), shape, complex)
     for i, path in enumerate(paths):
         ramp = np.exp(-2j * np.pi * n * path.delay * config.subcarrier_spacing)[None, :]
         base = (symbols * ramp).ravel()
         grad[:, 3 * i] = path.gain * (slope * ramp).ravel()
         grad[:, 3 * i + 1] = base
         grad[:, 3 * i + 2] = 1j * base
-    j = (2.0 / n0) * (grad.conj().T @ grad).real
+    conj = np.conjugate(grad, out=work_array(("fim_conj",), shape, complex))
+    j = (2.0 / n0) * (conj.T @ grad).real
     return 0.5 * (j + j.T)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .signal import OfdmConfig, PilotGrid, RxSymbols
+from .workarrays import work_array
 
 
 PEAK_POLICIES = ("global_peak", "first_peak")
@@ -214,23 +215,39 @@ def coarse_search(c: np.ndarray, oversample: int, policy: str = "global_peak",
     the candidate with the most negative circular offset from the maximum,
     less ``_zoom_half_width``, to the bin nearest the one with the most
     positive offset, plus it.  Returns (start, width) per row: the window's
-    first bin, in [0, K), and its number of bins.
+    first bin, in [0, K), and its number of bins.  The padded input, the
+    IDFT and its power go to this thread's work arrays (``work_array``),
+    which are reused from batch to batch.
     """
     if policy not in PEAK_POLICIES:
         raise ValueError(f"unknown peak policy {policy!r}")
-    n_sub = c.shape[-1]
+    n_rows, n_sub = c.shape
     k_bins = oversample * n_sub
     length = _coarse_length(n_sub, oversample)
-    power = _idft_power(c, length)
-    margin_db = _SCALLOP_MARGIN_DB + (threshold_db if policy == "first_peak" else 0.0)
-    above = power >= power.max(axis=-1, keepdims=True) * 10 ** (-margin_db / 10.0)
+    # Columns N_s.. of the padded rows are never written, so they stay zero.
+    padded = work_array(("coarse_padded", n_sub, length), (n_rows, length), complex)
+    padded[:, :n_sub] = c
+    values = np.fft.ifft(padded, axis=-1,
+                         out=work_array(("coarse_values",), (n_rows, length), complex))
+    re, im = values.real, values.imag
+    power = np.multiply(re, re, out=work_array(("coarse_power",), (n_rows, length)))
+    power += np.multiply(im, im, out=re)
     top = power.argmax(axis=-1)
-    offset = (np.arange(length) - top[:, None] + length // 2) % length - length // 2
+    peak = power[np.arange(n_rows), top]
+    margin_db = _SCALLOP_MARGIN_DB + (threshold_db if policy == "first_peak" else 0.0)
+    above = np.greater_equal(power, (peak * 10 ** (-margin_db / 10.0))[:, None],
+                             out=work_array(("coarse_above",), (n_rows, length), bool))
+    # The few samples above the margin, by row, and their circular offsets
+    # from the row's maximum, in [-L/2, L/2).
+    hit_row, hit_col = np.divmod(np.flatnonzero(above), length)
+    offset = (hit_col - top[hit_row] + length // 2) % length - length // 2
+    lo = np.full(n_rows, length)
+    hi = np.full(n_rows, -length)
+    np.minimum.at(lo, hit_row, offset)
+    np.maximum.at(hi, hit_row, offset)
     half = _zoom_half_width(n_sub, oversample)
     # Nearest fine bin of coarse sample j, round(j K / L), for j of either sign.
-    first, last = ((2 * (top + edge) * k_bins + length) // (2 * length)
-                   for edge in (np.where(above, offset, length).min(axis=-1),
-                                np.where(above, offset, -length).max(axis=-1)))
+    first, last = ((2 * (top + edge) * k_bins + length) // (2 * length) for edge in (lo, hi))
     return (first - half) % k_bins, last - first + 2 * half + 1
 
 

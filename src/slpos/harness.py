@@ -11,11 +11,11 @@ other samples, and its first trials not on the trial count.
 
 A sweep checks its inputs, then splits its samples into contiguous chunks,
 one per CPU the process may use, each of at least ``_MIN_CHUNK`` samples.
-The first chunk runs in this process and each other one in a worker of a
-forked ``multiprocessing`` pool, which sends its results back pickled.  A
-process without ``os.fork``, with other threads, or with a function this
-module imported replaced (a spy, a timing wrapper) runs the one chunk
-alone (``_usable_cpus``).  A chunk traces and bounds its samples first.
+The first chunk runs in this process and each other one in a child forked
+for it alone, which sends its results back pickled through a pipe and
+exits (``_forked``).  A process without ``os.fork``, with other threads,
+or with a function this module imported replaced (a spy, a timing
+wrapper) runs the one chunk alone (``_usable_cpus``).  A chunk traces and bounds its samples first.
 Its round trips then fill peak-search batches of ``_TRIAL_BATCH`` in
 (sample, trial) order, so with few trials per sample one coarse search and
 one zoom serve several samples; each sample still sums its own squared
@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -103,13 +104,15 @@ _TRIAL_BATCH = 32
 _MAX_OVERSAMPLE = 256
 
 # Fewest sweep samples worth a process of their own.  On a 2-vCPU KVM
-# guest a 2-way split adds 11-15 ms to a sweep (the pool's fork, threads
-# and pipes, the copy-on-write faults of a 40 MB process, the pickled task
-# and results, the reaping).  The cheapest sample, bounds only, takes about
-# 0.3 ms (a vehicle-bicycle sample, traced and bounded), so a chunk of 40
-# such samples does about the work the split costs; a ranging sample at 10
-# trials takes about 1.4 ms, so the 101-sample ranging-mc sweep still
-# splits two ways with a clear gain.
+# guest a 2-way split adds 6-10 ms to a bounds sweep (medians of 30 split
+# sweeps less their first chunk alone; 14-15 ms with the multiprocessing
+# pool it replaced).  About 3.5 ms of that is the fork, the pipe, the
+# pickled results and the reaping; the rest is the copy-on-write faults of
+# a 40 MB process and two processes sharing the CPUs.  The cheapest sample,
+# bounds only, takes about 0.3 ms (a vehicle-bicycle sample, traced and
+# bounded), so a chunk of 40 such samples does more work than the split
+# costs; a ranging sample at 10 trials takes about 1 ms, so the 101-sample
+# ranging-mc sweep splits two ways with a clear gain.
 _MIN_CHUNK = 40
 
 # Positioning fixes solved together, bounding the solver's buffers as
@@ -256,10 +259,10 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     where round trips alias, is rejected before the first trace.  The
     samples are split into contiguous chunks, one per usable CPU
     (``_worker_count``); the first runs here and each other one in a forked
-    pool worker, whose exception, if it raises, is raised here with its
-    type and message.  With Monte Carlo, each chunk starts on a peak-search
-    batch boundary, so every batch is the one a single process would
-    search."""
+    child (``_forked``), whose exception, if it raises, is raised here with
+    its type and message.  With Monte Carlo, each chunk starts on a
+    peak-search batch boundary, so every batch is the one a single process
+    would search."""
     if cfg.output_path is not None:
         _check_writable(cfg.output_path)
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
@@ -292,22 +295,7 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     chunks = _chunks(n_samples, _worker_count(_usable_cpus(), n_samples), align)
     work = functools.partial(_sweep_chunk, cfg, scenario, ofdm, pilots, window, samples,
                              monte_carlo)
-    if len(chunks) == 1:
-        rows = work(chunks[0])
-    else:
-        # Imported only here: multiprocessing and what it loads take about
-        # 0.5 MB and 6 ms that a one-process run never needs.  Forked, not
-        # spawned: only a process without other threads gets here, and a
-        # spawned worker's fresh import of slpos and NumPy (about 0.1 s)
-        # would cost about what the split saves on a 101-sample, 10-trial
-        # sweep.  The children ignore Ctrl-C: interrupted, this process
-        # leaves the block, which terminates and reaps them.
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(
-                len(chunks) - 1, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-            pending = [pool.apply_async(work, (chunk,)) for chunk in chunks[1:]]
-            rows = work(chunks[0]) + [row for result in pending for row in result.get()]
+    rows = work(chunks[0]) if len(chunks) == 1 else _forked(work, chunks)
     points = [CurvePoint(coord, true_range, rmse, *bounds, n_paths, n_cell, los_present)
               for (*_, coord, true_range), (n_paths, los_present, *bounds, n_cell, rmse)
               in zip(samples, rows)]
@@ -400,6 +388,74 @@ def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
                                       - true_ranges[owner]) ** 2
                 owners, fwd, rev = [], [], []
     return [math.sqrt(total / cfg.trials) for total in sq_err]
+
+
+def _forked(work, chunks: Sequence[range]) -> list[tuple]:
+    """``work``'s rows for every chunk in order: the first chunk here, each
+    other one in a child of its own, forked beforehand.
+
+    Forked, not spawned: only a process without other threads gets here,
+    and a spawned child's fresh import of slpos and NumPy (about 0.1 s)
+    would cost about what the split saves on a 101-sample, 10-trial sweep.
+    A child ignores Ctrl-C, pickles its rows or its exception into a pipe
+    and leaves by ``os._exit``.  The pipes are read in chunk order; a
+    child's exception is raised here with its type and message, one that
+    does not pickle as a RuntimeError with its repr, and a child that ends
+    without a result (killed, say) raises a RuntimeError naming its samples.
+    Whatever happens here, Ctrl-C included, every child is killed and
+    reaped before this returns.
+    """
+    running = {}
+    pipes = []
+    try:
+        for chunk in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    os.close(read_fd)
+                    try:
+                        outcome = (True, work(chunk))
+                    except Exception as exc:
+                        outcome = (False, exc)
+                    try:
+                        result = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                    except Exception as exc:
+                        result = pickle.dumps((False, RuntimeError(
+                            f"the process sweeping samples {chunk.start}-{chunk.stop - 1} "
+                            f"could not send back {outcome[1]!r:.1000} ({exc!r})")))
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(result)
+                finally:
+                    os._exit(0)
+            running[chunk] = pid
+            os.close(write_fd)
+            pipes.append(open(read_fd, "rb"))
+        rows = work(chunks[0])
+        for chunk, pipe in zip(chunks[1:], pipes):
+            result = pipe.read()
+            if not result:
+                _, status = os.waitpid(running.pop(chunk), 0)
+                raise RuntimeError(f"the process sweeping samples {chunk.start}-"
+                                   f"{chunk.stop - 1} ended without a result "
+                                   f"(wait status {status})")
+            ok, value = pickle.loads(result)
+            if not ok:
+                raise value
+            rows += value
+        return rows
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _worker_count(cpus: int, n_samples: int) -> int:

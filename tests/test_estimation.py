@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channels import echo_path, los_path, make_snapshot
+from oracle_coarse import dense_coarse_search
 from slpos.bounds import reb_los_only, reb_waa
 from slpos import estimation
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.estimation import (
+    PEAK_POLICIES,
     DelaySpectrum,
+    coarse_search,
     delay_spectrum,
     estimate_toa,
     hamming_window,
@@ -127,6 +130,47 @@ def test_power_from_products_is_the_squares_bit_for_bit():
         values = c @ dtft[:, :int(rng.integers(3, 257))]
         re, im = values.real, values.imag
         assert np.array_equal(re * re + im * im, values.real ** 2 + values.imag ** 2)
+
+
+def _coarse_rows(rng, rows, n_sub, length):
+    """A batch of windowed symbol sums of four kinds, mixed at random:
+    noise only; one path whose coarse peak lies within two coarse bins of
+    bin 0 or of bin L - 1, over noise; ten paths of comparable strength;
+    and an impulse, whose coarse power is flat, so that every sample
+    qualifies."""
+    n = np.arange(n_sub)
+    batch = rng.standard_normal((rows, n_sub)) + 1j * rng.standard_normal((rows, n_sub))
+    for row, kind in enumerate(rng.integers(0, 4, rows)):
+        if kind == 1:
+            peak = rng.uniform(-2.0, 2.0)
+            batch[row] += 10 ** rng.uniform(0, 3) * np.exp(2j * np.pi * n * peak / length)
+        elif kind == 2:
+            peaks = rng.uniform(0, length, 10)
+            batch[row] += np.exp(2j * np.pi * np.outer(n, peaks) / length).sum(axis=1)
+        elif kind == 3:
+            batch[row] = 0
+            batch[row, 0] = rng.uniform(0.5, 2.0)
+    return batch * hamming_window(n_sub)
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 16])
+def test_coarse_search_equals_the_dense_oracle(oversample):
+    # The zoom windows come from the few coarse samples above the margin;
+    # they equal, row for row, those of the dense offset matrix (coarse
+    # length K = 167 at 1x and 334 at 2x, not powers of two, and 512 at 16x).
+    n_sub = 167
+    length = estimation._coarse_length(n_sub, oversample)
+    assert length == (167, 334, 512)[(1, 2, 16).index(oversample)]
+    rng = np.random.default_rng(oversample)
+    for rows in [1, 64, *rng.integers(1, 65, 30)]:
+        c = _coarse_rows(rng, int(rows), n_sub, length)
+        for policy in PEAK_POLICIES:
+            for threshold_db in (0.0, 6.0, 40.0):
+                start, width = coarse_search(c, oversample, policy, threshold_db)
+                want_start, want_width = dense_coarse_search(c, oversample, policy,
+                                                             threshold_db)
+                assert np.array_equal(start, want_start)
+                assert np.array_equal(width, want_width)
 
 
 def test_pilot_invariance(ofdm):

@@ -534,14 +534,16 @@ _LINK_ARGS = {"rsu-vehicle": ["--scenario", "1", "--link", "rsu-vehicle"],
     *(["bounds", *args] for args in _LINK_ARGS.values()),
 ], ids=lambda argv: "-".join(argv[:5:2] + argv[7::2]))
 def test_split_sweep_writes_the_single_process_csv(argv, tmp_path, monkeypatch, capsys):
+    # Three CPUs take chunks of 20 samples or more, so that three chunks fit.
     csv = []
-    for cpus in (1, 2):
+    for cpus, min_chunk in ((1, harness._MIN_CHUNK), (2, harness._MIN_CHUNK), (3, 20)):
         forks = _forks(monkeypatch, cpus)
+        monkeypatch.setattr(harness, "_MIN_CHUNK", min_chunk)
         out = tmp_path / f"{cpus}.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert len(forks) == cpus - 1
         csv.append(out.read_bytes())
-    assert csv[1] == csv[0]
+    assert csv[2] == csv[1] == csv[0]
 
 
 @pytest.mark.parametrize("policy", [*PEAK_POLICIES, None])
@@ -565,38 +567,103 @@ def test_split_mixed_sweep_writes_the_single_process_csv(policy, tmp_path, monke
     assert csv[1] == csv[0]
 
 
+def _die():
+    os._exit(3)
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+def _raise_unpicklable():
+    class Local(ValueError):
+        pass
+
+    raise Local("no channel")
+
+
 @pytest.mark.parametrize("sweep", [run_ranging_sweep, run_bounds_sweep])
-@pytest.mark.parametrize("failing_chunk", [0, 1])
+@pytest.mark.parametrize("failing_chunk", [0, 1, pytest.param("dies-1", id="dies-1"),
+                                           pytest.param("interrupt-0", id="interrupt-0"),
+                                           pytest.param("unpicklable-1", id="unpicklable-1"),
+                                           pytest.param("1-of-3", id="1-of-3")])
 def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_child(sweep, failing_chunk,
                                                                   monkeypatch, tmp_path,
                                                                   capsys):
     # A sample whose trace raises, in this process's chunk or in the forked
     # one: the caller gets the exception, main exits 1 without output, and
     # no child is left to reap.  The fault sits inside trace_paths, which
-    # harness still calls as imported.
-    forks = _forks(monkeypatch, 2)
-    bad = (10, 70)[failing_chunk]
-    assert bad in harness._chunks(101, 2, 16)[failing_chunk]
+    # harness still calls as imported.  "dies-1": the forked chunk ends
+    # without reporting, and the caller gets an error naming its samples
+    # rather than an EOFError or a hang.  "interrupt-0": Ctrl-C in this
+    # process's chunk, while the child still runs, reaps the child too.
+    # "unpicklable-1": the forked chunk's exception does not pickle, and the
+    # caller gets its repr.  "1-of-3": the middle of three chunks raises,
+    # and the last one's child, which may still run, is reaped too.
+    fault, chunk, workers = {0: (None, 0, 2), 1: (None, 1, 2), "dies-1": (_die, 1, 2),
+                             "interrupt-0": (_interrupt, 0, 2),
+                             "unpicklable-1": (_raise_unpicklable, 1, 2),
+                             "1-of-3": (None, 1, 3)}[failing_chunk]
+    forks = _forks(monkeypatch, workers)
+    if workers == 3:
+        monkeypatch.setattr(harness, "_MIN_CHUNK", 20)
+    bad = (10, 70)[chunk] if workers == 2 else 50
+    assert (bad in harness._chunks(101, workers, 16)[chunk]
+            and bad in harness._chunks(101, workers, 1)[chunk])
     interval = build_scenario(1).measurement_interval
     snapshot = slpos.propagation.ChannelSnapshot
+    parent = os.getpid()
 
     def failing_snapshot(*, paths, time):
         if time == bad * interval:
-            raise ValueError(f"no channel at sample {bad}")
+            if fault is None:
+                raise ValueError(f"no channel at sample {bad}")
+            assert fault is _interrupt or os.getpid() != parent
+            fault()
         return snapshot(paths=paths, time=time)
 
     monkeypatch.setattr(slpos.propagation, "ChannelSnapshot", failing_snapshot)
-    with pytest.raises(ValueError, match=f"^no channel at sample {bad}$"):
-        sweep(RunConfig(scenario_id=1, link="rsu-vehicle", trials=10, seed=1))
-    out = tmp_path / "sweep.csv"
-    command = "ranging" if sweep is run_ranging_sweep else "bounds"
-    assert main([command, *_LINK_ARGS["rsu-vehicle"], "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert f"no channel at sample {bad}" in captured.err and captured.out == ""
-    assert not out.exists()
-    assert len(forks) == 2
+    cfg = RunConfig(scenario_id=1, link="rsu-vehicle", trials=10, seed=1)
+    if fault is _die:
+        with pytest.raises(RuntimeError, match=r"^the process sweeping samples \d+-100 ended "
+                                               r"without a result \(wait status 768\)$"):
+            sweep(cfg)
+    elif fault is _interrupt:
+        with pytest.raises(KeyboardInterrupt):
+            sweep(cfg)
+    elif fault is _raise_unpicklable:
+        with pytest.raises(RuntimeError, match=r"^the process sweeping samples \d+-100 could "
+                                               r"not send back Local\('no channel'\) \(.+\)$"):
+            sweep(cfg)
+    else:
+        with pytest.raises(ValueError, match=f"^no channel at sample {bad}$"):
+            sweep(cfg)
+        out = tmp_path / "sweep.csv"
+        command = "ranging" if sweep is run_ranging_sweep else "bounds"
+        assert main([command, *_LINK_ARGS["rsu-vehicle"], "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"no channel at sample {bad}" in captured.err and captured.out == ""
+        assert not out.exists()
+    assert len(forks) == (workers - 1) * (1 if fault else 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_split_sweep_imports_no_multiprocessing():
+    code = """if True:
+        import os, sys
+        from slpos import harness
+        forks = []
+        fork = os.fork
+        os.fork = lambda: forks.append(None) or fork()
+        harness._usable_cpus = lambda: 2
+        harness.run_bounds_sweep(harness.RunConfig(scenario_id=1, link="rsu-vehicle"))
+        print(len(forks), "multiprocessing" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.split() == ["1", "False"]
 
 
 def test_a_sweep_below_two_minimum_chunks_never_forks(monkeypatch):
