@@ -317,6 +317,17 @@ def low_confidence(spectrum: DelaySpectrum) -> bool:
     return spectrum.power.max() < 10.0 * float(np.median(spectrum.power))
 
 
+def round_trip_distance(toa_fwd, toa_rev, processing_time: float = 0.0,
+                        period: float | None = None):
+    """c * (toa_fwd + toa_rev - processing_time) / 2, the round trip first
+    reduced modulo ``period`` when one is given: ``rtt_range``'s distance,
+    for floats or elementwise for arrays of exchanges."""
+    total = toa_fwd + toa_rev - processing_time
+    if period is not None:
+        total = total % period
+    return SPEED_OF_LIGHT * total / 2.0
+
+
 def rtt_range(toa_fwd: float, toa_rev: float, processing_time: float = 0.0, *,
               one_way_toa_var: float | None = None,
               period: float | None = None) -> RangeMeasurement:
@@ -332,12 +343,9 @@ def rtt_range(toa_fwd: float, toa_rev: float, processing_time: float = 0.0, *,
     (two noisy arrivals combine) before the /2 distance conversion:
     sigma = (c / 2) * sqrt(2 * one_way_toa_var).
     """
-    total = toa_fwd + toa_rev - processing_time
-    if period is not None:
-        total %= period
-    elif total <= 0:
+    dist = round_trip_distance(toa_fwd, toa_rev, processing_time, period)
+    if period is None and dist <= 0:
         raise ValueError("round trip shorter than the processing time")
-    dist = SPEED_OF_LIGHT * total / 2.0
     if one_way_toa_var is None:
         sigma = math.nan
     else:

@@ -47,7 +47,8 @@ from .estimation import (
     estimate_toa,  # noqa: F401 - the benchmark tracer wraps harness.estimate_toa
     hamming_window,
     low_confidence,  # noqa: F401 - the benchmark tracer wraps harness.low_confidence
-    rtt_range,
+    round_trip_distance,
+    rtt_range,  # noqa: F401 - the benchmark tracer wraps harness.rtt_range
     zoom,
 )
 from .positioning import (
@@ -121,8 +122,15 @@ _FIX_BATCH = 1024
 
 # Largest positioning trial count, 10,000 times the CLI's default 1000: the
 # run holds one float64 error per trial (80 MB at the cap) and, at about
-# 13 us per fix, takes a few minutes.
+# 5 us per fix (a 1000-fix pass on a 2-vCPU host), takes about a minute.
 _MAX_POSITION_TRIALS = 10**7
+
+# Largest ranging trial count per sweep sample, 10,000 times the default
+# 100: at about 13,000 round trips per second (the 101-sample rsu-vehicle
+# sweep on a 2-vCPU host) the cap takes about two hours, 10^9 trials about
+# three months.  A sample holds only its sum of squared errors, whatever
+# the count.
+_MAX_TRIALS = 10**6
 
 # Largest sweep sample count, about 3,000 times the 351-sample rsu-bicycle
 # sweep: every sample's snapshot is held before the Monte Carlo starts.
@@ -170,6 +178,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"trials must be at most {_MAX_TRIALS}, got {self.trials}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not 0 <= self.clock_bias_std <= _MAX_CLOCK_BIAS_STD:
@@ -354,12 +364,14 @@ def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
     batch may span samples and a sample may span batches.  A full batch,
     or the last one, stacks all its forward rows over all its reverse rows;
     one ``coarse_search`` and one ``zoom`` find their peaks, each the bin
-    that ``estimate_toa`` picks on the full spectrum, and every round
-    trip's squared error goes to the sample that owns it.
+    that ``estimate_toa`` picks on the full spectrum, ``round_trip_distance``
+    combines the batch's arrivals, and every round trip's squared error is
+    added, in trial order, to the sample that owns it.
     """
     scale = noise_scale(pilots, ofdm, window)
     period = ofdm.unambiguous_delay
-    sq_err = [0.0] * len(snaps)
+    true_ranges = np.asarray(true_ranges)
+    sq_err = np.zeros(len(snaps))
     owners: list[int] = []
     fwd: list[np.ndarray] = []
     rev: list[np.ndarray] = []
@@ -381,13 +393,13 @@ def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
                 zoom_start, zoom_width = coarse_search(block, cfg.oversample, cfg.peak_policy,
                                                        cfg.first_peak_threshold_db)
                 toas = zoom(block, zoom_start, zoom_width, ofdm, cfg.oversample,
-                            cfg.peak_policy, cfg.first_peak_threshold_db).toa.tolist()
+                            cfg.peak_policy, cfg.first_peak_threshold_db).toa
                 b = len(owners)
-                for owner, toa_fwd, toa_rev in zip(owners, toas[:b], toas[b:]):
-                    sq_err[owner] += (rtt_range(toa_fwd, toa_rev, period=period).distance
-                                      - true_ranges[owner]) ** 2
+                errors = (round_trip_distance(toas[:b], toas[b:], period=period)
+                          - true_ranges[owners])
+                np.add.at(sq_err, owners, errors ** 2)
                 owners, fwd, rev = [], [], []
-    return [math.sqrt(total / cfg.trials) for total in sq_err]
+    return [math.sqrt(total / cfg.trials) for total in sq_err.tolist()]
 
 
 def _forked(work, chunks: Sequence[range]) -> list[tuple]:

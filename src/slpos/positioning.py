@@ -136,13 +136,23 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
 
 # The solver below keeps the fix axis innermost: iterates are (dim, n),
 # ranges and residuals (A, n), Jacobians (dim, A, n).  Sums over anchors
-# and coordinates run in a fixed order (builtin sum over the leading axis),
+# and coordinates run in a fixed order (row after row of the leading axis),
 # so a fix's result does not depend on how many fixes share the arrays.
+# A symmetric dim x dim matrix per fix is held as its unique entries, one
+# (n,) array each, in the order of _PAIRS.
+
+_PAIRS = {2: ((0, 0), (0, 1), (1, 1)),
+          3: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))}
+
 
 def _anchor_sum(values: np.ndarray) -> np.ndarray:
     """Sum over the anchor axis of an (A, n) or (dim, A, n) array, anchor by
-    anchor."""
-    return sum(values.swapaxes(0, -2))
+    anchor (A >= 2)."""
+    first, second, *rest = values.swapaxes(0, -2)
+    total = first + second
+    for row in rest:
+        total += row
+    return total
 
 
 def _residuals(x: np.ndarray, anchor_cols: np.ndarray,
@@ -154,57 +164,131 @@ def _residuals(x: np.ndarray, anchor_cols: np.ndarray,
     return dists - ranges, ranges
 
 
-def _gradient_norm(x: np.ndarray, ranges: np.ndarray, wres: np.ndarray,
-                   anchor_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Range Jacobians (dim, A, n) and cost gradient norms (n,)."""
+def _gradient(x: np.ndarray, ranges: np.ndarray, wres: np.ndarray,
+              anchor_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Range Jacobians (dim, A, n), half cost gradients (dim, n) and cost
+    gradient norms (n,)."""
     jac = -(x[:, None, :] - anchor_cols) / ranges
-    grad = 2.0 * _anchor_sum(jac * wres)
-    return jac, np.sqrt(sum(grad * grad))
+    half = _anchor_sum(jac * wres)
+    grad = 2.0 * half
+    return jac, half, np.sqrt(sum(grad * grad))
 
 
 def _normal_and_hessian(jac: np.ndarray, res: np.ndarray, ranges: np.ndarray,
                         dists: np.ndarray, weights: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton normal matrices N and half Hessians H (n, dim, dim) of
-    the weighted cost, from the range Jacobians (dim, A, n), residuals r_i,
-    ranges rho_i, measured distances d_i (A, n) and weights w_i (A, 1).
+                        ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Unique entries of the Gauss-Newton normal matrices N and half
+    Hessians H of the weighted cost, from the range Jacobians (dim, A, n),
+    residuals r_i, ranges rho_i, measured distances d_i (A, n) and weights
+    w_i (A, 1).
 
     With u_i the unit vector from anchor i, N = sum_i w_i u_i u_i^T and
     H = sum_i w_i (d_i/rho_i) u_i u_i^T - (sum_i w_i r_i/rho_i) I: the normal
     matrix with each anchor's weight scaled by d_i/rho_i, less a multiple of
     the identity.
     """
-    outer = jac[:, None] * jac[None]
-    normal = _anchor_sum(weights * outer).transpose(2, 0, 1)
-    hessian = (_anchor_sum(weights * dists / ranges * outer).transpose(2, 0, 1)
-               - _anchor_sum(weights * res / ranges)[:, None, None] * np.eye(len(jac)))
+    scaled = weights * dists / ranges
+    shift = _anchor_sum(weights * res / ranges)
+    normal, hessian = [], []
+    for a, b in _PAIRS[len(jac)]:
+        outer = jac[a] * jac[b]
+        normal.append(_anchor_sum(weights * outer))
+        entry = _anchor_sum(scaled * outer)
+        hessian.append(entry - shift if a == b else entry)
     return normal, hessian
 
 
-def _newton_step(jac: np.ndarray, res: np.ndarray, ranges: np.ndarray,
-                 dists: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Newton steps (dim, n) on the exact Hessian of the weighted cost.
+def _dim(entries: Sequence[np.ndarray]) -> int:
+    """Size of the symmetric matrices given by these unique entries."""
+    return 2 if len(entries) == 3 else 3
 
-    A fix whose half Hessian H fails Sylvester's criterion, every leading
-    minor k above _PD_MARGIN * trace(N)^k, takes the Gauss-Newton step on
-    the normal matrix N instead.  A system whose determinant is below
-    1e-15 * trace^dim (pinv's default cutoff) is near-singular and takes its
-    minimum-norm step, so a degenerate fix never raises.
-    """
-    normal, hessian = _normal_and_hessian(jac, res, ranges, dists, weights)
-    dim = normal.shape[-1]
-    scale = np.trace(normal, axis1=1, axis2=2)
-    definite = np.all([np.linalg.det(hessian[:, :k, :k]) > _PD_MARGIN * scale ** k
-                       for k in range(1, dim + 1)], axis=0)
-    system = np.where(definite[:, None, None], hessian, normal)
-    target = _anchor_sum(jac * (-weights * res)).T
-    singular = ~(np.linalg.det(system) > 1e-15 * np.trace(system, axis1=1, axis2=2) ** dim)
+
+def _trace(entries: Sequence[np.ndarray]) -> np.ndarray:
+    """Traces of symmetric matrices given by their unique entries."""
+    return sum(entries[i] for i, (a, b) in enumerate(_PAIRS[_dim(entries)]) if a == b)
+
+
+def _leading_minors(entries: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Leading principal minors k = 1..dim of symmetric matrices given by
+    their unique entries, by cofactor expansion: no division."""
+    if _dim(entries) == 2:
+        a, b, c = entries
+        return [a, a * c - b * b]
+    a, b, c, d, e, f = entries
+    return [a, a * d - b * b, a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)]
+
+
+def _symmetric(entries: Sequence[np.ndarray]) -> np.ndarray:
+    """The (n, dim, dim) matrices of unique entries."""
+    dim = _dim(entries)
+    full = np.empty((len(entries[0]), dim, dim))
+    for (a, b), entry in zip(_PAIRS[dim], entries):
+        full[:, a, b] = full[:, b, a] = entry
+    return full
+
+
+def _choose_system(normal: Sequence[np.ndarray], hessian: Sequence[np.ndarray]
+                   ) -> tuple[np.ndarray, Sequence[np.ndarray], np.ndarray]:
+    """Per fix, whether its half Hessian H passes Sylvester's criterion,
+    every leading minor k above _PD_MARGIN * trace(N)^k; the system it
+    solves, H where it does and the normal matrix N elsewhere, as unique
+    entries; and that system's determinant."""
+    scale = _trace(normal)
+    minors = _leading_minors(hessian)
+    definite = np.logical_and.reduce([minor > _PD_MARGIN * scale ** k
+                                      for k, minor in enumerate(minors, 1)])
+    if definite.all():
+        return definite, hessian, minors[-1]
+    return (definite, [np.where(definite, h, n) for h, n in zip(hessian, normal)],
+            np.where(definite, minors[-1], _leading_minors(normal)[-1]))
+
+
+def _singular(system: Sequence[np.ndarray], det: np.ndarray) -> np.ndarray:
+    """Systems whose determinant is not above 1e-15 * trace^dim, pinv's
+    default cutoff."""
+    return ~(det > 1e-15 * _trace(system) ** _dim(system))
+
+
+def _lu_solve(system: Sequence[np.ndarray], target: np.ndarray) -> np.ndarray:
+    """Solutions (dim, n) of positive definite systems, given by their
+    unique entries, by Gaussian elimination written out: LAPACK's LU
+    without the row exchanges, which a positive definite system does not
+    need."""
+    if _dim(system) == 2:
+        a, b, c = system
+        t1, t2 = target
+        l21 = b / a
+        x2 = (t2 - l21 * t1) / (c - l21 * b)
+        return np.array([(t1 - b * x2) / a, x2])
+    a, b, c, d, e, f = system
+    t1, t2, t3 = target
+    l21, l31 = b / a, c / a
+    u22, u23, y2 = d - l21 * b, e - l21 * c, t2 - l21 * t1
+    l32 = (e - l31 * b) / u22
+    x3 = (t3 - l31 * t1 - l32 * y2) / (f - l31 * c - l32 * u23)
+    x2 = (y2 - u23 * x3) / u22
+    return np.array([(t1 - b * x2 - c * x3) / a, x2, x3])
+
+
+def _newton_step(normal: Sequence[np.ndarray], hessian: Sequence[np.ndarray],
+                 target: np.ndarray) -> np.ndarray:
+    """Newton steps (dim, n) on the exact Hessian of the weighted cost:
+    solutions of H s = target, or N s = target where H fails Sylvester's
+    criterion (``_choose_system``), with target minus half the gradient.
+
+    Each fix's minors and determinant are decided before anything is
+    divided: a near-singular system (``_singular``) takes its minimum-norm
+    step, so a degenerate fix never raises."""
+    _, system, det = _choose_system(normal, hessian)
+    singular = _singular(system, det)
+    if not singular.any():
+        return _lu_solve(system, target)
+    regular = ~singular
     step = np.empty_like(target)
-    step[~singular] = np.linalg.solve(system[~singular], target[~singular, :, None])[..., 0]
-    if np.any(singular):
-        pinv = np.linalg.pinv(system[singular], hermitian=True)
-        step[singular] = np.sum(pinv * target[singular, None, :], axis=2)
-    return step.T
+    step[:, regular] = _lu_solve([entry[regular] for entry in system], target[:, regular])
+    pinv = np.linalg.pinv(_symmetric([entry[singular] for entry in system]), hermitian=True)
+    step[:, singular] = np.sum(pinv * target[:, singular].T[:, None, :], axis=2).T
+    return step
 
 
 def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
@@ -213,20 +297,22 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``ml_position`` for F fixes against one anchor layout, all at once.
 
-    ``anchors`` is (A, dim), ``distances`` (F, A), ``weights`` (A,)
-    (default uniform) and ``init`` (F, dim) (default the closed-form linear
-    start).  Every fix follows ``ml_position``'s rules on its own, through
-    masks: the anchor nudge, backtracking, the gradient tolerance and the
-    stall rule.  A fix's result does not depend on the other fixes.
-    Returns the positions (F, dim), costs (F,), iteration counts (F,) and
-    converged flags (F,).
+    ``anchors`` is (A, dim) with dim 2 or 3, ``distances`` (F, A),
+    ``weights`` (A,) (default uniform) and ``init`` (F, dim) (default the
+    closed-form linear start).  Every fix follows ``ml_position``'s rules
+    on its own, through masks: the anchor nudge, backtracking, the gradient
+    tolerance and the stall rule.  A fix's result does not depend on the
+    other fixes.  Returns the positions (F, dim), costs (F,), iteration
+    counts (F,) and converged flags (F,).
     """
     anchors = np.asarray(anchors, dtype=float)
-    dists = np.array(distances, dtype=float).T
-    n_anchor, n_fix = dists.shape
+    all_dists = np.array(distances, dtype=float).T
+    n_anchor, n_fix = all_dists.shape
     dim = anchors.shape[1]
+    if dim not in _PAIRS:
+        raise ValueError("dim must be 2 or 3")
     if init is None:
-        x = _linear_init(anchors, dists)
+        x = _linear_init(anchors, all_dists)
     elif n_anchor < dim:
         raise ValueError(f"need at least {dim} anchors")
     else:
@@ -238,64 +324,97 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
     weights = (raw_weights / weight_scale)[:, None]
     anchor_cols = anchors.T[:, :, None]
 
-    res, ranges = _residuals(x, anchor_cols, dists)
+    res, ranges = _residuals(x, anchor_cols, all_dists)
     cost = _anchor_sum(weights * res ** 2)
+    positions = np.empty((n_fix, dim))
+    costs = np.empty(n_fix)
     converged = np.zeros(n_fix, dtype=bool)
     iterations = np.zeros(n_fix, dtype=int)
-    active = np.arange(n_fix if max_iters > 0 else 0)
-    while active.size:
+    # The loop's arrays hold only the fixes still iterating, fix axis last:
+    # column k is fix ids[k], and each has taken `done` steps.  A fix's
+    # position, cost and iteration count are written back as it leaves.
+    ids, dists, done = np.arange(n_fix), all_dists, 0
+
+    def leave(mask: np.ndarray) -> np.ndarray:
+        """Write back the fixes of ``mask`` and drop them from the loop's
+        arrays; returns the columns kept."""
+        nonlocal ids, x, res, ranges, cost, dists
+        gone = np.flatnonzero(mask)
+        positions[ids[gone]] = x.take(gone, axis=1).T
+        costs[ids[gone]], iterations[ids[gone]] = cost[gone], done
+        keep = np.flatnonzero(~mask)
+        ids, x, res, ranges, cost, dists = (
+            array.take(keep, axis=-1) for array in (ids, x, res, ranges, cost, dists))
+        return keep
+
+    while ids.size and done < max_iters:
         # A zero range makes the Jacobian row undefined; nudge off the anchor.
-        hit = active[(ranges[:, active] < 1e-12).any(axis=0)]
-        while hit.size:
-            x[:, hit] += 1e-6
-            res[:, hit], ranges[:, hit] = _residuals(x[:, hit], anchor_cols, dists[:, hit])
-            cost[hit] = _anchor_sum(weights * res[:, hit] ** 2)
-            hit = hit[(ranges[:, hit] < 1e-12).any(axis=0)]
-        jac, grad_norm = _gradient_norm(x[:, active], ranges[:, active],
-                                        weights * res[:, active], anchor_cols)
+        if ranges.min() < 1e-12:
+            hit = np.flatnonzero((ranges < 1e-12).any(axis=0))
+            while hit.size:
+                x[:, hit] += 1e-6
+                res[:, hit], ranges[:, hit] = _residuals(x[:, hit], anchor_cols, dists[:, hit])
+                cost[hit] = _anchor_sum(weights * res[:, hit] ** 2)
+                hit = hit[(ranges[:, hit] < 1e-12).any(axis=0)]
+        jac, half_grad, grad_norm = _gradient(x, ranges, weights * res, anchor_cols)
         small = grad_norm < tol
-        converged[active[small]] = True
-        active, jac = active[~small], jac[..., ~small]
-        if not active.size:
-            break
-        step = _newton_step(jac, res[:, active], ranges[:, active], dists[:, active],
-                            weights)
+        if small.any():
+            converged[ids[small]] = True
+            keep = leave(small)
+            if not ids.size:
+                break
+            jac, half_grad = jac.take(keep, axis=-1), half_grad.take(keep, axis=-1)
+        step = _newton_step(*_normal_and_hessian(jac, res, ranges, dists, weights),
+                            -half_grad)
         # Backtracking: take the first of scale * step, scale = 1, 1/2, ...,
         # 2^-29, that lowers the cost.  Every fix tries the full step, and
         # those it did not lower try the next group of halvings at once, as
-        # one trial column per (fix, scale).  `pending` indexes the active
-        # fixes that have not decreased yet.
-        pending = np.arange(active.size)
-        for scales in _STEP_SCALES:
-            rows = active[pending]
-            trial = (x[:, rows, None] + scales * step[:, pending, None]).reshape(dim, -1)
-            trial_res, trial_ranges = _residuals(
-                trial, anchor_cols, dists[:, rows].repeat(len(scales), axis=1))
-            trial_cost = _anchor_sum(weights * trial_res ** 2)
-            better = trial_cost.reshape(-1, len(scales)) < cost[rows, None]
-            found = better.any(axis=1)
-            pick = found.nonzero()[0] * len(scales) + better[found].argmax(axis=1)
-            done = rows[found]
-            x[:, done], res[:, done], ranges[:, done], cost[done] = (
-                trial[:, pick], trial_res[:, pick], trial_ranges[:, pick], trial_cost[pick])
-            pending = pending[~found]
+        # one trial column per (fix, scale).  `pending` indexes the fixes
+        # that have not decreased yet.
+        trial = x + step
+        trial_res, trial_ranges = _residuals(trial, anchor_cols, dists)
+        trial_cost = _anchor_sum(weights * trial_res ** 2)
+        lowered = trial_cost < cost
+        for array, new in ((x, trial), (res, trial_res), (ranges, trial_ranges),
+                           (cost, trial_cost)):
+            np.copyto(array, new, where=lowered)
+        pending = np.flatnonzero(~lowered)
+        for scales in _STEP_SCALES[1:]:
             if not pending.size:
                 break
-        iterations[active] += 1
-        # Backtracking can no longer lower the cost in floating point: a
-        # stationary point if the full step is negligible against x.
-        stalled = active[pending]
-        converged[stalled] = (np.sqrt(sum(step[:, pending] ** 2))
-                              <= _STEP_TOL * (1.0 + np.sqrt(sum(x[:, stalled] ** 2))))
-        active = np.delete(active, pending)
-        active = active[iterations[active] < max_iters]
+            trial = (x.take(pending, axis=1)[:, :, None]
+                     + scales * step.take(pending, axis=1)[:, :, None]).reshape(dim, -1)
+            trial_res, trial_ranges = _residuals(
+                trial, anchor_cols, dists.take(pending, axis=1).repeat(len(scales), axis=1))
+            trial_cost = _anchor_sum(weights * trial_res ** 2)
+            better = trial_cost.reshape(-1, len(scales)) < cost[pending, None]
+            found = better.any(axis=1)
+            pick = found.nonzero()[0] * len(scales) + better[found].argmax(axis=1)
+            lowered = pending[found]
+            x[:, lowered], res[:, lowered], ranges[:, lowered], cost[lowered] = (
+                trial.take(pick, axis=1), trial_res.take(pick, axis=1),
+                trial_ranges.take(pick, axis=1), trial_cost[pick])
+            pending = pending[~found]
+        done += 1
+        if pending.size:
+            # Backtracking can no longer lower the cost in floating point: a
+            # stationary point if the full step is negligible against x.
+            converged[ids[pending]] = (
+                np.sqrt(sum(step.take(pending, axis=1) ** 2))
+                <= _STEP_TOL * (1.0 + np.sqrt(sum(x.take(pending, axis=1) ** 2))))
+            stalled = np.zeros(ids.size, dtype=bool)
+            stalled[pending] = True
+            leave(stalled)
+    leave(np.ones(ids.size, dtype=bool))
 
     rest = np.flatnonzero(~converged)
     if rest.size:
-        _, grad_norm = _gradient_norm(x[:, rest], np.maximum(ranges[:, rest], 1e-12),
-                                      weights * res[:, rest], anchor_cols)
+        fixes = positions[rest].T
+        res, ranges = _residuals(fixes, anchor_cols, all_dists[:, rest])
+        _, _, grad_norm = _gradient(fixes, np.maximum(ranges, 1e-12), weights * res,
+                                    anchor_cols)
         converged[rest] = grad_norm < tol
-    return x.T, cost * weight_scale, iterations, converged
+    return positions, costs * weight_scale, iterations, converged
 
 
 def range_position_crb(anchors: Sequence[Anchor], point: Vec3, sigmas: Sequence[float],

@@ -335,6 +335,27 @@ def test_oversample_too_large_rejected_before_the_first_sample(oversample, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials", ["1000001", "1000000000"])
+def test_trials_beyond_the_cap_rejected_before_the_first_sample(trials, tmp_path,
+                                                                monkeypatch, capsys):
+    # 10^9 trials per sample would run for months; the cap, 10^6, for hours.
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep sample ran")
+
+    monkeypatch.setattr(harness, "trace_paths", never)
+    out = tmp_path / "x.csv"
+    assert main(["ranging", "--scenario", "1", "--link", "rsu-vehicle", "--trials", trials,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("slpos: configuration error: trials must be at most "
+                            f"{harness._MAX_TRIALS}, got {trials}\n")
+    assert captured.out == ""
+    assert not out.exists()
+    # The cap itself is a valid configuration; no sweep is started here.
+    assert harness._MAX_TRIALS == 10**6
+    RunConfig(scenario_id=1, link="rsu-vehicle", trials=harness._MAX_TRIALS)
+
+
 def test_clock_bias_std_that_can_overflow_rejected_before_the_first_sample(tmp_path,
                                                                          monkeypatch, capsys):
     # A draw of 1e308 * N(0, 1) overflows to inf as soon as |N(0, 1)| > 1.8.

@@ -18,6 +18,7 @@ from slpos.estimation import (
     estimate_toa,
     hamming_window,
     low_confidence,
+    round_trip_distance,
     rtt_range,
 )
 from slpos.propagation import Vec3, friis_gain
@@ -299,6 +300,19 @@ def test_rtt_bias_cancellation_property(bias_ns, d_cm):
     period = 1 / 120e3
     m = rtt_range((tau + bias) % period, (tau - bias) % period, period=period)
     assert m.distance == pytest.approx(d, abs=1e-9)
+
+
+def test_batched_round_trip_distances_equal_rtt_range_bit_for_bit():
+    # The Monte Carlo combines a whole batch of arrivals at once; each
+    # distance must be the one rtt_range gives for that exchange, with
+    # biases of either sign and beyond a period.
+    rng = np.random.default_rng(21)
+    period = 1 / 120e3
+    tau = rng.uniform(0.0, 0.4 * period, 2000)
+    bias = rng.normal(0.0, 1e-6, 2000) * rng.choice([1.0, 1e3], 2000)
+    fwd, rev = (tau + bias) % period, (tau - bias) % period
+    want = [rtt_range(f, r, period=period).distance for f, r in zip(fwd.tolist(), rev.tolist())]
+    assert np.array_equal(round_trip_distance(fwd, rev, period=period), want)
 
 
 def test_rtt_sigma_from_one_way_variance():

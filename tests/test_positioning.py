@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_newton import lapack_branches, lapack_newton_step, stacked_normal_and_hessian
 from slpos import positioning
 from slpos.estimation import RangeMeasurement
 from slpos.positioning import (
@@ -250,8 +251,113 @@ def _half_hessians(xyz, dists, x, weights):
     anchor_cols = xyz.T[:, :, None]
     x, dists, weights = x.T, dists.T, weights[:, None]
     res, ranges = positioning._residuals(x, anchor_cols, dists)
-    jac, _ = positioning._gradient_norm(x, ranges, weights * res, anchor_cols)
-    return positioning._normal_and_hessian(jac, res, ranges, dists, weights)
+    jac, _, _ = positioning._gradient(x, ranges, weights * res, anchor_cols)
+    normal, hessian = positioning._normal_and_hessian(jac, res, ranges, dists, weights)
+    return positioning._symmetric(normal), positioning._symmetric(hessian)
+
+
+@pytest.mark.parametrize("anchors, point, dim", [
+    (SQUARE, Vec3(3.0, 4.0, 0.0), 2),
+    (MAST, Vec3(3.0, 4.0, 1.5), 3),
+])
+def test_unique_entries_equal_the_stacked_matrices_bit_for_bit(anchors, point, dim):
+    xyz, dists = _noisy_batch(anchors, point, dim, n_fixes=500, seed=14, sigma=3.0)
+    weights = np.linspace(0.5, 1.0, len(anchors))
+    iterates = np.random.default_rng(15).uniform(-5.0, 15.0, (len(dists), dim))
+    normal, hessian = _half_hessians(xyz, dists, iterates, weights)
+    anchor_cols = xyz.T[:, :, None]
+    x, dists, weights = iterates.T, dists.T, weights[:, None]
+    res, ranges = positioning._residuals(x, anchor_cols, dists)
+    jac, _, _ = positioning._gradient(x, ranges, weights * res, anchor_cols)
+    want_normal, want_hessian = stacked_normal_and_hessian(jac, res, ranges, dists, weights)
+    assert np.array_equal(normal, want_normal)
+    assert np.array_equal(hessian, want_hessian)
+
+
+EPS = np.finfo(float).eps
+
+
+def _symmetric_stack(rng, n, dim, eigenvalues):
+    """Unique entries of n random symmetric matrices Q diag(eigenvalues) Q^T."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, dim, dim)))
+    full = q @ (eigenvalues[:, :, None] * q.transpose(0, 2, 1))
+    return [full[:, a, b].copy() for a, b in positioning._PAIRS[dim]]
+
+
+def _abs_permanent(full):
+    """Permanent of |A| for (n, k, k) stacks, k <= 3: the size of the terms
+    of a cofactor expansion, which bounds its rounding."""
+    a = np.abs(full)
+    if a.shape[-1] == 1:
+        return a[:, 0, 0]
+    if a.shape[-1] == 2:
+        return a[:, 0, 0] * a[:, 1, 1] + a[:, 0, 1] * a[:, 1, 0]
+    return (a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] + a[:, 1, 2] * a[:, 2, 1])
+            + a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] + a[:, 1, 2] * a[:, 2, 0])
+            + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] + a[:, 1, 1] * a[:, 2, 0]))
+
+
+def _outside_band(value, threshold, scale):
+    """Whether a determinant lies clear of its threshold: farther than 1e-9
+    of the threshold plus the rounding bound of the determinant itself,
+    16 eps times the permanent of |A|."""
+    return np.abs(value - threshold) > 1e-9 * np.abs(threshold) + 16 * EPS * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_closed_form_step_matches_lapack(dim):
+    # Normal matrices are Gram matrices, as in the solver: positive
+    # semidefinite, half of them near-singular, their determinant from
+    # 1e-19 to 1e-11 times trace^dim around the 1e-15 cutoff.  Half
+    # Hessians are positive definite, indefinite, or have one eigenvalue
+    # near zero, so their minors straddle Sylvester's margin.
+    rng = np.random.default_rng(dim)
+    n = 20000
+    lam = rng.uniform(0.2, 4.0, (n, dim))
+    near = rng.random(n) < 0.5
+    lam[near, 0] = lam[near].sum(axis=1) * 10.0 ** rng.uniform(-19, -11, near.sum())
+    normal = _symmetric_stack(rng, n, dim, lam)
+    mu = rng.uniform(-2.0, 4.0, (n, dim))
+    small = rng.random(n) < 0.3
+    mu[small, 0] = np.abs(mu[small]).sum(axis=1) * 10.0 ** rng.uniform(-9, -3, small.sum())
+    hessian = _symmetric_stack(rng, n, dim, mu)
+    target = rng.standard_normal((dim, n))
+    full_normal, full_hessian = positioning._symmetric(normal), positioning._symmetric(hessian)
+
+    # Minors and determinants: cofactor expansions against LU.
+    for entries, full in ((normal, full_normal), (hessian, full_hessian)):
+        for k, minor in enumerate(positioning._leading_minors(entries), 1):
+            want = np.linalg.det(full[:, :k, :k])
+            assert np.all(np.abs(minor - want)
+                          <= 1e-12 * np.abs(want) + 16 * EPS * _abs_permanent(full[:, :k, :k]))
+
+    # Branch choices, away from each threshold.
+    definite, system, det = positioning._choose_system(normal, hessian)
+    singular = positioning._singular(system, det)
+    want_definite, want_system, want_singular = lapack_branches(full_normal, full_hessian)
+    scale = positioning._trace(normal)
+    clear = np.logical_and.reduce([
+        _outside_band(np.linalg.det(full_hessian[:, :k, :k]), positioning._PD_MARGIN * scale ** k,
+                      _abs_permanent(full_hessian[:, :k, :k])) for k in range(1, dim + 1)])
+    assert 0.1 * n < np.count_nonzero(want_definite) < 0.9 * n
+    assert np.array_equal(definite[clear], want_definite[clear])
+    clear &= _outside_band(np.linalg.det(want_system),
+                           1e-15 * np.trace(want_system, axis1=1, axis2=2) ** dim,
+                           _abs_permanent(want_system))
+    assert np.count_nonzero(want_singular[clear]) > 0.05 * n
+    assert np.array_equal(singular[clear], want_singular[clear])
+
+    # Steps: both solvers are backward stable, so they agree to about
+    # cond * eps; near-singular systems take the same pinv step.
+    step = positioning._newton_step(normal, hessian, target)
+    want = lapack_newton_step(full_normal, full_hessian, target.T).T
+    cond = np.linalg.cond(want_system)
+    regular = clear & ~want_singular & (cond < 1e8)
+    assert np.count_nonzero(regular & (cond > 1e5)) > 50
+    error = np.linalg.norm(step - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.all(error[regular] <= 1e-14 + 2 * EPS * cond[regular])
+    assert np.all(error[regular & (cond < 1e5)] <= 1e-10)
+    assert np.array_equal(step[:, clear & want_singular], want[:, clear & want_singular])
 
 
 def _cost_gradient(xyz, dists, x, weights):
@@ -307,6 +413,22 @@ def test_benchmark_configuration_needs_few_iterations():
         _, _, iterations, converged = solve_fixes(xyz, np.maximum(true_ranges + noise, 0.0))
         assert converged.all()
         assert iterations.max() <= 12
+
+
+def test_3d_benchmark_configuration_needs_few_iterations():
+    # The 3x3 systems: the mast layout, point (3, 4, 1.5), sigma 1 m.
+    xyz = np.array([[a.position.x, a.position.y, a.position.z] for a in MAST])
+    true_ranges = np.linalg.norm(xyz - [3.0, 4.0, 1.5], axis=1)
+    for seed in range(101, 111):
+        noise = np.random.default_rng(seed).standard_normal((1000, len(xyz)))
+        _, _, iterations, converged = solve_fixes(xyz, np.maximum(true_ranges + noise, 0.0))
+        assert converged.all()
+        assert iterations.max() <= 10
+
+
+def test_other_dimensions_rejected():
+    with pytest.raises(ValueError, match="dim must be 2 or 3"):
+        solve_fixes(np.array([[0.0], [10.0]]), np.array([[3.0, 7.0]]))
 
 
 def test_crb_rejects_point_on_anchor():
