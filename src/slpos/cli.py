@@ -183,6 +183,10 @@ def _cmd_position(args: argparse.Namespace) -> int:
               f"not converge ({summary.at_limit} stopped at the iteration limit, "
               f"{summary.stalled} stalled before it); they are included in the RMSE and "
               "the requirement rates", file=sys.stderr)
+    if summary.clipped:
+        print(f"slpos: {summary.clipped} of {summary.trials * len(anchors)} ranges were "
+              "clipped at 0 m; the geometric CRB assumes unclipped Gaussian ranges",
+              file=sys.stderr)
     return EXIT_OK
 
 

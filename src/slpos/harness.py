@@ -523,15 +523,19 @@ class RequirementScore:
 class PositioningSummary:
     """``at_limit`` counts the trials whose fix stopped unconverged at the
     solver's iteration limit, ``stalled`` those whose fix stopped
-    unconverged before it, where backtracking found no lower cost and the
-    full step was not negligible.  Both are in ``rmse`` and the scores all
-    the same."""
+    unconverged before it: backtracking found no lower cost although the
+    quadratic model predicted a decrease the cost resolves, or a saddle's
+    negative-curvature step found none.  Both are in ``rmse`` and the
+    scores all the same.  ``clipped`` counts the noisy ranges raised to
+    0 m, of ``trials`` times the anchor count: the geometric ``crb``
+    assumes unclipped Gaussian ranges."""
 
     rmse: float
     crb: float
     trials: int
     at_limit: int
     stalled: int
+    clipped: int
     scores: tuple[RequirementScore, ...]
 
 
@@ -540,9 +544,11 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
                          dim: int = 2) -> PositioningSummary:
     """Monte Carlo position RMSE on a synthetic anchor layout.
 
-    Per trial, ranges get i.i.d. Gaussian noise, the closed-form initializer
-    seeds the damped Newton solve (``solve_fixes``, up to ``_FIX_BATCH``
-    trials at a time), and the position error is scored against each
+    Per trial, ranges get i.i.d. Gaussian noise and are clipped at 0 m,
+    the closed-form initializer seeds the damped Newton solve
+    (``solve_fixes``, up to ``_FIX_BATCH`` trials at a time; a fix counts
+    as converged only at a minimum, never at a saddle point), and the
+    position error is scored against each
     requirement set: the loose rate is the fraction of trials within the
     coarse accuracy bound (compared to the lower confidence), the strict
     rate the fraction within the fine bound (compared to the upper
@@ -576,11 +582,12 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
 
     rng = np.random.default_rng(seed)
     errors = np.empty(trials)
-    at_limit = stalled = 0
+    at_limit = stalled = clipped = 0
     for start in range(0, trials, _FIX_BATCH):
         stop = min(start + _FIX_BATCH, trials)
         with np.errstate(over="ignore", invalid="ignore"):
             noisy = true_ranges + sigma * rng.standard_normal((stop - start, len(anchors)))
+            clipped += int(np.count_nonzero(noisy < 0.0))
             fixes, costs, iterations, converged = solve_fixes(
                 anchor_xyz, np.maximum(noisy, 0.0), max_iters=MAX_ITERS)
             errors[start:stop] = np.linalg.norm(fixes - true, axis=1)
@@ -606,7 +613,7 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
             met_strict=strict >= req.confidence_hi,
         ))
     return PositioningSummary(rmse=rmse, crb=crb, trials=trials, at_limit=at_limit,
-                              stalled=stalled, scores=tuple(scores))
+                              stalled=stalled, clipped=clipped, scores=tuple(scores))
 
 
 @dataclass(frozen=True)

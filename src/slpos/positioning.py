@@ -5,7 +5,9 @@ iteratively damped Newton minimizer of the weighted least-squares cost
 sum_i (1/sigma_i^2) (d_i - ||x - x_i||)^2.  Each step solves with the cost's
 exact Hessian where it is positive definite, and with the Gauss-Newton
 normal matrix elsewhere: the range residuals do not vanish at the minimum,
-so Gauss-Newton alone converges only linearly there.
+so Gauss-Newton alone converges only linearly there.  A fix stops where no
+step would show in the cost's rounding, and counts as converged only at a
+minimum: a saddle point is left along its negative curvature.
 """
 
 from __future__ import annotations
@@ -19,9 +21,20 @@ import numpy as np
 from .estimation import RangeMeasurement
 from .propagation import Vec3
 
-# Relative Newton (or Gauss-Newton) step below which a stalled solve counts
-# as converged.
-_STEP_TOL = math.sqrt(np.finfo(float).eps)
+# Rounding error of the cost, per unit of sum_i w_i |r_i| (|r_i| + 2 rho_i).
+# A range rho_i = sqrt(sum_k (x_k - a_ik)^2) carries a relative rounding
+# error of at most about (dim/2 + 2) eps <= 3.5 eps (the differences, their
+# squares, the sum and the root), so r_i = d_i - rho_i an absolute one of
+# about 3.5 eps rho_i + eps |r_i|: the subtraction cancels, and the error is
+# set by rho_i, not by r_i.  Squaring and weighting doubles that relative to
+# w_i r_i^2 and adds a few eps w_i r_i^2, hence c eps sum_i w_i |r_i|
+# (|r_i| + 2 rho_i) with c = 4, where eps cost alone would be far too small
+# whenever the residuals are small against the ranges.  On the square and
+# 3-D test layouts at sigma = 1 and 3 m (seeds 101-110), c = 1 and c = 16
+# give the same converged flags and largest iteration counts as c = 4; the
+# mean count moves by about 3% (square, sigma = 1 m: 2.35, 2.28, 2.21), and
+# c = 16 moves converged positions by up to 1.5e-6 m.
+_RESOLUTION = 4.0 * np.finfo(float).eps
 
 # Backtracking step scales: the full step, then 29 halvings,
 # tried in groups so that a group's trial arrays stay small.
@@ -112,14 +125,16 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
     by a common factor leaves the iterate trajectory unchanged.  ``init``
     defaults to the closed-form linear starting point.  Each step is a
     Newton step on the cost's exact Hessian, or the Gauss-Newton step where
-    that Hessian is not positive definite.  Steps are halved
-    (backtracking) until the cost decreases; iteration stops when the
-    gradient norm drops below ``tol``, no decrease is possible, or
-    ``max_iters`` is reached.  A solve that stops because no decrease is
-    possible has converged when its full step is below sqrt(eps) relative
-    to the iterate.  Non-convergence is reported through
-    ``converged=False``, never an exception.  This is ``solve_fixes`` for
-    one fix.
+    that Hessian is not positive definite.  The iterate is stationary when
+    the gradient norm is below ``tol``, or when the step's predicted
+    decrease is within the cost's rounding error; there the solve stops,
+    converged, if the Hessian passes Sylvester's criterion, and otherwise
+    (a saddle point) steps along the Hessian's most negative curvature
+    instead.  Steps are halved (backtracking) until the cost decreases; a
+    step that cannot lower it, or ``max_iters``, stops the solve
+    unconverged, unless the point reached is a minimum by the same test.
+    Non-convergence is reported through ``converged=False``, never an
+    exception.  This is ``solve_fixes`` for one fix.
     """
     anchors, dists, sigmas = _anchor_matrix(measurements, dim)
     if weights is None:
@@ -271,24 +286,75 @@ def _lu_solve(system: Sequence[np.ndarray], target: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(normal: Sequence[np.ndarray], hessian: Sequence[np.ndarray],
-                 target: np.ndarray) -> np.ndarray:
-    """Newton steps (dim, n) on the exact Hessian of the weighted cost:
-    solutions of H s = target, or N s = target where H fails Sylvester's
-    criterion (``_choose_system``), with target minus half the gradient.
+                 target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each half Hessian H passes Sylvester's criterion
+    (``_choose_system``), and the Newton steps (dim, n) on the exact Hessian
+    of the weighted cost: solutions of H s = target, or N s = target where
+    H fails the criterion, with target minus half the gradient.
 
     Each fix's minors and determinant are decided before anything is
     divided: a near-singular system (``_singular``) takes its minimum-norm
     step, so a degenerate fix never raises."""
-    _, system, det = _choose_system(normal, hessian)
+    definite, system, det = _choose_system(normal, hessian)
     singular = _singular(system, det)
     if not singular.any():
-        return _lu_solve(system, target)
+        return definite, _lu_solve(system, target)
     regular = ~singular
     step = np.empty_like(target)
     step[:, regular] = _lu_solve([entry[regular] for entry in system], target[:, regular])
     pinv = np.linalg.pinv(_symmetric([entry[singular] for entry in system]), hermitian=True)
     step[:, singular] = np.sum(pinv * target[:, singular].T[:, None, :], axis=2).T
-    return step
+    return definite, step
+
+
+def _lowest_eigenvector(hessian: Sequence[np.ndarray]) -> np.ndarray:
+    """Unit eigenvectors (dim, n) of the smallest eigenvalue of symmetric
+    matrices given by their unique entries: in closed form for 2 x 2, by
+    ``np.linalg.eigh`` for 3 x 3."""
+    if _dim(hessian) == 3:
+        return np.linalg.eigh(_symmetric(hessian))[1][:, :, 0].T
+    a, b, c = hessian
+    # With h = (a - c)/2 and r = hypot(h, b), the smallest eigenvalue is
+    # (a + c)/2 - r, and both (b, -h - r) and (h - r, b) solve
+    # (H - lambda I) v = 0.  The first is taken where h >= 0 and the second
+    # elsewhere, so that |h| + r enters, not r - |h|: neither vanishes unless
+    # H is a multiple of I, where any unit vector serves and (1, 0) is taken.
+    h = 0.5 * (a - c)
+    r = np.hypot(h, b)
+    vec = np.where(h >= 0.0, [b, -h - r], [h - r, b])
+    norm = np.hypot(*vec)
+    flat = norm == 0.0
+    vec[0, flat], norm[flat] = 1.0, 1.0
+    return vec / norm
+
+
+def _curvature_step(hessian: Sequence[np.ndarray], half_grad: np.ndarray,
+                    length: np.ndarray) -> np.ndarray:
+    """Steps (dim, n) of the given lengths along the half Hessians' most
+    negative curvature, signed not to climb the half gradients: the escape
+    from a stationary point that is not a minimum (More & Sorensen, Math.
+    Programming 16, 1979)."""
+    vec = _lowest_eigenvector(hessian)
+    uphill = sum(half_grad * vec) > 0.0
+    return np.where(uphill, -length, length) * vec
+
+
+def _stationary_test(x: np.ndarray, res: np.ndarray, ranges: np.ndarray, dists: np.ndarray,
+                     weights: np.ndarray, anchor_cols: np.ndarray, tol: float
+                     ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Half gradients (dim, n), half Hessians (unique entries), whether each
+    passes Sylvester's criterion, the Newton steps (dim, n), and whether
+    each fix is stationary: its gradient norm below ``tol``, or the
+    quadratic model's predicted decrease -(half gradient . step) no larger
+    than the cost's rounding error (``_RESOLUTION``), so that no step it
+    could take would show in the cost."""
+    jac, half_grad, grad_norm = _gradient(x, ranges, weights * res, anchor_cols)
+    normal, hessian = _normal_and_hessian(jac, res, ranges, dists, weights)
+    definite, step = _newton_step(normal, hessian, -half_grad)
+    abs_res = np.abs(res)
+    rounding = _RESOLUTION * _anchor_sum(weights * abs_res * (abs_res + 2.0 * ranges))
+    stationary = (grad_norm < tol) | (-sum(half_grad * step) <= rounding)
+    return half_grad, hessian, definite, step, stationary
 
 
 def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
@@ -300,10 +366,12 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
     ``anchors`` is (A, dim) with dim 2 or 3, ``distances`` (F, A),
     ``weights`` (A,) (default uniform) and ``init`` (F, dim) (default the
     closed-form linear start).  Every fix follows ``ml_position``'s rules
-    on its own, through masks: the anchor nudge, backtracking, the gradient
-    tolerance and the stall rule.  A fix's result does not depend on the
-    other fixes.  Returns the positions (F, dim), costs (F,), iteration
-    counts (F,) and converged flags (F,).
+    on its own, through masks: the anchor nudge, the stopping tests, the
+    negative-curvature escape and backtracking.  A fix's result does not
+    depend on the other fixes.  Returns the positions (F, dim), costs (F,),
+    iteration counts (F,) and converged flags (F,): converged means
+    stationary by the gradient or the predicted-decrease test where the
+    half Hessian passes Sylvester's criterion, at the last iterate.
     """
     anchors = np.asarray(anchors, dtype=float)
     all_dists = np.array(distances, dtype=float).T
@@ -356,16 +424,24 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                 res[:, hit], ranges[:, hit] = _residuals(x[:, hit], anchor_cols, dists[:, hit])
                 cost[hit] = _anchor_sum(weights * res[:, hit] ** 2)
                 hit = hit[(ranges[:, hit] < 1e-12).any(axis=0)]
-        jac, half_grad, grad_norm = _gradient(x, ranges, weights * res, anchor_cols)
-        small = grad_norm < tol
-        if small.any():
-            converged[ids[small]] = True
-            keep = leave(small)
+        half_grad, hessian, definite, step, stationary = _stationary_test(
+            x, res, ranges, dists, weights, anchor_cols, tol)
+        # A stationary fix is a minimum where H is positive definite, and
+        # leaves converged; elsewhere it is a saddle (or a maximum), and
+        # steps along H's most negative curvature instead, as far as the
+        # root mean square residual.
+        saddle = np.flatnonzero(stationary & ~definite)
+        if saddle.size:
+            step[:, saddle] = _curvature_step(
+                [entry[saddle] for entry in hessian], half_grad[:, saddle],
+                np.sqrt(cost[saddle] / weights.sum()))
+        minimum = stationary & definite
+        if minimum.any():
+            converged[ids[minimum]] = True
+            keep = leave(minimum)
             if not ids.size:
                 break
-            jac, half_grad = jac.take(keep, axis=-1), half_grad.take(keep, axis=-1)
-        step = _newton_step(*_normal_and_hessian(jac, res, ranges, dists, weights),
-                            -half_grad)
+            step = step.take(keep, axis=1)
         # Backtracking: take the first of scale * step, scale = 1, 1/2, ...,
         # 2^-29, that lowers the cost.  Every fix tries the full step, and
         # those it did not lower try the next group of halvings at once, as
@@ -397,23 +473,23 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
             pending = pending[~found]
         done += 1
         if pending.size:
-            # Backtracking can no longer lower the cost in floating point: a
-            # stationary point if the full step is negligible against x.
-            converged[ids[pending]] = (
-                np.sqrt(sum(step.take(pending, axis=1) ** 2))
-                <= _STEP_TOL * (1.0 + np.sqrt(sum(x.take(pending, axis=1) ** 2))))
+            # Backtracking found no lower cost although the model predicts
+            # a resolvable decrease, or a saddle's curvature step found none:
+            # the fix stalls unconverged.
             stalled = np.zeros(ids.size, dtype=bool)
             stalled[pending] = True
             leave(stalled)
     leave(np.ones(ids.size, dtype=bool))
 
+    # Fixes that stopped at the iteration limit took their last step
+    # untested: the same definition decides them at the point they reached.
     rest = np.flatnonzero(~converged)
     if rest.size:
-        fixes = positions[rest].T
-        res, ranges = _residuals(fixes, anchor_cols, all_dists[:, rest])
-        _, _, grad_norm = _gradient(fixes, np.maximum(ranges, 1e-12), weights * res,
-                                    anchor_cols)
-        converged[rest] = grad_norm < tol
+        fixes, dists = positions[rest].T, all_dists[:, rest]
+        res, ranges = _residuals(fixes, anchor_cols, dists)
+        _, _, definite, _, stationary = _stationary_test(
+            fixes, res, np.maximum(ranges, 1e-12), dists, weights, anchor_cols, tol)
+        converged[rest] = stationary & definite
     return positions, costs * weight_scale, iterations, converged
 
 

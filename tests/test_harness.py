@@ -1000,22 +1000,41 @@ def test_position_stdout_matches_committed_reference(anchors, options, golden, c
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
-@pytest.mark.parametrize("sigma, unconverged", [("1.0", 0), ("3.0", 0), ("10", 3)])
+# Ranges clipped at 0 m by `position` on the square layout, seed 7.
+_CLIPPED_SEED7 = {"1.0": 0, "3.0": 55, "10": 968}
+
+
+def _clipped_line(clipped):
+    return (f"slpos: {clipped} of 4000 ranges were clipped at 0 m; the geometric CRB "
+            "assumes unclipped Gaussian ranges\n") if clipped else ""
+
+
+@pytest.mark.parametrize("sigma, unconverged", [("1.0", 0), ("3.0", 0), ("10", 2)])
 def test_position_reports_unconverged_fixes_on_stderr(sigma, unconverged, capsys):
     # Fixes that do not converge stay in the summary, and stderr says how
     # many stopped at the iteration limit and how many stalled before it.
-    # At 10 m of range noise on a 10 m square, 2 stop at the limit and 1
-    # stalls.
+    # At 10 m of range noise on a 10 m square, 2 stop at the limit and
+    # none stalls.
     argv = ["position", "--anchors", str(DATA / "anchors_square.txt"), "--sigma", sigma,
             "--trials", "1000", "--seed", "7"]
     assert main(argv) == 0
     err = capsys.readouterr().err
-    if unconverged:
-        assert err == (f"slpos: {unconverged} of 1000 fixes did not converge (2 stopped at "
-                       "the iteration limit, 1 stalled before it); they are included in "
-                       "the RMSE and the requirement rates\n")
-    else:
-        assert err == ""
+    unconverged_line = (f"slpos: {unconverged} of 1000 fixes did not converge (2 stopped at "
+                        "the iteration limit, 0 stalled before it); they are included in "
+                        "the RMSE and the requirement rates\n") if unconverged else ""
+    assert err == unconverged_line + _clipped_line(_CLIPPED_SEED7[sigma])
+
+
+@pytest.mark.parametrize("sigma", ["1.0", "3.0", "10"])
+def test_positioning_summary_counts_clipped_ranges(sigma):
+    # The noisy ranges below 0 m, drawn from the run's one stream; the
+    # stderr test above checks the line that names them, and the stdout
+    # goldens that the count changes nothing else.
+    summary = run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), float(sigma), 1000, seed=7)
+    anchors = np.array([[a.position.x, a.position.y] for a in SQUARE])
+    true_ranges = np.linalg.norm(anchors - [3.0, 4.0], axis=1)
+    noisy = true_ranges + float(sigma) * np.random.default_rng(7).standard_normal((1000, 4))
+    assert summary.clipped == np.count_nonzero(noisy < 0.0) == _CLIPPED_SEED7[sigma]
 
 
 def test_positioning_summary_splits_unconverged_fixes_by_iteration_count():
@@ -1029,7 +1048,7 @@ def test_positioning_summary_splits_unconverged_fixes_by_iteration_count():
     assert (summary.at_limit, summary.stalled) == (
         np.count_nonzero(~converged & (iterations == MAX_ITERS)),
         np.count_nonzero(~converged & (iterations < MAX_ITERS)))
-    assert (summary.at_limit, summary.stalled) == (2, 1)
+    assert (summary.at_limit, summary.stalled) == (2, 0)
 
 
 # --- coherence / latency --------------------------------------------------------------
