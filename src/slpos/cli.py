@@ -24,7 +24,7 @@ from .harness import (
     run_ranging_sweep,
 )
 from .positioning import Anchor
-from .propagation import Vec3, build_scenario, scenario_from_text, scenario_to_text
+from .propagation import Vec3, build_scenario, parse_vec, scenario_from_text, scenario_to_text
 from .signal import OfdmConfig, default_config
 
 EXIT_OK = 0
@@ -40,11 +40,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _parse_vec3(text: str) -> Vec3:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected x,y,z")
-    return Vec3(*parts)
+def _vec_argument(text: str) -> Vec3:
+    """``parse_vec`` for argparse, whose message keeps the reason."""
+    try:
+        return parse_vec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_anchors(path: str) -> list[Anchor]:
@@ -104,7 +105,7 @@ def _build_parser() -> _Parser:
     p_pos.add_argument("--sigma", type=float, required=True)
     p_pos.add_argument("--trials", type=int, default=1000)
     p_pos.add_argument("--seed", type=int, default=0)
-    p_pos.add_argument("--true-point", type=_parse_vec3, default=Vec3(3.0, 4.0, 0.0))
+    p_pos.add_argument("--true-point", type=_vec_argument, default=Vec3(3.0, 4.0, 0.0))
     p_pos.add_argument("--dim", type=int, choices=(2, 3), default=2)
 
     p_chk = sub.add_parser("check", help="coherence margin and latency budget")

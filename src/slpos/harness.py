@@ -12,8 +12,8 @@ other samples, and its first trials not on the trial count.
 A sweep checks its inputs, then splits its samples into contiguous chunks,
 one per CPU the process may use, each of at least ``_MIN_CHUNK`` samples.
 The first chunk runs in this process and each other one in a child forked
-for it alone, which sends its results back pickled through a pipe and
-exits (``_forked``).  A process without ``os.fork``, with other threads,
+for it alone, which sends its ``CurvePoint``s back pickled through a pipe
+and exits (``_forked``).  A process without ``os.fork``, with other threads,
 or with a function this module imported replaced (a spy, a timing
 wrapper) runs the one chunk alone (``_usable_cpus``).  A chunk traces and bounds its samples first.
 Its round trips then fill peak-search batches of ``_TRIAL_BATCH`` in
@@ -54,6 +54,7 @@ from .estimation import (
 from .positioning import (
     MAX_ITERS,
     Anchor,
+    coordinates,
     linear_init,  # noqa: F401 - the benchmark tracer wraps harness.linear_init
     ml_position,  # noqa: F401 - the benchmark tracer wraps harness.ml_position
     range_position_crb,
@@ -269,10 +270,10 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     where round trips alias, is rejected before the first trace.  The
     samples are split into contiguous chunks, one per usable CPU
     (``_worker_count``); the first runs here and each other one in a forked
-    child (``_forked``), whose exception, if it raises, is raised here with
-    its type and message.  With Monte Carlo, each chunk starts on a
-    peak-search batch boundary, so every batch is the one a single process
-    would search."""
+    child (``_forked``), which sends back its points pickled, or its
+    exception, raised here with its type and message.  With Monte Carlo,
+    each chunk starts on a peak-search batch boundary, so every batch is the
+    one a single process would search."""
     if cfg.output_path is not None:
         _check_writable(cfg.output_path)
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
@@ -305,10 +306,7 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     chunks = _chunks(n_samples, _worker_count(_usable_cpus(), n_samples), align)
     work = functools.partial(_sweep_chunk, cfg, scenario, ofdm, pilots, window, samples,
                              monte_carlo)
-    rows = work(chunks[0]) if len(chunks) == 1 else _forked(work, chunks)
-    points = [CurvePoint(coord, true_range, rmse, *bounds, n_paths, n_cell, los_present)
-              for (*_, coord, true_range), (n_paths, los_present, *bounds, n_cell, rmse)
-              in zip(samples, rows)]
+    points = work(chunks[0]) if len(chunks) == 1 else _forked(work, chunks)
 
     if cfg.output_path is not None:
         export_csv(points, cfg.output_path)
@@ -317,11 +315,9 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
 
 def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pilots,
                  window, samples: Sequence[tuple], monte_carlo: bool,
-                 chunk: range) -> list[tuple]:
+                 chunk: range) -> list[CurvePoint]:
     """Trace, bound and (with ``monte_carlo``) Monte-Carlo the samples of
-    ``chunk``, all traced and bounded first.  One tuple per sample:
-    (n_paths, los_present, reb_los, reb_all, reb_waa, waa_bias,
-    n_cell_paths, rmse)."""
+    ``chunk``, all traced and bounded first; one point per sample."""
     chunk_samples = samples[chunk.start:chunk.stop]
     traced = []
     for t, end_a, end_b, *_ in chunk_samples:
@@ -341,8 +337,9 @@ def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pil
         rmses = _monte_carlo_rmse(cfg, [snap for snap, _, _ in traced],
                                   [sample[-1] for sample in chunk_samples], chunk.start,
                                   pilots, ofdm, window)
-    return [(len(snap.paths), snap.has_los, *bounds, n_cell, rmse)
-            for (snap, bounds, n_cell), rmse in zip(traced, rmses)]
+    return [CurvePoint(coord, true_range, rmse, *bounds, len(snap.paths), n_cell, snap.has_los)
+            for (*_, coord, true_range), (snap, bounds, n_cell), rmse
+            in zip(chunk_samples, traced, rmses)]
 
 
 def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
@@ -402,14 +399,14 @@ def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
     return [math.sqrt(total / cfg.trials) for total in sq_err.tolist()]
 
 
-def _forked(work, chunks: Sequence[range]) -> list[tuple]:
-    """``work``'s rows for every chunk in order: the first chunk here, each
+def _forked(work, chunks: Sequence[range]) -> list[CurvePoint]:
+    """``work``'s points for every chunk in order: the first chunk here, each
     other one in a child of its own, forked beforehand.
 
     Forked, not spawned: only a process without other threads gets here,
     and a spawned child's fresh import of slpos and NumPy (about 0.1 s)
     would cost about what the split saves on a 101-sample, 10-trial sweep.
-    A child ignores Ctrl-C, pickles its rows or its exception into a pipe
+    A child ignores Ctrl-C, pickles its points or its exception into a pipe
     and leaves by ``os._exit``.  The pipes are read in chunk order; a
     child's exception is raised here with its type and message, one that
     does not pickle as a RuntimeError with its repr, and a child that ends
@@ -449,7 +446,7 @@ def _forked(work, chunks: Sequence[range]) -> list[tuple]:
             running[chunk] = pid
             os.close(write_fd)
             pipes.append(open(read_fd, "rb"))
-        rows = work(chunks[0])
+        points = work(chunks[0])
         for chunk, pipe in zip(chunks[1:], pipes):
             result = pipe.read()
             if not result:
@@ -460,8 +457,8 @@ def _forked(work, chunks: Sequence[range]) -> list[tuple]:
             ok, value = pickle.loads(result)
             if not ok:
                 raise value
-            rows += value
-        return rows
+            points += value
+        return points
     finally:
         for pipe in pipes:
             pipe.close()
@@ -568,9 +565,8 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
         raise ValueError("range noise sigma must be finite and nonnegative")
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    true = np.array([true_point.x, true_point.y, true_point.z][:dim])
-    anchor_xyz = np.array([[a.position.x, a.position.y, a.position.z][:dim]
-                           for a in anchors]).reshape(-1, dim)
+    true = coordinates([true_point], dim)[0]
+    anchor_xyz = coordinates([a.position for a in anchors], dim)
     with np.errstate(over="ignore", invalid="ignore"):
         true_ranges = np.linalg.norm(anchor_xyz - true, axis=1)
         squares = np.sum(anchor_xyz ** 2) + np.sum(true_ranges ** 2)
@@ -588,8 +584,7 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
         with np.errstate(over="ignore", invalid="ignore"):
             noisy = true_ranges + sigma * rng.standard_normal((stop - start, len(anchors)))
             clipped += int(np.count_nonzero(noisy < 0.0))
-            fixes, costs, iterations, converged = solve_fixes(
-                anchor_xyz, np.maximum(noisy, 0.0), max_iters=MAX_ITERS)
+            fixes, costs, iterations, converged = solve_fixes(anchor_xyz, np.maximum(noisy, 0.0))
             errors[start:stop] = np.linalg.norm(fixes - true, axis=1)
         limit = iterations >= MAX_ITERS
         at_limit += int(np.count_nonzero(~converged & limit))

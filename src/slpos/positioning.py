@@ -51,6 +51,10 @@ _PD_MARGIN = 1e-6
 # Iteration limit of a fix's solve.
 MAX_ITERS = 50
 
+# Gradient norm of the weight-normalized cost below which a fix is
+# stationary whatever its predicted decrease.
+_GRADIENT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Anchor:
@@ -67,12 +71,16 @@ class PositionEstimate:
     converged: bool
 
 
+def coordinates(points: Sequence[Vec3], dim: int) -> np.ndarray:
+    """The (len(points), dim) array of the points' first ``dim`` coordinates."""
+    return np.array([[p.x, p.y, p.z][:dim] for p in points]).reshape(-1, dim)
+
+
 def _anchor_matrix(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
                    dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    positions = np.array([[a.position.x, a.position.y, a.position.z][:dim]
-                          for _, a in measurements])
+    positions = coordinates([a.position for _, a in measurements], dim)
     distances = np.array([m.distance for m, _ in measurements])
     sigmas = np.array([m.sigma for m, _ in measurements])
     return positions, distances, sigmas
@@ -114,25 +122,25 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
                 weights: np.ndarray | None = None,
                 init: Vec3 | None = None,
                 dim: int = 2,
-                max_iters: int = MAX_ITERS,
-                tol: float = 1e-9) -> PositionEstimate:
+                max_iters: int = MAX_ITERS) -> PositionEstimate:
     """Damped Newton minimization of the weighted range residuals.
 
     Weights default to 1/sigma_i^2 from the measurements; pass an explicit
     array for uniform or custom weighting.  Only relative weights matter:
     they are normalized to unit maximum before iterating (the gradient
-    tolerance applies to the normalized objective), so scaling every sigma
-    by a common factor leaves the iterate trajectory unchanged.  ``init``
-    defaults to the closed-form linear starting point.  Each step is a
-    Newton step on the cost's exact Hessian, or the Gauss-Newton step where
-    that Hessian is not positive definite.  The iterate is stationary when
-    the gradient norm is below ``tol``, or when the step's predicted
-    decrease is within the cost's rounding error; there the solve stops,
-    converged, if the Hessian passes Sylvester's criterion, and otherwise
-    (a saddle point) steps along the Hessian's most negative curvature
-    instead.  Steps are halved (backtracking) until the cost decreases; a
-    step that cannot lower it, or ``max_iters``, stops the solve
-    unconverged, unless the point reached is a minimum by the same test.
+    tolerance, 1e-9, applies to the normalized objective), so scaling every
+    sigma by a common factor leaves the iterate trajectory unchanged.
+    ``init`` defaults to the closed-form linear starting point.  Each step
+    is a Newton step on the cost's exact Hessian, or the Gauss-Newton step
+    where that Hessian is not positive definite.  The iterate is stationary
+    when the gradient norm is below that tolerance, or when the step's
+    predicted decrease is within the cost's rounding error; there the solve
+    stops, converged, if the Hessian passes Sylvester's criterion, and
+    otherwise (a saddle point) steps along the Hessian's most negative
+    curvature instead.  Steps are halved (backtracking) until the cost
+    decreases; a step that cannot lower it stops the solve unconverged.
+    After ``max_iters`` steps the point reached is tested once more, and
+    the solve stops, converged only if that point is a minimum.
     Non-convergence is reported through ``converged=False``, never an
     exception.  This is ``solve_fixes`` for one fix.
     """
@@ -142,9 +150,9 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
             raise ValueError("measurement sigmas must be positive and finite "
                              "(or pass explicit weights)")
         weights = 1.0 / sigmas ** 2
-    start = None if init is None else [[init.x, init.y, init.z][:dim]]
+    start = None if init is None else coordinates([init], dim)
     x, cost, iterations, converged = solve_fixes(anchors, dists[None, :], weights, start,
-                                                 max_iters, tol)
+                                                 max_iters)
     return PositionEstimate(position=Vec3(*x[0], *[0.0] * (3 - dim)), cost=float(cost[0]),
                             iterations=int(iterations[0]), converged=bool(converged[0]))
 
@@ -340,26 +348,26 @@ def _curvature_step(hessian: Sequence[np.ndarray], half_grad: np.ndarray,
 
 
 def _stationary_test(x: np.ndarray, res: np.ndarray, ranges: np.ndarray, dists: np.ndarray,
-                     weights: np.ndarray, anchor_cols: np.ndarray, tol: float
+                     weights: np.ndarray, anchor_cols: np.ndarray
                      ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Half gradients (dim, n), half Hessians (unique entries), whether each
     passes Sylvester's criterion, the Newton steps (dim, n), and whether
-    each fix is stationary: its gradient norm below ``tol``, or the
-    quadratic model's predicted decrease -(half gradient . step) no larger
-    than the cost's rounding error (``_RESOLUTION``), so that no step it
-    could take would show in the cost."""
+    each fix is stationary: its gradient norm below ``_GRADIENT_TOL``, or
+    the quadratic model's predicted decrease -(half gradient . step) no
+    larger than the cost's rounding error (``_RESOLUTION``), so that no step
+    it could take would show in the cost."""
     jac, half_grad, grad_norm = _gradient(x, ranges, weights * res, anchor_cols)
     normal, hessian = _normal_and_hessian(jac, res, ranges, dists, weights)
     definite, step = _newton_step(normal, hessian, -half_grad)
     abs_res = np.abs(res)
     rounding = _RESOLUTION * _anchor_sum(weights * abs_res * (abs_res + 2.0 * ranges))
-    stationary = (grad_norm < tol) | (-sum(half_grad * step) <= rounding)
+    stationary = (grad_norm < _GRADIENT_TOL) | (-sum(half_grad * step) <= rounding)
     return half_grad, hessian, definite, step, stationary
 
 
 def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                 weights: np.ndarray | None = None, init: np.ndarray | None = None,
-                max_iters: int = MAX_ITERS, tol: float = 1e-9
+                max_iters: int = MAX_ITERS
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``ml_position`` for F fixes against one anchor layout, all at once.
 
@@ -371,7 +379,9 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
     depend on the other fixes.  Returns the positions (F, dim), costs (F,),
     iteration counts (F,) and converged flags (F,): converged means
     stationary by the gradient or the predicted-decrease test where the
-    half Hessian passes Sylvester's criterion, at the last iterate.
+    half Hessian passes Sylvester's criterion, at the last iterate.  The
+    loop's pass at ``max_iters`` steps is its last: it only tests, without
+    the anchor nudge, and every fix still iterating leaves.
     """
     anchors = np.asarray(anchors, dtype=float)
     all_dists = np.array(distances, dtype=float).T
@@ -415,9 +425,11 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
             array.take(keep, axis=-1) for array in (ids, x, res, ranges, cost, dists))
         return keep
 
-    while ids.size and done < max_iters:
+    while ids.size:
         # A zero range makes the Jacobian row undefined; nudge off the anchor.
-        if ranges.min() < 1e-12:
+        # The pass at the iteration limit only tests, its ranges floored.
+        last = done >= max_iters
+        if not last and ranges.min() < 1e-12:
             hit = np.flatnonzero((ranges < 1e-12).any(axis=0))
             while hit.size:
                 x[:, hit] += 1e-6
@@ -425,7 +437,12 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                 cost[hit] = _anchor_sum(weights * res[:, hit] ** 2)
                 hit = hit[(ranges[:, hit] < 1e-12).any(axis=0)]
         half_grad, hessian, definite, step, stationary = _stationary_test(
-            x, res, ranges, dists, weights, anchor_cols, tol)
+            x, res, np.maximum(ranges, 1e-12), dists, weights, anchor_cols)
+        minimum = stationary & definite
+        if last:
+            converged[ids] = minimum
+            leave(np.ones(ids.size, dtype=bool))
+            break
         # A stationary fix is a minimum where H is positive definite, and
         # leaves converged; elsewhere it is a saddle (or a maximum), and
         # steps along H's most negative curvature instead, as far as the
@@ -435,7 +452,6 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
             step[:, saddle] = _curvature_step(
                 [entry[saddle] for entry in hessian], half_grad[:, saddle],
                 np.sqrt(cost[saddle] / weights.sum()))
-        minimum = stationary & definite
         if minimum.any():
             converged[ids[minimum]] = True
             keep = leave(minimum)
@@ -479,17 +495,6 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
             stalled = np.zeros(ids.size, dtype=bool)
             stalled[pending] = True
             leave(stalled)
-    leave(np.ones(ids.size, dtype=bool))
-
-    # Fixes that stopped at the iteration limit took their last step
-    # untested: the same definition decides them at the point they reached.
-    rest = np.flatnonzero(~converged)
-    if rest.size:
-        fixes, dists = positions[rest].T, all_dists[:, rest]
-        res, ranges = _residuals(fixes, anchor_cols, dists)
-        _, _, definite, _, stationary = _stationary_test(
-            fixes, res, np.maximum(ranges, 1e-12), dists, weights, anchor_cols, tol)
-        converged[rest] = stationary & definite
     return positions, costs * weight_scale, iterations, converged
 
 
@@ -500,10 +505,9 @@ def range_position_crb(anchors: Sequence[Anchor], point: Vec3, sigmas: Sequence[
     The FIM is sum_i (1/sigma_i^2) u_i u_i^T with u_i the unit vector from
     anchor i to the evaluation point.
     """
-    p = np.array([point.x, point.y, point.z][:dim])
+    p = coordinates([point], dim)[0]
     info = np.zeros((dim, dim))
-    for anchor, sigma in zip(anchors, sigmas):
-        a = np.array([anchor.position.x, anchor.position.y, anchor.position.z][:dim])
+    for a, sigma in zip(coordinates([anchor.position for anchor in anchors], dim), sigmas):
         u = p - a
         norm = np.linalg.norm(u)
         if norm == 0:

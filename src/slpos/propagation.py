@@ -280,29 +280,16 @@ def build_scenario(scenario_id: int) -> ScenarioConfig:
     x = -70 m (scenario 1) or x = -16.4 m (scenario 2) to +70 m at 1 m
     height.  Four 50 x 50 x 30 m buildings occupy the corners.
     """
-    if scenario_id == 1:
-        return ScenarioConfig(
-            scenario_id=1,
-            rsu=Pose(Vec3(0.0, 0.0, 10.0)),
-            vehicle_start=Vec3(1.6, -70.0, 1.5),
-            bicycle_start=Vec3(-70.0, -7.0, 1.0),
-            vehicle_speed=14.0,
-            bicycle_speed=4.0,
-            buildings=_default_buildings(),
-            measurement_interval=0.1,
-        )
-    if scenario_id == 2:
-        return ScenarioConfig(
-            scenario_id=2,
-            rsu=None,
-            vehicle_start=Vec3(1.6, -70.0, 1.5),
-            bicycle_start=Vec3(-16.4, -7.0, 1.0),
-            vehicle_speed=14.0,
-            bicycle_speed=4.0,
-            buildings=_default_buildings(),
-            measurement_interval=0.1,
-        )
-    raise ValueError(f"unknown scenario id {scenario_id}")
+    return ScenarioConfig(
+        scenario_id=scenario_id,
+        rsu=Pose(Vec3(0.0, 0.0, 10.0)) if scenario_id == 1 else None,
+        vehicle_start=Vec3(1.6, -70.0, 1.5),
+        bicycle_start=Vec3(-70.0 if scenario_id == 1 else -16.4, -7.0, 1.0),
+        vehicle_speed=14.0,
+        bicycle_speed=4.0,
+        buildings=_default_buildings(),
+        measurement_interval=0.1,
+    )
 
 
 def vehicle_horizon(config: ScenarioConfig) -> float:
@@ -531,7 +518,8 @@ def _format_vec(v: Vec3) -> str:
     return f"{v.x!r},{v.y!r},{v.z!r}"
 
 
-def _parse_vec(s: str) -> Vec3:
+def parse_vec(s: str) -> Vec3:
+    """The finite vector of a comma-separated ``x,y,z`` string."""
     parts = [float(p) for p in s.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected 3 comma-separated numbers, got {s!r}")
@@ -571,8 +559,10 @@ def scenario_from_text(text: str) -> ScenarioConfig:
             continue
         if "=" not in line:
             raise ValueError(f"malformed line (expected key=value): {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ValueError(f"duplicate scenario key {key!r}")
+        entries[key] = value
 
     def pop(key: str) -> str:
         try:
@@ -583,10 +573,10 @@ def scenario_from_text(text: str) -> ScenarioConfig:
     scenario_id = int(pop("scenario_id"))
     rsu = None
     if "rsu_position" in entries:
-        rsu = Pose(_parse_vec(entries.pop("rsu_position")))
-    vehicle_start = _parse_vec(pop("vehicle_start"))
+        rsu = Pose(parse_vec(entries.pop("rsu_position")))
+    vehicle_start = parse_vec(pop("vehicle_start"))
     vehicle_speed = float(pop("vehicle_speed"))
-    bicycle_start = _parse_vec(pop("bicycle_start"))
+    bicycle_start = parse_vec(pop("bicycle_start"))
     bicycle_speed = float(pop("bicycle_speed"))
     interval = float(pop("measurement_interval"))
     ground_coeff = complex(pop("ground_reflection_coeff"))
@@ -595,8 +585,8 @@ def scenario_from_text(text: str) -> ScenarioConfig:
     buildings = []
     i = 0
     while f"building{i}_center" in entries:
-        center = _parse_vec(pop(f"building{i}_center"))
-        half = _parse_vec(pop(f"building{i}_half_extents"))
+        center = parse_vec(pop(f"building{i}_center"))
+        half = parse_vec(pop(f"building{i}_half_extents"))
         buildings.append(BuildingBox(center, half))
         i += 1
     if entries:

@@ -250,6 +250,35 @@ def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, caps
     assert not out.exists()
 
 
+def test_duplicate_scenario_key_rejected_by_name(tmp_path, capsys):
+    # A key set twice is an error, not a silent override by the last value.
+    assert main(["scenario", "--id", "1", "--dump"]) == 0
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text(capsys.readouterr().out + "vehicle_speed=20.0\n")
+    out = tmp_path / "out.csv"
+    code = main(["bounds", "--scenario", "1", "--link", "rsu-vehicle",
+                 "--scenario-file", str(scn_file), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "duplicate scenario key 'vehicle_speed'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("point, reason", [
+    ("nan,0,0", "non-finite vector components"),
+    ("a,b,c", "could not convert string to float: 'a'"),
+    ("1,2", "expected 3 comma-separated numbers, got '1,2'"),
+], ids=("nan", "letters", "two-numbers"))
+def test_bad_true_point_exits_1_with_its_reason(point, reason, tmp_path, capsys):
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["position", "--anchors", str(anchors), "--sigma", "1", "--true-point", point])
+    assert exc.value.code == 1
+    assert f"argument --true-point: {reason}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["ranging", "bounds"])
 def test_unwritable_out_rejected_before_the_first_sample(command, tmp_path, monkeypatch,
                                                          capsys):

@@ -245,6 +245,22 @@ def test_singular_gauss_newton_system_does_not_raise():
     np.testing.assert_allclose(positions, [[3.0, 0.0], [4.0, 0.0]], atol=1e-9)
 
 
+@pytest.mark.parametrize("start, cost, converged", [
+    ([4.0, 5.0], 0.0, True),              # the minimum
+    ([0.0, 0.0], 98.82530139, False),     # an anchor, where the nudge would act
+])
+def test_zero_iteration_limit_tests_the_start_in_place(start, cost, converged):
+    # With no step allowed, the start is judged where it is: neither
+    # stepped from nor nudged off an anchor.
+    xyz = np.array([[a.position.x, a.position.y] for a in SQUARE])
+    dists = np.linalg.norm(xyz - [4.0, 5.0], axis=1)[None, :]
+    positions, costs, iterations, flags = solve_fixes(xyz, dists, init=[start], max_iters=0)
+    assert positions.tolist() == [start]
+    assert costs[0] == pytest.approx(cost, rel=1e-9, abs=1e-12)
+    assert iterations[0] == 0
+    assert flags[0] == converged
+
+
 def _half_hessians(xyz, dists, x, weights):
     """The solver's Gauss-Newton normal matrices and half Hessians at the
     iterates x (n, dim) for the ranges dists (n, A)."""
