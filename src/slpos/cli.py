@@ -49,16 +49,21 @@ def _vec_argument(text: str) -> Vec3:
 
 
 def _load_anchors(path: str) -> list[Anchor]:
+    """The anchors of a text file, one ``x,y,z[,label]`` row per line; a bad
+    row raises ``ValueError`` naming its 1-based line number."""
     anchors = []
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for number, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) not in (3, 4):
-                raise ValueError(f"anchor line needs x,y,z[,label]: {line!r}")
-            anchors.append(Anchor(Vec3(float(parts[0]), float(parts[1]), float(parts[2]))))
+            parts = line.split(",")
+            try:
+                if len(parts) not in (3, 4):
+                    raise ValueError(f"needs x,y,z[,label], got {line!r}")
+                anchors.append(Anchor(parse_vec(",".join(parts[:3]))))
+            except ValueError as exc:
+                raise ValueError(f"anchor file line {number}: {exc}") from None
     return anchors
 
 
@@ -70,6 +75,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_scn = sub.add_parser("scenario", help="build and dump a scenario")
+    p_scn.set_defaults(run=_cmd_scenario)
     p_scn.add_argument("--id", type=int, choices=(1, 2), required=True)
     p_scn.add_argument("--dump", action="store_true",
                        help="print the flat key=value form to stdout")
@@ -78,10 +84,14 @@ def _build_parser() -> _Parser:
     budget = default_config()
     for name, help_text in (("ranging", "Monte Carlo RMSE sweep with bounds"),
                             ("bounds", "bound curves only, no Monte Carlo")):
+        # Stored under RunConfig's field names, from which _cmd_sweep builds its config.
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", type=int, choices=(1, 2), required=True)
+        p.set_defaults(run=functools.partial(_cmd_sweep, monte_carlo=name == "ranging"))
+        p.add_argument("--scenario", dest="scenario_id", type=int, choices=(1, 2),
+                       required=True)
         p.add_argument("--link", choices=LINKS, required=True)
-        p.add_argument("--out", required=True, help="output CSV path")
+        p.add_argument("--out", dest="output_path", metavar="OUT", required=True,
+                       help="output CSV path")
         p.add_argument("--beta", type=float, default=RunConfig.beta)
         p.add_argument("--scenario-file", help="override the built-in geometry "
                                                "with a key=value scenario file")
@@ -96,10 +106,11 @@ def _build_parser() -> _Parser:
                            default=RunConfig.peak_policy)
             p.add_argument("--first-peak-threshold-db", type=float,
                            default=RunConfig.first_peak_threshold_db)
-            p.add_argument("--no-doppler", action="store_true")
+            p.add_argument("--no-doppler", dest="doppler_enabled", action="store_false")
             p.add_argument("--clock-bias-std", type=float, default=RunConfig.clock_bias_std)
 
     p_pos = sub.add_parser("position", help="synthetic multilateration demo")
+    p_pos.set_defaults(run=_cmd_position)
     p_pos.add_argument("--anchors", required=True,
                        help="text file, one 'x,y,z[,label]' anchor per line")
     p_pos.add_argument("--sigma", type=float, required=True)
@@ -109,6 +120,7 @@ def _build_parser() -> _Parser:
     p_pos.add_argument("--dim", type=int, choices=(2, 3), default=2)
 
     p_chk = sub.add_parser("check", help="coherence margin and latency budget")
+    p_chk.set_defaults(run=_cmd_check)
     p_chk.add_argument("--vmax", type=float, required=True)
     p_chk.add_argument("--accuracy", type=float, required=True)
 
@@ -138,29 +150,22 @@ def _radio_budget(tx_power_dbm: float, noise_figure_db: float) -> OfdmConfig:
 
 
 def _cmd_sweep(args: argparse.Namespace, monte_carlo: bool) -> int:
+    """``ranging`` (``monte_carlo``) or ``bounds``: one ``RunConfig`` from the
+    options stored under its field names.  The sweep is looked up when it
+    runs, so a wrapper installed on this module sees the call."""
     scenario = None
     if args.scenario_file:
         with open(args.scenario_file, "r", encoding="utf-8") as handle:
             scenario = scenario_from_text(handle.read())
-        if scenario.scenario_id != args.scenario:
+        if scenario.scenario_id != args.scenario_id:
             raise ValueError("scenario file id does not match --scenario")
     ofdm = _radio_budget(args.tx_power_dbm, args.noise_figure_db)
-    if monte_carlo:
-        cfg = RunConfig(
-            scenario_id=args.scenario, link=args.link, trials=args.trials,
-            seed=args.seed, beta=args.beta, oversample=args.oversample,
-            peak_policy=args.peak_policy,
-            first_peak_threshold_db=args.first_peak_threshold_db,
-            doppler_enabled=not args.no_doppler,
-            clock_bias_std=args.clock_bias_std, output_path=args.out,
-        )
-        points = run_ranging_sweep(cfg, scenario=scenario, ofdm=ofdm)
-    else:
-        cfg = RunConfig(scenario_id=args.scenario, link=args.link,
-                        beta=args.beta, output_path=args.out)
-        points = run_bounds_sweep(cfg, scenario=scenario, ofdm=ofdm)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    sweep = run_ranging_sweep if monte_carlo else run_bounds_sweep
+    points = sweep(cfg, scenario=scenario, ofdm=ofdm)
     n_los = sum(p.los_present for p in points)
-    print(f"{len(points)} sweep samples ({n_los} with line of sight) -> {args.out}")
+    print(f"{len(points)} sweep samples ({n_los} with line of sight) -> {args.output_path}")
     return EXIT_OK
 
 
@@ -208,17 +213,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "scenario":
-            return _cmd_scenario(args)
-        if args.command == "ranging":
-            return _cmd_sweep(args, monte_carlo=True)
-        if args.command == "bounds":
-            return _cmd_sweep(args, monte_carlo=False)
-        if args.command == "position":
-            return _cmd_position(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except OSError as exc:
         print(f"slpos: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

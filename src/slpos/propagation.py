@@ -6,7 +6,8 @@ scenario 2 is the same geometry without the RSU.  Propagation paths are
 synthesized with the image method: a direct line-of-sight path subject to
 building blockage, a ground bounce, and single-bounce reflections off the
 vertical building facades.  All functions are pure and safe to call from
-concurrent workers.
+concurrent workers.  A scenario reads from and writes to a flat key=value
+text through one table of its keys.
 """
 
 from __future__ import annotations
@@ -530,20 +531,26 @@ def _format_complex(z: complex) -> str:
     return str(complex(z)).strip("()")
 
 
+# The scalar ScenarioConfig fields as (key, formatter, parser), in file
+# order; each key is its field's name.
+_SCALAR_KEYS = (
+    ("vehicle_start", _format_vec, parse_vec),
+    ("vehicle_speed", repr, float),
+    ("bicycle_start", _format_vec, parse_vec),
+    ("bicycle_speed", repr, float),
+    ("measurement_interval", repr, float),
+    ("ground_reflection_coeff", _format_complex, complex),
+    ("wall_reflection_coeff", _format_complex, complex),
+)
+
+
 def scenario_to_text(config: ScenarioConfig) -> str:
     """Serialize a scenario to the flat key=value format used by the CLI."""
     lines = [f"scenario_id={config.scenario_id}"]
     if config.rsu is not None:
         lines.append(f"rsu_position={_format_vec(config.rsu.position)}")
-    lines += [
-        f"vehicle_start={_format_vec(config.vehicle_start)}",
-        f"vehicle_speed={config.vehicle_speed!r}",
-        f"bicycle_start={_format_vec(config.bicycle_start)}",
-        f"bicycle_speed={config.bicycle_speed!r}",
-        f"measurement_interval={config.measurement_interval!r}",
-        f"ground_reflection_coeff={_format_complex(config.ground_reflection_coeff)}",
-        f"wall_reflection_coeff={_format_complex(config.wall_reflection_coeff)}",
-    ]
+    lines += [f"{key}={format_value(getattr(config, key))}"
+              for key, format_value, _ in _SCALAR_KEYS]
     for i, box in enumerate(config.buildings):
         lines.append(f"building{i}_center={_format_vec(box.center)}")
         lines.append(f"building{i}_half_extents={_format_vec(box.half_extents)}")
@@ -551,7 +558,10 @@ def scenario_to_text(config: ScenarioConfig) -> str:
 
 
 def scenario_from_text(text: str) -> ScenarioConfig:
-    """Parse the flat key=value scenario format; inverse of scenario_to_text."""
+    """Parse the flat key=value scenario format; inverse of scenario_to_text.
+
+    A missing, duplicate or unknown key, and a value that does not parse,
+    raise ``ValueError`` naming the key."""
     entries: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -564,43 +574,27 @@ def scenario_from_text(text: str) -> ScenarioConfig:
             raise ValueError(f"duplicate scenario key {key!r}")
         entries[key] = value
 
-    def pop(key: str) -> str:
+    def pop(key: str, parse):
         try:
-            return entries.pop(key)
+            value = entries.pop(key)
         except KeyError:
             raise ValueError(f"missing scenario key {key!r}") from None
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ValueError(f"scenario key {key!r}: {exc}") from None
 
-    scenario_id = int(pop("scenario_id"))
-    rsu = None
-    if "rsu_position" in entries:
-        rsu = Pose(parse_vec(entries.pop("rsu_position")))
-    vehicle_start = parse_vec(pop("vehicle_start"))
-    vehicle_speed = float(pop("vehicle_speed"))
-    bicycle_start = parse_vec(pop("bicycle_start"))
-    bicycle_speed = float(pop("bicycle_speed"))
-    interval = float(pop("measurement_interval"))
-    ground_coeff = complex(pop("ground_reflection_coeff"))
-    wall_coeff = complex(pop("wall_reflection_coeff"))
-
+    scenario_id = pop("scenario_id", int)
+    rsu = Pose(pop("rsu_position", parse_vec)) if "rsu_position" in entries else None
+    scalars = {key: pop(key, parse) for key, _, parse in _SCALAR_KEYS}
     buildings = []
-    i = 0
-    while f"building{i}_center" in entries:
-        center = parse_vec(pop(f"building{i}_center"))
-        half = parse_vec(pop(f"building{i}_half_extents"))
-        buildings.append(BuildingBox(center, half))
-        i += 1
+    while f"building{len(buildings)}_center" in entries:
+        prefix = f"building{len(buildings)}"
+        center = pop(f"{prefix}_center", parse_vec)
+        # The box is built here, so that its own check names the key too.
+        buildings.append(pop(f"{prefix}_half_extents",
+                             lambda value: BuildingBox(center, parse_vec(value))))
     if entries:
         raise ValueError(f"unknown scenario keys: {sorted(entries)}")
-
-    return ScenarioConfig(
-        scenario_id=scenario_id,
-        rsu=rsu,
-        vehicle_start=vehicle_start,
-        bicycle_start=bicycle_start,
-        vehicle_speed=vehicle_speed,
-        bicycle_speed=bicycle_speed,
-        buildings=tuple(buildings),
-        measurement_interval=interval,
-        ground_reflection_coeff=ground_coeff,
-        wall_reflection_coeff=wall_coeff,
-    )
+    return ScenarioConfig(scenario_id=scenario_id, rsu=rsu, buildings=tuple(buildings),
+                          **scalars)

@@ -231,6 +231,12 @@ def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     ("bicycle_start", "-16.4,45.0,1.0"),
     ("measurement_interval", "1e-320"),
     ("measurement_interval", "1e-6"),
+    ("vehicle_speed", "abc"),
+    ("ground_reflection_coeff", "x"),
+    ("building0_center", "1,2"),
+    ("rsu_position", "1,2,nan"),
+    ("scenario_id", "1.5"),
+    ("building0_half_extents", "25.0,25.0,0.0"),
 ])
 def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, capsys):
     # Only scenario 1 has an RSU; every other key is edited in scenario 2.
@@ -263,6 +269,20 @@ def test_duplicate_scenario_key_rejected_by_name(tmp_path, capsys):
     assert "duplicate scenario key 'vehicle_speed'" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("a,b,c", "line 3: could not convert string to float: 'a'"),
+    ("1,2", "line 3: needs x,y,z[,label], got '1,2'"),
+    ("0,nan,0,c", "line 3: non-finite vector components"),
+], ids=("letters", "two-numbers", "nan"))
+def test_bad_anchor_row_exits_1_naming_its_line(row, reason, tmp_path, capsys):
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text(f"# corners\n0,0,0\n{row}\n10,0,0\n0,10,0\n")
+    assert main(["position", "--anchors", str(anchors), "--sigma", "1"]) == 1
+    captured = capsys.readouterr()
+    assert f"configuration error: anchor file {reason}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("point, reason", [
@@ -424,6 +444,33 @@ def test_ranging_defaults_are_the_run_config_defaults(tmp_path, monkeypatch):
                  "--out", out]) == 0
     assert calls == [(RunConfig(scenario_id=2, link="vehicle-bicycle", output_path=out),
                       None, default_config())]
+
+
+def test_every_sweep_option_reaches_its_run_config_field(tmp_path, monkeypatch):
+    # Every option at a value other than its default; `bounds` has no
+    # Monte Carlo options, so those fields keep RunConfig's defaults.
+    calls = []
+    for name in ("run_ranging_sweep", "run_bounds_sweep"):
+        monkeypatch.setattr(slpos.cli, name,
+                            lambda cfg, scenario, ofdm, name=name:
+                            calls.append((name, cfg, ofdm)) or [])
+    out = str(tmp_path / "out.csv")
+    common = ["--scenario", "1", "--link", "rsu-bicycle", "--out", out, "--beta", "1.25",
+              "--tx-power-dbm", "12", "--noise-figure-db", "7"]
+    ofdm = slpos.cli._radio_budget(12.0, 7.0)
+    assert main(["ranging", *common, "--trials", "7", "--seed", "11", "--oversample", "4",
+                 "--peak-policy", "first_peak", "--first-peak-threshold-db", "3.5",
+                 "--no-doppler", "--clock-bias-std", "2e-6"]) == 0
+    assert main(["bounds", *common]) == 0
+    assert calls == [
+        ("run_ranging_sweep",
+         RunConfig(scenario_id=1, link="rsu-bicycle", trials=7, seed=11, beta=1.25,
+                   oversample=4, peak_policy="first_peak", first_peak_threshold_db=3.5,
+                   doppler_enabled=False, clock_bias_std=2e-6, output_path=out), ofdm),
+        ("run_bounds_sweep",
+         RunConfig(scenario_id=1, link="rsu-bicycle", beta=1.25, output_path=out), ofdm),
+    ]
+    assert ofdm != default_config()
 
 
 def test_successive_main_calls_parse_independently(tmp_path, monkeypatch):

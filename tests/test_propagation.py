@@ -381,7 +381,9 @@ def test_monotonic_blockage_without_wall_reflections(a, b, cx, cy):
 @pytest.mark.parametrize("scenario_id", [1, 2])
 def test_scenario_text_round_trip(scenario_id):
     scn = build_scenario(scenario_id)
-    assert scenario_from_text(scenario_to_text(scn)) == scn
+    text = scenario_to_text(scn)
+    assert scenario_from_text(text) == scn
+    assert scenario_to_text(scenario_from_text(text)) == text
 
 
 def test_scenario_text_rejects_unknown_keys():
