@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import pickle
 import signal
 import sys
 import threading
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,12 +88,17 @@ from .signal import (
 _AS_IMPORTED = {name: value for name, value in globals().items()
                 if callable(value) and getattr(value, "__module__", "").startswith("slpos.")}
 
-CSV_COLUMNS = (
-    "sweep_coord_m", "true_range_m", "rmse_m", "reb_los_m", "reb_all_m",
-    "reb_waa_m", "waa_bias_m", "n_paths", "n_cell_paths", "los_present",
-)
 
-LINKS = ("rsu-vehicle", "rsu-bicycle", "vehicle-bicycle")
+# Each link: the scenario it exists in; its two ends and sweep coordinate,
+# given the scenario and the vehicle and bicycle poses; and the devices whose
+# lanes bound its sweep, which ends when the first reaches its lane end.
+_LINKS = {
+    "rsu-vehicle": (1, lambda scn, v, b: (scn.rsu, v, v.position.y), ("vehicle",)),
+    "rsu-bicycle": (1, lambda scn, v, b: (scn.rsu, b, b.position.x), ("bicycle",)),
+    "vehicle-bicycle": (2, lambda scn, v, b: (v, b, v.position.y), ("vehicle", "bicycle")),
+}
+LINKS = tuple(_LINKS)
+_LANE_HORIZONS = {"vehicle": vehicle_horizon, "bicycle": bicycle_horizon}
 
 # Monte Carlo round trips whose symbol sums are searched together, filled
 # across sweep samples; bounds the coarse-IDFT and zoom buffers of one batch
@@ -198,12 +204,17 @@ class RunConfig:
                 and self.first_peak_threshold_db >= 0):
             raise ValueError("first-peak threshold must be finite and nonnegative, "
                              f"got {self.first_peak_threshold_db} dB")
-        if self.link not in LINKS:
-            raise ValueError(f"unknown link {self.link!r}")
-        if self.link == "vehicle-bicycle" and self.scenario_id != 2:
-            raise ValueError("the vehicle-bicycle link exists only in scenario 2")
-        if self.link.startswith("rsu") and self.scenario_id != 1:
-            raise ValueError("RSU links exist only in scenario 1")
+        _link(self.link, self.scenario_id)
+
+
+def _link(name: str, scenario_id: int) -> tuple[Callable, tuple[str, ...]]:
+    """The ends and lanes of link ``name``, which must exist in ``scenario_id``."""
+    if name not in _LINKS:
+        raise ValueError(f"unknown link {name!r}")
+    link_scenario, ends, lanes = _LINKS[name]
+    if scenario_id != link_scenario:
+        raise ValueError(f"the {name} link exists only in scenario {link_scenario}")
+    return ends, lanes
 
 
 @dataclass(frozen=True)
@@ -222,24 +233,22 @@ class CurvePoint:
     los_present: bool
 
 
-def _link_endpoints(cfg: RunConfig, scenario: ScenarioConfig,
-                    vehicle: Pose, bicycle: Pose) -> tuple[Pose, Pose, float]:
-    """(end a, end b, sweep coordinate) for the configured link."""
-    if cfg.link == "rsu-vehicle":
-        assert scenario.rsu is not None
-        return scenario.rsu, vehicle, vehicle.position.y
-    if cfg.link == "rsu-bicycle":
-        assert scenario.rsu is not None
-        return scenario.rsu, bicycle, bicycle.position.x
-    return vehicle, bicycle, vehicle.position.y
+def _parse_flag(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cell!r}")
+    return cell == "true"
 
 
-def _link_horizon(cfg: RunConfig, scenario: ScenarioConfig) -> float:
-    if cfg.link == "rsu-vehicle":
-        return vehicle_horizon(scenario)
-    if cfg.link == "rsu-bicycle":
-        return bicycle_horizon(scenario)
-    return min(vehicle_horizon(scenario), bicycle_horizon(scenario))
+# A CurvePoint field's CSV cell by the field's type: (column suffix, formatter,
+# parser).  Floats are metres with nine significant digits, infinity ``inf``.
+_CELL_TYPES = {"float": ("_m", lambda value: f"{value:.9e}", float), "int": ("", str, int),
+               "bool": ("", lambda flag: "true" if flag else "false", _parse_flag)}
+
+# The CSV row: (column, formatter, parser) per CurvePoint field, in order.
+_CSV_CELLS = tuple((f.name + _CELL_TYPES[f.type][0], *_CELL_TYPES[f.type][1:])
+                   for f in fields(CurvePoint))
+CSV_COLUMNS = tuple(column for column, _, _ in _CSV_CELLS)
+_point_values = operator.attrgetter(*(f.name for f in fields(CurvePoint)))
 
 
 def run_ranging_sweep(cfg: RunConfig, scenario: ScenarioConfig | None = None,
@@ -268,31 +277,27 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     of ``cfg.trials`` round trips, whose RMSE is reported (else NaN).  With
     ``monte_carlo``, a link whose range reaches c / (2 subcarrier_spacing),
     where round trips alias, is rejected before the first trace.  The
-    samples are split into contiguous chunks, one per usable CPU
-    (``_worker_count``); the first runs here and each other one in a forked
-    child (``_forked``), which sends back its points pickled, or its
-    exception, raised here with its type and message.  With Monte Carlo,
-    each chunk starts on a peak-search batch boundary, so every batch is the
-    one a single process would search."""
+    samples are split into chunks as the module docstring says."""
     if cfg.output_path is not None:
         _check_writable(cfg.output_path)
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
     ofdm = ofdm if ofdm is not None else default_config()
     pilots = make_pilots(ofdm, "all_ones")
     window = hamming_window(ofdm.num_subcarriers)
-    horizon = _link_horizon(cfg, scenario)
+    ends, lanes = _link(cfg.link, scenario.scenario_id)
+    horizon = min(_LANE_HORIZONS[lane](scenario) for lane in lanes)
     steps = horizon / scenario.measurement_interval
     if not (math.isfinite(steps) and round(steps) + 1 <= _MAX_SAMPLES):
+        keys = " and ".join(f"{lane}_start and {lane}_speed" for lane in lanes)
         raise ValueError(f"measurement_interval={scenario.measurement_interval} s over the "
-                         f"{horizon:.4g} s horizon of link {cfg.link} gives more than "
-                         f"{_MAX_SAMPLES} sweep samples")
+                         f"{horizon:.4g} s horizon of link {cfg.link} (from {keys}) gives "
+                         f"more than {_MAX_SAMPLES} sweep samples")
     n_samples = int(round(steps)) + 1
 
     samples = []
     for sample_idx in range(n_samples):
         t = sample_idx * scenario.measurement_interval
-        end_a, end_b, coord = _link_endpoints(cfg, scenario,
-                                              *sample_trajectory(scenario, min(t, horizon)))
+        end_a, end_b, coord = ends(scenario, *sample_trajectory(scenario, min(t, horizon)))
         samples.append((t, end_a, end_b, coord, distance(end_a.position, end_b.position)))
     limit = SPEED_OF_LIGHT * ofdm.unambiguous_delay / 2.0
     farthest = max(sample[-1] for sample in samples)
@@ -512,8 +517,14 @@ class RequirementScore:
     requirement: RequirementSet
     fraction_within_loose: float
     fraction_within_strict: float
-    met_loose: bool
-    met_strict: bool
+
+    @property
+    def met_loose(self) -> bool:
+        return self.fraction_within_loose >= self.requirement.confidence_lo
+
+    @property
+    def met_strict(self) -> bool:
+        return self.fraction_within_strict >= self.requirement.confidence_hi
 
 
 @dataclass(frozen=True)
@@ -545,11 +556,8 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
     the closed-form initializer seeds the damped Newton solve
     (``solve_fixes``, up to ``_FIX_BATCH`` trials at a time; a fix counts
     as converged only at a minimum, never at a saddle point), and the
-    position error is scored against each
-    requirement set: the loose rate is the fraction of trials within the
-    coarse accuracy bound (compared to the lower confidence), the strict
-    rate the fraction within the fine bound (compared to the upper
-    confidence).  One stream per run, ``default_rng(seed)``, draws the
+    position error is scored against each requirement set
+    (``RequirementScore``).  One stream per run, ``default_rng(seed)``, draws the
     noise fix after fix, so a fix's noise depends neither on the trial
     count nor on the chunking.  A layout or noise level whose squared
     ranges overflow is rejected before any result is returned, and a trial
@@ -596,19 +604,11 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
     # The CRB is linear in a common sigma; scaling the unit bound keeps
     # sigma = 0 and a sigma whose square underflows exact.
     crb = sigma * range_position_crb(anchors, true_point, [1.0] * len(anchors), dim)
-    scores = []
-    for req in REQUIREMENT_SETS:
-        loose = float(np.mean(errors <= req.accuracy_hi))
-        strict = float(np.mean(errors <= req.accuracy_lo))
-        scores.append(RequirementScore(
-            requirement=req,
-            fraction_within_loose=loose,
-            fraction_within_strict=strict,
-            met_loose=loose >= req.confidence_lo,
-            met_strict=strict >= req.confidence_hi,
-        ))
+    scores = tuple(RequirementScore(req, float(np.mean(errors <= req.accuracy_hi)),
+                                    float(np.mean(errors <= req.accuracy_lo)))
+                   for req in REQUIREMENT_SETS)
     return PositioningSummary(rmse=rmse, crb=crb, trials=trials, at_limit=at_limit,
-                              stalled=stalled, clipped=clipped, scores=tuple(scores))
+                              stalled=stalled, clipped=clipped, scores=scores)
 
 
 @dataclass(frozen=True)
@@ -663,15 +663,11 @@ def _check_writable(path: str) -> None:
 
 
 def export_csv(points: Sequence[CurvePoint], path: str) -> None:
-    """Write sweep points in the fixed column order; infinities serialize
-    as the literal ``inf`` and floats carry nine significant digits."""
+    """Write sweep points, one row each, in ``CSV_COLUMNS`` order."""
+    formatters = [format_cell for _, format_cell, _ in _CSV_CELLS]
     lines = [",".join(CSV_COLUMNS)]
-    for p in points:
-        lines.append(",".join([
-            *(f"{v:.9e}" for v in (p.sweep_coord, p.true_range, p.rmse, p.reb_los,
-                                   p.reb_all, p.reb_waa, p.waa_bias)),
-            str(p.n_paths), str(p.n_cell_paths), "true" if p.los_present else "false",
-        ]))
+    lines += [",".join([format_cell(value) for format_cell, value
+                        in zip(formatters, _point_values(p))]) for p in points]
     try:
         with open(path, "w", encoding="ascii") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -680,24 +676,25 @@ def export_csv(points: Sequence[CurvePoint], path: str) -> None:
 
 
 def read_csv(path: str) -> list[CurvePoint]:
-    """Parse a sweep CSV produced by export_csv."""
+    """Parse a sweep CSV produced by export_csv; a bad header or row raises
+    ``ValueError`` naming its 1-based line."""
     try:
         with open(path, "r", encoding="ascii") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            lines = [(number, line.strip()) for number, line in enumerate(handle, start=1)
+                     if line.strip()]
     except OSError as exc:
         raise OSError(f"cannot read sweep CSV from {path!r}: {exc}") from exc
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError(f"unexpected CSV header in {path!r}")
+    if not lines or lines[0][1] != ",".join(CSV_COLUMNS):
+        raise ValueError(f"sweep CSV {path!r} line {lines[0][0] if lines else 1}: "
+                         "unexpected header")
     points = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise ValueError(f"malformed CSV row: {line!r}")
-        points.append(CurvePoint(
-            sweep_coord=float(cells[0]), true_range=float(cells[1]),
-            rmse=float(cells[2]), reb_los=float(cells[3]), reb_all=float(cells[4]),
-            reb_waa=float(cells[5]), waa_bias=float(cells[6]),
-            n_paths=int(cells[7]), n_cell_paths=int(cells[8]),
-            los_present=cells[9] == "true",
-        ))
+        try:
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"malformed CSV row {line!r}")
+            points.append(CurvePoint(*[parse(cell) for (_, _, parse), cell
+                                       in zip(_CSV_CELLS, cells)]))
+        except ValueError as exc:
+            raise ValueError(f"sweep CSV {path!r} line {number}: {exc}") from None
     return points

@@ -123,27 +123,10 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
                 init: Vec3 | None = None,
                 dim: int = 2,
                 max_iters: int = MAX_ITERS) -> PositionEstimate:
-    """Damped Newton minimization of the weighted range residuals.
-
-    Weights default to 1/sigma_i^2 from the measurements; pass an explicit
-    array for uniform or custom weighting.  Only relative weights matter:
-    they are normalized to unit maximum before iterating (the gradient
-    tolerance, 1e-9, applies to the normalized objective), so scaling every
-    sigma by a common factor leaves the iterate trajectory unchanged.
-    ``init`` defaults to the closed-form linear starting point.  Each step
-    is a Newton step on the cost's exact Hessian, or the Gauss-Newton step
-    where that Hessian is not positive definite.  The iterate is stationary
-    when the gradient norm is below that tolerance, or when the step's
-    predicted decrease is within the cost's rounding error; there the solve
-    stops, converged, if the Hessian passes Sylvester's criterion, and
-    otherwise (a saddle point) steps along the Hessian's most negative
-    curvature instead.  Steps are halved (backtracking) until the cost
-    decreases; a step that cannot lower it stops the solve unconverged.
-    After ``max_iters`` steps the point reached is tested once more, and
-    the solve stops, converged only if that point is a minimum.
-    Non-convergence is reported through ``converged=False``, never an
-    exception.  This is ``solve_fixes`` for one fix.
-    """
+    """One fix by ``solve_fixes``, which states the solver's rules: the
+    measurements' distances and anchors, weighted by 1/sigma_i^2 unless
+    ``weights`` is given, started at ``init`` (default the closed-form
+    linear start)."""
     anchors, dists, sigmas = _anchor_matrix(measurements, dim)
     if weights is None:
         if np.any(~np.isfinite(sigmas)) or np.any(sigmas <= 0):
@@ -369,19 +352,34 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                 weights: np.ndarray | None = None, init: np.ndarray | None = None,
                 max_iters: int = MAX_ITERS
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``ml_position`` for F fixes against one anchor layout, all at once.
+    """Damped Newton fixes of F range sets against one anchor layout, all at
+    once: fix f minimizes sum_i w_i (d_fi - ||x - a_i||)^2.
 
     ``anchors`` is (A, dim) with dim 2 or 3, ``distances`` (F, A),
     ``weights`` (A,) (default uniform) and ``init`` (F, dim) (default the
-    closed-form linear start).  Every fix follows ``ml_position``'s rules
-    on its own, through masks: the anchor nudge, the stopping tests, the
-    negative-curvature escape and backtracking.  A fix's result does not
-    depend on the other fixes.  Returns the positions (F, dim), costs (F,),
-    iteration counts (F,) and converged flags (F,): converged means
-    stationary by the gradient or the predicted-decrease test where the
-    half Hessian passes Sylvester's criterion, at the last iterate.  The
-    loop's pass at ``max_iters`` steps is its last: it only tests, without
-    the anchor nudge, and every fix still iterating leaves.
+    closed-form start from squared-range differences).  The weights are
+    normalized to unit maximum, so only their ratios matter: the gradient
+    tolerance, 1e-9, applies to the normalized cost, and scaling every
+    weight by a common factor leaves every iterate unchanged.
+
+    Every fix follows these rules on its own, through masks, so its result
+    does not depend on the other fixes.  An iterate within 1e-12 m of an
+    anchor is nudged off it.  Each step is a Newton step on the cost's exact
+    half Hessian H where H passes Sylvester's criterion, and the
+    Gauss-Newton step elsewhere; a near-singular system takes its
+    minimum-norm step.  A fix is stationary when its gradient norm is below
+    the tolerance, or when the step's predicted decrease is within the
+    cost's rounding error.  A stationary fix stops, converged, where H
+    passes the criterion; elsewhere (a saddle point) it steps along H's most
+    negative curvature instead, as far as the root mean square residual.
+    Each step is halved (backtracking, at most 29 times) until the cost
+    decreases; a fix whose step cannot lower the cost stops unconverged.
+    The pass at ``max_iters`` steps only tests, without the nudge: every fix
+    still iterating stops there, converged only where it is a minimum.
+    Non-convergence is reported, never raised.
+
+    Returns the positions (F, dim), the costs with the given weights (F,),
+    the iteration counts (F,) and the converged flags (F,).
     """
     anchors = np.asarray(anchors, dtype=float)
     all_dists = np.array(distances, dtype=float).T

@@ -27,6 +27,15 @@ LANE_END_M = 70.0
 # closer, the far-field path gain is meaningless.
 MIN_DEVICE_GAP_M = 0.25
 
+# The scenario's working range.  Every point and half extent lies within
+# MAX_COORDINATE_M of the origin in each coordinate, so that every squared
+# distance, mirror image and path phase stays finite; every speed is below
+# the speed of light; and a nonzero reflection coefficient has a magnitude
+# of at least MIN_REFLECTION (-240 dB), far below any budget's noise, so
+# that no path gain underflows to zero.
+MAX_COORDINATE_M = 1e6
+MIN_REFLECTION = 1e-12
+
 # Parametric overlap below this fraction of the segment counts as grazing
 # contact, not blockage.
 _GRAZE_EPS = 1e-12
@@ -195,16 +204,29 @@ class ScenarioConfig:
             raise ValueError("scenario 1 requires an RSU")
         if self.scenario_id == 2 and self.rsu is not None:
             raise ValueError("scenario 2 has no RSU")
+        points = [("vehicle_start", self.vehicle_start), ("bicycle_start", self.bicycle_start)]
+        if self.rsu is not None:
+            points.append(("rsu_position", self.rsu.position))
+        for i, box in enumerate(self.buildings):
+            points += [(f"building{i}_center", box.center),
+                       (f"building{i}_half_extents", box.half_extents)]
+        for name, point in points:
+            if not max(abs(point.x), abs(point.y), abs(point.z)) <= MAX_COORDINATE_M:
+                raise ValueError(f"{name} must lie within {MAX_COORDINATE_M:g} m of the "
+                                 f"origin in every coordinate, got {point}")
         for name in ("vehicle_speed", "bicycle_speed", "measurement_interval"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+            if name != "measurement_interval" and not value < SPEED_OF_LIGHT:
+                raise ValueError(f"{name} must lie below the speed of light, got {value}")
         for name in ("ground_reflection_coeff", "wall_reflection_coeff"):
             value = getattr(self, name)
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if abs(self.ground_reflection_coeff) > 1 or abs(self.wall_reflection_coeff) > 1:
-            raise ValueError("reflection coefficient magnitudes must be <= 1")
+            # The parts are bounded first: abs() of a huge complex overflows.
+            if not (cmath.isfinite(value) and max(abs(value.real), abs(value.imag)) <= 1
+                    and (value == 0 or MIN_REFLECTION <= abs(value) <= 1)):
+                raise ValueError(f"{name} must be 0 or of magnitude between "
+                                 f"{MIN_REFLECTION:g} and 1, got {value}")
         for name, value in (("vehicle_start.y", self.vehicle_start.y),
                             ("bicycle_start.x", self.bicycle_start.x)):
             if not value < LANE_END_M:
@@ -224,19 +246,22 @@ class ScenarioConfig:
             for lane, point in nearest:
                 # 1 m is 20 wavelengths: closer, the far-field Friis gain means nothing.
                 if distance(rsu, point) < 1.0:
-                    raise ValueError(f"rsu_position must lie at least 1 m from the {lane} "
-                                     f"lane, got {distance(rsu, point):.3g} m")
+                    raise ValueError(f"rsu_position must lie at least 1 m from the lane of "
+                                     f"{lane}_start, got {distance(rsu, point):.3g} m")
             for i, box in enumerate(self.buildings):
                 lo, hi = box.min_corner, box.max_corner
                 if all(lo.component(a) < rsu.component(a) < hi.component(a) for a in range(3)):
-                    raise ValueError(f"rsu_position {rsu} lies inside building {i}")
+                    raise ValueError(f"rsu_position {rsu} lies inside building {i} "
+                                     f"(building{i}_center, building{i}_half_extents)")
         lanes = (("vehicle_start", self.vehicle_start,
                   Vec3(self.vehicle_start.x, LANE_END_M, self.vehicle_start.z)),
                  ("bicycle_start", self.bicycle_start,
                   Vec3(LANE_END_M, self.bicycle_start.y, self.bicycle_start.z)))
         for name, lane_start, lane_end in lanes:
-            if segment_blocked(lane_start, lane_end, self.buildings):
-                raise ValueError(f"{name} puts its lane to {lane_end} through a building")
+            for i, box in enumerate(self.buildings):
+                if segment_blocked(lane_start, lane_end, (box,)):
+                    raise ValueError(f"{name} puts its lane to {lane_end} through building {i} "
+                                     f"(building{i}_center, building{i}_half_extents)")
         # Both devices move in straight lines until the first reaches its lane
         # end, so their closest approach before then has a closed form.
         v, b = self.vehicle_start, self.bicycle_start
@@ -247,9 +272,9 @@ class ScenarioConfig:
         t = min(max(-(dx * ux + dy * uy) / (ux * ux + uy * uy), 0.0), horizon)
         gap = math.sqrt((dx + ux * t) ** 2 + (dy + uy * t) ** 2 + (v.z - b.z) ** 2)
         if gap < MIN_DEVICE_GAP_M:
-            raise ValueError(f"vehicle_start and bicycle_start bring the devices {gap:.3g} m "
-                             f"apart at t = {t:.3g} s; they must stay at least "
-                             f"{MIN_DEVICE_GAP_M} m apart")
+            raise ValueError(f"vehicle_start and bicycle_start, at vehicle_speed and "
+                             f"bicycle_speed, bring the devices {gap:.3g} m apart at "
+                             f"t = {t:.3g} s; they must stay at least {MIN_DEVICE_GAP_M} m apart")
 
     @functools.cached_property
     def _obstacles(self) -> tuple[tuple, tuple[tuple[int, Facade], ...]]:

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import math
 import warnings
 
@@ -237,6 +239,26 @@ def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     ("rsu_position", "1,2,nan"),
     ("scenario_id", "1.5"),
     ("building0_half_extents", "25.0,25.0,0.0"),
+    ("building1_center", "1e154,45.0,15.0"),
+    ("rsu_position", "1e7,0.0,10.0"),
+    ("vehicle_speed", "1e308"),
+    ("ground_reflection_coeff", "1.7e308+1.7e308j"),
+    ("wall_reflection_coeff", "1e-320"),
+    ("building2_center", "0.0,45.0,15.0"),
+    # One component of a start point far beyond the working range: each once
+    # escaped as an OverflowError traceback from the closest-approach check.
+    ("vehicle_start", "1e+308,-70.0,1.5"),
+    ("vehicle_start", "-1e+308,-70.0,1.5"),
+    ("vehicle_start", "1e+200,-70.0,1.5"),
+    ("vehicle_start", "1.6,-1e+308,1.5"),
+    ("vehicle_start", "1.6,-70.0,1e+308"),
+    ("vehicle_start", "1.6,-70.0,1e+200"),
+    ("bicycle_start", "-1e+308,-7.0,1.0"),
+    ("bicycle_start", "-16.4,1e+308,1.0"),
+    ("bicycle_start", "-16.4,-1e+308,1.0"),
+    ("bicycle_start", "-16.4,1e+200,1.0"),
+    ("bicycle_start", "-16.4,-7.0,1e+308"),
+    ("bicycle_start", "-16.4,-7.0,1e+200"),
 ])
 def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, capsys):
     # Only scenario 1 has an RSU; every other key is edited in scenario 2.
@@ -254,6 +276,57 @@ def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, caps
     assert key in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+# (scenario id, key) of every value in the two scenario dumps.
+_SCENARIO_KEYS = [(scenario_id, line.split("=", 1)[0]) for scenario_id in (1, 2)
+                  for line in scenario_to_text(build_scenario(scenario_id)).splitlines()
+                  if not line.startswith("scenario_id=")]
+
+
+@settings(max_examples=50, deadline=None)
+@given(target=st.sampled_from(_SCENARIO_KEYS), component=st.integers(0, 2), value=st.floats())
+@example(target=(2, "vehicle_start"), component=0, value=1e308)
+@example(target=(1, "vehicle_start"), component=1, value=-1e6)
+@example(target=(2, "bicycle_speed"), component=0, value=5e-324)
+@example(target=(1, "wall_reflection_coeff"), component=1, value=1e-300)
+@example(target=(2, "building3_center"), component=0, value=1e154)
+def test_any_one_scenario_value_runs_or_exits_1_naming_its_key(target, component, value,
+                                                               tmp_path_factory):
+    # One component of one value is edited: an x, y or z of a vector, the
+    # real or imaginary part of a coefficient, or a scalar.  The file either
+    # sweeps to the end, with a positive (or infinite) bound on every
+    # line-of-sight sample, or is rejected with a message naming the edited
+    # key; no value escapes as a traceback.  The sample cap is lowered so
+    # that no example sweeps for long: a sweep beyond it is rejected naming
+    # the keys of its horizon.
+    scenario_id, key = target
+    entries = dict(line.split("=", 1)
+                   for line in scenario_to_text(build_scenario(scenario_id)).splitlines())
+    if "coeff" in key:
+        parts = [complex(entries[key]).real, complex(entries[key]).imag]
+        parts[component % 2] = value
+        entries[key] = str(complex(*parts)).strip("()")
+    else:
+        parts = entries[key].split(",")
+        parts[component % len(parts)] = repr(value)
+        entries[key] = ",".join(parts)
+    directory = tmp_path_factory.mktemp("scenario")
+    (directory / "scn.txt").write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
+    link = "rsu-vehicle" if scenario_id == 1 else "vehicle-bicycle"
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(harness, "_MAX_SAMPLES", 400)
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["bounds", "--scenario", str(scenario_id), "--link", link, "--scenario-file",
+                     str(directory / "scn.txt"), "--out", str(directory / "out.csv")])
+    assert code in (0, 1), stderr.getvalue()
+    if code == 1:
+        assert key in stderr.getvalue()
+    else:
+        for p in read_csv(str(directory / "out.csv")):
+            assert not p.los_present or min(p.reb_los, p.reb_all, p.reb_waa) > 0
 
 
 def test_duplicate_scenario_key_rejected_by_name(tmp_path, capsys):

@@ -34,6 +34,7 @@ from slpos.harness import (
     LINKS,
     REQUIREMENT_SETS,
     CurvePoint,
+    RequirementScore,
     RunConfig,
     coherence_and_latency_check,
     export_csv,
@@ -77,14 +78,21 @@ SQUARE = [Anchor(Vec3(0.0, 0.0, 0.0)), Anchor(Vec3(10.0, 0.0, 0.0)),
 # --- run configuration -----------------------------------------------------------
 
 def test_link_scenario_consistency():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the rsu-vehicle link exists only in scenario 1"):
         RunConfig(scenario_id=2, link="rsu-vehicle")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the vehicle-bicycle link exists only in scenario 2"):
         RunConfig(scenario_id=1, link="vehicle-bicycle")
     with pytest.raises(ValueError):
         RunConfig(scenario_id=1, link="rsu-vehicle", trials=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown link 'teleporter'"):
         RunConfig(scenario_id=1, link="teleporter")
+
+
+@pytest.mark.parametrize("sweep", [run_ranging_sweep, run_bounds_sweep])
+def test_scenario_without_the_link_rejected_before_any_sample(sweep):
+    # The config names scenario 1, but the geometry handed in has no RSU.
+    with pytest.raises(ValueError, match="the rsu-bicycle link exists only in scenario 1"):
+        sweep(RunConfig(scenario_id=1, link="rsu-bicycle"), scenario=build_scenario(2))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -862,6 +870,48 @@ def test_csv_round_trip(tmp_path):
                (b.n_paths, b.n_cell_paths, b.los_present)
 
 
+def test_csv_columns_are_the_curve_point_fields_in_order():
+    assert CSV_COLUMNS == (
+        "sweep_coord_m", "true_range_m", "rmse_m", "reb_los_m", "reb_all_m",
+        "reb_waa_m", "waa_bias_m", "n_paths", "n_cell_paths", "los_present")
+    assert [column.removesuffix("_m") for column in CSV_COLUMNS] == \
+        [f.name for f in dataclasses.fields(CurvePoint)]
+
+
+_CSV_ROW = "1.0e+00,2.0e+00,nan,1.0e-02,inf,9.0e-01,8.0e-01,3,2,true"
+
+
+@pytest.mark.parametrize("lines, reason", [
+    ([_CSV_ROW.replace("true", "True")], "line 2: expected true or false, got 'True'"),
+    ([_CSV_ROW.replace("true", "1")], "line 2: expected true or false, got '1'"),
+    ([_CSV_ROW, "", _CSV_ROW.replace(",3,", ",3.0,")],
+     "line 4: invalid literal for int() with base 10: '3.0'"),
+    ([_CSV_ROW.replace("9.0e-01", "x")], "line 2: could not convert string to float: 'x'"),
+    ([_CSV_ROW + ",true"], "line 2: malformed CSV row"),
+], ids=("True", "one", "float-count", "letters", "eleven-cells"))
+def test_bad_csv_row_raises_naming_its_line(lines, reason, tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_text("\n".join([",".join(CSV_COLUMNS), *lines]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_csv(str(out))
+    assert reason in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "sweep_coord_m,rmse_m\n"])
+def test_missing_csv_header_raises_naming_line_1(text, tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_text(text)
+    with pytest.raises(ValueError, match="line 1: unexpected header"):
+        read_csv(str(out))
+
+
+def test_csv_reads_both_flags_and_skips_blank_lines(tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_text("\n".join([",".join(CSV_COLUMNS), _CSV_ROW, "",
+                              _CSV_ROW.replace("true", "false")]) + "\n")
+    assert [p.los_present for p in read_csv(str(out))] == [True, False]
+
+
 def test_export_to_unwritable_path_raises_oserror():
     with pytest.raises(OSError):
         export_csv([], "/nonexistent-dir/foo.csv")
@@ -906,6 +956,15 @@ def test_noisy_demo_rates_match_percentiles():
     assert set2.fraction_within_strict < set2.fraction_within_loose
     assert set2.met_loose == (set2.fraction_within_loose >= 0.95)
     assert set2.met_strict == (set2.fraction_within_strict >= 0.99)
+
+
+def test_requirement_verdicts_follow_the_fractions():
+    # Met at exactly the confidence; the verdicts are not stored apart.
+    set2 = REQUIREMENT_SETS[1]
+    score = RequirementScore(set2, fraction_within_loose=0.95, fraction_within_strict=0.989)
+    assert score.met_loose and not score.met_strict
+    assert [f.name for f in dataclasses.fields(RequirementScore)] == [
+        "requirement", "fraction_within_loose", "fraction_within_strict"]
 
 
 def test_coinciding_true_point_rejected_before_any_fix(monkeypatch):
