@@ -276,8 +276,9 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     sample; it gives the bounds and, with ``monte_carlo``, both directions
     of ``cfg.trials`` round trips, whose RMSE is reported (else NaN).  With
     ``monte_carlo``, a link whose range reaches c / (2 subcarrier_spacing),
-    where round trips alias, is rejected before the first trace.  The
-    samples are split into chunks as the module docstring says."""
+    where round trips alias, is rejected before the first trace, naming
+    the scenario keys that place its ends.  The samples are split into
+    chunks as the module docstring says."""
     if cfg.output_path is not None:
         _check_writable(cfg.output_path)
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
@@ -285,10 +286,11 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     pilots = make_pilots(ofdm, "all_ones")
     window = hamming_window(ofdm.num_subcarriers)
     ends, lanes = _link(cfg.link, scenario.scenario_id)
+    lane_keys = [f"{lane}_{key}" for lane in lanes for key in ("start", "speed")]
     horizon = min(_LANE_HORIZONS[lane](scenario) for lane in lanes)
     steps = horizon / scenario.measurement_interval
     if not (math.isfinite(steps) and round(steps) + 1 <= _MAX_SAMPLES):
-        keys = " and ".join(f"{lane}_start and {lane}_speed" for lane in lanes)
+        keys = " and ".join(lane_keys)
         raise ValueError(f"measurement_interval={scenario.measurement_interval} s over the "
                          f"{horizon:.4g} s horizon of link {cfg.link} (from {keys}) gives "
                          f"more than {_MAX_SAMPLES} sweep samples")
@@ -302,8 +304,10 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     limit = SPEED_OF_LIGHT * ofdm.unambiguous_delay / 2.0
     farthest = max(sample[-1] for sample in samples)
     if monte_carlo and farthest >= limit:
-        raise ValueError(f"link {cfg.link} reaches {farthest:.1f} m, but a round trip is "
-                         f"unambiguous only below c / (2 subcarrier_spacing) = {limit:.1f} m")
+        keys = ["rsu_position"] * (scenario.rsu is not None) + lane_keys
+        raise ValueError(f"link {cfg.link} (from {', '.join(keys[:-1])} and {keys[-1]}) "
+                         f"reaches {farthest:.1f} m, but a round trip is unambiguous only "
+                         f"below c / (2 subcarrier_spacing) = {limit:.1f} m")
 
     # A chunk starting at a sample whose first round trip is a multiple of
     # _TRIAL_BATCH fills exactly the batches a single process would.
@@ -629,19 +633,29 @@ def coherence_and_latency_check(config: OfdmConfig, v_max: float,
                                 accuracy_req: float) -> CoherenceReport:
     """Symbol-count margin against wavelength * spacing / v_max, and the
     latency budget 0.1 * accuracy / v_max.  A zero v_max reports unbounded
-    (infinite) margins rather than dividing by zero."""
+    (infinite) margins rather than dividing by zero; otherwise v_max must
+    lie below the speed of light, and the limit and the budget (in ms)
+    must be finite positive floats."""
     if not (math.isfinite(v_max) and v_max >= 0):
         raise ValueError("maximum speed must be finite and nonnegative")
+    if not v_max < SPEED_OF_LIGHT:
+        raise ValueError(f"maximum speed must lie below the speed of light, got {v_max} m/s")
     if not (math.isfinite(accuracy_req) and accuracy_req > 0):
         raise ValueError("accuracy requirement must be finite and positive")
     if v_max == 0.0:
         return CoherenceReport(math.inf, config.num_symbols, math.inf, math.inf)
     limit = config.wavelength * config.subcarrier_spacing / v_max
+    budget = 0.1 * accuracy_req / v_max
+    # The budget is printed in milliseconds, so it must stay finite in them.
+    for name, value in (("coherence symbol limit", limit), ("latency budget in ms", budget * 1e3)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} at {v_max} m/s for {accuracy_req} m must be finite "
+                             f"and positive, got {value}")
     return CoherenceReport(
         coherence_symbol_limit=limit,
         num_symbols=config.num_symbols,
         coherence_margin=limit / config.num_symbols,
-        latency_budget_s=0.1 * accuracy_req / v_max,
+        latency_budget_s=budget,
     )
 
 

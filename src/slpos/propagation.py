@@ -4,8 +4,9 @@ Two fixed crossing scenarios on a street-canyon intersection flanked by four
 buildings: scenario 1 has a road-side unit (RSU) at the intersection center,
 scenario 2 is the same geometry without the RSU.  Propagation paths are
 synthesized with the image method: a direct line-of-sight path subject to
-building blockage, a ground bounce, and single-bounce reflections off the
-vertical building facades.  All functions are pure and safe to call from
+building blockage, and one single bounce per reflecting plane (the ground
+and each vertical building facade), every specular point found by one
+rule.  All functions are pure and safe to call from
 concurrent workers.  A scenario reads from and writes to a flat key=value
 text through one table of its keys.
 """
@@ -107,30 +108,35 @@ class BuildingBox:
 
 @dataclass(frozen=True)
 class Facade:
-    """One vertical outer face of a building box.
-
-    ``axis`` is 0 for faces on a plane of constant x, 1 for constant y;
-    ``sign`` is the outward normal direction along that axis.  ``u_lo`` and
-    ``u_hi`` bound the other horizontal coordinate of the rectangle.
+    """A reflecting plane rectangle: the plane where coordinate ``axis`` (0,
+    1 or 2) equals ``coord``, reflecting on its ``sign`` side along that
+    axis.  ``lo`` and ``hi`` are coordinate triples whose entries on the two
+    in-plane axes bound the rectangle; the entry on ``axis`` is not read.
     """
 
     axis: int
     coord: float
     sign: int
-    u_lo: float
-    u_hi: float
-    z_lo: float
-    z_hi: float
+    lo: tuple[float, float, float]
+    hi: tuple[float, float, float]
+
+
+# The ground: the unbounded plane z = 0, reflecting upwards.
+_GROUND = Facade(2, 0.0, +1, (-math.inf,) * 3, (math.inf,) * 3)
+
+# The two in-plane axes of a plane normal to each axis.
+_IN_PLANE = ((1, 2), (0, 2), (0, 1))
 
 
 def building_facades(box: BuildingBox) -> list[Facade]:
-    """Four vertical outer faces in fixed (+x, -x, +y, -y) order."""
-    lo, hi = box.min_corner, box.max_corner
+    """Four vertical outer faces in fixed (+x, -x, +y, -y) order, each
+    bounded by the box's corners."""
+    lo, hi = _xyz(box.min_corner), _xyz(box.max_corner)
     return [
-        Facade(0, hi.x, +1, lo.y, hi.y, lo.z, hi.z),
-        Facade(0, lo.x, -1, lo.y, hi.y, lo.z, hi.z),
-        Facade(1, hi.y, +1, lo.x, hi.x, lo.z, hi.z),
-        Facade(1, lo.y, -1, lo.x, hi.x, lo.z, hi.z),
+        Facade(0, hi[0], +1, lo, hi),
+        Facade(0, lo[0], -1, lo, hi),
+        Facade(1, hi[1], +1, lo, hi),
+        Facade(1, lo[1], -1, lo, hi),
     ]
 
 
@@ -267,8 +273,7 @@ class ScenarioConfig:
         v, b = self.vehicle_start, self.bicycle_start
         dx, dy = v.x - b.x, v.y - b.y
         ux, uy = -self.bicycle_speed, self.vehicle_speed     # vehicle relative to bicycle
-        horizon = min((LANE_END_M - v.y) / self.vehicle_speed,
-                      (LANE_END_M - b.x) / self.bicycle_speed)
+        horizon = min(vehicle_horizon(self), bicycle_horizon(self))
         t = min(max(-(dx * ux + dy * uy) / (ux * ux + uy * uy), 0.0), horizon)
         gap = math.sqrt((dx + ux * t) ** 2 + (dy + uy * t) ** 2 + (v.z - b.z) ** 2)
         if gap < MIN_DEVICE_GAP_M:
@@ -462,34 +467,33 @@ def _image_path(tx: Pose, pos, vel, wavelength: float, coeff: complex,
     )
 
 
-def wall_reflection_point(tx: Vec3, rx: Vec3, facade: Facade) -> Vec3 | None:
-    """Specular reflection point of tx -> facade -> rx, or None.
-
-    Requires both endpoints strictly on the outward side of the facade plane
-    and the specular point to land on the facade rectangle.  The point
-    divides the plane between the two feet in proportion to the opposite
-    plane distances; that weighted form is symmetric in (tx, rx), so both
-    link directions make bitwise-identical decisions.
-    """
-    point = _reflection_point(_xyz(tx), _xyz(rx), facade)
-    return None if point is None else Vec3(*point)
-
-
 def _reflection_point(tx: tuple[float, float, float], rx: tuple[float, float, float],
-                      facade: Facade) -> tuple[float, float, float] | None:
-    """``wall_reflection_point`` on coordinate triples."""
-    axis = facade.axis
-    d_tx = facade.sign * (tx[axis] - facade.coord)
-    d_rx = facade.sign * (rx[axis] - facade.coord)
+                      plane: Facade) -> tuple[float, float, float] | None:
+    """Specular reflection point of tx -> plane -> rx, or None.
+
+    Requires both endpoints strictly on the reflecting side of the plane
+    and the specular point to land on its rectangle.  The point divides
+    the plane between the two feet in proportion to the opposite plane
+    distances; that weighted form is symmetric in (tx, rx), so both link
+    directions make bitwise-identical decisions.  A point that would make
+    a ``Vec3`` non-finite raises its ValueError.
+    """
+    axis = plane.axis
+    d_tx = plane.sign * (tx[axis] - plane.coord)
+    d_rx = plane.sign * (rx[axis] - plane.coord)
     if d_tx <= 0 or d_rx <= 0:
         return None
     total = d_tx + d_rx
-    u_axis = 1 - axis
-    u = (tx[u_axis] * d_rx + rx[u_axis] * d_tx) / total
-    z = (tx[2] * d_rx + rx[2] * d_tx) / total
-    if not (facade.u_lo <= u <= facade.u_hi and facade.z_lo <= z <= facade.z_hi):
+    u, v = _IN_PLANE[axis]
+    pu = (tx[u] * d_rx + rx[u] * d_tx) / total
+    pv = (tx[v] * d_rx + rx[v] * d_tx) / total
+    lo, hi = plane.lo, plane.hi
+    # Comparisons a NaN fails, so that it reaches the finiteness check.
+    if pu < lo[u] or hi[u] < pu or pv < lo[v] or hi[v] < pv:
         return None
-    return (facade.coord, u, z) if axis == 0 else (u, facade.coord, z)
+    point = [pu, pv]
+    point.insert(axis, plane.coord)
+    return _finite(tuple(point))
 
 
 def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
@@ -497,10 +501,11 @@ def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
     """Synthesize the multipath channel between two poses with the image method.
 
     Returns, sorted by delay: the line-of-sight path when no building blocks
-    it; a ground bounce via the receiver image mirrored at z = 0, scaled by
-    the ground reflection coefficient; and one single-bounce path per facade
-    whose specular point lies on the facade with both sub-segments clear.
-    An empty path list is legal under full blockage.  The geometry runs on
+    it; and one single-bounce path per reflecting plane, the ground (scaled
+    by the ground reflection coefficient) and each facade (by the wall
+    coefficient), whose specular point lies on the plane with both
+    sub-segments clear, via the receiver image mirrored in that plane.  An
+    empty path list is legal under full blockage.  The geometry runs on
     coordinate triples, against the buildings' slabs and facades computed
     once per scenario.
     """
@@ -513,26 +518,17 @@ def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
     if not _crosses(t, r, slabs):
         paths.append(_image_path(tx, r, _xyz(rx.velocity), wavelength, 1.0, PathKind.LOS))
 
-    if config.ground_reflection_coeff != 0 and t[2] > 0 and r[2] > 0:
-        # Height-weighted ground touch point; symmetric in (tx, rx).
-        heights = t[2] + r[2]
-        point = _finite(((t[0] * r[2] + r[0] * t[2]) / heights,
-                         (t[1] * r[2] + r[1] * t[2]) / heights,
-                         0.0))
-        if not _crosses(t, point, slabs) and not _crosses(point, r, slabs):
-            paths.append(_image_path(tx, *_mirror(rx, 2, 0.0), wavelength,
-                                     config.ground_reflection_coeff, PathKind.GROUND))
-
-    if config.wall_reflection_coeff != 0:
-        for wall_index, facade in facades:
-            point = _reflection_point(t, r, facade)
-            if point is None:
+    for coeff, kind, planes in ((config.ground_reflection_coeff, PathKind.GROUND,
+                                 ((None, _GROUND),)),
+                                (config.wall_reflection_coeff, PathKind.WALL, facades)):
+        if coeff == 0:
+            continue
+        for wall_index, plane in planes:
+            point = _reflection_point(t, r, plane)
+            if point is None or _crosses(t, point, slabs) or _crosses(point, r, slabs):
                 continue
-            if _crosses(t, point, slabs) or _crosses(point, r, slabs):
-                continue
-            paths.append(_image_path(tx, *_mirror(rx, facade.axis, facade.coord),
-                                     wavelength, config.wall_reflection_coeff,
-                                     PathKind.WALL, wall_index=wall_index))
+            paths.append(_image_path(tx, *_mirror(rx, plane.axis, plane.coord),
+                                     wavelength, coeff, kind, wall_index=wall_index))
 
     paths.sort(key=lambda p: p.delay)
     return ChannelSnapshot(paths=tuple(paths), time=time)

@@ -114,6 +114,22 @@ def test_check_zero_speed(capsys):
     assert "unbounded" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("vmax, accuracy, quantity", [
+    ("5e-324", "1", "coherence symbol limit"),
+    ("1e-308", "1e308", "coherence symbol limit"),
+    ("1e308", "1e-308", "maximum speed must lie below the speed of light"),
+    ("100", "5e-324", "latency budget"),
+    ("1e-300", "2e6", "latency budget"),
+])
+def test_check_rejects_results_outside_the_float_range(vmax, accuracy, quantity, capsys):
+    # An infinite limit or budget, a budget that underflows to 0 ms, or a
+    # speed the scenario would reject is a configuration error.
+    assert main(["check", "--vmax", vmax, "--accuracy", accuracy]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and quantity in captured.err
+    assert captured.out == ""
+
+
 def test_bad_usage_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["ranging", "--scenario", "9", "--link", "rsu-vehicle", "--out", "x.csv"])
@@ -278,6 +294,14 @@ def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, caps
     assert not out.exists()
 
 
+class _TraceReached(Exception):
+    """Raised in place of a sweep's first trace: every check before it passed."""
+
+
+def _trace_reached(*args, **kwargs):
+    raise _TraceReached
+
+
 # (scenario id, key) of every value in the two scenario dumps.
 _SCENARIO_KEYS = [(scenario_id, line.split("=", 1)[0]) for scenario_id in (1, 2)
                   for line in scenario_to_text(build_scenario(scenario_id)).splitlines()
@@ -291,6 +315,7 @@ _SCENARIO_KEYS = [(scenario_id, line.split("=", 1)[0]) for scenario_id in (1, 2)
 @example(target=(2, "bicycle_speed"), component=0, value=5e-324)
 @example(target=(1, "wall_reflection_coeff"), component=1, value=1e-300)
 @example(target=(2, "building3_center"), component=0, value=1e154)
+@example(target=(1, "rsu_position"), component=0, value=1e6)
 def test_any_one_scenario_value_runs_or_exits_1_naming_its_key(target, component, value,
                                                                tmp_path_factory):
     # One component of one value is edited: an x, y or z of a vector, the
@@ -314,19 +339,32 @@ def test_any_one_scenario_value_runs_or_exits_1_naming_its_key(target, component
     directory = tmp_path_factory.mktemp("scenario")
     (directory / "scn.txt").write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
     link = "rsu-vehicle" if scenario_id == 1 else "vehicle-bicycle"
+    common = ["--scenario", str(scenario_id), "--link", link, "--scenario-file",
+              str(directory / "scn.txt")]
     stderr = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(), \
             contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         patch.setattr(harness, "_MAX_SAMPLES", 400)
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(["bounds", "--scenario", str(scenario_id), "--link", link, "--scenario-file",
-                     str(directory / "scn.txt"), "--out", str(directory / "out.csv")])
-    assert code in (0, 1), stderr.getvalue()
+        code = main(["bounds", *common, "--out", str(directory / "out.csv")])
+        bounds_err = stderr.getvalue()
+        # ranging's own checks, up to its first trace: no sample runs.
+        patch.setattr(harness, "trace_paths", _trace_reached)
+        try:
+            ranging_code = main(["ranging", *common, "--trials", "1",
+                                 "--out", str(directory / "ranging.csv")])
+        except _TraceReached:
+            ranging_code = None
+    assert code in (0, 1), bounds_err
     if code == 1:
-        assert key in stderr.getvalue()
+        assert key in bounds_err
     else:
         for p in read_csv(str(directory / "out.csv")):
             assert not p.los_present or min(p.reb_los, p.reb_all, p.reb_waa) > 0
+    ranging_err = stderr.getvalue()[len(bounds_err):]
+    assert ranging_code in (None, 1), ranging_err
+    if ranging_code == 1:
+        assert key in ranging_err
 
 
 def test_duplicate_scenario_key_rejected_by_name(tmp_path, capsys):
@@ -434,6 +472,36 @@ def test_ranging_beyond_the_alias_range_rejected_before_the_first_sample(tmp_pat
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert "rsu-vehicle" in captured.err and "1249.1 m" in captured.err
+    assert "vehicle_start" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, link", [
+    ("rsu_position", "1e6,0.0,10.0", "rsu-vehicle"),
+    ("bicycle_start", "-1300.0,-7.0,1.0", "rsu-bicycle"),
+])
+def test_ranging_beyond_the_alias_range_names_the_key_of_each_end(key, value, link, tmp_path,
+                                                                   monkeypatch, capsys):
+    # The rejection names the scenario keys that place the link's ends: the
+    # RSU's position, and the start and speed of each lane of the link.
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in scenario_to_text(build_scenario(1)).splitlines()]
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text("\n".join(lines) + "\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep sample was traced")
+
+    monkeypatch.setattr(harness, "trace_paths", never)
+    out = tmp_path / "out.csv"
+    assert main(["ranging", "--scenario", "1", "--link", link, "--scenario-file", str(scn_file),
+                 "--trials", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and "1249.1 m" in captured.err
+    lane = link.split("-")[1]
+    for name in (link, key, "rsu_position", f"{lane}_start", f"{lane}_speed"):
+        assert name in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,16 @@ from hypothesis import strategies as st
 
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.propagation import (
+    _GROUND,
+    _IN_PLANE,
+    MAX_COORDINATE_M,
     BuildingBox,
     PathKind,
     Pose,
     ScenarioConfig,
     Vec3,
+    _reflection_point,
+    _xyz,
     build_scenario,
     building_facades,
     distance,
@@ -22,7 +28,6 @@ from slpos.propagation import (
     scenario_to_text,
     segment_blocked,
     trace_paths,
-    wall_reflection_point,
 )
 
 WAVELENGTH = SPEED_OF_LIGHT / 5.9e9
@@ -291,15 +296,73 @@ def test_wall_reflection_points_lie_on_their_facades():
     for path in walls:
         box = scn.buildings[path.wall_index // 4]
         facade = building_facades(box)[path.wall_index % 4]
-        point = wall_reflection_point(tx.position, rx.position, facade)
+        point = _reflection_point(_xyz(tx.position), _xyz(rx.position), facade)
         assert point is not None
-        assert abs(point.component(facade.axis) - facade.coord) < 1e-9
-        u = point.component(1 - facade.axis)
-        assert facade.u_lo - 1e-9 <= u <= facade.u_hi + 1e-9
-        assert facade.z_lo - 1e-9 <= point.z <= facade.z_hi + 1e-9
+        assert point[facade.axis] == facade.coord
+        for axis in _IN_PLANE[facade.axis]:
+            assert facade.lo[axis] <= point[axis] <= facade.hi[axis]
+        point = Vec3(*point)
         # Path length through the reflection point equals the image length.
         via = distance(tx.position, point) + distance(point, rx.position)
         assert via == pytest.approx(path.delay * SPEED_OF_LIGHT, rel=1e-12)
+
+
+def _reference_ground_point(t, r):
+    # The height-weighted ground touch point of the ground bounce, as it was
+    # written out before the ground became a reflecting plane.
+    if not (t[2] > 0 and r[2] > 0):
+        return None
+    heights = t[2] + r[2]
+    return ((t[0] * r[2] + r[0] * t[2]) / heights, (t[1] * r[2] + r[1] * t[2]) / heights, 0.0)
+
+
+def _reference_facade_point(t, r, axis, coord, sign, u_lo, u_hi, z_lo, z_hi):
+    # A vertical facade's specular point, on its horizontal coordinate u
+    # and its height z, as it was written out for vertical faces alone.
+    d_tx = sign * (t[axis] - coord)
+    d_rx = sign * (r[axis] - coord)
+    if d_tx <= 0 or d_rx <= 0:
+        return None
+    total = d_tx + d_rx
+    u_axis = 1 - axis
+    u = (t[u_axis] * d_rx + r[u_axis] * d_tx) / total
+    z = (t[2] * d_rx + r[2] * d_tx) / total
+    if not (u_lo <= u <= u_hi and z_lo <= z <= z_hi):
+        return None
+    return (coord, u, z) if axis == 0 else (u, coord, z)
+
+
+def _bits(point):
+    return None if point is None else [c.hex() for c in point]
+
+
+def test_reflection_point_matches_the_ground_and_facade_formulas_bit_for_bit():
+    # One rule for every plane gives the two formulas' points exactly, and
+    # the same decisions, in both link directions.  Half the pairs lie near
+    # the buildings, where facade points land; half anywhere in the working
+    # range.
+    boxes = build_scenario(1).buildings
+    planes = []
+    for box in boxes:
+        lo, hi = box.min_corner, box.max_corner
+        old = [(0, hi.x, +1, lo.y, hi.y, lo.z, hi.z), (0, lo.x, -1, lo.y, hi.y, lo.z, hi.z),
+               (1, hi.y, +1, lo.x, hi.x, lo.z, hi.z), (1, lo.y, -1, lo.x, hi.x, lo.z, hi.z)]
+        planes += zip(building_facades(box), old)
+    rng = random.Random(2026)
+    hits = {"ground": 0, "facade": 0}
+    for i in range(2000):
+        xy, z = (100.0, 40.0) if i % 2 else (MAX_COORDINATE_M, MAX_COORDINATE_M)
+        t, r = ((rng.uniform(-xy, xy), rng.uniform(-xy, xy), rng.uniform(-z / 8, z))
+                for _ in range(2))
+        for a, b in ((t, r), (r, t)):
+            ground = _reference_ground_point(a, b)
+            assert _bits(_reflection_point(a, b, _GROUND)) == _bits(ground)
+            hits["ground"] += ground is not None
+            for facade, old in planes:
+                point = _reference_facade_point(a, b, *old)
+                assert _bits(_reflection_point(a, b, facade)) == _bits(point)
+                hits["facade"] += point is not None
+    assert min(hits.values()) > 500, hits
 
 
 def test_full_blockage_yields_empty_path_list():
