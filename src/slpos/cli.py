@@ -201,12 +201,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.vmax == 0:
         print("zero maximum speed: coherence and latency budgets are unbounded")
         return EXIT_OK
-    print(f"coherent symbol limit {report.coherence_symbol_limit:.1f}, "
+    print(f"coherent symbol limit {report.coherence_symbol_limit:.4g}, "
           f"pilot uses {report.num_symbols} symbols "
-          f"(margin {report.coherence_margin:.1f}x, "
+          f"(margin {report.coherence_margin:.3g}x, "
           f"{'ok' if report.coherent else 'VIOLATED'})")
     print(f"latency budget for {args.accuracy} m at {args.vmax} m/s: "
-          f"{report.latency_budget_s * 1e3:.2f} ms")
+          f"{report.latency_budget_s * 1e3:.4g} ms")
     return EXIT_OK
 
 

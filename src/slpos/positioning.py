@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimation import RangeMeasurement
-from .propagation import Vec3
+from .propagation import Vec3, check_coordinates
 
 # Rounding error of the cost, per unit of sum_i w_i |r_i| (|r_i| + 2 rho_i).
 # A range rho_i = sqrt(sum_k (x_k - a_ik)^2) carries a relative rounding
@@ -58,9 +58,12 @@ _GRADIENT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Anchor:
-    """Reference node with known position."""
+    """Reference node with known position, within ``MAX_COORDINATE_M`` per coordinate."""
 
     position: Vec3
+
+    def __post_init__(self) -> None:
+        check_coordinates("anchor", self.position)
 
 
 @dataclass(frozen=True)

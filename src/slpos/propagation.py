@@ -28,12 +28,12 @@ LANE_END_M = 70.0
 # closer, the far-field path gain is meaningless.
 MIN_DEVICE_GAP_M = 0.25
 
-# The scenario's working range.  Every point and half extent lies within
-# MAX_COORDINATE_M of the origin in each coordinate, so that every squared
-# distance, mirror image and path phase stays finite; every speed is below
-# the speed of light; and a nonzero reflection coefficient has a magnitude
-# of at least MIN_REFLECTION (-240 dB), far below any budget's noise, so
-# that no path gain underflows to zero.
+# The working range of scenarios and anchor layouts.  Every point and half
+# extent lies within MAX_COORDINATE_M of the origin in each coordinate
+# (``check_coordinates``), so that every squared distance, mirror image and
+# path phase stays finite; every speed is below the speed of light; and a
+# nonzero reflection coefficient has a magnitude of at least MIN_REFLECTION
+# (-240 dB), far below any budget's noise, so that no path gain underflows.
 MAX_COORDINATE_M = 1e6
 MIN_REFLECTION = 1e-12
 
@@ -72,6 +72,13 @@ class Vec3:
 
 def distance(a: Vec3, b: Vec3) -> float:
     return (b - a).norm()
+
+
+def check_coordinates(name: str, point: Vec3) -> None:
+    """Reject ``point``, naming it ``name``, beyond MAX_COORDINATE_M in any coordinate."""
+    if not max(abs(point.x), abs(point.y), abs(point.z)) <= MAX_COORDINATE_M:
+        raise ValueError(f"{name} must lie within {MAX_COORDINATE_M:g} m of the "
+                         f"origin in every coordinate, got {point}")
 
 
 ZERO_VELOCITY = Vec3(0.0, 0.0, 0.0)
@@ -217,9 +224,7 @@ class ScenarioConfig:
             points += [(f"building{i}_center", box.center),
                        (f"building{i}_half_extents", box.half_extents)]
         for name, point in points:
-            if not max(abs(point.x), abs(point.y), abs(point.z)) <= MAX_COORDINATE_M:
-                raise ValueError(f"{name} must lie within {MAX_COORDINATE_M:g} m of the "
-                                 f"origin in every coordinate, got {point}")
+            check_coordinates(name, point)
         for name in ("vehicle_speed", "bicycle_speed", "measurement_interval"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -10,13 +10,26 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .propagation import ChannelSnapshot
+
+
+# Working range (low, high, unit) of each OfdmConfig field but symbol_duration, from
+# NR's carriers and numerologies (3GPP TS 38.211) and V2X budgets (3GPP TR 37.885).
+# Within them every Fisher entry and noise power stays far inside the float range.
+WORKING_RANGES = {
+    "num_subcarriers": (2, 3300, "subcarriers (NR's 275 resource blocks of 12)"),
+    "subcarrier_spacing": (15e3, 960e3, "Hz (NR numerologies 0 to 6)"),
+    "num_symbols": (1, 448, "symbols (32 slots of 14)"),
+    "carrier_freq": (1e8, 1e11, "Hz (0.1 to 100 GHz)"),
+    "tx_power": (1e-18, 1e3, "W (-150 to +60 dBm)"),
+    "noise_psd": (1e-24, 1e-15, "W/Hz"),
+    "noise_figure_db": (0.0, 60.0, "dB"),
+}
 
 
 @dataclass(frozen=True)
@@ -37,70 +50,15 @@ class OfdmConfig:
     noise_figure_db: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.num_subcarriers < 2:
-            raise ValueError("need at least 2 subcarriers")
-        if self.subcarrier_spacing <= 0:
-            raise ValueError("subcarrier spacing must be positive")
-        if self.num_symbols < 1:
-            raise ValueError("need at least 1 symbol")
-        if self.symbol_duration < 1.0 / self.subcarrier_spacing - 1e-15:
-            raise ValueError("symbol duration shorter than 1/subcarrier_spacing")
-        for name in ("carrier_freq", "tx_power", "noise_psd"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        try:
-            variance = noise_variance(self)
-        except OverflowError:
-            variance = math.inf
-        if not (math.isfinite(variance) and variance > 0):
-            raise ValueError(f"noise_figure_db={self.noise_figure_db} gives a noise variance "
-                             "that is not finite and positive")
-        # With every path gain at most 1, no entry of the Fisher information
-        # Gram matrix exceeds the larger of the delay and gain columns'
-        # energies, (2 pi N_s df)^2 T tx_power/df and T tx_power/df, and no
-        # entry of the FIM exceeds 2/N0 times that.  2/N0 > 0, so the product
-        # is infinite whenever the Gram cap is.
-        delay_scale = 2.0 * math.pi * self.num_subcarriers * self.subcarrier_spacing
-        gram = max(1.0, delay_scale * delay_scale) * (
-            self.num_symbols * self.tx_power / self.subcarrier_spacing)
-        if not math.isfinite(2.0 / variance * gram):
-            raise ValueError(f"tx_power={self.tx_power} W with noise_figure_db="
-                             f"{self.noise_figure_db} overflows the Fisher information")
-        # The pilot moments P_k = sum_{t,n} |s_{t,n}|^2 n^k of ``make_pilots``,
-        # whose every subcarrier carries T tx_power / (N_s df).  The one-path
-        # bound combines them as P1^2 and P0 P2 (P1^2 <= P0 P2); outside the
-        # normal float range these lose precision, then reach 0 or inf.
-        n = self.num_subcarriers
-        energy = self.num_symbols * self.tx_power / (n * self.subcarrier_spacing)
-        p0 = energy * n
-        p1 = energy * (n * (n - 1) / 2)
-        p2 = energy * ((n - 1) * n * (2 * n - 1) / 6)
-        if not (sys.float_info.min <= p1 * p1 and p0 * p2 <= sys.float_info.max):
-            raise ValueError(f"tx_power={self.tx_power} W puts the pilot moments of the "
-                             "one-path bound outside the normal float range")
-        # A lone unit-gain path's delay information, (2 / N0) (2 pi df)^2
-        # (P2 - P1^2 / P0) in the one-path bound's order of operations, and
-        # the bound's 1 / information must both be normal floats.
-        ramp = 2.0 * math.pi * self.subcarrier_spacing
-        info = 2.0 / variance * (ramp * ramp) * (p2 - p1 * p1 / p0)
-        if not sys.float_info.min <= info <= 1.0 / sys.float_info.min:
-            raise ValueError(f"tx_power={self.tx_power} W with noise_figure_db="
-                             f"{self.noise_figure_db} puts the one-path delay information "
-                             "outside the normal float range")
-        # A symbol sum's noise variance per part is at most N0 T^2 / (2 energy)
-        # (``noise_scale`` with the window's peak of 1).  With every noise
-        # draw within 64 sigma, a zoom bin, a direct DTFT of the N_s sums,
-        # has power at most (64 sqrt(2) N_s sigma)^2 = 8192 N_s^2 sigma^2
-        # (the noiseless part is negligible wherever this nears the float
-        # range), which must stay finite.
-        sigma2 = variance / 2.0 * self.num_symbols ** 2 / energy
-        if not math.isfinite(8192.0 * n * n * sigma2):
-            raise ValueError(f"tx_power={self.tx_power} W with noise_figure_db="
-                             f"{self.noise_figure_db} leaves the signal so far below the "
-                             "noise that a delay spectrum's power overflows")
+        for name, (lo, hi, unit) in WORKING_RANGES.items():
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}] {unit}, got {value}")
+        # 2/df is 4 times NR's longest cyclic prefix, the extended one of 1/(4 df).
+        period = 1.0 / self.subcarrier_spacing
+        if not period - 1e-15 <= self.symbol_duration <= 2.0 * period:
+            raise ValueError(f"symbol_duration must lie in [1, 2] / subcarrier_spacing = "
+                             f"[{period:.4g}, {2.0 * period:.4g}] s, got {self.symbol_duration}")
 
     @property
     def wavelength(self) -> float:

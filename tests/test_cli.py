@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -18,6 +19,9 @@ from channels import echo_path, los_path, make_snapshot
 from slpos.bounds import reb_waa
 from slpos.estimation import PEAK_POLICIES, hamming_window
 from slpos.signal import default_config, make_pilots, noise_scale, noise_variance
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_scenario_dump_round_trips(capsys):
@@ -109,6 +113,22 @@ def test_check_subcommand(capsys):
     assert "ms" in out
 
 
+@pytest.mark.parametrize("vmax, accuracy, lines", [
+    ("14", "3", ["coherent symbol limit 435.5, pilot uses 12 symbols (margin 36.3x, ok)",
+                 "latency budget for 3.0 m at 14.0 m/s: 21.43 ms"]),
+    ("1e8", "1e-6", ["coherent symbol limit 6.097e-05, pilot uses 12 symbols "
+                     "(margin 5.08e-06x, VIOLATED)",
+                     "latency budget for 1e-06 m at 100000000.0 m/s: 1e-12 ms"]),
+    ("1e-300", "1", ["coherent symbol limit 6.097e+303, pilot uses 12 symbols "
+                     "(margin 5.08e+302x, ok)",
+                     "latency budget for 1.0 m at 1e-300 m/s: 1e+302 ms"]),
+], ids=["default", "tiny", "huge"])
+def test_check_prints_each_result_in_significant_digits(vmax, accuracy, lines, capsys):
+    # Neither rounded to 0 nor printed with hundreds of digits.
+    assert main(["check", "--vmax", vmax, "--accuracy", accuracy]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_check_zero_speed(capsys):
     assert main(["check", "--vmax", "0", "--accuracy", "3"]) == 0
     assert "unbounded" in capsys.readouterr().out
@@ -148,6 +168,52 @@ def test_io_failure_exits_2(capsys):
                  "--out", "/nonexistent-dir/sweep.csv"])
     assert code == 2
     assert "I/O error" in capsys.readouterr().err
+
+
+# One step beyond the edge of each working range the command line reaches,
+# with the start of its message, which names the input and its range.
+_BEYOND_RANGE = [
+    (["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "60.001"],
+     "tx_power must lie in [1e-18, 1000] W (-150 to +60 dBm), got"),
+    (["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm=-150.001"],
+     "tx_power must lie in [1e-18, 1000] W (-150 to +60 dBm), got"),
+    (["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db", "60.001"],
+     "noise_figure_db must lie in [0, 60] dB, got 60.001"),
+    (["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db=-0.001"],
+     "noise_figure_db must lie in [0, 60] dB, got -0.001"),
+    (["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+      "--clock-bias-std", "1.000001"],
+     "clock_bias_std must lie in [0, 1] s, got 1.000001"),
+    (["position", "--sigma", "1000000.001"],
+     "range noise sigma must lie in [0, 1e+06] m, got 1000000.001"),
+    (["position", "--sigma", "1", "--true-point", "1000000.001,0,0"],
+     "true_point must lie within 1e+06 m of the origin in every coordinate, got"),
+    (["position", "--sigma", "1", "--anchors", str(DATA / "anchors_beyond_range.txt")],
+     "anchor file line 4: anchor must lie within 1e+06 m of the origin in every "
+     "coordinate, got"),
+]
+
+
+def _with_files(argv, tmp_path):
+    """``argv`` with an --out file in ``tmp_path`` for a sweep, and for a
+    ``position`` without --anchors a square anchor file there."""
+    if argv[0] in ("ranging", "bounds"):
+        return argv + ["--out", str(tmp_path / "out.csv")]
+    if argv[0] == "position" and "--anchors" not in argv:
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
+        return argv + ["--anchors", str(anchors)]
+    return argv
+
+
+@pytest.mark.parametrize("argv, message", _BEYOND_RANGE,
+                         ids=["tx-power-top", "tx-power-floor", "noise-figure-top",
+                              "noise-figure-floor", "clock-bias-std", "sigma", "true-point",
+                              "anchor-row"])
+def test_input_beyond_its_working_range_is_rejected_naming_it_and_its_range(argv, message,
+                                                                           tmp_path, capsys):
+    assert main(_with_files(argv, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(f"slpos: configuration error: {message}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -206,15 +272,11 @@ def test_io_failure_exits_2(capsys):
      "--noise-figure-db", "3000"],
     ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "2",
      "--tx-power-dbm=-1000", "--noise-figure-db", "2150"],
+    *(argv for argv, _ in _BEYOND_RANGE),
 ])
 def test_bad_config_rejected_before_any_output(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    if argv[0] in ("ranging", "bounds"):
-        argv = argv + ["--out", str(out)]
-    if argv[0] == "position":
-        anchors = tmp_path / "anchors.txt"
-        anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
-        argv = argv + ["--anchors", str(anchors)]
+    argv = _with_files(argv, tmp_path)
     with warnings.catch_warnings():
         # A rejected value is caught by a check, not by overflowing on the way.
         warnings.simplefilter("error", RuntimeWarning)
@@ -386,7 +448,8 @@ def test_duplicate_scenario_key_rejected_by_name(tmp_path, capsys):
     ("a,b,c", "line 3: could not convert string to float: 'a'"),
     ("1,2", "line 3: needs x,y,z[,label], got '1,2'"),
     ("0,nan,0,c", "line 3: non-finite vector components"),
-], ids=("letters", "two-numbers", "nan"))
+    ("0,-1000000.001,0", "line 3: anchor must lie within 1e+06 m of the origin"),
+], ids=("letters", "two-numbers", "nan", "beyond-range"))
 def test_bad_anchor_row_exits_1_naming_its_line(row, reason, tmp_path, capsys):
     anchors = tmp_path / "anchors.txt"
     anchors.write_text(f"# corners\n0,0,0\n{row}\n10,0,0\n0,10,0\n")
@@ -628,16 +691,24 @@ def test_successive_main_calls_parse_independently(tmp_path, monkeypatch):
     assert slpos.cli._build_parser() is slpos.cli._build_parser()
 
 
-_BUDGET_DB = st.floats(min_value=-4000.0, max_value=4000.0)
+# The working ranges of the transmit power (dBm) and the noise figure (dB);
+# the property draws from 5 dB beyond either edge.
+_TX_POWER_DBM = (-150.0, 60.0)
+_NOISE_FIGURE_DB = (0.0, 60.0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(tx_power_dbm=_BUDGET_DB, noise_figure_db=_BUDGET_DB)
-@example(tx_power_dbm=-1520.0, noise_figure_db=8.0)
-@example(tx_power_dbm=-1560.0, noise_figure_db=8.0)
-@example(tx_power_dbm=-1400.0, noise_figure_db=1954.0)
-@example(tx_power_dbm=2791.0, noise_figure_db=8.0)
-@example(tx_power_dbm=0.0, noise_figure_db=-2758.0)
+@given(tx_power_dbm=st.floats(min_value=_TX_POWER_DBM[0] - 5, max_value=_TX_POWER_DBM[1] + 5),
+       noise_figure_db=st.floats(min_value=_NOISE_FIGURE_DB[0] - 5,
+                                 max_value=_NOISE_FIGURE_DB[1] + 5))
+@example(tx_power_dbm=-150.0, noise_figure_db=0.0)
+@example(tx_power_dbm=-150.0, noise_figure_db=60.0)
+@example(tx_power_dbm=60.0, noise_figure_db=0.0)
+@example(tx_power_dbm=60.0, noise_figure_db=60.0)
+@example(tx_power_dbm=-150.01, noise_figure_db=0.0)
+@example(tx_power_dbm=60.01, noise_figure_db=60.0)
+@example(tx_power_dbm=-150.0, noise_figure_db=-0.01)
+@example(tx_power_dbm=60.0, noise_figure_db=60.01)
 def test_every_accepted_radio_budget_scales_the_bound_exactly(tx_power_dbm, noise_figure_db):
     # A lone path's delay bound is N0 / (2 |g|^2 (2 pi df)^2 (P2 - P1^2 / P0))
     # with every P_k proportional to P, so reb_los sqrt(P / N0) is the same
@@ -655,20 +726,19 @@ def test_every_accepted_radio_budget_scales_the_bound_exactly(tx_power_dbm, nois
         try:
             ofdm = slpos.cli._radio_budget(tx_power_dbm, noise_figure_db)
         except ValueError:
+            # Only a budget outside the working ranges is rejected.
+            assert not (_TX_POWER_DBM[0] <= tx_power_dbm <= _TX_POWER_DBM[1]
+                        and _NOISE_FIGURE_DB[0] <= noise_figure_db <= _NOISE_FIGURE_DB[1])
             return
         assert normalized_reb_los(ofdm) == pytest.approx(reference, rel=1e-9)
         scale = noise_scale(make_pilots(ofdm), ofdm, hamming_window(ofdm.num_subcarriers))
     assert np.all(np.isfinite(scale)) and np.all(scale > 0)
 
 
-@pytest.mark.parametrize("policy", PEAK_POLICIES)
-def test_noisiest_accepted_budget_ranges_without_overflow(policy):
-    # At -1000 dBm the waveform accepts noise figures up to about 2092 dB;
-    # there every delay spectrum's power stays finite (an overflow warning
-    # would fail the test), and one more decibel is rejected.
-    ofdm = slpos.cli._radio_budget(-1000.0, 2092.0)
-    with pytest.raises(ValueError, match="delay spectrum's power overflows"):
-        slpos.cli._radio_budget(-1000.0, 2093.0)
+def _ranges_finitely(tx_power_dbm, noise_figure_db, policy):
+    """A 20-trial vehicle-bicycle sweep at the budget has finite RMSEs, with
+    no overflow warning on the way."""
+    ofdm = slpos.cli._radio_budget(tx_power_dbm, noise_figure_db)
     scenario = dataclasses.replace(build_scenario(2), measurement_interval=1.0)
     cfg = RunConfig(scenario_id=2, link="vehicle-bicycle", trials=20, seed=1,
                     peak_policy=policy)
@@ -676,3 +746,15 @@ def test_noisiest_accepted_budget_ranges_without_overflow(policy):
         warnings.simplefilter("error", RuntimeWarning)
         points = run_ranging_sweep(cfg, scenario=scenario, ofdm=ofdm)
     assert all(math.isfinite(p.rmse) for p in points)
+
+
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+def test_noisiest_accepted_budget_ranges_without_overflow(policy):
+    # -150 dBm with a 60 dB noise figure: the signal is far below the noise.
+    _ranges_finitely(_TX_POWER_DBM[0], _NOISE_FIGURE_DB[1], policy)
+
+
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+def test_cleanest_accepted_budget_ranges_without_overflow(policy):
+    # +60 dBm with no noise figure: the largest Fisher information.
+    _ranges_finitely(_TX_POWER_DBM[1], _NOISE_FIGURE_DB[0], policy)

@@ -9,6 +9,7 @@ import statistics
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from slpos.harness import (
 )
 from slpos.positioning import MAX_ITERS, Anchor, range_position_crb, solve_fixes
 from slpos.propagation import (
+    MAX_COORDINATE_M,
     BuildingBox,
     ScenarioConfig,
     Vec3,
@@ -974,6 +976,43 @@ def test_coinciding_true_point_rejected_before_any_fix(monkeypatch):
     with pytest.raises(ValueError, match="coincides with an anchor"):
         run_positioning_demo(SQUARE, Vec3(10.0, 10.0, 5.0), sigma=1.0, trials=1000)
     assert calls == []
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_positioning_at_the_edges_of_its_working_range_is_finite(dim):
+    # Anchors at the corners of the working range (a square in 2-D, a cube
+    # in 3-D), the true point on its boundary and the largest sigma.
+    edge = MAX_COORDINATE_M
+    heights = (0.0,) if dim == 2 else (-edge, edge)
+    anchors = [Anchor(Vec3(x, y, z)) for x in (-edge, edge) for y in (-edge, edge)
+               for z in heights]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        summary = run_positioning_demo(anchors, Vec3(edge, -3e5, edge / 2), sigma=edge,
+                                       trials=1000, seed=3, dim=dim)
+    assert math.isfinite(summary.rmse) and math.isfinite(summary.crb)
+    assert summary.crb > 0
+
+
+def test_positioning_rejects_one_step_beyond_each_working_range_edge(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
+    beyond = math.nextafter(MAX_COORDINATE_M, math.inf)
+    with pytest.raises(ValueError, match=re.escape("sigma must lie in [0, 1e+06] m")):
+        run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=beyond, trials=1)
+    with pytest.raises(ValueError, match="true_point must lie within 1e[+]06 m"):
+        run_positioning_demo(SQUARE, Vec3(3.0, -beyond, 0.0), sigma=1.0, trials=1)
+    with pytest.raises(ValueError, match="anchor must lie within 1e[+]06 m"):
+        Anchor(Vec3(0.0, 0.0, beyond))
+    assert calls == []
+
+
+def test_clock_bias_std_lies_in_zero_to_one_second():
+    for std in (0.0, 1.0):
+        assert RunConfig(scenario_id=1, link="rsu-vehicle", clock_bias_std=std).clock_bias_std == std
+    for std in (-5e-324, math.nextafter(1.0, 2.0)):
+        with pytest.raises(ValueError, match=re.escape("clock_bias_std must lie in [0, 1] s")):
+            RunConfig(scenario_id=1, link="rsu-vehicle", clock_bias_std=std)
 
 
 class _Reached(Exception):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from channels import echo_path, los_path, make_snapshot, symbol_sum
 from slpos.estimation import hamming_window
 from slpos import signal
 from slpos.signal import (
+    WORKING_RANGES,
     OfdmConfig,
     PilotGrid,
     bias_ramps,
@@ -73,6 +76,54 @@ def test_noise_variance_identity_at_zero_figure(ofdm):
 def test_noise_variance_3db_step(ofdm):
     cfg = OfdmConfig(**{**ofdm.__dict__, "noise_figure_db": 11.0})
     assert noise_variance(cfg) / noise_variance(ofdm) == pytest.approx(1.995, rel=1e-3)
+
+
+def _with(ofdm, field, value):
+    """``ofdm`` with ``field`` set to ``value``, and with a new subcarrier
+    spacing its shortest symbol, 1/spacing."""
+    changes = {field: value}
+    if field == "subcarrier_spacing":
+        changes["symbol_duration"] = 1.0 / value
+    return OfdmConfig(**{**ofdm.__dict__, **changes})
+
+
+_EDGES = [(field, side) for field in WORKING_RANGES for side in ("lo", "hi")]
+
+
+@pytest.mark.parametrize("field, side", _EDGES, ids=[f"{f}-{s}" for f, s in _EDGES])
+def test_config_accepts_each_working_range_edge_and_rejects_one_step_beyond(ofdm, field,
+                                                                             side):
+    # One step is 1 for a count and one ulp for a float.
+    lo, hi, unit = WORKING_RANGES[field]
+    edge, outward = (lo, -math.inf) if side == "lo" else (hi, math.inf)
+    if isinstance(edge, int):
+        beyond = edge + (1 if side == "hi" else -1)
+    else:
+        beyond = math.nextafter(edge, outward)
+    assert getattr(_with(ofdm, field, edge), field) == edge
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{field} must lie in [{lo:g}, {hi:g}] {unit}, got")):
+        _with(ofdm, field, beyond)
+
+
+def test_symbol_duration_lies_between_one_and_two_inverse_spacings(ofdm):
+    period = 1.0 / ofdm.subcarrier_spacing
+    for accepted in (period, 2.0 * period):
+        assert _with(ofdm, "symbol_duration", accepted).symbol_duration == accepted
+    for rejected in (period - 2e-15, math.nextafter(2.0 * period, math.inf)):
+        with pytest.raises(ValueError, match=re.escape("symbol_duration must lie in [1, 2] / "
+                                                       "subcarrier_spacing = [8.333e-06, "
+                                                       "1.667e-05] s")):
+            _with(ofdm, "symbol_duration", rejected)
+
+
+def test_working_ranges_name_every_numeric_config_field():
+    # symbol_duration alone is bounded relative to another field, the
+    # subcarrier spacing; a numeric field added later needs a range.
+    numeric = [f.name for f in dataclasses.fields(OfdmConfig) if f.type in ("int", "float")]
+    assert list(WORKING_RANGES) == [name for name in numeric if name != "symbol_duration"]
+    for lo, hi, unit in WORKING_RANGES.values():
+        assert lo < hi and unit
 
 
 # --- pilots ------------------------------------------------------------------
