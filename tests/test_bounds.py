@@ -84,6 +84,23 @@ def test_fim_scales_inversely_with_noise(ofdm, pilots):
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("accepted, rejected", [
+    (WORKING_RANGES["tx_power"][1], 10 ** (61.0 / 10) * 1e-3),
+    (WORKING_RANGES["tx_power"][0], 10 ** (-151.0 / 10) * 1e-3),
+], ids=["tx_power-top", "tx_power-floor"])
+def test_config_rejects_a_budget_outside_the_float_range(ofdm, accepted, rejected):
+    # At each edge of the transmit power's working range (+60 and -150 dBm) a
+    # unit-gain path keeps the FIM and its CRB finite, and the closed form
+    # agrees with them; one dB beyond is rejected.
+    config = OfdmConfig(**{**ofdm.__dict__, "tx_power": accepted})
+    pilots = make_pilots(config)
+    variance = crb_delay(fim([los_path(150e-9)], pilots, config))
+    assert 0 < variance < math.inf
+    assert _single_path_crb(1.0, pilots, config) == pytest.approx(variance, rel=1e-9)
+    with pytest.raises(ValueError, match=r"tx_power must lie in \[1e-18, 1000\] W"):
+        OfdmConfig(**{**ofdm.__dict__, "tx_power": rejected})
+
+
 def test_every_working_range_corner_keeps_the_bound_and_the_noise_finite():
     # All 2^7 corners of OfdmConfig's working ranges, each at its shortest
     # symbol.  A unit-gain path's FIM gives the closed-form bound; the FIM is
