@@ -14,6 +14,7 @@ import functools
 import math
 import sys
 
+from .constants import SPEED_OF_LIGHT
 from .estimation import PEAK_POLICIES
 from .harness import (
     LINKS,
@@ -152,7 +153,8 @@ def _radio_budget(tx_power_dbm: float, noise_figure_db: float) -> OfdmConfig:
 def _cmd_sweep(args: argparse.Namespace, monte_carlo: bool) -> int:
     """``ranging`` (``monte_carlo``) or ``bounds``: one ``RunConfig`` from the
     options stored under its field names.  The sweep is looked up when it
-    runs, so a wrapper installed on this module sees the call."""
+    runs, so a wrapper installed on this module sees the call.  Samples with
+    a finite bound that a round trip cannot resolve are counted on stderr."""
     scenario = None
     if args.scenario_file:
         with open(args.scenario_file, "r", encoding="utf-8") as handle:
@@ -166,6 +168,13 @@ def _cmd_sweep(args: argparse.Namespace, monte_carlo: bool) -> int:
     points = sweep(cfg, scenario=scenario, ofdm=ofdm)
     n_los = sum(p.los_present for p in points)
     print(f"{len(points)} sweep samples ({n_los} with line of sight) -> {args.output_path}")
+    limit = SPEED_OF_LIGHT * ofdm.unambiguous_delay / 2.0
+    beyond = sum(any(limit <= bound < math.inf for bound in (p.reb_los, p.reb_all, p.reb_waa))
+                 for p in points)
+    if beyond:
+        print(f"slpos: {beyond} of {len(points)} samples have a range error bound of at least "
+              f"c / (2 subcarrier_spacing) = {limit:.1f} m, beyond what a round trip "
+              "resolves; the small-error bounds do not hold there", file=sys.stderr)
     return EXIT_OK
 
 

@@ -63,10 +63,18 @@ class RangeMeasurement:
 
 
 def _idft_power(c: np.ndarray, length: int) -> np.ndarray:
-    """|IDFT|^2 of c zero-padded to ``length`` points, along the last axis."""
-    values = np.fft.ifft(c, n=length, axis=-1)
+    """|IDFT|^2 of the rows of B x N_s ``c`` zero-padded to ``length`` points: a
+    view of this thread's work arrays, which the next call overwrites."""
+    n_rows, n_sub = c.shape
+    # Columns N_s.. of the padded rows are never written, so they stay zero.
+    padded = work_array(("idft_padded", n_sub, length), (n_rows, length), complex)
+    padded[:, :n_sub] = c
+    values = np.fft.ifft(padded, axis=-1,
+                         out=work_array(("idft_values",), (n_rows, length), complex))
     re, im = values.real, values.imag
-    return re * re + im * im
+    power = np.multiply(re, re, out=work_array(("idft_power",), (n_rows, length)))
+    power += np.multiply(im, im, out=re)
+    return power
 
 
 def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
@@ -90,32 +98,50 @@ def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
     compensated = rx.symbols / pilots.symbols
     compensated *= w
     k = oversample * n_sub
-    power = _idft_power(compensated.sum(axis=-2), k)
+    power = _idft_power(compensated.sum(axis=-2).reshape(-1, n_sub), k)
+    power = power.reshape(compensated.shape[:-2] + (k,)).copy()
     return DelaySpectrum(power=power, bin_spacing=1.0 / (k * config.subcarrier_spacing))
 
 
-def _local_maxima(power: np.ndarray) -> np.ndarray:
-    left = np.roll(power, 1)
-    right = np.roll(power, -1)
-    return np.flatnonzero((power > left) & (power >= right))
-
-
-def _pick_peak(power: np.ndarray, policy: str, threshold_db: float) -> int:
-    """Bin chosen by ``policy`` on one full K-bin spectrum."""
-    peak_value = power.max()
-    if not peak_value > 0:
-        raise ValueError("degenerate (all-zero) delay spectrum")
-    if policy == "global_peak":
-        return int(np.argmax(power))
+def _pick(power: np.ndarray, interior: np.ndarray, bins: np.ndarray, k_bins: int,
+          policy: str, threshold_db: float) -> tuple[np.ndarray, np.ndarray]:
+    """Peak column of each row of B x W ``power`` (bins ``bins`` of K-bin
+    spectra) among its ``interior`` ones, and its level: the strongest's
+    power, ``threshold_db`` below it for ``first_peak``, which takes the
+    local maximum at or above it with the lowest bin, else the strongest."""
+    if policy not in PEAK_POLICIES:
+        raise ValueError(f"unknown peak policy {policy!r}")
+    rows = np.arange(len(power))
+    pick = np.where(interior, power, -1.0).argmax(axis=1)
+    level = power[rows, pick] * 10 ** (-(threshold_db if policy == "first_peak" else 0.0) / 10.0)
     if policy == "first_peak":
-        candidates = _local_maxima(power)
-        candidates = candidates[power[candidates] >= peak_value * 10 ** (-threshold_db / 10.0)]
-        return int(candidates[0]) if len(candidates) else int(np.argmax(power))
-    raise ValueError(f"unknown peak policy {policy!r}")
+        inner = power[:, 1:-1]
+        is_peak = (interior[:, 1:-1] & (inner > power[:, :-2]) & (inner >= power[:, 2:])
+                   & (inner >= level[:, None]))
+        first_bin = np.where(is_peak, bins[:, 1:-1], k_bins)
+        first = first_bin.argmin(axis=1)
+        pick = np.where(first_bin[rows, first] < k_bins, first + 1, pick)
+    return pick, level
 
 
-def _parabolic_offset(neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sub-bin offset of a peak from the parabola through its log power.
+def _full_pick(power: np.ndarray, policy: str,
+               threshold_db: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_pick`` on whole B x K spectra, each wrapped round as bins K - 1,
+    0..K - 1, 0 so that every bin is interior: each row's peak bin and the
+    3 x B power one bin before, at and one bin after it."""
+    k_bins = power.shape[-1]
+    wrapped = np.concatenate((power[:, -1:], power, power[:, :1]), axis=1)
+    bins = np.arange(-1, k_bins + 1)[None]
+    pick, _ = _pick(wrapped, (bins >= 0) & (bins < k_bins), bins, k_bins, policy, threshold_db)
+    neighbors = wrapped[np.arange(len(power)), pick + np.array([[-1], [0], [1]])]
+    if not (neighbors[1] > 0).all():
+        raise ValueError("degenerate (all-zero) delay spectrum")
+    return pick - 1, neighbors
+
+
+def _refine(peak: np.ndarray, neighbors: np.ndarray, k_bins: int,
+            bin_spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each peak's time of arrival: bin ``peak`` of K plus a parabolic sub-bin offset.
 
     ``neighbors`` is 3 x ... : the power one bin before, at and one bin after
     each peak.  The offset is clipped to [-0.5, 0.5]; a peak with a
@@ -128,7 +154,7 @@ def _parabolic_offset(neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     interpolated = positive & (denom < 0)
     offset = np.divide(0.5 * (logs[0] - logs[2]), denom, out=np.zeros_like(denom),
                        where=interpolated)
-    return np.minimum(np.maximum(offset, -0.5), 0.5), interpolated
+    return ((peak + np.clip(offset, -0.5, 0.5)) % k_bins) * bin_spacing, interpolated
 
 
 def estimate_toa(spectrum: DelaySpectrum, policy: str = "global_peak",
@@ -136,16 +162,12 @@ def estimate_toa(spectrum: DelaySpectrum, policy: str = "global_peak",
     """Pick a spectrum peak and refine it by parabolic log-power interpolation.
 
     ``global_peak`` takes the strongest bin; ``first_peak`` takes the
-    earliest local maximum within ``threshold_db`` of the strongest.  The
+    earliest circular local maximum within ``threshold_db`` of the strongest.  The
     refined time of arrival is reduced to [0, 1/subcarrier_spacing).
     """
-    power = spectrum.power
-    k_bins = len(power)
-    peak = _pick_peak(power, policy, threshold_db)
-    offset, interpolated = _parabolic_offset(
-        power[[(peak - 1) % k_bins, peak, (peak + 1) % k_bins]])
-    toa = ((peak + float(offset)) % k_bins) * spectrum.bin_spacing
-    return ToaEstimate(toa=toa, interpolated=bool(interpolated))
+    peak, neighbors = _full_pick(spectrum.power[None], policy, threshold_db)
+    toa, interpolated = _refine(peak, neighbors, len(spectrum.power), spectrum.bin_spacing)
+    return ToaEstimate(toa=float(toa[0]), interpolated=bool(interpolated[0]))
 
 
 # Coarse search: a zero-padded IDFT at about this many points per DFT bin of
@@ -215,23 +237,14 @@ def coarse_search(c: np.ndarray, oversample: int, policy: str = "global_peak",
     the candidate with the most negative circular offset from the maximum,
     less ``_zoom_half_width``, to the bin nearest the one with the most
     positive offset, plus it.  Returns (start, width) per row: the window's
-    first bin, in [0, K), and its number of bins.  The padded input, the
-    IDFT and its power go to this thread's work arrays (``work_array``),
-    which are reused from batch to batch.
+    first bin, in [0, K), and its number of bins.
     """
     if policy not in PEAK_POLICIES:
         raise ValueError(f"unknown peak policy {policy!r}")
     n_rows, n_sub = c.shape
     k_bins = oversample * n_sub
     length = _coarse_length(n_sub, oversample)
-    # Columns N_s.. of the padded rows are never written, so they stay zero.
-    padded = work_array(("coarse_padded", n_sub, length), (n_rows, length), complex)
-    padded[:, :n_sub] = c
-    values = np.fft.ifft(padded, axis=-1,
-                         out=work_array(("coarse_values",), (n_rows, length), complex))
-    re, im = values.real, values.imag
-    power = np.multiply(re, re, out=work_array(("coarse_power",), (n_rows, length)))
-    power += np.multiply(im, im, out=re)
+    power = _idft_power(c, length)
     top = power.argmax(axis=-1)
     peak = power[np.arange(n_rows), top]
     margin_db = _SCALLOP_MARGIN_DB + (threshold_db if policy == "first_peak" else 0.0)
@@ -266,7 +279,7 @@ def zoom(c: np.ndarray, start: np.ndarray, width: np.ndarray, config: OfdmConfig
     choice, because an edge bin reaches the pick threshold (the strongest
     interior bin; for ``first_peak``, ``threshold_db`` below it), or whose
     window is wider than ``_MAX_ZOOM_BINS``, has its peak picked on the
-    full spectrum instead.
+    full spectrum instead, all such rows by one ``_full_pick``.
     """
     n_rows, n_sub = c.shape
     k_bins = oversample * n_sub
@@ -286,30 +299,16 @@ def zoom(c: np.ndarray, start: np.ndarray, width: np.ndarray, config: OfdmConfig
     rows = np.arange(n_rows)
     last = width - 1
     interior = (pos > 0) & (pos < last[:, None])
-    pick = np.where(interior, power, -1.0).argmax(axis=1)
-    level = power[rows, pick] * 10 ** (-(threshold_db if policy == "first_peak" else 0.0) / 10.0)
-    # An all-zero row (zero level) falls back, and _pick_peak rejects it.
+    pick, level = _pick(power, interior, bins, k_bins, policy, threshold_db)
+    # An all-zero row (zero level) falls back, and _full_pick rejects it.
     fallback = crowded | (power[:, 0] >= level) | (power[rows, last] >= level)
-    if policy == "first_peak":
-        # The earliest interior local maximum within the threshold of the
-        # strongest, by bin index, so that a window may wrap past bin K - 1.
-        inner = power[:, 1:-1]
-        is_peak = (interior[:, 1:-1] & (inner > power[:, :-2]) & (inner >= power[:, 2:])
-                   & (inner >= level[:, None]))
-        first_bin = np.where(is_peak, bins[:, 1:-1], k_bins)
-        first = first_bin.argmin(axis=1)
-        pick = np.where(first_bin[rows, first] < k_bins, first + 1, pick)
     peak = bins[rows, pick]
     neighbors = power[rows, pick + np.array([[-1], [0], [1]])]
-    redo = np.flatnonzero(fallback)
-    if len(redo):
-        for row, full in zip(redo, _idft_power(c[redo], k_bins)):
-            peak[row] = _pick_peak(full, policy, threshold_db)
-            neighbors[:, row] = full[[(peak[row] + d) % k_bins for d in (-1, 0, 1)]]
-    offset, _ = _parabolic_offset(neighbors)
-    bin_spacing = 1.0 / (k_bins * config.subcarrier_spacing)
-    return ZoomedToas(toa=((peak + offset) % k_bins) * bin_spacing, peak=peak,
-                      fallback=fallback)
+    if fallback.any():
+        peak[fallback], neighbors[:, fallback] = _full_pick(_idft_power(c[fallback], k_bins),
+                                                            policy, threshold_db)
+    toa, _ = _refine(peak, neighbors, k_bins, 1.0 / (k_bins * config.subcarrier_spacing))
+    return ZoomedToas(toa=toa, peak=peak, fallback=fallback)
 
 
 def low_confidence(spectrum: DelaySpectrum) -> bool:

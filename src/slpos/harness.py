@@ -109,7 +109,7 @@ _TRIAL_BATCH = 32
 # Largest delay-spectrum oversampling factor.  At 256 a bin is
 # c / (256 N_s subcarrier_spacing) = 5.8 cm for the default budget, against
 # a 15 m resolution cell, and a batch whose every row falls back to the
-# full spectrum allocates about 90 MB, growing linearly with the factor.
+# full spectrum allocates about 150 MB, growing linearly with the factor.
 _MAX_OVERSAMPLE = 256
 
 # Fewest sweep samples worth a process of their own.  On a 2-vCPU KVM
@@ -325,11 +325,27 @@ def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pil
                  window, samples: Sequence[tuple], monte_carlo: bool,
                  chunk: range) -> list[CurvePoint]:
     """Trace, bound and (with ``monte_carlo``) Monte-Carlo the samples of
-    ``chunk``, all traced and bounded first; one point per sample."""
+    ``chunk``, all traced and bounded first; one point per sample.  A Monte
+    Carlo sample with a path delay of an alias period 1/subcarrier_spacing
+    or more, which no delay spectrum resolves, is rejected when traced."""
     chunk_samples = samples[chunk.start:chunk.stop]
     traced = []
-    for t, end_a, end_b, *_ in chunk_samples:
+    for t, end_a, end_b, coord, _ in chunk_samples:
         snap = trace_paths(end_a, end_b, scenario, ofdm.wavelength, time=t)
+        if monte_carlo and snap.paths and snap.paths[-1].delay >= ofdm.unambiguous_delay:
+            wall = snap.paths[-1].wall_index
+            if wall is None:
+                source = "the ground"
+                keys = (["rsu_position"] * (scenario.rsu is not None)
+                        + [f"{lane}_start" for lane in _LINKS[cfg.link][2]])
+            else:
+                source = f"building {wall // 4}"
+                keys = [f"building{wall // 4}_{key}" for key in ("center", "half_extents")]
+            raise ValueError(f"link {cfg.link} at sweep coordinate {coord:.1f} m has a "
+                             f"reflection off {source} (from {' and '.join(keys)}) of "
+                             f"{snap.paths[-1].delay * SPEED_OF_LIGHT:.1f} m, but a delay "
+                             "spectrum resolves paths only below c / subcarrier_spacing = "
+                             f"{ofdm.unambiguous_delay * SPEED_OF_LIGHT:.1f} m")
         if snap.has_los:
             report = reb_waa(snap, pilots, ofdm, beta=cfg.beta)
             bounds = (report.reb_los_only, report.reb_all_paths, report.reb_waa,

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import dataclasses
 import io
 import math
 import pathlib
+import re
+import shlex
 import warnings
 
 import numpy as np
@@ -567,6 +570,106 @@ def test_ranging_beyond_the_alias_range_names_the_key_of_each_end(key, value, li
         assert name in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edits, at, reflector, keys", [
+    # A facade 1475 m out, 2000 m long: its echo runs about 2949 m.
+    ({"building0_center": "1500.0,0.0,15.0", "building0_half_extents": "25.0,1000.0,15.0"},
+     36, "building 0", ("building0_center", "building0_half_extents")),
+    # Both ends 1300 m up: the ground echo runs about 2601 m.
+    ({"rsu_position": "0.0,0.0,1300.0", "vehicle_start": "1.6,-70.0,1300.0"},
+     0, "the ground", ("rsu_position", "vehicle_start")),
+])
+def test_ranging_with_an_echo_beyond_the_alias_period_rejected_naming_its_keys(
+        edits, at, reflector, keys, tmp_path, monkeypatch, capsys):
+    # Every end lies within c / (2 subcarrier_spacing), but a reflection is
+    # longer than the alias period c / subcarrier_spacing = 2498.3 m, which
+    # no delay spectrum resolves: the sweep stops at that sample's trace,
+    # before its bounds or any round trip, naming the keys that place the
+    # reflector.  Bounds form no delay spectrum and keep the file.
+    lines = [f"{key}={edits[key]}" if key in edits else f"{key}={value}"
+             for key, value in (line.split("=", 1) for line in
+                                scenario_to_text(build_scenario(1)).splitlines())]
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text("\n".join(lines) + "\n")
+    common = ["--scenario", "1", "--link", "rsu-vehicle", "--scenario-file", str(scn_file)]
+    assert main(["bounds", *common, "--out", str(tmp_path / "bounds.csv")]) == 0
+    capsys.readouterr()
+    bounded = []
+
+    def counting_reb_waa(*args, **kwargs):
+        bounded.append(None)
+        return reb_waa(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "reb_waa", counting_reb_waa)
+    out = tmp_path / "out.csv"
+    assert main(["ranging", *common, "--trials", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    coord = -70.0 + 1.4 * at
+    assert captured.err.startswith(f"slpos: configuration error: link rsu-vehicle at sweep "
+                                   f"coordinate {coord:.1f} m has a reflection off {reflector} "
+                                   f"(from {keys[0]} and {keys[1]}) of ")
+    assert captured.err.endswith(" m, but a delay spectrum resolves paths only below "
+                                 "c / subcarrier_spacing = 2498.3 m\n")
+    assert len(bounded) == at
+    assert captured.out == ""
+    assert not out.exists()
+
+
+_BEYOND_A_ROUND_TRIP = ("slpos: 101 of 101 samples have a range error bound of at least "
+                        "c / (2 subcarrier_spacing) = 1249.1 m, beyond what a round trip "
+                        "resolves; the small-error bounds do not hold there\n")
+
+
+@pytest.mark.parametrize("argv, warned", [
+    (["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm=-100"], True),
+    (["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "5",
+      "--tx-power-dbm=-150", "--noise-figure-db", "60"], True),
+    (["bounds", "--scenario", "1", "--link", "rsu-vehicle"], False),
+    (["bounds", "--scenario", "1", "--link", "rsu-bicycle"], False),
+    (["bounds", "--scenario", "2", "--link", "vehicle-bicycle"], False),
+])
+def test_bounds_beyond_a_round_trip_counted_on_stderr(argv, warned, tmp_path, capsys):
+    # A finite bound of c / (2 subcarrier_spacing) or more lies beyond any
+    # error a round trip can show; the sweep still writes every sample.
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (_BEYOND_A_ROUND_TRIP if warned else "")
+    assert len(read_csv(str(out))) == int(captured.out.split()[0])
+
+
+def _readme_commands():
+    """Each literal ``slpos`` command of README's sh blocks, without its
+    ``slpos``: continuation lines joined, a line with a ``$`` template
+    skipped."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["slpos"] and "$" not in line:
+                commands.append(words[1:])
+    return commands
+
+
+def test_every_readme_command_parses(monkeypatch, capsys):
+    # A renamed or removed option fails here instead of leaving README stale;
+    # abbreviations are off, so that a renamed option's old name is no
+    # prefix of its new one.
+    parser = slpos.cli._build_parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    for each in (parser, *subcommands.values()):
+        monkeypatch.setattr(each, "allow_abbrev", False)
+    commands = _readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: slpos {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
 
 
 @pytest.mark.parametrize("oversample", ["257", "10000"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from channels import echo_path, los_path, make_snapshot
 from oracle_coarse import dense_coarse_search
+from oracle_peak import full_spectrum_peak
 from slpos.bounds import reb_los_only, reb_waa
 from slpos import estimation
 from slpos.constants import SPEED_OF_LIGHT
@@ -20,6 +21,7 @@ from slpos.estimation import (
     low_confidence,
     round_trip_distance,
     rtt_range,
+    zoom,
 )
 from slpos.propagation import Vec3, friis_gain
 from slpos.signal import OfdmConfig, RxSymbols, make_pilots, synthesize_rx
@@ -229,6 +231,90 @@ def test_unknown_policy_rejected(ofdm, pilots):
     spec = spectrum_of([los_path(1e-7)], ofdm, pilots)
     with pytest.raises(ValueError):
         estimate_toa(spec, policy="psychic")
+
+
+def _edge_spectrum(kind, k_bins=2672):
+    """A K-bin spectrum whose peak choice is an edge case: the maximum tied
+    across the wrap (bins K - 1 and 0), a plateau at bin 0 or across the
+    wrap, a flat spectrum, or a strongest peak after peaks 3 dB and 20 dB
+    weaker, on a floor 30-40 dB down."""
+    rng = np.random.default_rng(len(kind))
+    power = rng.uniform(1e-4, 1e-3, k_bins)
+    if kind == "wrap-tie":
+        power[[-1, 0]] = 1.0
+    elif kind == "plateau-at-0":
+        power[:3] = 1.0
+    elif kind == "plateau-across-wrap":
+        power[[-2, -1, 0, 1]] = 1.0
+    elif kind == "flat":
+        power[:] = 1.0
+    elif kind == "three-peaks":
+        power[[10, 100, 1000]] = 0.01, 0.5, 1.0
+    return power
+
+
+_EDGE_KINDS = ["wrap-tie", "plateau-at-0", "plateau-across-wrap", "flat", "three-peaks"]
+
+
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+@pytest.mark.parametrize("threshold_db", [0.0, 6.0, 40.0])
+@pytest.mark.parametrize("kind", _EDGE_KINDS)
+def test_estimate_toa_refines_the_oracle_peak_on_edge_spectra(kind, policy, threshold_db,
+                                                              monkeypatch):
+    refined = []
+
+    def recording_refine(peak, *args):
+        refined.append(peak.tolist())
+        return refine(peak, *args)
+
+    refine = estimation._refine
+    monkeypatch.setattr(estimation, "_refine", recording_refine)
+    power = _edge_spectrum(kind)
+    estimate_toa(DelaySpectrum(power, 1e-9), policy, threshold_db)
+    assert refined == [[full_spectrum_peak(power, policy, threshold_db)]]
+
+
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+@pytest.mark.parametrize("threshold_db", [0.0, 6.0, 40.0])
+def test_zoom_fallback_picks_the_oracle_peak_on_edge_spectra(ofdm, policy, threshold_db,
+                                                            monkeypatch):
+    # Every window is wider than the cap, so every row falls back, and its
+    # full spectrum is one of the edge spectra: one vectorised pick over all
+    # rows gives each row the oracle's bin and estimate_toa's arrival.
+    spectra = np.array([_edge_spectrum(kind) for kind in _EDGE_KINDS])
+    rows = len(spectra)
+    monkeypatch.setattr(estimation, "_idft_power", lambda c, length: spectra[:len(c)])
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((rows, 167)) + 1j * rng.standard_normal((rows, 167))
+    width = np.full(rows, estimation._MAX_ZOOM_BINS + 1)
+    zoomed = zoom(c, np.zeros(rows, int), width, ofdm, 16, policy, threshold_db)
+    assert zoomed.fallback.all()
+    bin_spacing = 1.0 / (2672 * ofdm.subcarrier_spacing)
+    for row, power in enumerate(spectra):
+        assert zoomed.peak[row] == full_spectrum_peak(power, policy, threshold_db)
+        want = estimate_toa(DelaySpectrum(power, bin_spacing), policy, threshold_db).toa
+        assert zoomed.toa[row] == want
+
+
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+def test_all_zero_row_in_a_zoom_batch_rejected(ofdm, policy):
+    rng = np.random.default_rng(9)
+    c = _coarse_rows(rng, 8, 167, 512)
+    c[5] = 0
+    start, width = coarse_search(c, 16, policy)
+    with pytest.raises(ValueError, match="degenerate"):
+        zoom(c, start, width, ofdm, 16, policy)
+
+
+def test_zoom_rejects_an_unknown_policy(ofdm):
+    # Single-path rows whose windows all certify their peak: the policy is
+    # checked even where no row falls back.
+    n = np.arange(167)
+    c = np.exp(2j * np.pi * np.outer([3.2, 40.7, 400.1, 2000.5], n) / 2672) * hamming_window(167)
+    start, width = coarse_search(c, 16)
+    assert not zoom(c, start, width, ofdm, 16).fallback.any()
+    with pytest.raises(ValueError, match="unknown peak policy 'psychic'"):
+        zoom(c, start, width, ofdm, 16, "psychic")
 
 
 def test_shift_theorem(ofdm, pilots):

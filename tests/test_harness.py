@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from channels import make_snapshot, symbol_sum
+from oracle_peak import full_spectrum_peak
 import slpos
 from slpos import estimation, harness
 from slpos.bounds import fim
@@ -428,7 +429,7 @@ def test_zoomed_kernel_matches_the_scalar_chain(scenario_id, link, policy, overs
                                                     oversample, doppler):
         fallbacks += int(zoomed.fallback.sum())
         for row, spec in enumerate(spectra):
-            assert zoomed.peak[row] == estimation._pick_peak(spec.power, policy, 6.0), row
+            assert zoomed.peak[row] == full_spectrum_peak(spec.power, policy, 6.0), row
         scalar = [estimate_toa(spec, policy=policy, threshold_db=6.0).toa for spec in spectra]
         for i in range(n):
             want = rtt_range(scalar[i], scalar[n + i], period=_PERIOD).distance
@@ -449,7 +450,7 @@ def test_narrow_zoom_falls_back_to_the_full_spectrum(policy, monkeypatch):
     for zoomed, spectra in _kernel_and_scalar_chain(2, "vehicle-bicycle", policy, 16, True):
         fallbacks += int(zoomed.fallback.sum())
         for row, spec in enumerate(spectra):
-            assert zoomed.peak[row] == estimation._pick_peak(spec.power, policy, 6.0)
+            assert zoomed.peak[row] == full_spectrum_peak(spec.power, policy, 6.0)
             want = estimate_toa(spec, policy=policy, threshold_db=6.0).toa
             assert abs(zoomed.toa[row] - want) * SPEED_OF_LIGHT <= 1e-9
     assert fallbacks >= 6 * len(_BIASES)   # at least half the rows
@@ -472,7 +473,7 @@ def test_noise_floor_rows_take_the_full_spectrum():
     for row, seed in enumerate(seeds):
         spec = delay_spectrum(synthesize_rx(make_snapshot([]), pilots, ofdm, noise_seed=seed),
                               pilots, ofdm, window=window, oversample=16)
-        assert zoomed.peak[row] == estimation._pick_peak(spec.power, "first_peak", 40.0)
+        assert zoomed.peak[row] == full_spectrum_peak(spec.power, "first_peak", 40.0)
 
 
 @pytest.mark.usefixtures("one_process")
@@ -485,7 +486,7 @@ def test_first_peak_sweep_zooms_on_the_full_spectrum_peak(monkeypatch):
     def checked_zoom(c, start, width, ofdm, oversample, policy, threshold_db):
         zoomed = zoom(c, start, width, ofdm, oversample, policy, threshold_db)
         assert not zoomed.fallback.any()
-        want = [estimation._pick_peak(full, policy, threshold_db)
+        want = [full_spectrum_peak(full, policy, threshold_db)
                 for full in estimation._idft_power(c, oversample * c.shape[-1])]
         np.testing.assert_array_equal(zoomed.peak, want)
         checked.append(len(c))
@@ -536,13 +537,18 @@ _LINK_ARGS = {"rsu-vehicle": ["--scenario", "1", "--link", "rsu-vehicle"],
 
 
 @pytest.mark.parametrize("argv", [
-    # The committed ranging references, then the three bound sweeps.
+    # The committed ranging references, a 40 dB first-peak sweep, then the
+    # three bound sweeps.
     ["ranging", *_LINK_ARGS["vehicle-bicycle"], "--trials", "2", "--seed", "42"],
     ["ranging", *_LINK_ARGS["vehicle-bicycle"], "--peak-policy", "first_peak",
      "--trials", "4", "--seed", "1"],
     ["ranging", *_LINK_ARGS["rsu-vehicle"], "--trials", "10", "--seed", "1"],
     ["ranging", *_LINK_ARGS["rsu-bicycle"], "--peak-policy", "first_peak",
      "--trials", "2", "--seed", "2"],
+    # 321 of its 808 arrivals fall back to the full spectrum; at 4 trials,
+    # not 3, its chunks start every 8 samples, so that two of them fit.
+    ["ranging", *_LINK_ARGS["vehicle-bicycle"], "--peak-policy", "first_peak",
+     "--first-peak-threshold-db", "40", "--trials", "4", "--seed", "5"],
     *(["bounds", *args] for args in _LINK_ARGS.values()),
 ], ids=lambda argv: "-".join(argv[:5:2] + argv[7::2]))
 def test_split_sweep_writes_the_single_process_csv(argv, tmp_path, monkeypatch, capsys):
