@@ -34,7 +34,11 @@ EXIT_IO = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors map to the config-error exit code."""
+    """Argument parser whose usage errors map to the config-error exit code.
+    It takes no option prefix, so a new option cannot change what one means."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)

@@ -68,6 +68,7 @@ from .propagation import (
     bicycle_horizon,
     build_scenario,
     check_coordinates,
+    check_range,
     distance,
     sample_trajectory,
     trace_paths,
@@ -106,12 +107,6 @@ _LANE_HORIZONS = {"vehicle": vehicle_horizon, "bicycle": bicycle_horizon}
 # (2 _TRIAL_BATCH rows) independently of the trial and sample counts.
 _TRIAL_BATCH = 32
 
-# Largest delay-spectrum oversampling factor.  At 256 a bin is
-# c / (256 N_s subcarrier_spacing) = 5.8 cm for the default budget, against
-# a 15 m resolution cell, and a batch whose every row falls back to the
-# full spectrum allocates about 150 MB, growing linearly with the factor.
-_MAX_OVERSAMPLE = 256
-
 # Fewest sweep samples worth a process of their own.  On a 2-vCPU KVM
 # guest a 2-way split adds 6-10 ms to a bounds sweep (medians of 30 split
 # sweeps less their first chunk alone; 14-15 ms with the multiprocessing
@@ -128,24 +123,29 @@ _MIN_CHUNK = 40
 # _TRIAL_BATCH bounds the peak search's.
 _FIX_BATCH = 1024
 
-# Largest positioning trial count, 10,000 times the CLI's default 1000: the
-# run holds one float64 error per trial (80 MB at the cap) and, at about
-# 5 us per fix (a 1000-fix pass on a 2-vCPU host), takes about a minute.
-_MAX_POSITION_TRIALS = 10**7
-
-# Largest ranging trial count per sweep sample, 10,000 times the default
-# 100: at about 13,000 round trips per second (the 101-sample rsu-vehicle
-# sweep on a 2-vCPU host) the cap takes about two hours, 10^9 trials about
-# three months.  A sample holds only its sum of squared errors, whatever
-# the count.
-_MAX_TRIALS = 10**6
-
 # Largest sweep sample count, about 3,000 times the 351-sample rsu-bicycle
 # sweep: every sample's snapshot is held before the Monte Carlo starts.
 _MAX_SAMPLES = 10**6
 
-# Largest clock bias standard deviation (s); only the bias modulo the alias period matters.
-_MAX_CLOCK_BIAS_STD = 1.0
+# Working range (low, high, unit) of each numeric RunConfig field but beta,
+# which lies in the open (1, 2), and of each numeric ``position`` input.
+RUN_RANGES = {
+    # 10^4 times the default 100: about two hours at 13,000 round trips/s.
+    "trials": (1, 10**6, "round trips per sample"),
+    "seed": (0, math.inf, "(a NumPy seed)"),
+    # Only the bias modulo the alias period matters.
+    "clock_bias_std": (0.0, 1.0, "s"),
+    # 5.8 cm bins; a batch of full-spectrum fallbacks takes about 150 MB.
+    "oversample": (1, 256, "points per subcarrier"),
+    "first_peak_threshold_db": (0.0, math.inf, "dB"),
+}
+POSITION_RANGES = {
+    # 10^4 times the default 1000: 80 MB of errors, about a minute of fixes.
+    "trials": (1, 10**7, "fixes"),
+    "seed": (0, math.inf, "(a NumPy seed)"),
+    # The scenario files' coordinate range.
+    "range noise sigma": (0.0, MAX_COORDINATE_M, "m"),
+}
 
 
 @dataclass(frozen=True)
@@ -183,26 +183,12 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.trials > _MAX_TRIALS:
-            raise ValueError(f"trials must be at most {_MAX_TRIALS}, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not 0 <= self.clock_bias_std <= _MAX_CLOCK_BIAS_STD:
-            raise ValueError(f"clock_bias_std must lie in [0, {_MAX_CLOCK_BIAS_STD:g}] s, "
-                             f"got {self.clock_bias_std}")
+        for name, limits in RUN_RANGES.items():
+            check_range(name, getattr(self, name), *limits)
         if not 1.0 < self.beta < 2.0:
             raise ValueError(f"beta must lie in (1, 2), got {self.beta}")
-        if not 1 <= self.oversample <= _MAX_OVERSAMPLE:
-            raise ValueError(f"oversample must lie in [1, {_MAX_OVERSAMPLE}], "
-                             f"got {self.oversample}")
         if self.peak_policy not in PEAK_POLICIES:
             raise ValueError(f"unknown peak policy {self.peak_policy!r}")
-        if not (math.isfinite(self.first_peak_threshold_db)
-                and self.first_peak_threshold_db >= 0):
-            raise ValueError("first-peak threshold must be finite and nonnegative, "
-                             f"got {self.first_peak_threshold_db} dB")
         _link(self.link, self.scenario_id)
 
 
@@ -579,18 +565,11 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
     (``RequirementScore``).  One stream per run, ``default_rng(seed)``, draws the
     noise fix after fix, so a fix's noise depends neither on the trial
     count nor on the chunking.  Anchors (``Anchor``) and a true point within
-    ``MAX_COORDINATE_M`` per coordinate, ``sigma`` in [0, MAX_COORDINATE_M] m
-    and at most ``_MAX_POSITION_TRIALS`` trials are checked before any fix.
+    ``MAX_COORDINATE_M`` per coordinate, and trials, seed and sigma within
+    ``POSITION_RANGES``, are checked before any fix.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if trials > _MAX_POSITION_TRIALS:
-        raise ValueError(f"trials must be at most {_MAX_POSITION_TRIALS}")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if not 0 <= sigma <= MAX_COORDINATE_M:
-        raise ValueError(f"range noise sigma must lie in [0, {MAX_COORDINATE_M:g}] m, "
-                         f"got {sigma}")
+    for (name, limits), value in zip(POSITION_RANGES.items(), (trials, seed, sigma)):
+        check_range(name, value, *limits)
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     check_coordinates("true_point", true_point)
@@ -614,9 +593,9 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
         stalled += int(np.count_nonzero(~converged & ~limit))
 
     rmse = float(np.sqrt(np.mean(errors ** 2)))
-    # The CRB is linear in a common sigma; scaling the unit bound keeps
-    # sigma = 0 and a sigma whose square underflows exact.
-    crb = sigma * range_position_crb(anchors, true_point, [1.0] * len(anchors), dim)
+    # The CRB is linear in |sigma|; scaling the unit bound keeps sigma = 0
+    # (and -0.0, printed 0 m) and a sigma whose square underflows exact.
+    crb = abs(sigma) * range_position_crb(anchors, true_point, [1.0] * len(anchors), dim)
     scores = tuple(RequirementScore(req, float(np.mean(errors <= req.accuracy_hi)),
                                     float(np.mean(errors <= req.accuracy_lo)))
                    for req in REQUIREMENT_SETS)

@@ -81,6 +81,12 @@ def check_coordinates(name: str, point: Vec3) -> None:
                          f"origin in every coordinate, got {point}")
 
 
+def check_range(name: str, value: float, lo: float, hi: float, unit: str) -> None:
+    """Reject ``value``, naming it ``name``, unless finite and in [lo, hi] ``unit``."""
+    if not (lo <= value <= hi and -math.inf < value < math.inf):
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}] {unit}, got {value}")
+
+
 ZERO_VELOCITY = Vec3(0.0, 0.0, 0.0)
 
 

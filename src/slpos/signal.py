@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .propagation import ChannelSnapshot
+from .propagation import ChannelSnapshot, check_range
 
 
 # Working range (low, high, unit) of each OfdmConfig field but symbol_duration, from
@@ -50,10 +50,8 @@ class OfdmConfig:
     noise_figure_db: float
 
     def __post_init__(self) -> None:
-        for name, (lo, hi, unit) in WORKING_RANGES.items():
-            value = getattr(self, name)
-            if not lo <= value <= hi:
-                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}] {unit}, got {value}")
+        for name, limits in WORKING_RANGES.items():
+            check_range(name, getattr(self, name), *limits)
         # 2/df is 4 times NR's longest cyclic prefix, the extended one of 1/(4 df).
         period = 1.0 / self.subcarrier_spacing
         if not period - 1e-15 <= self.symbol_duration <= 2.0 * period:

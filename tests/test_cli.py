@@ -16,12 +16,18 @@ from hypothesis import strategies as st
 import slpos.cli
 from slpos import harness
 from slpos.cli import main
-from slpos.harness import RunConfig, read_csv, run_ranging_sweep
+from slpos.harness import POSITION_RANGES, RUN_RANGES, RunConfig, read_csv, run_ranging_sweep
 from slpos.propagation import build_scenario, scenario_from_text, scenario_to_text
 from channels import echo_path, los_path, make_snapshot
 from slpos.bounds import reb_waa
 from slpos.estimation import PEAK_POLICIES, hamming_window
-from slpos.signal import default_config, make_pilots, noise_scale, noise_variance
+from slpos.signal import (
+    WORKING_RANGES,
+    default_config,
+    make_pilots,
+    noise_scale,
+    noise_variance,
+)
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -89,7 +95,8 @@ def test_position_negative_seed_rejected_by_name_before_any_fix(tmp_path, monkey
     monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
     assert main(["position", "--anchors", str(anchors), "--sigma", "1", "--seed", "-1"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "slpos: configuration error: seed must be nonnegative\n"
+    assert captured.err == ("slpos: configuration error: seed must lie in [0, inf] "
+                            "(a NumPy seed), got -1\n")
     assert captured.out == ""
     assert calls == []
 
@@ -103,8 +110,8 @@ def test_position_trials_beyond_the_cap_rejected_by_name_before_any_fix(tmp_path
     argv = ["position", "--anchors", str(anchors), "--sigma", "1", "--trials", "2000000000"]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == ("slpos: configuration error: trials must be at most "
-                            f"{harness._MAX_POSITION_TRIALS}\n")
+    assert captured.err == ("slpos: configuration error: trials must lie in [1, 1e+07] "
+                            "fixes, got 2000000000\n")
     assert captured.out == ""
     assert calls == []
 
@@ -159,6 +166,25 @@ def test_bad_usage_exits_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ranging", "--scenario", "1", "--link", "rsu-vehicle", "--tri", "5", "--out", "x.csv"],
+     "slpos: error: unrecognized arguments: --tri 5"),
+    (["position", "--anchors", "a.txt", "--sigma", "1", "--anch", "b.txt"],
+     "slpos: error: unrecognized arguments: --anch b.txt"),
+    (["position", "--anch", "a.txt", "--sig", "1"],
+     "slpos position: error: the following arguments are required: --anchors, --sigma"),
+], ids=["ranging --tri", "position --anch", "position required"])
+def test_option_prefix_is_not_taken_for_the_option(argv, message, tmp_path, monkeypatch,
+                                                    capsys):
+    # A prefix would change its meaning once a second option shares it.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_link_scenario_mismatch_exits_1(tmp_path, capsys):
     code = main(["ranging", "--scenario", "2", "--link", "rsu-vehicle",
                  "--trials", "1", "--out", str(tmp_path / "x.csv")])
@@ -172,6 +198,8 @@ def test_io_failure_exits_2(capsys):
     assert code == 2
     assert "I/O error" in capsys.readouterr().err
 
+
+_RANGING = ["ranging", "--scenario", "2", "--link", "vehicle-bicycle"]
 
 # One step beyond the edge of each working range the command line reaches,
 # with the start of its message, which names the input and its range.
@@ -194,6 +222,67 @@ _BEYOND_RANGE = [
     (["position", "--sigma", "1", "--anchors", str(DATA / "anchors_beyond_range.txt")],
      "anchor file line 4: anchor must lie within 1e+06 m of the origin in every "
      "coordinate, got"),
+    # One step beyond each edge of every RUN_RANGES and POSITION_RANGES row;
+    # for a float, NaN and -inf too, and inf, one step beyond an infinite top.
+    ([*_RANGING, "--trials", "0"], "trials must lie in [1, 1e+06] round trips per sample, got 0"),
+    ([*_RANGING, "--trials", "1000001"],
+     "trials must lie in [1, 1e+06] round trips per sample, got 1000001"),
+    ([*_RANGING, "--seed=-1"], "seed must lie in [0, inf] (a NumPy seed), got -1"),
+    ([*_RANGING, "--clock-bias-std=-5e-324"], "clock_bias_std must lie in [0, 1] s, got -5e-324"),
+    ([*_RANGING, "--clock-bias-std", "1.0000000000000002"],
+     "clock_bias_std must lie in [0, 1] s, got 1.0000000000000002"),
+    ([*_RANGING, "--clock-bias-std", "nan"], "clock_bias_std must lie in [0, 1] s, got nan"),
+    ([*_RANGING, "--clock-bias-std", "inf"], "clock_bias_std must lie in [0, 1] s, got inf"),
+    ([*_RANGING, "--clock-bias-std=-inf"], "clock_bias_std must lie in [0, 1] s, got -inf"),
+    ([*_RANGING, "--oversample", "0"],
+     "oversample must lie in [1, 256] points per subcarrier, got 0"),
+    ([*_RANGING, "--oversample", "257"],
+     "oversample must lie in [1, 256] points per subcarrier, got 257"),
+    ([*_RANGING, "--first-peak-threshold-db=-5e-324"],
+     "first_peak_threshold_db must lie in [0, inf] dB, got -5e-324"),
+    ([*_RANGING, "--first-peak-threshold-db", "nan"],
+     "first_peak_threshold_db must lie in [0, inf] dB, got nan"),
+    ([*_RANGING, "--first-peak-threshold-db", "inf"],
+     "first_peak_threshold_db must lie in [0, inf] dB, got inf"),
+    ([*_RANGING, "--first-peak-threshold-db=-inf"],
+     "first_peak_threshold_db must lie in [0, inf] dB, got -inf"),
+    (["position", "--sigma", "1", "--trials", "0"], "trials must lie in [1, 1e+07] fixes, got 0"),
+    (["position", "--sigma", "1", "--trials", "10000001"],
+     "trials must lie in [1, 1e+07] fixes, got 10000001"),
+    (["position", "--sigma", "1", "--seed=-1"],
+     "seed must lie in [0, inf] (a NumPy seed), got -1"),
+    (["position", "--sigma=-5e-324"], "range noise sigma must lie in [0, 1e+06] m, got -5e-324"),
+    (["position", "--sigma", "1000000.0000000001"],
+     "range noise sigma must lie in [0, 1e+06] m, got 1000000.0000000001"),
+    (["position", "--sigma", "nan"], "range noise sigma must lie in [0, 1e+06] m, got nan"),
+    (["position", "--sigma", "inf"], "range noise sigma must lie in [0, 1e+06] m, got inf"),
+    (["position", "--sigma=-inf"], "range noise sigma must lie in [0, 1e+06] m, got -inf"),
+]
+_BEYOND_RANGE_IDS = ["tx-power-top", "tx-power-floor", "noise-figure-top", "noise-figure-floor",
+                     "clock-bias-std", "sigma", "true-point", "anchor-row",
+                     *(" ".join([argv[0], *argv[-2 + argv[-1].startswith("--"):]])
+                       for argv, _ in _BEYOND_RANGE[8:])]
+
+# Each RUN_RANGES and POSITION_RANGES row at both edges, the largest finite
+# float standing in for an infinite top, and for a seed an integer beyond it.
+_HUGE_SEED = str(10**400)
+_AT_RANGE_EDGE = [
+    [*_RANGING, "--trials", "1"],
+    [*_RANGING, "--trials", "1000000"],
+    [*_RANGING, "--seed", "0"],
+    [*_RANGING, "--seed", _HUGE_SEED],
+    [*_RANGING, "--clock-bias-std", "0"],
+    [*_RANGING, "--clock-bias-std", "1"],
+    [*_RANGING, "--oversample", "1"],
+    [*_RANGING, "--oversample", "256"],
+    [*_RANGING, "--first-peak-threshold-db", "0"],
+    [*_RANGING, "--first-peak-threshold-db", "1.7976931348623157e308"],
+    ["position", "--sigma", "1", "--trials", "1"],
+    ["position", "--sigma", "1", "--trials", "10000000"],
+    ["position", "--sigma", "1", "--seed", "0"],
+    ["position", "--sigma", "1", "--seed", _HUGE_SEED],
+    ["position", "--sigma", "0"],
+    ["position", "--sigma", "1000000"],
 ]
 
 
@@ -209,14 +298,32 @@ def _with_files(argv, tmp_path):
     return argv
 
 
-@pytest.mark.parametrize("argv, message", _BEYOND_RANGE,
-                         ids=["tx-power-top", "tx-power-floor", "noise-figure-top",
-                              "noise-figure-floor", "clock-bias-std", "sigma", "true-point",
-                              "anchor-row"])
+@pytest.mark.parametrize("argv, message", _BEYOND_RANGE, ids=_BEYOND_RANGE_IDS)
 def test_input_beyond_its_working_range_is_rejected_naming_it_and_its_range(argv, message,
                                                                            tmp_path, capsys):
     assert main(_with_files(argv, tmp_path)) == 1
     assert capsys.readouterr().err.startswith(f"slpos: configuration error: {message}")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _BEYOND_RANGE], ids=_BEYOND_RANGE_IDS)
+def test_input_beyond_its_working_range_is_rejected_before_any_trace_or_fix(argv, tmp_path,
+                                                                          monkeypatch):
+    monkeypatch.setattr(harness, "trace_paths", _trace_reached)
+    monkeypatch.setattr(harness, "solve_fixes", _trace_reached)
+    assert main(_with_files(argv, tmp_path)) == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", _AT_RANGE_EDGE,
+                         ids=[" ".join([argv[0], *argv[-2:]]).replace(_HUGE_SEED, "10**400")
+                              for argv in _AT_RANGE_EDGE])
+def test_input_at_an_edge_of_its_working_range_reaches_the_first_trace_or_fix(argv, tmp_path,
+                                                                             monkeypatch):
+    # Only the checks run: the first trace or solve stops the command.
+    monkeypatch.setattr(harness, "trace_paths", _trace_reached)
+    monkeypatch.setattr(harness, "solve_fixes", _trace_reached)
+    with pytest.raises(_TraceReached):
+        main(_with_files(argv, tmp_path))
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,6 +462,26 @@ def test_bad_scenario_file_rejected_before_any_output(key, value, tmp_path, caps
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert key in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, extra, message", [
+    (["bounds", "--scenario", "1", "--link", "rsu-vehicle"], "",
+     "scenario file id does not match --scenario"),
+    (["bounds", "--scenario", "2", "--link", "vehicle-bicycle"], "rsu_position=0,0,10\n",
+     "scenario 2 has no RSU"),
+    (["bounds", "--scenario", "2", "--link", "vehicle-bicycle"], "no equals sign\n",
+     "malformed line (expected key=value): 'no equals sign'"),
+], ids=["id-mismatch", "rsu-in-scenario-2", "line-without-equals"])
+def test_scenario_2_file_rejected_as_a_whole(argv, extra, message, tmp_path, capsys):
+    # The scenario-2 dump, with ``extra`` lines appended.
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text(scenario_to_text(build_scenario(2)) + extra)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--scenario-file", str(scn_file), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"slpos: configuration error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -672,6 +799,43 @@ def test_every_readme_command_parses(monkeypatch, capsys):
                         f"{capsys.readouterr().err}")
 
 
+# Each input of README's working-range table: the code's table and entry.
+_DOCUMENTED_RANGES = {
+    "`--tx-power-dbm`": (WORKING_RANGES, "tx_power"),
+    "`--noise-figure-db`": (WORKING_RANGES, "noise_figure_db"),
+    **{f"`ranging --{name.replace('_', '-')}`": (RUN_RANGES, name) for name in RUN_RANGES},
+    "`position --trials`": (POSITION_RANGES, "trials"),
+    "`position --seed`": (POSITION_RANGES, "seed"),
+    "`position --sigma`": (POSITION_RANGES, "range noise sigma"),
+}
+
+
+def _readme_range_table():
+    """(input, lo, hi) of each row of README's working-range table."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = text.split("| Input | Range | Unit | Reason |\n|---|---|---|---|\n")[1]
+    rows = []
+    for line in table.split("\n\n")[0].splitlines():
+        name, limits = (cell.strip() for cell in line.split("|")[1:3])
+        lo, hi = limits.strip("[)]").split(", ")
+        rows.append((name, float(lo), math.inf if hi == "∞" else float(hi)))
+    return rows
+
+
+def test_readme_range_table_matches_the_code():
+    # A changed range fails here instead of leaving README stale.
+    rows = _readme_range_table()
+    assert [name for name, _, _ in rows] == list(_DOCUMENTED_RANGES)
+    assert {name for table, name in _DOCUMENTED_RANGES.values()
+            if table is not WORKING_RANGES} == set(RUN_RANGES) | set(POSITION_RANGES)
+    for name, lo, hi in rows:
+        table, entry = _DOCUMENTED_RANGES[name]
+        code_lo, code_hi, _ = table[entry]
+        if entry == "tx_power":  # documented in dBm
+            code_lo, code_hi = (10.0 * math.log10(watts / 1e-3) for watts in (code_lo, code_hi))
+        assert (lo, hi) == pytest.approx((code_lo, code_hi), rel=1e-12), name
+
+
 @pytest.mark.parametrize("oversample", ["257", "10000"])
 def test_oversample_too_large_rejected_before_the_first_sample(oversample, tmp_path,
                                                                monkeypatch, capsys):
@@ -703,13 +867,13 @@ def test_trials_beyond_the_cap_rejected_before_the_first_sample(trials, tmp_path
     assert main(["ranging", "--scenario", "1", "--link", "rsu-vehicle", "--trials", trials,
                  "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == ("slpos: configuration error: trials must be at most "
-                            f"{harness._MAX_TRIALS}, got {trials}\n")
+    assert captured.err == ("slpos: configuration error: trials must lie in [1, 1e+06] "
+                            f"round trips per sample, got {trials}\n")
     assert captured.out == ""
     assert not out.exists()
     # The cap itself is a valid configuration; no sweep is started here.
-    assert harness._MAX_TRIALS == 10**6
-    RunConfig(scenario_id=1, link="rsu-vehicle", trials=harness._MAX_TRIALS)
+    assert harness.RUN_RANGES["trials"][1] == 10**6
+    RunConfig(scenario_id=1, link="rsu-vehicle", trials=harness.RUN_RANGES["trials"][1])
 
 
 def test_clock_bias_std_that_can_overflow_rejected_before_the_first_sample(tmp_path,

@@ -14,6 +14,7 @@ from slpos.constants import SPEED_OF_LIGHT
 from slpos.estimation import (
     PEAK_POLICIES,
     DelaySpectrum,
+    RangeMeasurement,
     coarse_search,
     delay_spectrum,
     estimate_toa,
@@ -97,6 +98,12 @@ def test_bad_oversample_rejected(ofdm, pilots):
     rx = synthesize_rx(make_snapshot([los_path(1e-7)]), pilots, ofdm)
     with pytest.raises(ValueError):
         delay_spectrum(rx, pilots, ofdm, oversample=0)
+
+
+def test_window_of_the_wrong_length_rejected(ofdm, pilots):
+    rx = synthesize_rx(make_snapshot([los_path(1e-7)]), pilots, ofdm)
+    with pytest.raises(ValueError, match="window length must equal the subcarrier count"):
+        delay_spectrum(rx, pilots, ofdm, window=hamming_window(ofdm.num_subcarriers - 1))
 
 
 @pytest.mark.parametrize("n_sub, oversample", [(167, 16), (167, 1), (64, 4), (7, 3)])
@@ -317,6 +324,11 @@ def test_zoom_rejects_an_unknown_policy(ofdm):
         zoom(c, start, width, ofdm, 16, "psychic")
 
 
+def test_coarse_search_rejects_an_unknown_policy():
+    with pytest.raises(ValueError, match="unknown peak policy 'psychic'"):
+        coarse_search(np.ones((1, 167), dtype=complex), 16, "psychic")
+
+
 def test_shift_theorem(ofdm, pilots):
     base_tau = 150e-9
     delta = 37e-9
@@ -405,6 +417,16 @@ def test_rtt_sigma_from_one_way_variance():
     var = (1e-9) ** 2
     m = rtt_range(2e-7, 2e-7, 0.0, one_way_toa_var=var)
     assert m.sigma == pytest.approx(0.5 * SPEED_OF_LIGHT * math.sqrt(2 * var), rel=1e-12)
+
+
+@pytest.mark.parametrize("distance, sigma, message", [
+    (-1e-9, 1.0, "distance must be nonnegative"),
+    (5.0, 0.0, "sigma must be positive"),
+    (5.0, -1.0, "sigma must be positive"),
+])
+def test_bad_range_measurement_rejected(distance, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        RangeMeasurement(distance=distance, sigma=sigma)
 
 
 def test_rtt_negative_round_trip_rejected():

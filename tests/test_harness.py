@@ -104,7 +104,7 @@ def test_scenario_without_the_link_rejected_before_any_sample(sweep):
     ("first_peak_threshold_db", -3.0),
     ("first_peak_threshold_db", math.inf),
     ("oversample", 0),
-    ("oversample", harness._MAX_OVERSAMPLE + 1),
+    ("oversample", harness.RUN_RANGES["oversample"][1] + 1),
     ("beta", 1.0),
     ("beta", 2.0),
     ("beta", math.nan),
@@ -116,7 +116,7 @@ def test_estimator_knobs_validated_up_front(field, value):
 
 def test_largest_oversample_accepted():
     assert RunConfig(scenario_id=1, link="rsu-vehicle",
-                     oversample=harness._MAX_OVERSAMPLE).oversample == 256
+                     oversample=harness.RUN_RANGES["oversample"][1]).oversample == 256
 
 
 def test_zero_first_peak_threshold_accepted():
@@ -925,6 +925,12 @@ def test_export_to_unwritable_path_raises_oserror():
         export_csv([], "/nonexistent-dir/foo.csv")
 
 
+def test_reading_a_missing_csv_raises_oserror_naming_it(tmp_path):
+    path = str(tmp_path / "missing.csv")
+    with pytest.raises(OSError, match=f"cannot read sweep CSV from {re.escape(repr(path))}"):
+        read_csv(path)
+
+
 # --- positioning demo ---------------------------------------------------------------
 
 def test_requirement_set_constants():
@@ -950,9 +956,9 @@ def test_noiseless_demo_passes_every_set():
 def test_demo_crb_is_sigma_times_the_unit_bound():
     # Exactly 0 without noise, and no nan where sigma**2 underflows.
     unit = range_position_crb(SQUARE, Vec3(3.0, 4.0, 0.0), [1.0] * len(SQUARE))
-    for sigma in (0.0, 1e-170):
+    for sigma in (0.0, -0.0, 1e-170):
         summary = run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=sigma, trials=3)
-        assert summary.crb == sigma * unit
+        assert repr(summary.crb) == repr(abs(sigma) * unit)
 
 
 def test_noisy_demo_rates_match_percentiles():
@@ -1026,8 +1032,8 @@ class _Reached(Exception):
 
 
 @pytest.mark.parametrize("trials, accepted", [
-    (harness._MAX_POSITION_TRIALS, True),
-    (harness._MAX_POSITION_TRIALS + 1, False),
+    (harness.POSITION_RANGES["trials"][1], True),
+    (harness.POSITION_RANGES["trials"][1] + 1, False),
 ])
 def test_trial_count_checked_against_the_cap_before_any_fix(monkeypatch, trials, accepted):
     # Only the check runs: the first solve raises, so no fix is ever made.
@@ -1044,6 +1050,7 @@ def test_trial_count_checked_against_the_cap_before_any_fix(monkeypatch, trials,
     (SQUARE[:2], 2, "need at least 3 anchors"),
     (SQUARE, 3, "degenerate"),
     ([Anchor(Vec3(x, 0.0, 0.0)) for x in (0.0, 5.0, 10.0)], 2, "degenerate"),
+    (SQUARE, 4, "dim must be 2 or 3"),
 ])
 def test_bad_anchor_layout_gets_the_initializer_message(anchors, dim, message):
     with pytest.raises(ValueError, match=message):

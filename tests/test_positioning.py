@@ -19,6 +19,7 @@ from slpos.propagation import Vec3
 
 SQUARE = [Anchor(Vec3(0.0, 0.0, 0.0)), Anchor(Vec3(10.0, 0.0, 0.0)),
           Anchor(Vec3(0.0, 10.0, 0.0)), Anchor(Vec3(10.0, 10.0, 0.0))]
+SQUARE_XY = [[a.position.x, a.position.y] for a in SQUARE]
 
 
 def exact_measurements(anchors, point, sigma=1.0):
@@ -520,6 +521,20 @@ def test_closed_form_lowest_eigenvector_matches_eigh():
 def test_other_dimensions_rejected():
     with pytest.raises(ValueError, match="dim must be 2 or 3"):
         solve_fixes(np.array([[0.0], [10.0]]), np.array([[3.0, 7.0]]))
+
+
+@pytest.mark.parametrize("anchors, options, message", [
+    ([[0.0, 0.0]], {"init": [[1.0, 1.0]]}, "need at least 2 anchors"),
+    ([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], {"init": [[1.0, 1.0, 1.0]]},
+     "need at least 3 anchors"),
+    (SQUARE_XY, {"weights": [1.0, 1.0, 0.0, 1.0]}, "weights must be positive and finite"),
+    (SQUARE_XY, {"weights": [1.0, -1.0, 1.0, 1.0]}, "weights must be positive and finite"),
+    (SQUARE_XY, {"weights": [1.0, 1.0, 1.0, math.nan]}, "weights must be positive and finite"),
+])
+def test_solve_fixes_rejects_bad_options(anchors, options, message):
+    ranges = np.full((1, len(anchors)), 5.0)
+    with pytest.raises(ValueError, match=message):
+        solve_fixes(np.array(anchors), ranges, **options)
 
 
 def test_crb_rejects_point_on_anchor():

@@ -1,17 +1,20 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from channels import echo_path, los_path
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.propagation import (
     _GROUND,
     _IN_PLANE,
     MAX_COORDINATE_M,
     BuildingBox,
+    ChannelSnapshot,
     PathKind,
     Pose,
     ScenarioConfig,
@@ -455,6 +458,11 @@ def test_scenario_text_rejects_unknown_keys():
         scenario_from_text(text)
 
 
+def test_scenario_text_skips_comments_and_blank_lines():
+    text = scenario_to_text(build_scenario(1)).replace("\n", "\n\n  # note\n")
+    assert scenario_from_text("# scenario 1\n" + text) == build_scenario(1)
+
+
 def test_scenario_text_rejects_missing_keys():
     # A plain key, and the second key of a building.
     for missing in ("vehicle_speed", "building0_half_extents"):
@@ -462,3 +470,19 @@ def test_scenario_text_rejects_missing_keys():
                          if not line.startswith(missing))
         with pytest.raises(ValueError, match=missing):
             scenario_from_text(text)
+
+
+# --- paths and snapshots ------------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: los_path(0.0), "path delay must be positive, got 0.0"),
+    (lambda: los_path(-1e-9), "path delay must be positive, got -1e-09"),
+    (lambda: echo_path(1e-7, 0j), "path gain must be nonzero"),
+    (lambda: ChannelSnapshot((los_path(2e-7), echo_path(1e-7, 0.5))),
+     "paths must be sorted by ascending delay"),
+    (lambda: ChannelSnapshot((echo_path(1e-7, 0.5), los_path(2e-7))),
+     "a line-of-sight path must be first"),
+], ids=["zero-delay", "negative-delay", "zero-gain", "unsorted", "los-not-first"])
+def test_malformed_path_or_snapshot_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
