@@ -21,6 +21,5 @@ for _name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 # The benchmark's set-up (bench/run.py) calls these four as slpos.<name>.
-from .estimation import hamming_window  # noqa: E402
 from .propagation import build_scenario  # noqa: E402
-from .signal import default_config, make_pilots  # noqa: E402
+from .signal import default_config, hamming_window, make_pilots  # noqa: E402

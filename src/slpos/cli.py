@@ -14,7 +14,6 @@ import functools
 import math
 import sys
 
-from .constants import SPEED_OF_LIGHT
 from .estimation import PEAK_POLICIES
 from .harness import (
     LINKS,
@@ -172,7 +171,7 @@ def _cmd_sweep(args: argparse.Namespace, monte_carlo: bool) -> int:
     points = sweep(cfg, scenario=scenario, ofdm=ofdm)
     n_los = sum(p.los_present for p in points)
     print(f"{len(points)} sweep samples ({n_los} with line of sight) -> {args.output_path}")
-    limit = SPEED_OF_LIGHT * ofdm.unambiguous_delay / 2.0
+    limit = ofdm.unambiguous_range
     beyond = sum(any(limit <= bound < math.inf for bound in (p.reb_los, p.reb_all, p.reb_waa))
                  for p in points)
     if beyond:

@@ -15,18 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .signal import OfdmConfig, PilotGrid, RxSymbols
+from .signal import OfdmConfig, PilotGrid, RxSymbols, hamming_window
 from .workarrays import work_array
 
 
 PEAK_POLICIES = ("global_peak", "first_peak")
-
-
-def hamming_window(n: int) -> np.ndarray:
-    """Symmetric Hamming window, 0.54 - 0.46 cos(2 pi k / (n - 1))."""
-    if n < 2:
-        raise ValueError("window needs at least 2 points")
-    return np.hamming(n)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ of both directions from three streams of its own, seeded by (seed, sample
 index), one trial after another: a sample's results do not depend on the
 other samples, and its first trials not on the trial count.
 
-A sweep checks its inputs, then splits its samples into contiguous chunks,
-one per CPU the process may use, each of at least ``_MIN_CHUNK`` samples.
-The first chunk runs in this process and each other one in a child forked
-for it alone, which sends its ``CurvePoint``s back pickled through a pipe
-and exits (``_forked``).  A process without ``os.fork``, with other threads,
-or with a function this module imported replaced (a spy, a timing
-wrapper) runs the one chunk alone (``_usable_cpus``).  A chunk traces and bounds its samples first.
+A sweep checks its inputs, then splits its samples into contiguous chunks
+(``_chunks``), one per CPU the process may use as long as each gets
+``_MIN_CHUNK`` samples.  The first chunk runs in this process and each
+other one in a child forked for it alone, which sends its ``CurvePoint``s
+back pickled through a pipe and exits (``_forked``).  A process without
+``os.fork``, with other threads, or with a function this module imported
+replaced (a spy, a timing wrapper) counts one CPU, so it runs one chunk
+(``_usable_cpus``).  A chunk traces and bounds its samples first.
 Its round trips then fill peak-search batches of ``_TRIAL_BATCH`` in
 (sample, trial) order, so with few trials per sample one coarse search and
 one zoom serve several samples; each sample still sums its own squared
@@ -45,7 +46,6 @@ from .estimation import (
     coarse_search,
     delay_spectrum,  # noqa: F401 - the benchmark tracer wraps harness.delay_spectrum
     estimate_toa,  # noqa: F401 - the benchmark tracer wraps harness.estimate_toa
-    hamming_window,
     low_confidence,  # noqa: F401 - the benchmark tracer wraps harness.low_confidence
     round_trip_distance,
     rtt_range,  # noqa: F401 - the benchmark tracer wraps harness.rtt_range
@@ -260,16 +260,16 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     """One point per trajectory sample.  The link channel is traced once per
     sample; it gives the bounds and, with ``monte_carlo``, both directions
     of ``cfg.trials`` round trips, whose RMSE is reported (else NaN).  With
-    ``monte_carlo``, a link whose range reaches c / (2 subcarrier_spacing),
-    where round trips alias, is rejected before the first trace, naming
-    the scenario keys that place its ends.  The samples are split into
-    chunks as the module docstring says."""
+    ``monte_carlo``, a link whose range reaches ``ofdm.unambiguous_range``,
+    c / (2 subcarrier_spacing), where round trips alias, is rejected before
+    the first trace, naming the scenario keys that place its ends.  The
+    samples are split by ``_chunks`` and run by ``_forked``, as the module
+    docstring says."""
     if cfg.output_path is not None:
         _check_writable(cfg.output_path)
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
     ofdm = ofdm if ofdm is not None else default_config()
     pilots = make_pilots(ofdm, "all_ones")
-    window = hamming_window(ofdm.num_subcarriers)
     ends, lanes = _link(cfg.link, scenario.scenario_id)
     lane_keys = [f"{lane}_{key}" for lane in lanes for key in ("start", "speed")]
     horizon = min(_LANE_HORIZONS[lane](scenario) for lane in lanes)
@@ -286,21 +286,18 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
         t = sample_idx * scenario.measurement_interval
         end_a, end_b, coord = ends(scenario, *sample_trajectory(scenario, min(t, horizon)))
         samples.append((t, end_a, end_b, coord, distance(end_a.position, end_b.position)))
-    limit = SPEED_OF_LIGHT * ofdm.unambiguous_delay / 2.0
     farthest = max(sample[-1] for sample in samples)
-    if monte_carlo and farthest >= limit:
+    if monte_carlo and farthest >= ofdm.unambiguous_range:
         keys = ["rsu_position"] * (scenario.rsu is not None) + lane_keys
         raise ValueError(f"link {cfg.link} (from {', '.join(keys[:-1])} and {keys[-1]}) "
                          f"reaches {farthest:.1f} m, but a round trip is unambiguous only "
-                         f"below c / (2 subcarrier_spacing) = {limit:.1f} m")
+                         f"below c / (2 subcarrier_spacing) = {ofdm.unambiguous_range:.1f} m")
 
     # A chunk starting at a sample whose first round trip is a multiple of
     # _TRIAL_BATCH fills exactly the batches a single process would.
     align = _TRIAL_BATCH // math.gcd(cfg.trials, _TRIAL_BATCH) if monte_carlo else 1
-    chunks = _chunks(n_samples, _worker_count(_usable_cpus(), n_samples), align)
-    work = functools.partial(_sweep_chunk, cfg, scenario, ofdm, pilots, window, samples,
-                             monte_carlo)
-    points = work(chunks[0]) if len(chunks) == 1 else _forked(work, chunks)
+    work = functools.partial(_sweep_chunk, cfg, scenario, ofdm, pilots, samples, monte_carlo)
+    points = _forked(work, _chunks(n_samples, _usable_cpus(), align))
 
     if cfg.output_path is not None:
         export_csv(points, cfg.output_path)
@@ -308,17 +305,18 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
 
 
 def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pilots,
-                 window, samples: Sequence[tuple], monte_carlo: bool,
+                 samples: Sequence[tuple], monte_carlo: bool,
                  chunk: range) -> list[CurvePoint]:
     """Trace, bound and (with ``monte_carlo``) Monte-Carlo the samples of
     ``chunk``, all traced and bounded first; one point per sample.  A Monte
-    Carlo sample with a path delay of an alias period 1/subcarrier_spacing
-    or more, which no delay spectrum resolves, is rejected when traced."""
+    Carlo sample with a path of ``ofdm.unambiguous_range`` or more, whose
+    round trip wraps modulo the alias period, is rejected when traced."""
     chunk_samples = samples[chunk.start:chunk.stop]
     traced = []
     for t, end_a, end_b, coord, _ in chunk_samples:
         snap = trace_paths(end_a, end_b, scenario, ofdm.wavelength, time=t)
-        if monte_carlo and snap.paths and snap.paths[-1].delay >= ofdm.unambiguous_delay:
+        longest = snap.paths[-1].delay * SPEED_OF_LIGHT if snap.paths else 0.0
+        if monte_carlo and longest >= ofdm.unambiguous_range:
             wall = snap.paths[-1].wall_index
             if wall is None:
                 source = "the ground"
@@ -329,9 +327,8 @@ def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pil
                 keys = [f"building{wall // 4}_{key}" for key in ("center", "half_extents")]
             raise ValueError(f"link {cfg.link} at sweep coordinate {coord:.1f} m has a "
                              f"reflection off {source} (from {' and '.join(keys)}) of "
-                             f"{snap.paths[-1].delay * SPEED_OF_LIGHT:.1f} m, but a delay "
-                             "spectrum resolves paths only below c / subcarrier_spacing = "
-                             f"{ofdm.unambiguous_delay * SPEED_OF_LIGHT:.1f} m")
+                             f"{longest:.1f} m, but a round trip resolves paths only below "
+                             f"c / (2 subcarrier_spacing) = {ofdm.unambiguous_range:.1f} m")
         if snap.has_los:
             report = reb_waa(snap, pilots, ofdm, beta=cfg.beta)
             bounds = (report.reb_los_only, report.reb_all_paths, report.reb_waa,
@@ -346,7 +343,7 @@ def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pil
     if monte_carlo:
         rmses = _monte_carlo_rmse(cfg, [snap for snap, _, _ in traced],
                                   [sample[-1] for sample in chunk_samples], chunk.start,
-                                  pilots, ofdm, window)
+                                  pilots, ofdm)
     return [CurvePoint(coord, true_range, rmse, *bounds, len(snap.paths), n_cell, snap.has_los)
             for (*_, coord, true_range), (snap, bounds, n_cell), rmse
             in zip(chunk_samples, traced, rmses)]
@@ -354,7 +351,7 @@ def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pil
 
 def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
                       true_ranges: Sequence[float], first_sample: int, pilots,
-                      ofdm: OfdmConfig, window) -> list[float]:
+                      ofdm: OfdmConfig) -> list[float]:
     """RMSE of the round-trip distance over ``cfg.trials`` exchanges, per
     sample; ``snaps[i]`` is sweep sample ``first_sample + i``.
 
@@ -375,7 +372,7 @@ def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
     combines the batch's arrivals, and every round trip's squared error is
     added, in trial order, to the sample that owns it.
     """
-    scale = noise_scale(pilots, ofdm, window)
+    scale = noise_scale(pilots, ofdm)
     period = ofdm.unambiguous_delay
     true_ranges = np.asarray(true_ranges)
     sq_err = np.zeros(len(snaps))
@@ -386,7 +383,7 @@ def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],
         bias_rng, fwd_rng, rev_rng = (
             np.random.default_rng(child) for child in
             np.random.SeedSequence((cfg.seed, first_sample + i)).spawn(3))
-        m = mean_vector(snap, ofdm, window, doppler_enabled=cfg.doppler_enabled)
+        m = mean_vector(snap, ofdm, doppler_enabled=cfg.doppler_enabled)
         left = cfg.trials
         while left:
             n = min(left, _TRIAL_BATCH - len(owners))
@@ -477,12 +474,6 @@ def _forked(work, chunks: Sequence[range]) -> list[CurvePoint]:
             os.waitpid(pid, 0)
 
 
-def _worker_count(cpus: int, n_samples: int) -> int:
-    """Processes a sweep of ``n_samples`` samples is split across: one per
-    CPU, as long as each gets ``_MIN_CHUNK`` samples, and at least one."""
-    return max(1, min(cpus, n_samples // _MIN_CHUNK))
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on, or 1 where a sweep should not fork:
     without ``os.fork`` or CPU affinity; with a function imported from the
@@ -504,10 +495,12 @@ def _usable_cpus() -> int:
     return 1 if threads > 1 else len(os.sched_getaffinity(0))
 
 
-def _chunks(n_samples: int, workers: int, align: int) -> list[range]:
-    """range(n_samples) split into at most ``workers`` contiguous chunks.
-    Each starts at the multiple of ``align`` nearest its equal share; an
-    edge that would leave a chunk under ``_MIN_CHUNK`` samples is dropped."""
+def _chunks(n_samples: int, cpus: int, align: int) -> list[range]:
+    """range(n_samples) split into contiguous chunks, one per CPU as long as
+    each gets ``_MIN_CHUNK`` samples, and at least one.  Each starts at the
+    multiple of ``align`` nearest its equal share; an edge that would leave
+    a chunk under ``_MIN_CHUNK`` samples is dropped."""
+    workers = min(cpus, n_samples // _MIN_CHUNK)
     edges = [0]
     for i in range(1, workers):
         edge = (2 * i * n_samples + workers * align) // (2 * workers * align) * align
@@ -570,8 +563,6 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
     """
     for (name, limits), value in zip(POSITION_RANGES.items(), (trials, seed, sigma)):
         check_range(name, value, *limits)
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
     check_coordinates("true_point", true_point)
     true = coordinates([true_point], dim)[0]
     anchor_xyz = coordinates([a.position for a in anchors], dim)

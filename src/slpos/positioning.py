@@ -76,13 +76,13 @@ class PositionEstimate:
 
 def coordinates(points: Sequence[Vec3], dim: int) -> np.ndarray:
     """The (len(points), dim) array of the points' first ``dim`` coordinates."""
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
     return np.array([[p.x, p.y, p.z][:dim] for p in points]).reshape(-1, dim)
 
 
 def _anchor_matrix(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
                    dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
     positions = coordinates([a.position for _, a in measurements], dim)
     distances = np.array([m.distance for m, _ in measurements])
     sigmas = np.array([m.sigma for m, _ in measurements])

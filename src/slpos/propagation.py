@@ -18,6 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 from .constants import SPEED_OF_LIGHT
 
@@ -82,7 +83,10 @@ def check_coordinates(name: str, point: Vec3) -> None:
 
 
 def check_range(name: str, value: float, lo: float, hi: float, unit: str) -> None:
-    """Reject ``value``, naming it ``name``, unless finite and in [lo, hi] ``unit``."""
+    """Reject ``value``, naming it ``name``, unless finite and in [lo, hi] ``unit``,
+    and an integer (a bool is not one) where ``lo`` is an int."""
+    if isinstance(lo, int) and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ValueError(f"{name} must be an integer in [{lo:g}, {hi:g}] {unit}, got {value}")
     if not (lo <= value <= hi and -math.inf < value < math.inf):
         raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}] {unit}, got {value}")
 

@@ -67,6 +67,11 @@ class OfdmConfig:
         """Delay span representable without aliasing: 1/subcarrier_spacing."""
         return 1.0 / self.subcarrier_spacing
 
+    @property
+    def unambiguous_range(self) -> float:
+        """Longest distance a round trip resolves: c / (2 subcarrier_spacing)."""
+        return SPEED_OF_LIGHT * self.unambiguous_delay / 2.0
+
 
 def default_config() -> OfdmConfig:
     """Sidelink evaluation budget: 5.9 GHz carrier, 167 subcarriers at
@@ -82,6 +87,13 @@ def default_config() -> OfdmConfig:
         noise_psd=10 ** (-174.0 / 10.0) * 1e-3,
         noise_figure_db=8.0,
     )
+
+
+def hamming_window(n: int) -> np.ndarray:
+    """Symmetric Hamming window, 0.54 - 0.46 cos(2 pi k / (n - 1))."""
+    if n < 2:
+        raise ValueError("window needs at least 2 points")
+    return np.hamming(n)
 
 
 def noise_variance(config: OfdmConfig) -> float:
@@ -192,12 +204,12 @@ def synthesize_rx(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfi
     return RxSymbols(symbols=mean)
 
 
-def mean_vector(channel: ChannelSnapshot, config: OfdmConfig, window: np.ndarray,
+def mean_vector(channel: ChannelSnapshot, config: OfdmConfig,
                 doppler_enabled: bool = True) -> np.ndarray:
     """Noiseless symbol sum that ``delay_spectrum`` would form at zero clock bias.
 
-    Pilots divide out exactly, so the windowed, pilot-compensated sum over
-    symbols of the noiseless grid is
+    Pilots divide out exactly, so the sum over symbols of the noiseless grid,
+    pilot-compensated and weighted by the ``hamming_window`` w, is
     m[n] = w[n] sum_l g_l (sum_t e^{j 2 pi t v_l T_s / lambda}) e^{-j 2 pi n tau_l df},
     length N_s.  A clock bias B rotates it to ``bias_ramps(B) * m``, which
     equals the symbol sum of ``synthesize_rx(..., clock_bias=B)`` up to
@@ -206,7 +218,8 @@ def mean_vector(channel: ChannelSnapshot, config: OfdmConfig, window: np.ndarray
     if not channel.paths:
         return np.zeros(config.num_subcarriers, dtype=complex)
     delays, gains, doppler = _path_terms(channel, config, doppler_enabled)
-    return window * ((gains * doppler.sum(axis=0)) @ _ramps(delays, config))
+    return (hamming_window(config.num_subcarriers)
+            * ((gains * doppler.sum(axis=0)) @ _ramps(delays, config)))
 
 
 def bias_ramps(clock_bias: np.ndarray, config: OfdmConfig) -> np.ndarray:
@@ -221,16 +234,16 @@ def bias_ramps(clock_bias: np.ndarray, config: OfdmConfig) -> np.ndarray:
     return _ramps([math.remainder(b, config.unambiguous_delay) for b in clock_bias], config)
 
 
-def noise_scale(pilots: PilotGrid, config: OfdmConfig, window: np.ndarray) -> np.ndarray:
+def noise_scale(pilots: PilotGrid, config: OfdmConfig) -> np.ndarray:
     """Per-subcarrier standard deviation of each part of a noise symbol sum.
 
     Pilots divide out exactly, so the symbol sum w[n] sum_t z[t, n] / p[t, n]
-    of the noise grid z that ``synthesize_rx`` adds is circular Gaussian
-    with variance w[n]^2 N0 sum_t 1/|p[t, n]|^2, independent across n:
-    returns w[n] sqrt(N0 / 2 sum_t 1/|p[t, n]|^2), length N_s.
+    of the noise grid z that ``synthesize_rx`` adds, w the ``hamming_window``,
+    is circular Gaussian with variance w[n]^2 N0 sum_t 1/|p[t, n]|^2,
+    independent across n: returns w[n] sqrt(N0 / 2 sum_t 1/|p[t, n]|^2), length N_s.
     """
-    return window * np.sqrt(noise_variance(config) / 2.0
-                            * (np.abs(pilots.symbols) ** -2).sum(axis=0))
+    return hamming_window(config.num_subcarriers) * np.sqrt(
+        noise_variance(config) / 2.0 * (np.abs(pilots.symbols) ** -2).sum(axis=0))
 
 
 def noise_sum(rng: np.random.Generator, rows: int, scale: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from slpos.bounds import (
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.propagation import Vec3, friis_gain
 from slpos.harness import RunConfig, run_bounds_sweep
-from slpos.estimation import hamming_window
 from slpos.signal import (
     WORKING_RANGES,
     OfdmConfig,
@@ -118,7 +117,7 @@ def test_every_working_range_corner_keeps_the_bound_and_the_noise_finite():
             if config.num_symbols * config.num_subcarriers < largest:
                 assert crb_delay(fim([los_path(150e-9)], grid, config)) == pytest.approx(
                     variance, rel=1e-9)
-            scale = noise_scale(grid, config, hamming_window(config.num_subcarriers))
+            scale = noise_scale(grid, config)
             assert np.all(np.isfinite(scale)) and np.all(scale > 0)
 
 

@@ -20,9 +20,10 @@ from slpos.harness import POSITION_RANGES, RUN_RANGES, RunConfig, read_csv, run_
 from slpos.propagation import build_scenario, scenario_from_text, scenario_to_text
 from channels import echo_path, los_path, make_snapshot
 from slpos.bounds import reb_waa
-from slpos.estimation import PEAK_POLICIES, hamming_window
+from slpos.estimation import PEAK_POLICIES
 from slpos.signal import (
     WORKING_RANGES,
+    OfdmConfig,
     default_config,
     make_pilots,
     noise_scale,
@@ -699,6 +700,24 @@ def test_ranging_beyond_the_alias_range_names_the_key_of_each_end(key, value, li
     assert not out.exists()
 
 
+# Scenario 2 without a ground echo, a blocker between the lanes and a facade
+# 675 m out: with the line of sight blocked, the only path is its echo of
+# 1336.7-1345.1 m, whose round trip would wrap to under 90 m.
+_FAR_FACADE = """scenario_id=2
+vehicle_start=1.6,-70.0,1.5
+vehicle_speed=14.0
+bicycle_start=-16.4,-7.0,1.0
+bicycle_speed=4.0
+measurement_interval=0.1
+ground_reflection_coeff=0
+wall_reflection_coeff=-0.6+0j
+building0_center=-8.0,-25.0,15.0
+building0_half_extents=5.0,10.0,15.0
+building1_center=-700.0,0.0,15.0
+building1_half_extents=25.0,1000.0,15.0
+"""
+
+
 @pytest.mark.parametrize("edits, at, reflector, keys", [
     # A facade 1475 m out, 2000 m long: its echo runs about 2949 m.
     ({"building0_center": "1500.0,0.0,15.0", "building0_half_extents": "25.0,1000.0,15.0"},
@@ -706,20 +725,29 @@ def test_ranging_beyond_the_alias_range_names_the_key_of_each_end(key, value, li
     # Both ends 1300 m up: the ground echo runs about 2601 m.
     ({"rsu_position": "0.0,0.0,1300.0", "vehicle_start": "1.6,-70.0,1300.0"},
      0, "the ground", ("rsu_position", "vehicle_start")),
+    # A whole scenario file, rather than edits of scenario 1's.
+    pytest.param(_FAR_FACADE, 0, "building 1", ("building1_center", "building1_half_extents"),
+                 id="far-facade-file"),
 ])
 def test_ranging_with_an_echo_beyond_the_alias_period_rejected_naming_its_keys(
         edits, at, reflector, keys, tmp_path, monkeypatch, capsys):
-    # Every end lies within c / (2 subcarrier_spacing), but a reflection is
-    # longer than the alias period c / subcarrier_spacing = 2498.3 m, which
-    # no delay spectrum resolves: the sweep stops at that sample's trace,
-    # before its bounds or any round trip, naming the keys that place the
-    # reflector.  Bounds form no delay spectrum and keep the file.
-    lines = [f"{key}={edits[key]}" if key in edits else f"{key}={value}"
-             for key, value in (line.split("=", 1) for line in
-                                scenario_to_text(build_scenario(1)).splitlines())]
+    # Every end lies within c / (2 subcarrier_spacing) = 1249.1 m, but a
+    # reflection is at least as long, so its round trip wraps modulo the
+    # alias period: the sweep stops at that sample's trace, before its
+    # bounds or any round trip, naming the keys that place the reflector.
+    # Bounds take no round trip and keep the file.
+    if isinstance(edits, str):
+        text = edits
+    else:
+        lines = [f"{key}={edits[key]}" if key in edits else f"{key}={value}"
+                 for key, value in (line.split("=", 1) for line in
+                                    scenario_to_text(build_scenario(1)).splitlines())]
+        text = "\n".join(lines) + "\n"
     scn_file = tmp_path / "scn.txt"
-    scn_file.write_text("\n".join(lines) + "\n")
-    common = ["--scenario", "1", "--link", "rsu-vehicle", "--scenario-file", str(scn_file)]
+    scn_file.write_text(text)
+    scenario_id = scenario_from_text(text).scenario_id
+    link = {1: "rsu-vehicle", 2: "vehicle-bicycle"}[scenario_id]
+    common = ["--scenario", str(scenario_id), "--link", link, "--scenario-file", str(scn_file)]
     assert main(["bounds", *common, "--out", str(tmp_path / "bounds.csv")]) == 0
     capsys.readouterr()
     bounded = []
@@ -733,11 +761,11 @@ def test_ranging_with_an_echo_beyond_the_alias_period_rejected_naming_its_keys(
     assert main(["ranging", *common, "--trials", "2", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     coord = -70.0 + 1.4 * at
-    assert captured.err.startswith(f"slpos: configuration error: link rsu-vehicle at sweep "
+    assert captured.err.startswith(f"slpos: configuration error: link {link} at sweep "
                                    f"coordinate {coord:.1f} m has a reflection off {reflector} "
                                    f"(from {keys[0]} and {keys[1]}) of ")
-    assert captured.err.endswith(" m, but a delay spectrum resolves paths only below "
-                                 "c / subcarrier_spacing = 2498.3 m\n")
+    assert captured.err.endswith(" m, but a round trip resolves paths only below "
+                                 "c / (2 subcarrier_spacing) = 1249.1 m\n")
     assert len(bounded) == at
     assert captured.out == ""
     assert not out.exists()
@@ -764,6 +792,20 @@ def test_bounds_beyond_a_round_trip_counted_on_stderr(argv, warned, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.err == (_BEYOND_A_ROUND_TRIP if warned else "")
     assert len(read_csv(str(out))) == int(captured.out.split()[0])
+
+
+def test_the_round_trip_range_is_the_waveforms_and_printed_by_both_checks(tmp_path,
+                                                                          monkeypatch, capsys):
+    # OfdmConfig.unambiguous_range, c / (2 subcarrier_spacing), is the one
+    # limit that the pre-trace rejection and the bound count print.
+    assert default_config().unambiguous_range == pytest.approx(1249.1, abs=0.05)
+    monkeypatch.setattr(OfdmConfig, "unambiguous_range", property(lambda self: 30.0))
+    argv = ["--scenario", "1", "--link", "rsu-vehicle", "--out", str(tmp_path / "out.csv")]
+    assert main(["ranging", *argv, "--trials", "1"]) == 1
+    assert capsys.readouterr().err.endswith(" m, but a round trip is unambiguous only below "
+                                            "c / (2 subcarrier_spacing) = 30.0 m\n")
+    assert main(["bounds", *argv, "--tx-power-dbm=-100"]) == 0
+    assert capsys.readouterr().err == _BEYOND_A_ROUND_TRIP.replace("1249.1 m", "30.0 m")
 
 
 def _readme_commands():
@@ -998,7 +1040,7 @@ def test_every_accepted_radio_budget_scales_the_bound_exactly(tx_power_dbm, nois
                         and _NOISE_FIGURE_DB[0] <= noise_figure_db <= _NOISE_FIGURE_DB[1])
             return
         assert normalized_reb_los(ofdm) == pytest.approx(reference, rel=1e-9)
-        scale = noise_scale(make_pilots(ofdm), ofdm, hamming_window(ofdm.num_subcarriers))
+        scale = noise_scale(make_pilots(ofdm), ofdm)
     assert np.all(np.isfinite(scale)) and np.all(scale > 0)
 
 

@@ -108,6 +108,10 @@ def test_scenario_without_the_link_rejected_before_any_sample(sweep):
     ("beta", 1.0),
     ("beta", 2.0),
     ("beta", math.nan),
+    ("trials", 2.5),
+    ("trials", True),
+    ("oversample", 2.5),
+    ("seed", 1.5),
 ])
 def test_estimator_knobs_validated_up_front(field, value):
     with pytest.raises(ValueError):
@@ -401,7 +405,7 @@ def _kernel_and_scalar_chain(scenario_id, link, policy, oversample, doppler):
         biases = np.concatenate([_BIASES, -_BIASES])
         seeds = [np.random.SeedSequence(entropy=(7, int(t * 10), row))
                  for row in range(len(biases))]
-        c = bias_ramps(biases, ofdm) * mean_vector(snap, ofdm, window, doppler_enabled=doppler)
+        c = bias_ramps(biases, ofdm) * mean_vector(snap, ofdm, doppler_enabled=doppler)
         c += _scalar_noise_rows(seeds, pilots, ofdm, window)
         start, width = coarse_search(c, oversample, policy, 6.0)
         zoomed = zoom(c, start, width, ofdm, oversample, policy, 6.0)
@@ -707,7 +711,7 @@ def test_a_sweep_below_two_minimum_chunks_never_forks(monkeypatch):
     (8, 10**6, 8),
 ])
 def test_one_worker_per_cpu_as_long_as_each_gets_a_minimum_chunk(cpus, n_samples, workers):
-    assert harness._worker_count(cpus, n_samples) == workers
+    assert len(harness._chunks(n_samples, cpus, 1)) == workers
 
 
 def test_chunks_cover_the_sweep_from_aligned_starts():
@@ -1034,6 +1038,9 @@ class _Reached(Exception):
 @pytest.mark.parametrize("trials, accepted", [
     (harness.POSITION_RANGES["trials"][1], True),
     (harness.POSITION_RANGES["trials"][1] + 1, False),
+    (np.int64(5), True),
+    (5.0, False),
+    (True, False),
 ])
 def test_trial_count_checked_against_the_cap_before_any_fix(monkeypatch, trials, accepted):
     # Only the check runs: the first solve raises, so no fix is ever made.

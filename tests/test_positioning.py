@@ -523,6 +523,18 @@ def test_other_dimensions_rejected():
         solve_fixes(np.array([[0.0], [10.0]]), np.array([[3.0, 7.0]]))
 
 
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("solve", [
+    lambda dim: linear_init(exact_measurements(SQUARE, Vec3(3.0, 4.0, 0.0)), dim=dim),
+    lambda dim: ml_position(exact_measurements(SQUARE, Vec3(3.0, 4.0, 0.0)), dim=dim),
+    lambda dim: range_position_crb(SQUARE, Vec3(3.0, 4.0, 0.0), [1.0] * 4, dim=dim),
+], ids=["linear_init", "ml_position", "range_position_crb"])
+def test_every_vec3_entry_point_rejects_other_dimensions(solve, dim):
+    # ``coordinates`` states the rule for every function taking Vec3 points.
+    with pytest.raises(ValueError, match="dim must be 2 or 3"):
+        solve(dim)
+
+
 @pytest.mark.parametrize("anchors, options, message", [
     ([[0.0, 0.0]], {"init": [[1.0, 1.0]]}, "need at least 2 anchors"),
     ([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], {"init": [[1.0, 1.0, 1.0]]},

@@ -106,6 +106,17 @@ def test_config_accepts_each_working_range_edge_and_rejects_one_step_beyond(ofdm
         _with(ofdm, field, beyond)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_subcarriers", 167.0),
+    ("num_symbols", 12.0),
+    ("num_symbols", True),
+])
+def test_counts_reject_a_non_integer_naming_it(ofdm, field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer in [")):
+        _with(ofdm, field, value)
+    assert getattr(_with(ofdm, field, np.int64(value)), field) == value
+
+
 def test_symbol_duration_lies_between_one_and_two_inverse_spacings(ofdm):
     period = 1.0 / ofdm.subcarrier_spacing
     for accepted in (period, 2.0 * period):
@@ -266,7 +277,7 @@ def test_mean_vector_is_the_noiseless_symbol_sum(ofdm, doppler):
                           echo_path(310e-9, gain=-0.2 + 0.3j, index=0, velocity=-4.0)])
     period = ofdm.unambiguous_delay
     biases = np.array([0.0, 1e-6, -2.5e-6, period / 2, -period / 2, 1.3 * period])
-    m = mean_vector(snap, ofdm, window, doppler_enabled=doppler)
+    m = mean_vector(snap, ofdm, doppler_enabled=doppler)
     ramps = bias_ramps(biases, ofdm)
     assert ramps.shape == (len(biases), ofdm.num_subcarriers)
     for sign, rows in ((1.0, ramps * m), (-1.0, ramps.conj() * m)):
@@ -277,8 +288,7 @@ def test_mean_vector_is_the_noiseless_symbol_sum(ofdm, doppler):
 
 
 def test_mean_vector_of_an_empty_channel_is_zero(ofdm):
-    window = hamming_window(ofdm.num_subcarriers)
-    m = mean_vector(make_snapshot([]), ofdm, window)
+    m = mean_vector(make_snapshot([]), ofdm)
     assert m.shape == (ofdm.num_subcarriers,) and not m.any()
 
 
@@ -287,7 +297,6 @@ def test_conjugate_ramps_are_the_negated_biases_ramps_bit_for_bit(ofdm):
     # equal the ramps of the negated biases times m exactly: for biases of
     # 1 ns to 1 ms of either sign, and for random batches of biases and
     # channels.
-    window = hamming_window(ofdm.num_subcarriers)
     period = ofdm.unambiguous_delay
     rng = np.random.default_rng(23)
 
@@ -306,7 +315,7 @@ def test_conjugate_ramps_are_the_negated_biases_ramps_bit_for_bit(ofdm):
                              + [echo_path(d, gain=complex(*rng.normal(size=2)), index=i,
                                           velocity=rng.uniform(-30, 30))
                                 for i, d in enumerate(delays[1:])])
-        m = mean_vector(snap, ofdm, window)
+        m = mean_vector(snap, ofdm)
         ramps = bias_ramps(biases, ofdm)
         assert np.array_equal(np.concatenate([ramps * m, ramps.conj() * m]),
                               old_rows(m, biases))
@@ -329,7 +338,7 @@ def test_noise_sum_has_the_scalar_chain_symbol_sum_statistics(ofdm):
     var = window ** 2 * noise_variance(ofdm) / 2.0 * (np.abs(pilots.symbols) ** -2).sum(axis=0)
 
     rows = 4000
-    z = noise_sum(np.random.default_rng(11), rows, noise_scale(pilots, ofdm, window))
+    z = noise_sum(np.random.default_rng(11), rows, noise_scale(pilots, ofdm))
     assert z.shape == (rows, ofdm.num_subcarriers)
     lo, hi = _chi2_interval(rows)
     for part in (z.real, z.imag):
