@@ -35,7 +35,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,18 +61,17 @@ from .positioning import (
     solve_fixes,
 )
 from .propagation import (
+    LANE_AXES,
     MAX_COORDINATE_M,
     ChannelSnapshot,
-    Pose,
     ScenarioConfig,
-    bicycle_horizon,
     build_scenario,
     check_coordinates,
     check_range,
     distance,
+    lane_horizon,
     sample_trajectory,
     trace_paths,
-    vehicle_horizon,
 )
 from .signal import (
     OfdmConfig,
@@ -91,16 +90,15 @@ _AS_IMPORTED = {name: value for name, value in globals().items()
                 if callable(value) and getattr(value, "__module__", "").startswith("slpos.")}
 
 
-# Each link: the scenario it exists in; its two ends and sweep coordinate,
-# given the scenario and the vehicle and bicycle poses; and the devices whose
-# lanes bound its sweep, which ends when the first reaches its lane end.
+# Each link: its scenario and its two ends, "rsu" or a device of LANE_AXES.
+# The moving ends bound its sweep, which ends when the first reaches its lane
+# end; the first one's position along its lane is the sweep coordinate.
 _LINKS = {
-    "rsu-vehicle": (1, lambda scn, v, b: (scn.rsu, v, v.position.y), ("vehicle",)),
-    "rsu-bicycle": (1, lambda scn, v, b: (scn.rsu, b, b.position.x), ("bicycle",)),
-    "vehicle-bicycle": (2, lambda scn, v, b: (v, b, v.position.y), ("vehicle", "bicycle")),
+    "rsu-vehicle": (1, ("rsu", "vehicle")),
+    "rsu-bicycle": (1, ("rsu", "bicycle")),
+    "vehicle-bicycle": (2, ("vehicle", "bicycle")),
 }
 LINKS = tuple(_LINKS)
-_LANE_HORIZONS = {"vehicle": vehicle_horizon, "bicycle": bicycle_horizon}
 
 # Monte Carlo round trips whose symbol sums are searched together, filled
 # across sweep samples; bounds the coarse-IDFT and zoom buffers of one batch
@@ -192,14 +190,14 @@ class RunConfig:
         _link(self.link, self.scenario_id)
 
 
-def _link(name: str, scenario_id: int) -> tuple[Callable, tuple[str, ...]]:
-    """The ends and lanes of link ``name``, which must exist in ``scenario_id``."""
+def _link(name: str, scenario_id: int) -> tuple[tuple[str, str], tuple[str, ...]]:
+    """The ends and moving ends of link ``name``, which must exist in ``scenario_id``."""
     if name not in _LINKS:
         raise ValueError(f"unknown link {name!r}")
-    link_scenario, ends, lanes = _LINKS[name]
+    link_scenario, ends = _LINKS[name]
     if scenario_id != link_scenario:
         raise ValueError(f"the {name} link exists only in scenario {link_scenario}")
-    return ends, lanes
+    return ends, tuple(end for end in ends if end in LANE_AXES)
 
 
 @dataclass(frozen=True)
@@ -272,7 +270,7 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     pilots = make_pilots(ofdm, "all_ones")
     ends, lanes = _link(cfg.link, scenario.scenario_id)
     lane_keys = [f"{lane}_{key}" for lane in lanes for key in ("start", "speed")]
-    horizon = min(_LANE_HORIZONS[lane](scenario) for lane in lanes)
+    horizon = min(lane_horizon(scenario, lane) for lane in lanes)
     steps = horizon / scenario.measurement_interval
     if not (math.isfinite(steps) and round(steps) + 1 <= _MAX_SAMPLES):
         keys = " and ".join(lane_keys)
@@ -284,7 +282,9 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     samples = []
     for sample_idx in range(n_samples):
         t = sample_idx * scenario.measurement_interval
-        end_a, end_b, coord = ends(scenario, *sample_trajectory(scenario, min(t, horizon)))
+        poses = dict(zip(LANE_AXES, sample_trajectory(scenario, min(t, horizon))))
+        end_a, end_b = (poses.get(end, scenario.rsu) for end in ends)
+        coord = poses[lanes[0]].position.component(LANE_AXES[lanes[0]])
         samples.append((t, end_a, end_b, coord, distance(end_a.position, end_b.position)))
     farthest = max(sample[-1] for sample in samples)
     if monte_carlo and farthest >= ofdm.unambiguous_range:
@@ -321,7 +321,7 @@ def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pil
             if wall is None:
                 source = "the ground"
                 keys = (["rsu_position"] * (scenario.rsu is not None)
-                        + [f"{lane}_start" for lane in _LINKS[cfg.link][2]])
+                        + [f"{lane}_start" for lane in _link(cfg.link, scenario.scenario_id)[1]])
             else:
                 source = f"building {wall // 4}"
                 keys = [f"building{wall // 4}_{key}" for key in ("center", "half_extents")]
@@ -643,7 +643,9 @@ def _check_writable(path: str) -> None:
     ``path``, before any sample runs; the file is neither created nor
     truncated."""
     directory = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        reason = "the path is empty"
+    elif os.path.isdir(path):
         reason = "it is a directory"
     elif not os.path.isdir(directory):
         reason = f"no directory {directory!r}"

@@ -76,7 +76,7 @@ class PositionEstimate:
 
 def coordinates(points: Sequence[Vec3], dim: int) -> np.ndarray:
     """The (len(points), dim) array of the points' first ``dim`` coordinates."""
-    if dim not in (2, 3):
+    if not isinstance(dim, (int, np.integer)) or dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     return np.array([[p.x, p.y, p.z][:dim] for p in points]).reshape(-1, dim)
 

@@ -25,6 +25,10 @@ from .constants import SPEED_OF_LIGHT
 # Lanes run the full width of the modeled intersection, ending at +70 m.
 LANE_END_M = 70.0
 
+# Each device's lane: it drives in + along this axis, from ``<device>_start``
+# at ``<device>_speed`` to LANE_END_M; ``sample_trajectory`` keeps this order.
+LANE_AXES = {"vehicle": 1, "bicycle": 0}
+
 # Closest the two moving devices may come (5 wavelengths at 5.9 GHz);
 # closer, the far-field path gain is meaningless.
 MIN_DEVICE_GAP_M = 0.25
@@ -69,6 +73,11 @@ class Vec3:
 
     def component(self, axis: int) -> float:
         return (self.x, self.y, self.z)[axis]
+
+    def with_component(self, axis: int, value: float) -> "Vec3":
+        xyz = [self.x, self.y, self.z]
+        xyz[axis] = value
+        return Vec3(*xyz)
 
 
 def distance(a: Vec3, b: Vec3) -> float:
@@ -248,49 +257,48 @@ class ScenarioConfig:
                     and (value == 0 or MIN_REFLECTION <= abs(value) <= 1)):
                 raise ValueError(f"{name} must be 0 or of magnitude between "
                                  f"{MIN_REFLECTION:g} and 1, got {value}")
-        for name, value in (("vehicle_start.y", self.vehicle_start.y),
-                            ("bicycle_start.x", self.bicycle_start.x)):
-            if not value < LANE_END_M:
-                raise ValueError(f"{name} must lie below the lane end {LANE_END_M} m, "
-                                 f"got {value}")
-        heights = [("vehicle_start.z", self.vehicle_start.z),
-                   ("bicycle_start.z", self.bicycle_start.z)]
+        lanes = [(f"{device}_start", getattr(self, f"{device}_start"), axis)
+                 for device, axis in LANE_AXES.items()]
+        for name, start, axis in lanes:
+            if not start.component(axis) < LANE_END_M:
+                raise ValueError(f"{name}.{'xyz'[axis]} must lie below the lane end "
+                                 f"{LANE_END_M} m, got {start.component(axis)}")
+        heights = [(f"{name}.z", start.z) for name, start, _ in lanes]
         if self.rsu is not None:
             heights.append(("rsu_position.z", self.rsu.position.z))
         for name, value in heights:
             if not value > 0:
                 raise ValueError(f"{name} must be above ground (> 0 m), got {value}")
         if self.rsu is not None:
-            rsu, v, b = self.rsu.position, self.vehicle_start, self.bicycle_start
-            nearest = (("vehicle", Vec3(v.x, min(max(rsu.y, v.y), LANE_END_M), v.z)),
-                       ("bicycle", Vec3(min(max(rsu.x, b.x), LANE_END_M), b.y, b.z)))
-            for lane, point in nearest:
+            rsu = self.rsu.position
+            for name, start, axis in lanes:
+                lane_coord = min(max(rsu.component(axis), start.component(axis)), LANE_END_M)
+                gap = distance(rsu, start.with_component(axis, lane_coord))
                 # 1 m is 20 wavelengths: closer, the far-field Friis gain means nothing.
-                if distance(rsu, point) < 1.0:
+                if gap < 1.0:
                     raise ValueError(f"rsu_position must lie at least 1 m from the lane of "
-                                     f"{lane}_start, got {distance(rsu, point):.3g} m")
+                                     f"{name}, got {gap:.3g} m")
             for i, box in enumerate(self.buildings):
                 lo, hi = box.min_corner, box.max_corner
                 if all(lo.component(a) < rsu.component(a) < hi.component(a) for a in range(3)):
                     raise ValueError(f"rsu_position {rsu} lies inside building {i} "
                                      f"(building{i}_center, building{i}_half_extents)")
-        lanes = (("vehicle_start", self.vehicle_start,
-                  Vec3(self.vehicle_start.x, LANE_END_M, self.vehicle_start.z)),
-                 ("bicycle_start", self.bicycle_start,
-                  Vec3(LANE_END_M, self.bicycle_start.y, self.bicycle_start.z)))
-        for name, lane_start, lane_end in lanes:
+        for name, start, axis in lanes:
+            lane_end = start.with_component(axis, LANE_END_M)
             for i, box in enumerate(self.buildings):
-                if segment_blocked(lane_start, lane_end, (box,)):
+                if segment_blocked(start, lane_end, (box,)):
                     raise ValueError(f"{name} puts its lane to {lane_end} through building {i} "
                                      f"(building{i}_center, building{i}_half_extents)")
         # Both devices move in straight lines until the first reaches its lane
-        # end, so their closest approach before then has a closed form.
-        v, b = self.vehicle_start, self.bicycle_start
-        dx, dy = v.x - b.x, v.y - b.y
-        ux, uy = -self.bicycle_speed, self.vehicle_speed     # vehicle relative to bicycle
-        horizon = min(vehicle_horizon(self), bicycle_horizon(self))
-        t = min(max(-(dx * ux + dy * uy) / (ux * ux + uy * uy), 0.0), horizon)
-        gap = math.sqrt((dx + ux * t) ** 2 + (dy + uy * t) ** 2 + (v.z - b.z) ** 2)
+        # end, so their closest approach before then has a closed form in the
+        # vehicle's offset d and velocity u from the bicycle; u is 0 off lane axes a, b.
+        vehicle, bicycle = sample_trajectory(self, 0.0)
+        d = _xyz(self.vehicle_start - self.bicycle_start)
+        u = _xyz(vehicle.velocity - bicycle.velocity)
+        a, b = LANE_AXES.values()
+        t = min(max(-(d[a] * u[a] + d[b] * u[b]) / (u[a] * u[a] + u[b] * u[b]), 0.0),
+                min(lane_horizon(self, device) for device in LANE_AXES))
+        gap = math.sqrt((d[0] + u[0] * t) ** 2 + (d[1] + u[1] * t) ** 2 + (d[2] + u[2] * t) ** 2)
         if gap < MIN_DEVICE_GAP_M:
             raise ValueError(f"vehicle_start and bicycle_start, at vehicle_speed and "
                              f"bicycle_speed, bring the devices {gap:.3g} m apart at "
@@ -338,50 +346,39 @@ def build_scenario(scenario_id: int) -> ScenarioConfig:
     )
 
 
+def lane_horizon(config: ScenarioConfig, device: str) -> float:
+    """Time for ``device``, a key of ``LANE_AXES``, to reach the end of its lane."""
+    start = getattr(config, f"{device}_start").component(LANE_AXES[device])
+    return (LANE_END_M - start) / getattr(config, f"{device}_speed")
+
+
 def vehicle_horizon(config: ScenarioConfig) -> float:
-    """Time for the vehicle to reach the end of its lane."""
-    return (LANE_END_M - config.vehicle_start.y) / config.vehicle_speed
-
-
-def bicycle_horizon(config: ScenarioConfig) -> float:
-    """Time for the bicycle to reach the end of its lane."""
-    return (LANE_END_M - config.bicycle_start.x) / config.bicycle_speed
+    return lane_horizon(config, "vehicle")
 
 
 def scenario_horizon(config: ScenarioConfig) -> float:
     """Latest sample time: slower device's lane traversal."""
-    return max(vehicle_horizon(config), bicycle_horizon(config))
+    return max(lane_horizon(config, device) for device in LANE_AXES)
 
 
 def sample_trajectory(config: ScenarioConfig, t: float) -> tuple[Pose, Pose]:
     """Vehicle and bicycle poses at time ``t`` under constant-velocity motion.
 
-    The vehicle moves in +y, the bicycle in +x.  A device that has reached
-    the end of its lane stays there with zero velocity, so positions remain
-    within the lane endpoints for all t in [0, scenario_horizon].
+    Each device drives along its lane (``LANE_AXES``).  A device that has
+    reached the end of its lane stays there with zero velocity, so positions
+    remain within the lane endpoints for all t in [0, scenario_horizon].
     """
     if t < 0 or t > scenario_horizon(config) + 1e-9:
         raise ValueError(f"time {t} outside scenario horizon")
-
-    if t < vehicle_horizon(config):
-        vehicle = Pose(
-            Vec3(config.vehicle_start.x, config.vehicle_start.y + config.vehicle_speed * t,
-                 config.vehicle_start.z),
-            Vec3(0.0, config.vehicle_speed, 0.0),
-        )
-    else:
-        vehicle = Pose(Vec3(config.vehicle_start.x, LANE_END_M, config.vehicle_start.z))
-
-    if t < bicycle_horizon(config):
-        bicycle = Pose(
-            Vec3(config.bicycle_start.x + config.bicycle_speed * t, config.bicycle_start.y,
-                 config.bicycle_start.z),
-            Vec3(config.bicycle_speed, 0.0, 0.0),
-        )
-    else:
-        bicycle = Pose(Vec3(LANE_END_M, config.bicycle_start.y, config.bicycle_start.z))
-
-    return vehicle, bicycle
+    poses = []
+    for device, axis in LANE_AXES.items():
+        start, speed = getattr(config, f"{device}_start"), getattr(config, f"{device}_speed")
+        if t < lane_horizon(config, device):
+            poses.append(Pose(start.with_component(axis, start.component(axis) + speed * t),
+                              ZERO_VELOCITY.with_component(axis, speed)))
+        else:
+            poses.append(Pose(start.with_component(axis, LANE_END_M)))
+    return tuple(poses)
 
 
 def segment_blocked(a: Vec3, b: Vec3, buildings: tuple[BuildingBox, ...] | list[BuildingBox]) -> bool:

@@ -611,11 +611,11 @@ def test_unwritable_out_rejected_before_the_first_sample(command, tmp_path, monk
         raise AssertionError("a sweep sample ran")
 
     monkeypatch.setattr(harness, "trace_paths", never)
-    for out in (tmp_path / "missing_dir" / "x.csv", tmp_path):
+    for out in (tmp_path / "missing_dir" / "x.csv", tmp_path, ""):
         assert main([command, "--scenario", "1", "--link", "rsu-vehicle",
                      "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert "cannot write sweep CSV" in captured.err
+        assert f"cannot write sweep CSV to {str(out)!r}: " in captured.err
         assert captured.out == ""
     assert not (tmp_path / "missing_dir").exists()
 

@@ -1058,6 +1058,8 @@ def test_trial_count_checked_against_the_cap_before_any_fix(monkeypatch, trials,
     (SQUARE, 3, "degenerate"),
     ([Anchor(Vec3(x, 0.0, 0.0)) for x in (0.0, 5.0, 10.0)], 2, "degenerate"),
     (SQUARE, 4, "dim must be 2 or 3"),
+    (SQUARE, 2.0, "dim must be 2 or 3"),
+    (SQUARE, 3.0, "dim must be 2 or 3"),
 ])
 def test_bad_anchor_layout_gets_the_initializer_message(anchors, dim, message):
     with pytest.raises(ValueError, match=message):

@@ -523,7 +523,7 @@ def test_other_dimensions_rejected():
         solve_fixes(np.array([[0.0], [10.0]]), np.array([[3.0, 7.0]]))
 
 
-@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("dim", [1, 4, 2.0, 3.0])
 @pytest.mark.parametrize("solve", [
     lambda dim: linear_init(exact_measurements(SQUARE, Vec3(3.0, 4.0, 0.0)), dim=dim),
     lambda dim: ml_position(exact_measurements(SQUARE, Vec3(3.0, 4.0, 0.0)), dim=dim),
@@ -533,6 +533,12 @@ def test_every_vec3_entry_point_rejects_other_dimensions(solve, dim):
     # ``coordinates`` states the rule for every function taking Vec3 points.
     with pytest.raises(ValueError, match="dim must be 2 or 3"):
         solve(dim)
+
+
+def test_numpy_integer_dimension_accepted():
+    measurements = exact_measurements(SQUARE, Vec3(3.0, 4.0, 0.0))
+    assert linear_init(measurements, dim=np.int64(2)) == linear_init(measurements, dim=2)
+    assert ml_position(measurements, dim=np.int64(2)) == ml_position(measurements, dim=2)
 
 
 @pytest.mark.parametrize("anchors, options, message", [

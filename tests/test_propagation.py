@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_trajectory
 from channels import echo_path, los_path
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.propagation import (
     _GROUND,
     _IN_PLANE,
+    LANE_AXES,
     MAX_COORDINATE_M,
     BuildingBox,
     ChannelSnapshot,
@@ -25,12 +27,14 @@ from slpos.propagation import (
     building_facades,
     distance,
     friis_gain,
+    lane_horizon,
     sample_trajectory,
     scenario_from_text,
     scenario_horizon,
     scenario_to_text,
     segment_blocked,
     trace_paths,
+    vehicle_horizon,
 )
 
 WAVELENGTH = SPEED_OF_LIGHT / 5.9e9
@@ -93,6 +97,17 @@ def test_rsu_clearance_is_measured_to_the_lane_segments(rsu, accepted):
             dataclasses.replace(scn, rsu=Pose(rsu))
 
 
+@pytest.mark.parametrize("device", ["vehicle", "bicycle"])
+def test_rsu_clearance_names_the_lane_it_is_too_close_to(device):
+    # Half a metre above the middle of each lane.
+    scn = build_scenario(1)
+    start = getattr(scn, f"{device}_start")
+    rsu = Vec3(start.x, start.y, start.z + 0.5).with_component(LANE_AXES[device], 0.0)
+    with pytest.raises(ValueError, match=f"at least 1 m from the lane of {device}_start, "
+                                         f"got 0.5 m"):
+        dataclasses.replace(scn, rsu=Pose(rsu))
+
+
 @pytest.mark.parametrize("bicycle_z, accepted", [
     (1.0, True),     # the default scenario 2: 0.5 m apart at t = 4.5 s
     (1.2, True),     # 0.3 m
@@ -148,6 +163,42 @@ def test_trajectory_clamps_at_lane_end():
     assert vehicle.position.y == 70.0
     assert vehicle.velocity == Vec3(0.0, 0.0, 0.0)
     assert bicycle.position.x == pytest.approx(-16.4 + 4.0 * 15.0)
+
+
+def _random_lanes(rng, scenario_id):
+    """Scenario ``scenario_id`` with random starts along and beside both lanes
+    and random speeds, drawn again until the scenario is accepted."""
+    while True:
+        try:
+            return dataclasses.replace(
+                build_scenario(scenario_id),
+                vehicle_start=Vec3(rng.uniform(-5, 5), rng.uniform(-100, 70), rng.uniform(0.5, 3)),
+                bicycle_start=Vec3(rng.uniform(-100, 70), rng.uniform(-12, 12), rng.uniform(0.5, 3)),
+                vehicle_speed=rng.uniform(0.5, 30), bicycle_speed=rng.uniform(0.5, 30))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("scenario_id", [1, 2])
+def test_lanes_move_the_devices_as_the_per_device_trajectory_did(scenario_id):
+    rng = random.Random(scenario_id)
+    for _ in range(200):
+        scn = _random_lanes(rng, scenario_id)
+        ends = (oracle_trajectory.vehicle_horizon(scn), oracle_trajectory.bicycle_horizon(scn))
+        assert (lane_horizon(scn, "vehicle"), lane_horizon(scn, "bicycle")) == ends
+        assert vehicle_horizon(scn) == ends[0]
+        assert scenario_horizon(scn) == max(ends)
+        # Random times, each lane end, just beyond it, and the horizon's slack.
+        times = [rng.uniform(0, max(ends)) for _ in range(4)]
+        times += [t for end in ends for t in (end, math.nextafter(end, math.inf))]
+        times += [max(ends) + 1e-9, max(ends) + 1e-6]
+        for t in times:
+            if t > max(ends) + 1e-9:
+                for sample in (sample_trajectory, oracle_trajectory.sample_trajectory):
+                    with pytest.raises(ValueError, match="outside scenario horizon"):
+                        sample(scn, t)
+            else:
+                assert sample_trajectory(scn, t) == oracle_trajectory.sample_trajectory(scn, t)
 
 
 # --- blockage ----------------------------------------------------------------
