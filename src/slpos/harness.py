@@ -63,6 +63,7 @@ from .positioning import (
 from .propagation import (
     LANE_AXES,
     MAX_COORDINATE_M,
+    SPEED_RANGE,
     ChannelSnapshot,
     ScenarioConfig,
     build_scenario,
@@ -144,6 +145,11 @@ POSITION_RANGES = {
     # The scenario files' coordinate range.
     "range noise sigma": (0.0, MAX_COORDINATE_M, "m"),
 }
+# Working range of each ``check`` input: the scenario speeds (a maximum speed
+# of 0 reports unbounded budgets), and accuracies from 100 times finer than
+# requirement set 3's 0.1 m to 20 times coarser than set 1's 50 m.
+CHECK_RANGES = {"maximum speed": (*SPEED_RANGE[:2], "m/s, or 0 (unbounded)"),
+                "accuracy requirement": (1e-3, 1e3, "m")}
 
 
 @dataclass(frozen=True)
@@ -270,14 +276,14 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     pilots = make_pilots(ofdm, "all_ones")
     ends, lanes = _link(cfg.link, scenario.scenario_id)
     lane_keys = [f"{lane}_{key}" for lane in lanes for key in ("start", "speed")]
+    end_keys = ["rsu_position"] * (scenario.rsu is not None) + lane_keys
     horizon = min(lane_horizon(scenario, lane) for lane in lanes)
-    steps = horizon / scenario.measurement_interval
-    if not (math.isfinite(steps) and round(steps) + 1 <= _MAX_SAMPLES):
+    n_samples = round(horizon / scenario.measurement_interval) + 1
+    if n_samples > _MAX_SAMPLES:
         keys = " and ".join(lane_keys)
         raise ValueError(f"measurement_interval={scenario.measurement_interval} s over the "
                          f"{horizon:.4g} s horizon of link {cfg.link} (from {keys}) gives "
                          f"more than {_MAX_SAMPLES} sweep samples")
-    n_samples = int(round(steps)) + 1
 
     samples = []
     for sample_idx in range(n_samples):
@@ -288,15 +294,15 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
         samples.append((t, end_a, end_b, coord, distance(end_a.position, end_b.position)))
     farthest = max(sample[-1] for sample in samples)
     if monte_carlo and farthest >= ofdm.unambiguous_range:
-        keys = ["rsu_position"] * (scenario.rsu is not None) + lane_keys
-        raise ValueError(f"link {cfg.link} (from {', '.join(keys[:-1])} and {keys[-1]}) "
+        raise ValueError(f"link {cfg.link} (from {', '.join(end_keys[:-1])} and {end_keys[-1]}) "
                          f"reaches {farthest:.1f} m, but a round trip is unambiguous only "
                          f"below c / (2 subcarrier_spacing) = {ofdm.unambiguous_range:.1f} m")
 
     # A chunk starting at a sample whose first round trip is a multiple of
     # _TRIAL_BATCH fills exactly the batches a single process would.
     align = _TRIAL_BATCH // math.gcd(cfg.trials, _TRIAL_BATCH) if monte_carlo else 1
-    work = functools.partial(_sweep_chunk, cfg, scenario, ofdm, pilots, samples, monte_carlo)
+    work = functools.partial(_sweep_chunk, cfg, scenario, ofdm, pilots, samples, monte_carlo,
+                             end_keys)
     points = _forked(work, _chunks(n_samples, _usable_cpus(), align))
 
     if cfg.output_path is not None:
@@ -305,12 +311,13 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
 
 
 def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pilots,
-                 samples: Sequence[tuple], monte_carlo: bool,
+                 samples: Sequence[tuple], monte_carlo: bool, end_keys: Sequence[str],
                  chunk: range) -> list[CurvePoint]:
     """Trace, bound and (with ``monte_carlo``) Monte-Carlo the samples of
     ``chunk``, all traced and bounded first; one point per sample.  A Monte
     Carlo sample with a path of ``ofdm.unambiguous_range`` or more, whose
-    round trip wraps modulo the alias period, is rejected when traced."""
+    round trip wraps modulo the alias period, is rejected when traced,
+    naming the building of a wall echo or, for a ground echo, ``end_keys``."""
     chunk_samples = samples[chunk.start:chunk.stop]
     traced = []
     for t, end_a, end_b, coord, _ in chunk_samples:
@@ -319,14 +326,13 @@ def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pil
         if monte_carlo and longest >= ofdm.unambiguous_range:
             wall = snap.paths[-1].wall_index
             if wall is None:
-                source = "the ground"
-                keys = (["rsu_position"] * (scenario.rsu is not None)
-                        + [f"{lane}_start" for lane in _link(cfg.link, scenario.scenario_id)[1]])
+                source, keys = "the ground", end_keys
             else:
                 source = f"building {wall // 4}"
                 keys = [f"building{wall // 4}_{key}" for key in ("center", "half_extents")]
             raise ValueError(f"link {cfg.link} at sweep coordinate {coord:.1f} m has a "
-                             f"reflection off {source} (from {' and '.join(keys)}) of "
+                             f"reflection off {source} (from {', '.join(keys[:-1])} and "
+                             f"{keys[-1]}) of "
                              f"{longest:.1f} m, but a round trip resolves paths only below "
                              f"c / (2 subcarrier_spacing) = {ofdm.unambiguous_range:.1f} m")
         if snap.has_los:
@@ -611,25 +617,15 @@ class CoherenceReport:
 def coherence_and_latency_check(config: OfdmConfig, v_max: float,
                                 accuracy_req: float) -> CoherenceReport:
     """Symbol-count margin against wavelength * spacing / v_max, and the
-    latency budget 0.1 * accuracy / v_max.  A zero v_max reports unbounded
-    (infinite) margins rather than dividing by zero; otherwise v_max must
-    lie below the speed of light, and the limit and the budget (in ms)
-    must be finite positive floats."""
-    if not (math.isfinite(v_max) and v_max >= 0):
-        raise ValueError("maximum speed must be finite and nonnegative")
-    if not v_max < SPEED_OF_LIGHT:
-        raise ValueError(f"maximum speed must lie below the speed of light, got {v_max} m/s")
-    if not (math.isfinite(accuracy_req) and accuracy_req > 0):
-        raise ValueError("accuracy requirement must be finite and positive")
+    latency budget 0.1 * accuracy / v_max, both inputs within
+    ``CHECK_RANGES``.  A zero v_max reports unbounded (infinite) margins
+    rather than dividing by zero."""
+    check_range("accuracy requirement", accuracy_req, *CHECK_RANGES["accuracy requirement"])
     if v_max == 0.0:
         return CoherenceReport(math.inf, config.num_symbols, math.inf, math.inf)
+    check_range("maximum speed", v_max, *CHECK_RANGES["maximum speed"])
     limit = config.wavelength * config.subcarrier_spacing / v_max
     budget = 0.1 * accuracy_req / v_max
-    # The budget is printed in milliseconds, so it must stay finite in them.
-    for name, value in (("coherence symbol limit", limit), ("latency budget in ms", budget * 1e3)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} at {v_max} m/s for {accuracy_req} m must be finite "
-                             f"and positive, got {value}")
     return CoherenceReport(
         coherence_symbol_limit=limit,
         num_symbols=config.num_symbols,

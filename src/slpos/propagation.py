@@ -36,11 +36,20 @@ MIN_DEVICE_GAP_M = 0.25
 # The working range of scenarios and anchor layouts.  Every point and half
 # extent lies within MAX_COORDINATE_M of the origin in each coordinate
 # (``check_coordinates``), so that every squared distance, mirror image and
-# path phase stays finite; every speed is below the speed of light; and a
-# nonzero reflection coefficient has a magnitude of at least MIN_REFLECTION
-# (-240 dB), far below any budget's noise, so that no path gain underflows.
+# path phase stays finite; and a nonzero reflection coefficient has a
+# magnitude of at least MIN_REFLECTION (-240 dB), far below any budget's
+# noise, so that no path gain underflows.
 MAX_COORDINATE_M = 1e6
 MIN_REFLECTION = 1e-12
+
+# Working range (low, high, unit) of each real scalar ScenarioConfig field.
+# 150 m/s is above the 500 km/h relative speed of 3GPP TR 37.885's V2X
+# evaluations; 0.1 m/s keeps every lane horizon finite and the devices'
+# relative speed from underflowing.  1 ms is an LTE sidelink subframe,
+# 15 cm of travel at the top speed; 1000 s is 10^4 times the default 0.1 s.
+SPEED_RANGE = (0.1, 150.0, "m/s")
+SCENARIO_RANGES = {"vehicle_speed": SPEED_RANGE, "bicycle_speed": SPEED_RANGE,
+                   "measurement_interval": (1e-3, 1e3, "s")}
 
 # Parametric overlap below this fraction of the segment counts as grazing
 # contact, not blockage.
@@ -244,12 +253,8 @@ class ScenarioConfig:
                        (f"building{i}_half_extents", box.half_extents)]
         for name, point in points:
             check_coordinates(name, point)
-        for name in ("vehicle_speed", "bicycle_speed", "measurement_interval"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-            if name != "measurement_interval" and not value < SPEED_OF_LIGHT:
-                raise ValueError(f"{name} must lie below the speed of light, got {value}")
+        for name, limits in SCENARIO_RANGES.items():
+            check_range(name, getattr(self, name), *limits)
         for name in ("ground_reflection_coeff", "wall_reflection_coeff"):
             value = getattr(self, name)
             # The parts are bounded first: abs() of a huge complex overflows.
@@ -292,11 +297,12 @@ class ScenarioConfig:
         # Both devices move in straight lines until the first reaches its lane
         # end, so their closest approach before then has a closed form in the
         # vehicle's offset d and velocity u from the bicycle; u is 0 off lane axes a, b.
+        # The speed floor keeps |u|^2 from underflowing; max(0.0, ...) turns -0.0 into 0.0.
         vehicle, bicycle = sample_trajectory(self, 0.0)
         d = _xyz(self.vehicle_start - self.bicycle_start)
         u = _xyz(vehicle.velocity - bicycle.velocity)
         a, b = LANE_AXES.values()
-        t = min(max(-(d[a] * u[a] + d[b] * u[b]) / (u[a] * u[a] + u[b] * u[b]), 0.0),
+        t = min(max(0.0, -(d[a] * u[a] + d[b] * u[b]) / (u[a] * u[a] + u[b] * u[b])),
                 min(lane_horizon(self, device) for device in LANE_AXES))
         gap = math.sqrt((d[0] + u[0] * t) ** 2 + (d[1] + u[1] * t) ** 2 + (d[2] + u[2] * t) ** 2)
         if gap < MIN_DEVICE_GAP_M:
@@ -388,6 +394,8 @@ def segment_blocked(a: Vec3, b: Vec3, buildings: tuple[BuildingBox, ...] | list[
     overlap) counts as unblocked.  Endpoints are ordered canonically first
     so the decision is bitwise identical for (a, b) and (b, a).
     """
+    check_coordinates("segment start", a)
+    check_coordinates("segment end", b)
     if a == b:
         raise ValueError("degenerate segment")
     return _crosses(_xyz(a), _xyz(b),
@@ -398,19 +406,12 @@ def _xyz(v: Vec3) -> tuple[float, float, float]:
     return (v.x, v.y, v.z)
 
 
-def _finite(v: tuple[float, float, float]) -> tuple[float, float, float]:
-    """``v``, or the ValueError that building a ``Vec3`` of it raises."""
-    if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
-        Vec3(*v)
-    return v
-
-
 def _crosses(a: tuple[float, float, float], b: tuple[float, float, float], slabs) -> bool:
     """``segment_blocked`` for distinct coordinate triples, against the
     (min corner, max corner) triples of the buildings."""
     if b < a:
         a, b = b, a
-    d = _finite((b[0] - a[0], b[1] - a[1], b[2] - a[2]))
+    d = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
     for lo, hi in slabs:
         lo_t, hi_t = 0.0, 1.0
         for av, dv, lo_axis, hi_axis in zip(a, d, lo, hi):
@@ -455,7 +456,6 @@ def _mirror(p: Pose, axis: int, coord: float) -> tuple[list[float], list[float]]
     vel = [p.velocity.x, p.velocity.y, p.velocity.z]
     pos[axis] = 2.0 * coord - pos[axis]
     vel[axis] = -vel[axis]
-    _finite(pos)
     return pos, vel
 
 
@@ -466,10 +466,10 @@ def _image_path(tx: Pose, pos, vel, wavelength: float, coeff: complex,
     coefficient ``coeff``.  Its radial velocity is the rate of change of the
     length, sep . (vel - tx velocity) / |sep| with sep = pos - tx position."""
     t, v = tx.position, tx.velocity
-    sep = _finite((pos[0] - t.x, pos[1] - t.y, pos[2] - t.z))
+    sep = (pos[0] - t.x, pos[1] - t.y, pos[2] - t.z)
     d = math.sqrt(sep[0] * sep[0] + sep[1] * sep[1] + sep[2] * sep[2])
     gain = _free_space(d, wavelength) * coeff
-    dv = _finite((vel[0] - v.x, vel[1] - v.y, vel[2] - v.z))
+    dv = (vel[0] - v.x, vel[1] - v.y, vel[2] - v.z)
     return PathComponent(
         delay=d / SPEED_OF_LIGHT,
         gain=gain,
@@ -487,8 +487,7 @@ def _reflection_point(tx: tuple[float, float, float], rx: tuple[float, float, fl
     and the specular point to land on its rectangle.  The point divides
     the plane between the two feet in proportion to the opposite plane
     distances; that weighted form is symmetric in (tx, rx), so both link
-    directions make bitwise-identical decisions.  A point that would make
-    a ``Vec3`` non-finite raises its ValueError.
+    directions make bitwise-identical decisions.
     """
     axis = plane.axis
     d_tx = plane.sign * (tx[axis] - plane.coord)
@@ -500,12 +499,11 @@ def _reflection_point(tx: tuple[float, float, float], rx: tuple[float, float, fl
     pu = (tx[u] * d_rx + rx[u] * d_tx) / total
     pv = (tx[v] * d_rx + rx[v] * d_tx) / total
     lo, hi = plane.lo, plane.hi
-    # Comparisons a NaN fails, so that it reaches the finiteness check.
     if pu < lo[u] or hi[u] < pu or pv < lo[v] or hi[v] < pv:
         return None
     point = [pu, pv]
     point.insert(axis, plane.coord)
-    return _finite(tuple(point))
+    return tuple(point)
 
 
 def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
@@ -517,10 +515,14 @@ def trace_paths(tx: Pose, rx: Pose, config: ScenarioConfig, wavelength: float,
     by the ground reflection coefficient) and each facade (by the wall
     coefficient), whose specular point lies on the plane with both
     sub-segments clear, via the receiver image mirrored in that plane.  An
-    empty path list is legal under full blockage.  The geometry runs on
-    coordinate triples, against the buildings' slabs and facades computed
-    once per scenario.
+    empty path list is legal under full blockage.  Both poses are checked
+    on entry against the coordinate and speed ranges, so every path stays
+    finite.  The geometry runs on coordinate triples, against the buildings'
+    slabs and facades computed once per scenario.
     """
+    for name, pose in (("transmitter", tx), ("receiver", rx)):
+        check_coordinates(name, pose.position)
+        check_range(f"{name} speed", pose.velocity.norm(), 0.0, SPEED_RANGE[1], "m/s")
     if tx.position == rx.position:
         raise ValueError("transmitter and receiver coincide")
     paths: list[PathComponent] = []

@@ -1,7 +1,19 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from slpos import harness
 from slpos.signal import default_config, make_pilots
+
+
+# Where CI is set, as GitHub Actions sets it, every property test draws the
+# same examples on every run, so a CI failure reproduces locally with
+# CI=true, and a failure prints the blob that replays it.  No deadline, as
+# in Hypothesis's own profile of that name, which this one replaces.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,20 @@ from hypothesis import strategies as st
 import slpos.cli
 from slpos import harness
 from slpos.cli import main
-from slpos.harness import POSITION_RANGES, RUN_RANGES, RunConfig, read_csv, run_ranging_sweep
-from slpos.propagation import build_scenario, scenario_from_text, scenario_to_text
+from slpos.harness import (
+    CHECK_RANGES,
+    POSITION_RANGES,
+    RUN_RANGES,
+    RunConfig,
+    read_csv,
+    run_ranging_sweep,
+)
+from slpos.propagation import (
+    SCENARIO_RANGES,
+    build_scenario,
+    scenario_from_text,
+    scenario_to_text,
+)
 from channels import echo_path, los_path, make_snapshot
 from slpos.bounds import reb_waa
 from slpos.estimation import PEAK_POLICIES
@@ -127,15 +139,15 @@ def test_check_subcommand(capsys):
 @pytest.mark.parametrize("vmax, accuracy, lines", [
     ("14", "3", ["coherent symbol limit 435.5, pilot uses 12 symbols (margin 36.3x, ok)",
                  "latency budget for 3.0 m at 14.0 m/s: 21.43 ms"]),
-    ("1e8", "1e-6", ["coherent symbol limit 6.097e-05, pilot uses 12 symbols "
-                     "(margin 5.08e-06x, VIOLATED)",
-                     "latency budget for 1e-06 m at 100000000.0 m/s: 1e-12 ms"]),
-    ("1e-300", "1", ["coherent symbol limit 6.097e+303, pilot uses 12 symbols "
-                     "(margin 5.08e+302x, ok)",
-                     "latency budget for 1.0 m at 1e-300 m/s: 1e+302 ms"]),
+    ("150", "1e-3", ["coherent symbol limit 40.65, pilot uses 12 symbols (margin 3.39x, ok)",
+                     "latency budget for 0.001 m at 150.0 m/s: 0.0006667 ms"]),
+    ("0.1", "1e3", ["coherent symbol limit 6.097e+04, pilot uses 12 symbols "
+                    "(margin 5.08e+03x, ok)",
+                    "latency budget for 1000.0 m at 0.1 m/s: 1e+06 ms"]),
 ], ids=["default", "tiny", "huge"])
 def test_check_prints_each_result_in_significant_digits(vmax, accuracy, lines, capsys):
-    # Neither rounded to 0 nor printed with hundreds of digits.
+    # At the edges of CHECK_RANGES: neither rounded to 0 nor printed with
+    # many digits.
     assert main(["check", "--vmax", vmax, "--accuracy", accuracy]) == 0
     assert capsys.readouterr().out.splitlines() == lines
 
@@ -146,15 +158,16 @@ def test_check_zero_speed(capsys):
 
 
 @pytest.mark.parametrize("vmax, accuracy, quantity", [
-    ("5e-324", "1", "coherence symbol limit"),
-    ("1e-308", "1e308", "coherence symbol limit"),
-    ("1e308", "1e-308", "maximum speed must lie below the speed of light"),
-    ("100", "5e-324", "latency budget"),
-    ("1e-300", "2e6", "latency budget"),
+    ("5e-324", "1", "maximum speed must lie in [0.1, 150] m/s, or 0 (unbounded), got 5e-324"),
+    ("1e-308", "1e308", "accuracy requirement must lie in [0.001, 1000] m, got 1e+308"),
+    ("1e308", "1", "maximum speed must lie in [0.1, 150] m/s, or 0 (unbounded), got 1e+308"),
+    ("100", "5e-324", "accuracy requirement must lie in [0.001, 1000] m, got 5e-324"),
+    ("1e-300", "2e6", "accuracy requirement must lie in [0.001, 1000] m, got 2000000.0"),
 ])
 def test_check_rejects_results_outside_the_float_range(vmax, accuracy, quantity, capsys):
-    # An infinite limit or budget, a budget that underflows to 0 ms, or a
-    # speed the scenario would reject is a configuration error.
+    # Inputs that once gave an infinite limit or budget, a budget that
+    # underflows to 0 ms, or a speed beyond any road's lie outside
+    # CHECK_RANGES, and are rejected by name.
     assert main(["check", "--vmax", vmax, "--accuracy", accuracy]) == 1
     captured = capsys.readouterr()
     assert "configuration error" in captured.err and quantity in captured.err
@@ -252,6 +265,15 @@ _BEYOND_RANGE = [
      "trials must lie in [1, 1e+07] fixes, got 10000001"),
     (["position", "--sigma", "1", "--seed=-1"],
      "seed must lie in [0, inf] (a NumPy seed), got -1"),
+    # One step beyond each edge of both CHECK_RANGES rows; 0 m/s is accepted.
+    (["check", "--accuracy", "3", "--vmax", "0.09999999999999999"],
+     "maximum speed must lie in [0.1, 150] m/s, or 0 (unbounded), got 0.09999999999999999"),
+    (["check", "--accuracy", "3", "--vmax", "150.00000000000003"],
+     "maximum speed must lie in [0.1, 150] m/s, or 0 (unbounded), got 150.00000000000003"),
+    (["check", "--vmax", "14", "--accuracy", "0.0009999999999999998"],
+     "accuracy requirement must lie in [0.001, 1000] m, got 0.0009999999999999998"),
+    (["check", "--vmax", "14", "--accuracy", "1000.0000000000001"],
+     "accuracy requirement must lie in [0.001, 1000] m, got 1000.0000000000001"),
     (["position", "--sigma=-5e-324"], "range noise sigma must lie in [0, 1e+06] m, got -5e-324"),
     (["position", "--sigma", "1000000.0000000001"],
      "range noise sigma must lie in [0, 1e+06] m, got 1000000.0000000001"),
@@ -501,35 +523,13 @@ _SCENARIO_KEYS = [(scenario_id, line.split("=", 1)[0]) for scenario_id in (1, 2)
                   if not line.startswith("scenario_id=")]
 
 
-@settings(max_examples=50, deadline=None)
-@given(target=st.sampled_from(_SCENARIO_KEYS), component=st.integers(0, 2), value=st.floats())
-@example(target=(2, "vehicle_start"), component=0, value=1e308)
-@example(target=(1, "vehicle_start"), component=1, value=-1e6)
-@example(target=(2, "bicycle_speed"), component=0, value=5e-324)
-@example(target=(1, "wall_reflection_coeff"), component=1, value=1e-300)
-@example(target=(2, "building3_center"), component=0, value=1e154)
-@example(target=(1, "rsu_position"), component=0, value=1e6)
-def test_any_one_scenario_value_runs_or_exits_1_naming_its_key(target, component, value,
-                                                               tmp_path_factory):
-    # One component of one value is edited: an x, y or z of a vector, the
-    # real or imaginary part of a coefficient, or a scalar.  The file either
-    # sweeps to the end, with a positive (or infinite) bound on every
-    # line-of-sight sample, or is rejected with a message naming the edited
-    # key; no value escapes as a traceback.  The sample cap is lowered so
-    # that no example sweeps for long: a sweep beyond it is rejected naming
-    # the keys of its horizon.
-    scenario_id, key = target
-    entries = dict(line.split("=", 1)
-                   for line in scenario_to_text(build_scenario(scenario_id)).splitlines())
-    if "coeff" in key:
-        parts = [complex(entries[key]).real, complex(entries[key]).imag]
-        parts[component % 2] = value
-        entries[key] = str(complex(*parts)).strip("()")
-    else:
-        parts = entries[key].split(",")
-        parts[component % len(parts)] = repr(value)
-        entries[key] = ",".join(parts)
-    directory = tmp_path_factory.mktemp("scenario")
+def _sweeps_or_exits_1_naming_a_key(scenario_id, entries, keys, directory):
+    """Run ``bounds``, and ``ranging`` up to its first trace, on the scenario
+    file of ``entries``: each either runs (the bounds sweep to the end, with a
+    positive or infinite bound on every line-of-sight sample) or exits 1
+    naming one of the edited ``keys``; no value escapes as a traceback.  The
+    sample cap is lowered so that no sweep runs for long: a sweep beyond it
+    is rejected naming the keys of its horizon."""
     (directory / "scn.txt").write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
     link = "rsu-vehicle" if scenario_id == 1 else "vehicle-bicycle"
     common = ["--scenario", str(scenario_id), "--link", link, "--scenario-file",
@@ -550,14 +550,94 @@ def test_any_one_scenario_value_runs_or_exits_1_naming_its_key(target, component
             ranging_code = None
     assert code in (0, 1), bounds_err
     if code == 1:
-        assert key in bounds_err
+        assert any(key in bounds_err for key in keys), bounds_err
     else:
         for p in read_csv(str(directory / "out.csv")):
             assert not p.los_present or min(p.reb_los, p.reb_all, p.reb_waa) > 0
     ranging_err = stderr.getvalue()[len(bounds_err):]
     assert ranging_code in (None, 1), ranging_err
     if ranging_code == 1:
-        assert key in ranging_err
+        assert any(key in ranging_err for key in keys), ranging_err
+
+
+def _scenario_entries(scenario_id):
+    return dict(line.split("=", 1)
+                for line in scenario_to_text(build_scenario(scenario_id)).splitlines())
+
+
+@settings(max_examples=50, deadline=None)
+@given(target=st.sampled_from(_SCENARIO_KEYS), component=st.integers(0, 2), value=st.floats())
+@example(target=(2, "vehicle_start"), component=0, value=1e308)
+@example(target=(1, "vehicle_start"), component=1, value=-1e6)
+@example(target=(2, "bicycle_speed"), component=0, value=5e-324)
+@example(target=(1, "wall_reflection_coeff"), component=1, value=1e-300)
+@example(target=(2, "building3_center"), component=0, value=1e154)
+@example(target=(1, "rsu_position"), component=0, value=1e6)
+def test_any_one_scenario_value_runs_or_exits_1_naming_its_key(target, component, value,
+                                                               tmp_path_factory):
+    # One component of one value is edited: an x, y or z of a vector, the
+    # real or imaginary part of a coefficient, or a scalar.
+    scenario_id, key = target
+    entries = _scenario_entries(scenario_id)
+    if "coeff" in key:
+        parts = [complex(entries[key]).real, complex(entries[key]).imag]
+        parts[component % 2] = value
+        entries[key] = str(complex(*parts)).strip("()")
+    else:
+        parts = entries[key].split(",")
+        parts[component % len(parts)] = repr(value)
+        entries[key] = ",".join(parts)
+    _sweeps_or_exits_1_naming_a_key(scenario_id, entries, [key],
+                                    tmp_path_factory.mktemp("scenario"))
+
+
+# The scenario keys whose value is one real number, and values for them:
+# any float, or one around their working ranges.
+_SCALAR_SCENARIO_KEYS = ("vehicle_speed", "bicycle_speed", "measurement_interval")
+_SCALAR_VALUES = st.floats() | st.floats(min_value=1e-4, max_value=2e3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario_id=st.sampled_from((1, 2)),
+       keys=st.lists(st.sampled_from(_SCALAR_SCENARIO_KEYS), min_size=2, max_size=2,
+                     unique=True),
+       values=st.tuples(_SCALAR_VALUES, _SCALAR_VALUES))
+@example(scenario_id=2, keys=["vehicle_speed", "bicycle_speed"], values=(1e-170, 1e-170))
+@example(scenario_id=1, keys=["vehicle_speed", "measurement_interval"], values=(0.1, 1e-3))
+def test_any_two_scenario_scalars_run_or_exit_1_naming_a_key(scenario_id, keys, values,
+                                                             tmp_path_factory):
+    # Two scalars edited at once: a pair of values may be rejected only
+    # together, as both speeds slow enough for the devices' relative speed
+    # to underflow once were.
+    entries = _scenario_entries(scenario_id)
+    entries.update((key, repr(value)) for key, value in zip(keys, values))
+    _sweeps_or_exits_1_naming_a_key(scenario_id, entries, keys,
+                                    tmp_path_factory.mktemp("scenario"))
+
+
+@pytest.mark.parametrize("command", ["bounds", "ranging"])
+@pytest.mark.parametrize("edits, message", [
+    # Both speeds once passed their checks and divided by a squared relative
+    # speed that underflowed to 0, a ZeroDivisionError traceback.
+    ({"vehicle_speed": "1e-170", "bicycle_speed": "1e-170"},
+     "vehicle_speed must lie in [0.1, 150] m/s, got 1e-170"),
+    # Devices one above the other at the start: their closest approach is at
+    # t = 0 s, once printed as -0 s.
+    ({"vehicle_start": "0.0,0.0,1.5", "bicycle_start": "0.0,0.0,1.4"},
+     "vehicle_start and bicycle_start, at vehicle_speed and bicycle_speed, bring the "
+     "devices 0.1 m apart at t = 0 s; they must stay at least 0.25 m apart"),
+], ids=["both-speeds-1e-170", "met-at-the-start"])
+def test_scenario_2_pair_of_values_rejected_by_name(command, edits, message, tmp_path, capsys):
+    entries = {**_scenario_entries(2), **edits}
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", "2", "--link", "vehicle-bicycle",
+                 "--scenario-file", str(scn_file), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"slpos: configuration error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_duplicate_scenario_key_rejected_by_name(tmp_path, capsys):
@@ -623,12 +703,11 @@ def test_unwritable_out_rejected_before_the_first_sample(command, tmp_path, monk
 @pytest.mark.parametrize("command", ["ranging", "bounds"])
 def test_sample_count_beyond_the_cap_rejected_before_the_first_sample(command, tmp_path,
                                                                      monkeypatch, capsys):
-    # A vehicle at 1e-320 m/s never leaves its lane: the rsu-vehicle horizon
-    # is infinite, and so is its sample count at any measurement interval.
-    lines = ["vehicle_speed=1e-320" if line.startswith("vehicle_speed=") else line
-             for line in scenario_to_text(build_scenario(1)).splitlines()]
+    # At the floors of the vehicle speed and the measurement interval, the
+    # 140 m rsu-vehicle lane takes 1400 s: 1.4e6 samples, beyond the cap.
+    entries = {**_scenario_entries(1), "vehicle_speed": "0.1", "measurement_interval": "0.001"}
     scn_file = tmp_path / "scn.txt"
-    scn_file.write_text("\n".join(lines) + "\n")
+    scn_file.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
 
     def never(*args, **kwargs):
         raise AssertionError("a sweep sample ran")
@@ -722,9 +801,10 @@ building1_half_extents=25.0,1000.0,15.0
     # A facade 1475 m out, 2000 m long: its echo runs about 2949 m.
     ({"building0_center": "1500.0,0.0,15.0", "building0_half_extents": "25.0,1000.0,15.0"},
      36, "building 0", ("building0_center", "building0_half_extents")),
-    # Both ends 1300 m up: the ground echo runs about 2601 m.
+    # Both ends 1300 m up: the ground echo runs about 2601 m.  It names the
+    # keys that place the link's ends.
     ({"rsu_position": "0.0,0.0,1300.0", "vehicle_start": "1.6,-70.0,1300.0"},
-     0, "the ground", ("rsu_position", "vehicle_start")),
+     0, "the ground", ("rsu_position", "vehicle_start", "vehicle_speed")),
     # A whole scenario file, rather than edits of scenario 1's.
     pytest.param(_FAR_FACADE, 0, "building 1", ("building1_center", "building1_half_extents"),
                  id="far-facade-file"),
@@ -763,7 +843,7 @@ def test_ranging_with_an_echo_beyond_the_alias_period_rejected_naming_its_keys(
     coord = -70.0 + 1.4 * at
     assert captured.err.startswith(f"slpos: configuration error: link {link} at sweep "
                                    f"coordinate {coord:.1f} m has a reflection off {reflector} "
-                                   f"(from {keys[0]} and {keys[1]}) of ")
+                                   f"(from {', '.join(keys[:-1])} and {keys[-1]}) of ")
     assert captured.err.endswith(" m, but a round trip resolves paths only below "
                                  "c / (2 subcarrier_spacing) = 1249.1 m\n")
     assert len(bounded) == at
@@ -849,6 +929,9 @@ _DOCUMENTED_RANGES = {
     "`position --trials`": (POSITION_RANGES, "trials"),
     "`position --seed`": (POSITION_RANGES, "seed"),
     "`position --sigma`": (POSITION_RANGES, "range noise sigma"),
+    **{f"`{name}`": (SCENARIO_RANGES, name) for name in SCENARIO_RANGES},
+    "`check --vmax`": (CHECK_RANGES, "maximum speed"),
+    "`check --accuracy`": (CHECK_RANGES, "accuracy requirement"),
 }
 
 
@@ -868,8 +951,11 @@ def test_readme_range_table_matches_the_code():
     # A changed range fails here instead of leaving README stale.
     rows = _readme_range_table()
     assert [name for name, _, _ in rows] == list(_DOCUMENTED_RANGES)
-    assert {name for table, name in _DOCUMENTED_RANGES.values()
-            if table is not WORKING_RANGES} == set(RUN_RANGES) | set(POSITION_RANGES)
+    # Every row of each table but the waveform's, of which only the two
+    # fields the command line sets are documented here.
+    for table in (RUN_RANGES, POSITION_RANGES, SCENARIO_RANGES, CHECK_RANGES):
+        assert [name for documented, name in _DOCUMENTED_RANGES.values()
+                if documented is table] == list(table)
     for name, lo, hi in rows:
         table, entry = _DOCUMENTED_RANGES[name]
         code_lo, code_hi, _ = table[entry]

@@ -1186,6 +1186,14 @@ def test_latency_budget(ofdm):
     assert report.latency_budget_s == pytest.approx(0.0214, rel=1e-2)
 
 
+def test_coherence_violated_by_more_symbols_than_the_limit(ofdm):
+    # At the top speed the limit is 40.65 symbols: the default 12 fit, 448 do not.
+    many = dataclasses.replace(ofdm, num_symbols=448)
+    report = coherence_and_latency_check(many, v_max=150.0, accuracy_req=3.0)
+    assert report.coherence_symbol_limit == pytest.approx(40.65, rel=1e-3)
+    assert not report.coherent
+
+
 def test_zero_speed_reports_unbounded(ofdm):
     report = coherence_and_latency_check(ofdm, v_max=0.0, accuracy_req=3.0)
     assert math.isinf(report.coherence_margin)
@@ -1199,5 +1207,5 @@ def test_negative_speed_rejected(ofdm):
 
 @pytest.mark.parametrize("v_max, accuracy", [(math.inf, 3.0), (14.0, math.inf)])
 def test_infinite_speed_or_accuracy_rejected(ofdm, v_max, accuracy):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="must lie in"):
         coherence_and_latency_check(ofdm, v_max=v_max, accuracy_req=accuracy)

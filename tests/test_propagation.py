@@ -15,6 +15,8 @@ from slpos.propagation import (
     _IN_PLANE,
     LANE_AXES,
     MAX_COORDINATE_M,
+    SCENARIO_RANGES,
+    SPEED_RANGE,
     BuildingBox,
     ChannelSnapshot,
     PathKind,
@@ -230,6 +232,15 @@ def test_degenerate_segment_rejected():
         segment_blocked(Vec3(1, 1, 1), Vec3(1, 1, 1), [])
 
 
+@pytest.mark.parametrize("a, b, name", [
+    (Vec3(1e308, 0.0, 1.0), Vec3(0.0, 0.0, 1.0), "segment start"),
+    (Vec3(0.0, 0.0, 1.0), Vec3(0.0, -1e6 - 1e-9, 1.0), "segment end"),
+])
+def test_segment_end_beyond_the_coordinate_range_rejected(a, b, name):
+    with pytest.raises(ValueError, match=f"{name} must lie within 1e\\+06 m of the origin"):
+        segment_blocked(a, b, [])
+
+
 def test_a_moved_building_blocks_by_its_own_geometry():
     # trace_paths keeps each scenario's building slabs and facades: a
     # scenario parsed with building 0 moved, traced after the stock one in
@@ -250,11 +261,48 @@ def test_a_moved_building_blocks_by_its_own_geometry():
 
 
 def test_trace_of_overflowing_coordinates_is_rejected():
-    # The segment's extent overflows; the trace raises where the vector
-    # arithmetic of the endpoints would.
-    with pytest.raises(ValueError, match="non-finite vector components"):
+    # The segment's extent would overflow; the trace rejects its ends on
+    # entry, beyond the working range of coordinates.
+    with pytest.raises(ValueError, match=r"transmitter must lie within 1e\+06 m of the origin"):
         trace_paths(Pose(Vec3(1e308, 0.0, 1.0)), Pose(Vec3(-1e308, 0.0, 1.0)),
                     build_scenario(2), WAVELENGTH)
+
+
+@pytest.mark.parametrize("tx, rx, message", [
+    (Pose(Vec3(0.0, 0.0, 1.0)), Pose(Vec3(0.0, 1e6 + 1e-9, 1.0)),
+     r"receiver must lie within 1e\+06 m of the origin"),
+    (Pose(Vec3(0.0, 0.0, 1.0), Vec3(0.0, 0.0, 150.00000000000003)), Pose(Vec3(1.0, 0.0, 1.0)),
+     r"transmitter speed must lie in \[0, 150\] m/s, got 150.00000000000003"),
+    (Pose(Vec3(0.0, 0.0, 1.0)), Pose(Vec3(1.0, 0.0, 1.0), Vec3(1e200, 1e200, 0.0)),
+     r"receiver speed must lie in \[0, 150\] m/s, got inf"),
+], ids=["receiver-position", "transmitter-speed", "receiver-speed-overflow"])
+def test_trace_of_a_pose_beyond_the_working_range_is_rejected(tx, rx, message):
+    with pytest.raises(ValueError, match=message):
+        trace_paths(tx, rx, build_scenario(2), WAVELENGTH)
+
+
+def test_trace_at_the_edges_of_the_working_range_is_finite():
+    # Ends at opposite corners of the coordinate range, each at the top
+    # speed, against scenario 1's buildings: every path is finite.
+    edge, top = MAX_COORDINATE_M, SPEED_RANGE[1]
+    tx = Pose(Vec3(-edge, -edge, edge), Vec3(top, 0.0, 0.0))
+    rx = Pose(Vec3(edge, edge, 1e-9), Vec3(0.0, -top, 0.0))
+    for a, b in ((tx, rx), (rx, tx)):
+        snap = trace_paths(a, b, build_scenario(1), WAVELENGTH)
+        assert snap.paths
+        for path in snap.paths:
+            assert math.isfinite(path.delay) and math.isfinite(path.radial_velocity)
+            assert math.isfinite(abs(path.gain)) and abs(path.gain) > 0
+
+
+@pytest.mark.parametrize("name", list(SCENARIO_RANGES))
+def test_scenario_scalar_at_its_edges_builds_and_beyond_them_is_rejected(name):
+    lo, hi, unit = SCENARIO_RANGES[name]
+    for value in (lo, hi):
+        assert getattr(dataclasses.replace(build_scenario(1), **{name: value}), name) == value
+    for value in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^{name} must lie in "):
+            dataclasses.replace(build_scenario(1), **{name: value})
 
 
 # --- free-space gain ---------------------------------------------------------
