@@ -196,14 +196,15 @@ def reb_los_only(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig
     return _reb(channel.paths[:1], pilots, config)
 
 
-def reb_all_paths(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
-                  beta: float = DEFAULT_BETA) -> float:
-    """Range error bound estimating all in-cell paths jointly (meters or inf).
+def reb_all_paths(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig) -> float:
+    """Range error bound estimating all in-cell paths jointly (meters or inf),
+    for the cell of the default width ``DEFAULT_BETA``; ``reb_waa``'s report
+    gives it at any width.
 
     Paths outside the resolution cell do not affect the accuracy of the
     line-of-sight delay and are removed to tighten the bound.
     """
-    cell = resolution_cell(channel, beta, config)
+    cell = resolution_cell(channel, DEFAULT_BETA, config)
     return _reb([channel.paths[i] for i in cell], pilots, config)
 
 

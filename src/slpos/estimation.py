@@ -26,8 +26,7 @@ PEAK_POLICIES = ("global_peak", "first_peak")
 class DelaySpectrum:
     """Oversampled delay-power profile.
 
-    ``power`` has length K = oversample * N_s along its last axis and
-    nonnegative entries; a batch of spectra stacks them as ... x K.
+    ``power`` has length K = oversample * N_s and nonnegative entries.
     ``bin_spacing`` is 1 / (K * subcarrier_spacing) seconds.
     """
 
@@ -74,16 +73,18 @@ def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
                    window: np.ndarray | None = None, oversample: int = 16) -> DelaySpectrum:
     """Accumulate window * (rx / pilots) over symbols, zero-pad, |IDFT|^2.
 
-    ``rx.symbols`` is one T x N_s grid or a stack ... x T x N_s, and the
-    power has shape ... x K with K = oversample * N_s.  Only peak locations
-    and power ratios are consumed downstream, so the fixed 1/K IDFT
-    normalization is immaterial.  Pilot entries must be nonzero
-    (element-wise division removes them exactly).
+    ``rx.symbols`` is one T x N_s grid, and the power has length
+    K = oversample * N_s.  Only peak locations and power ratios are
+    consumed downstream, so the fixed 1/K IDFT normalization is immaterial.
+    Pilot entries must be nonzero (element-wise division removes them
+    exactly).
     """
     if oversample < 1:
         raise ValueError("oversample factor must be >= 1")
     if np.any(pilots.symbols == 0):
         raise ValueError("pilot grid contains zero entries")
+    if rx.symbols.shape != pilots.symbols.shape:
+        raise ValueError("received symbols must be one T x N_s grid, the pilots' shape")
     n_sub = config.num_subcarriers
     w = hamming_window(n_sub) if window is None else np.asarray(window, dtype=float)
     if w.shape != (n_sub,):
@@ -91,8 +92,7 @@ def delay_spectrum(rx: RxSymbols, pilots: PilotGrid, config: OfdmConfig,
     compensated = rx.symbols / pilots.symbols
     compensated *= w
     k = oversample * n_sub
-    power = _idft_power(compensated.sum(axis=-2).reshape(-1, n_sub), k)
-    power = power.reshape(compensated.shape[:-2] + (k,)).copy()
+    power = _idft_power(compensated.sum(axis=0)[None, :], k)[0].copy()
     return DelaySpectrum(power=power, bin_spacing=1.0 / (k * config.subcarrier_spacing))
 
 

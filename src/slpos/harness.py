@@ -122,9 +122,12 @@ _MIN_CHUNK = 40
 # _TRIAL_BATCH bounds the peak search's.
 _FIX_BATCH = 1024
 
-# Largest sweep sample count, about 3,000 times the 351-sample rsu-bicycle
-# sweep: every sample's snapshot is held before the Monte Carlo starts.
-_MAX_SAMPLES = 10**6
+# Largest sweep sample count, about 300 times the 351-sample rsu-bicycle
+# sweep.  Every sample's poses, snapshot and bounds are held until the CSV
+# is written, about 2 KB per sample: a 10^5-sample rsu-bicycle bounds sweep
+# peaks at 223 MB RSS in one process (30 MB after import), and split two
+# ways at 164 MB in the parent and 146 MB in its forked child.
+_MAX_SAMPLES = 10**5
 
 # Working range (low, high, unit) of each numeric RunConfig field but beta,
 # which lies in the open (1, 2), and of each numeric ``position`` input.

@@ -36,9 +36,8 @@ from .propagation import Vec3, check_coordinates
 # c = 16 moves converged positions by up to 1.5e-6 m.
 _RESOLUTION = 4.0 * np.finfo(float).eps
 
-# Backtracking step scales: the full step, then 29 halvings,
-# tried in groups so that a group's trial arrays stay small.
-_STEP_SCALES = np.split(np.ldexp(1.0, -np.arange(30)), (1, 10, 20))
+# Backtracking step scales: the full step, then 29 halvings.
+_STEP_SCALES = np.ldexp(1.0, -np.arange(30))
 
 # Relative margin of the Hessian's positive-definiteness test: a Hessian
 # whose leading minors clear zero only by rounding would give a step of
@@ -69,7 +68,6 @@ class Anchor:
 @dataclass(frozen=True)
 class PositionEstimate:
     position: Vec3
-    cost: float
     iterations: int
     converged: bool
 
@@ -122,24 +120,16 @@ def _linear_init(anchors: np.ndarray, dists: np.ndarray) -> np.ndarray:
 
 
 def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
-                weights: np.ndarray | None = None,
-                init: Vec3 | None = None,
-                dim: int = 2,
-                max_iters: int = MAX_ITERS) -> PositionEstimate:
+                init: Vec3 | None = None, dim: int = 2) -> PositionEstimate:
     """One fix by ``solve_fixes``, which states the solver's rules: the
-    measurements' distances and anchors, weighted by 1/sigma_i^2 unless
-    ``weights`` is given, started at ``init`` (default the closed-form
-    linear start)."""
+    measurements' distances and anchors, weighted by 1/sigma_i^2, started at
+    ``init`` (default the closed-form linear start)."""
     anchors, dists, sigmas = _anchor_matrix(measurements, dim)
-    if weights is None:
-        if np.any(~np.isfinite(sigmas)) or np.any(sigmas <= 0):
-            raise ValueError("measurement sigmas must be positive and finite "
-                             "(or pass explicit weights)")
-        weights = 1.0 / sigmas ** 2
+    if np.any(~np.isfinite(sigmas)) or np.any(sigmas <= 0):
+        raise ValueError("measurement sigmas must be positive and finite")
     start = None if init is None else coordinates([init], dim)
-    x, cost, iterations, converged = solve_fixes(anchors, dists[None, :], weights, start,
-                                                 max_iters)
-    return PositionEstimate(position=Vec3(*x[0], *[0.0] * (3 - dim)), cost=float(cost[0]),
+    x, _, iterations, converged = solve_fixes(anchors, dists[None, :], 1.0 / sigmas ** 2, start)
+    return PositionEstimate(position=Vec3(*x[0], *[0.0] * (3 - dim)),
                             iterations=int(iterations[0]), converged=bool(converged[0]))
 
 
@@ -352,8 +342,7 @@ def _stationary_test(x: np.ndarray, res: np.ndarray, ranges: np.ndarray, dists: 
 
 
 def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
-                weights: np.ndarray | None = None, init: np.ndarray | None = None,
-                max_iters: int = MAX_ITERS
+                weights: np.ndarray | None = None, init: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton fixes of F range sets against one anchor layout, all at
     once: fix f minimizes sum_i w_i (d_fi - ||x - a_i||)^2.
@@ -377,8 +366,9 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
     negative curvature instead, as far as the root mean square residual.
     Each step is halved (backtracking, at most 29 times) until the cost
     decreases; a fix whose step cannot lower the cost stops unconverged.
-    The pass at ``max_iters`` steps only tests, without the nudge: every fix
-    still iterating stops there, converged only where it is a minimum.
+    The pass at ``MAX_ITERS`` steps (the module constant, read when the
+    loop runs) only tests, without the nudge: every fix still iterating
+    stops there, converged only where it is a minimum.
     Non-convergence is reported, never raised.
 
     Returns the positions (F, dim), the costs with the given weights (F,),
@@ -429,7 +419,7 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
     while ids.size:
         # A zero range makes the Jacobian row undefined; nudge off the anchor.
         # The pass at the iteration limit only tests, its ranges floored.
-        last = done >= max_iters
+        last = done >= MAX_ITERS
         if not last and ranges.min() < 1e-12:
             hit = np.flatnonzero((ranges < 1e-12).any(axis=0))
             while hit.size:
@@ -460,10 +450,9 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                 break
             step = step.take(keep, axis=1)
         # Backtracking: take the first of scale * step, scale = 1, 1/2, ...,
-        # 2^-29, that lowers the cost.  Every fix tries the full step, and
-        # those it did not lower try the next group of halvings at once, as
-        # one trial column per (fix, scale).  `pending` indexes the fixes
-        # that have not decreased yet.
+        # 2^-29, that lowers the cost.  Every fix tries the full step, in
+        # place; those it did not lower (`pending`) then try one halving per
+        # pass, on their own gathered columns.
         trial = x + step
         trial_res, trial_ranges = _residuals(trial, anchor_cols, dists)
         trial_cost = _anchor_sum(weights * trial_res ** 2)
@@ -472,21 +461,16 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                            (cost, trial_cost)):
             np.copyto(array, new, where=lowered)
         pending = np.flatnonzero(~lowered)
-        for scales in _STEP_SCALES[1:]:
+        for scale in _STEP_SCALES[1:]:
             if not pending.size:
                 break
-            trial = (x.take(pending, axis=1)[:, :, None]
-                     + scales * step.take(pending, axis=1)[:, :, None]).reshape(dim, -1)
-            trial_res, trial_ranges = _residuals(
-                trial, anchor_cols, dists.take(pending, axis=1).repeat(len(scales), axis=1))
+            trial = x.take(pending, axis=1) + scale * step.take(pending, axis=1)
+            trial_res, trial_ranges = _residuals(trial, anchor_cols, dists.take(pending, axis=1))
             trial_cost = _anchor_sum(weights * trial_res ** 2)
-            better = trial_cost.reshape(-1, len(scales)) < cost[pending, None]
-            found = better.any(axis=1)
-            pick = found.nonzero()[0] * len(scales) + better[found].argmax(axis=1)
+            found = trial_cost < cost[pending]
             lowered = pending[found]
             x[:, lowered], res[:, lowered], ranges[:, lowered], cost[lowered] = (
-                trial.take(pick, axis=1), trial_res.take(pick, axis=1),
-                trial_ranges.take(pick, axis=1), trial_cost[pick])
+                trial[:, found], trial_res[:, found], trial_ranges[:, found], trial_cost[found])
             pending = pending[~found]
         done += 1
         if pending.size:

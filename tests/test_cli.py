@@ -723,6 +723,31 @@ def test_sample_count_beyond_the_cap_rejected_before_the_first_sample(command, t
     assert not out.exists()
 
 
+# At 1.4 m/s the 140 m rsu-bicycle lane takes 100 s: an interval of
+# 100/99999 s gives exactly the cap's 10^5 samples, and 1 ms one more.
+@pytest.mark.parametrize("command", ["ranging", "bounds"])
+@pytest.mark.parametrize("interval, accepted", [(repr(100 / 99999), True), ("0.001", False)],
+                         ids=["at-the-cap", "one-over"])
+def test_sample_count_at_the_cap_reaches_the_first_trace_and_one_more_is_rejected(
+        command, interval, accepted, tmp_path, monkeypatch, capsys):
+    assert harness._MAX_SAMPLES == 10**5
+    entries = {**_scenario_entries(1), "bicycle_speed": "1.4", "measurement_interval": interval}
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
+    monkeypatch.setattr(harness, "trace_paths", _trace_reached)
+    argv = [command, "--scenario", "1", "--link", "rsu-bicycle", "--scenario-file",
+            str(scn_file), "--out", str(tmp_path / "out.csv")]
+    if accepted:
+        with pytest.raises(_TraceReached):
+            main(argv)
+        return
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slpos: configuration error: measurement_interval=0.001 s over the "
+                          "100 s horizon of link rsu-bicycle (from bicycle_start and "
+                          "bicycle_speed) gives more than 100000 sweep samples")
+
+
 def test_ranging_beyond_the_alias_range_rejected_before_the_first_sample(tmp_path, monkeypatch,
                                                                         capsys):
     # A vehicle starting 1300 m out passes c / (2 * 120 kHz) = 1249.1 m, where

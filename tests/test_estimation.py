@@ -114,14 +114,21 @@ def test_delay_spectrum_matches_zero_padded_ifft(ofdm, n_sub, oversample, batch)
     rng = np.random.default_rng(n_sub * oversample)
     shape = batch + (cfg.num_symbols, n_sub)
     rx = RxSymbols(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    spec = delay_spectrum(rx, grid_pilots, cfg, oversample=oversample)
     k = oversample * n_sub
     compensated = (hamming_window(n_sub) * rx.symbols / grid_pilots.symbols).sum(axis=-2)
     expected = np.abs(np.fft.ifft(compensated, n=k)) ** 2
-    assert spec.power.shape == batch + (k,)
-    assert spec.bin_spacing == 1.0 / (k * cfg.subcarrier_spacing)
-    np.testing.assert_allclose(spec.power, expected, rtol=0,
-                               atol=1e-12 * expected.max())
+    if batch:
+        # One grid per call: a stack of grids is rejected, and each of its
+        # grids is transformed on its own.
+        with pytest.raises(ValueError, match="one T x N_s grid"):
+            delay_spectrum(rx, grid_pilots, cfg, oversample=oversample)
+    for index in np.ndindex(batch):
+        spec = delay_spectrum(RxSymbols(rx.symbols[index]), grid_pilots, cfg,
+                              oversample=oversample)
+        assert spec.power.shape == (k,)
+        assert spec.bin_spacing == 1.0 / (k * cfg.subcarrier_spacing)
+        np.testing.assert_allclose(spec.power, expected[index], rtol=0,
+                                   atol=1e-12 * expected.max())
 
 
 def test_power_from_products_is_the_squares_bit_for_bit():

@@ -69,12 +69,12 @@ def test_linear_init_3d():
 # --- damped Newton solver ------------------------------------------------------
 
 def test_noiseless_recovery():
-    measurements = exact_measurements(SQUARE, Vec3(3.0, 4.0, 0.0))
-    est = ml_position(measurements, dim=2)
-    assert math.hypot(est.position.x - 3.0, est.position.y - 4.0) < 1e-6
-    assert est.cost < 1e-12
-    assert est.converged
-    assert est.iterations <= 10
+    dists = np.linalg.norm(np.array(SQUARE_XY) - [3.0, 4.0], axis=1)[None, :]
+    positions, costs, iterations, converged = solve_fixes(np.array(SQUARE_XY), dists)
+    assert math.hypot(positions[0, 0] - 3.0, positions[0, 1] - 4.0) < 1e-6
+    assert costs[0] < 1e-12
+    assert converged[0]
+    assert iterations[0] <= 10
 
 
 def test_weight_scale_invariance():
@@ -98,8 +98,9 @@ def test_explicit_uniform_weights():
                     for m, a in exact_measurements(SQUARE, Vec3(6.0, 2.0, 0.0))]
     with pytest.raises(ValueError):
         ml_position(measurements, dim=2)
-    est = ml_position(measurements, weights=np.ones(4), dim=2)
-    assert est.cost < 1e-12
+    dists = np.array([[m.distance for m, _ in measurements]])
+    _, costs, _, _ = solve_fixes(np.array(SQUARE_XY), dists, weights=np.ones(4))
+    assert costs[0] < 1e-12
 
 
 def test_iterate_collides_with_anchor_is_perturbed_not_fatal():
@@ -109,14 +110,15 @@ def test_iterate_collides_with_anchor_is_perturbed_not_fatal():
     assert math.hypot(est.position.x - 4.0, est.position.y - 5.0) < 1e-6
 
 
-def test_nonconvergence_reported_not_raised():
+def test_nonconvergence_reported_not_raised(monkeypatch):
+    monkeypatch.setattr(positioning, "MAX_ITERS", 1)
     rng = np.random.default_rng(4)
     noisy = []
     for anchor in SQUARE:
         d = math.dist((3.0, 4.0, 0.0), (anchor.position.x, anchor.position.y, 0.0))
         noisy.append((RangeMeasurement(distance=d + abs(rng.normal(0, 2.0)), sigma=1.0),
                       anchor))
-    est = ml_position(noisy, init=Vec3(500.0, -500.0, 0.0), dim=2, max_iters=1)
+    est = ml_position(noisy, init=Vec3(500.0, -500.0, 0.0), dim=2)
     assert isinstance(est.converged, bool)
 
 
@@ -145,8 +147,8 @@ def test_cost_not_above_initial_cost():
     dists = np.array([m.distance for m, _ in measurements])
     init_cost = float(np.sum((dists - np.linalg.norm(
         np.array([init.x, init.y]) - anchors_xy, axis=1)) ** 2))
-    est = ml_position(measurements, init=init, dim=2)
-    assert est.cost <= init_cost + 1e-12
+    _, costs, _, _ = solve_fixes(anchors_xy, dists[None, :], init=[[init.x, init.y]])
+    assert costs[0] <= init_cost + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -210,14 +212,13 @@ def _noisy_batch(anchors, point, dim, n_fixes, seed, sigma=1.0):
     (SQUARE, Vec3(3.0, 4.0, 0.0), 2, {"init": "far", "max_iters": 1}),
     (SQUARE, Vec3(6.0, 2.0, 0.0), 2, {"weights": np.array([1.0, 4.0, 0.25, 2.0])}),
 ])
-def test_batched_rows_equal_single_fix_solves(anchors, point, dim, options):
+def test_batched_rows_equal_single_fix_solves(anchors, point, dim, options, monkeypatch):
     xyz, dists = _noisy_batch(anchors, point, dim, n_fixes=40, seed=5)
     weights = options.get("weights")
     init = {"on_anchor": np.tile(xyz[0], (len(dists), 1)),
             "far": np.tile([500.0, -500.0], (len(dists), 1))}.get(options.get("init"))
-    max_iters = options.get("max_iters", 50)
-    positions, costs, iterations, converged = solve_fixes(
-        xyz, dists, weights=weights, init=init, max_iters=max_iters)
+    monkeypatch.setattr(positioning, "MAX_ITERS", options.get("max_iters", positioning.MAX_ITERS))
+    positions, costs, iterations, converged = solve_fixes(xyz, dists, weights=weights, init=init)
     if options.get("init") == "far":
         assert not converged.any()
     else:
@@ -225,16 +226,13 @@ def test_batched_rows_equal_single_fix_solves(anchors, point, dim, options):
         true = np.array([point.x, point.y, point.z][:dim])
         np.testing.assert_allclose(positions[0], true, atol=1e-6)
     for row, (d, position) in enumerate(zip(dists, positions)):
-        measurements = [(RangeMeasurement(distance=float(r), sigma=1.0), a)
-                        for r, a in zip(d, anchors)]
-        start = None if init is None else Vec3(*init[row], *[0.0] * (3 - dim))
-        single = ml_position(measurements, weights=weights, init=start, dim=dim,
-                             max_iters=max_iters)
-        got = np.array([single.position.x, single.position.y, single.position.z][:dim])
-        assert np.linalg.norm(got - position) <= 1e-12
-        assert single.iterations == iterations[row]
-        assert single.converged == converged[row]
-        assert single.cost == pytest.approx(costs[row], rel=1e-12, abs=1e-300)
+        start = None if init is None else init[row:row + 1]
+        got, cost, single_iterations, single_converged = solve_fixes(
+            xyz, d[None, :], weights=weights, init=start)
+        assert np.linalg.norm(got[0] - position) <= 1e-12
+        assert single_iterations[0] == iterations[row]
+        assert single_converged[0] == converged[row]
+        assert cost[0] == pytest.approx(costs[row], rel=1e-12, abs=1e-300)
 
 
 def test_singular_gauss_newton_system_does_not_raise():
@@ -250,12 +248,13 @@ def test_singular_gauss_newton_system_does_not_raise():
     ([4.0, 5.0], 0.0, True),              # the minimum
     ([0.0, 0.0], 98.82530139, False),     # an anchor, where the nudge would act
 ])
-def test_zero_iteration_limit_tests_the_start_in_place(start, cost, converged):
+def test_zero_iteration_limit_tests_the_start_in_place(start, cost, converged, monkeypatch):
     # With no step allowed, the start is judged where it is: neither
     # stepped from nor nudged off an anchor.
+    monkeypatch.setattr(positioning, "MAX_ITERS", 0)
     xyz = np.array([[a.position.x, a.position.y] for a in SQUARE])
     dists = np.linalg.norm(xyz - [4.0, 5.0], axis=1)[None, :]
-    positions, costs, iterations, flags = solve_fixes(xyz, dists, init=[start], max_iters=0)
+    positions, costs, iterations, flags = solve_fixes(xyz, dists, init=[start])
     assert positions.tolist() == [start]
     assert costs[0] == pytest.approx(cost, rel=1e-9, abs=1e-12)
     assert iterations[0] == 0
@@ -406,14 +405,15 @@ def test_hessian_matches_finite_difference_of_the_gradient(anchors, point, dim):
     (Vec3(3.0, 4.0, 0.0), [9.0, 1.0]),     # one negative Hessian eigenvalue
     (Vec3(40.0, -30.0, 0.0), [5.0, 5.0]),  # both negative
 ])
-def test_start_without_positive_definite_hessian_lowers_the_cost_every_step(point, start):
+def test_start_without_positive_definite_hessian_lowers_the_cost_every_step(point, start,
+                                                                           monkeypatch):
     xyz, dists = _noisy_batch(SQUARE, point, 2, n_fixes=1, seed=0)
     _, hessians = _half_hessians(xyz, dists, np.array([start]), np.ones(len(xyz)))
     assert np.linalg.eigvalsh(hessians[0])[0] < 0.0
     costs = []
     for max_iters in range(51):
-        _, cost, iterations, converged = solve_fixes(xyz, dists, init=[start],
-                                                     max_iters=max_iters)
+        monkeypatch.setattr(positioning, "MAX_ITERS", max_iters)
+        _, cost, iterations, converged = solve_fixes(xyz, dists, init=[start])
         if iterations[0] < max_iters:
             break
         costs.append(cost[0])
@@ -429,6 +429,43 @@ def _demo_ranges(anchors, point, sigma, seed):
     true_ranges = np.linalg.norm(xyz - point, axis=1)
     noise = sigma * np.random.default_rng(seed).standard_normal((1000, len(xyz)))
     return xyz, np.maximum(true_ranges + noise, 0.0)
+
+
+def _costs(x, dists, anchor_cols):
+    """The solver's uniformly weighted cost of iterates x (dim, n) for the
+    ranges dists (A, n)."""
+    res, _ = positioning._residuals(x, anchor_cols, dists)
+    return positioning._anchor_sum(res ** 2)
+
+
+def test_backtracking_takes_the_first_halving_that_lowers_the_cost(monkeypatch):
+    # One step per fix from the linear start x, on the sigma = 10 m square
+    # stream.  A fix that is not stationary and whose full step s does not
+    # lower its cost ends at x + 2^-k s for the smallest k <= 29 that does,
+    # found here by a scan of each fix on its own, or stays at x and stalls.
+    monkeypatch.setattr(positioning, "MAX_ITERS", 1)
+    xyz, dists = _demo_ranges(SQUARE, (3.0, 4.0), 10.0, 7)
+    positions, _, iterations, converged = solve_fixes(xyz, dists)
+    anchor_cols, dists = xyz.T[:, :, None], dists.T
+    x = positioning._linear_init(xyz, dists)
+    res, ranges = positioning._residuals(x, anchor_cols, dists)
+    assert ranges.min() >= 1e-12    # no fix is nudged off an anchor
+    _, _, _, step, stationary = positioning._stationary_test(
+        x, res, ranges, dists, np.ones((len(xyz), 1)), anchor_cols)
+    cost = _costs(x, dists, anchor_cols)
+    backtracked = ~stationary & ~(_costs(x + step, dists, anchor_cols) < cost)
+    halved = 0
+    for fix in np.flatnonzero(backtracked):
+        for k in range(1, 30):
+            trial = x[:, fix:fix + 1] + np.ldexp(1.0, -k) * step[:, fix:fix + 1]
+            if _costs(trial, dists[:, fix:fix + 1], anchor_cols)[0] < cost[fix]:
+                assert positions[fix].tolist() == trial[:, 0].tolist()
+                halved += 1
+                break
+        else:
+            assert positions[fix].tolist() == x[:, fix].tolist()
+            assert iterations[fix] == 1 and not converged[fix]
+    assert halved >= 10
 
 
 def test_benchmark_configuration_needs_few_iterations():
