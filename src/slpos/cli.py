@@ -136,7 +136,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="ascii") as handle:
             handle.write(text)
-        print(f"scenario {args.id} written to {args.out}")
+        print(f"scenario {args.id} written to {args.out}", file=sys.stderr)
     if args.dump or not args.out:
         sys.stdout.write(text)
     return EXIT_OK
@@ -215,8 +215,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"coherent symbol limit {report.coherence_symbol_limit:.4g}, "
           f"pilot uses {report.num_symbols} symbols "
-          f"(margin {report.coherence_margin:.3g}x, "
-          f"{'ok' if report.coherent else 'VIOLATED'})")
+          f"(margin {report.coherence_margin:.3g}x)")
     print(f"latency budget for {args.accuracy} m at {args.vmax} m/s: "
           f"{report.latency_budget_s * 1e3:.4g} ms")
     return EXIT_OK

@@ -241,8 +241,7 @@ def coarse_search(c: np.ndarray, oversample: int, policy: str = "global_peak",
     top = power.argmax(axis=-1)
     peak = power[np.arange(n_rows), top]
     margin_db = _SCALLOP_MARGIN_DB + (threshold_db if policy == "first_peak" else 0.0)
-    above = np.greater_equal(power, (peak * 10 ** (-margin_db / 10.0))[:, None],
-                             out=work_array(("coarse_above",), (n_rows, length), bool))
+    above = power >= (peak * 10 ** (-margin_db / 10.0))[:, None]
     # The few samples above the margin, by row, and their circular offsets
     # from the row's maximum, in [-L/2, L/2).
     hit_row, hit_col = np.divmod(np.flatnonzero(above), length)

@@ -126,27 +126,18 @@ class RxSymbols:
     symbols: np.ndarray
 
 
-def make_pilots(config: OfdmConfig, phase_mode: str = "all_ones",
-                seed: int | None = None) -> PilotGrid:
-    """Constant-amplitude pilots with per-symbol energy tx_power/spacing.
+def make_pilots(config: OfdmConfig, phase_mode: str = "all_ones") -> PilotGrid:
+    """Constant-amplitude, zero-phase pilots with per-symbol energy tx_power/spacing.
 
-    ``phase_mode`` is ``"all_ones"`` (zero phases) or
-    ``"seeded_random_phase"`` (phases uniform per entry, reproducible from
-    ``seed``).
+    ``phase_mode`` must be ``"all_ones"``.  The bound, the delay spectrum and
+    the noise scale see the pilots only through |p|, so no other phase
+    pattern changes a result.
     """
-    shape = (config.num_symbols, config.num_subcarriers)
-    amplitude = np.sqrt(config.tx_power / (config.subcarrier_spacing * config.num_subcarriers))
-    if phase_mode == "all_ones":
-        grid = np.full(shape, amplitude, dtype=complex)
-    elif phase_mode == "seeded_random_phase":
-        if seed is None:
-            raise ValueError("seeded_random_phase requires a seed")
-        rng = np.random.default_rng(seed)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-        grid = amplitude * np.exp(1j * phases)
-    else:
+    if phase_mode != "all_ones":
         raise ValueError(f"unknown phase mode {phase_mode!r}")
-    return PilotGrid(symbols=grid)
+    amplitude = np.sqrt(config.tx_power / (config.subcarrier_spacing * config.num_subcarriers))
+    return PilotGrid(symbols=np.full((config.num_symbols, config.num_subcarriers),
+                                     amplitude, dtype=complex))
 
 
 def _path_terms(channel: ChannelSnapshot, config: OfdmConfig,

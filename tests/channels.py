@@ -3,6 +3,7 @@
 import numpy as np
 
 from slpos.propagation import ChannelSnapshot, PathComponent, PathKind
+from slpos.signal import PilotGrid, make_pilots
 
 
 def make_snapshot(paths, tx=None, rx=None):
@@ -40,3 +41,11 @@ def random_multipath(rng, n_paths, delay_lo=20e-9, delay_hi=400e-9,
         else:
             paths.append(echo_path(float(delay), complex(gain), index=i - 1))
     return paths
+
+
+def random_phase_pilots(config, seed):
+    """``make_pilots``' amplitude with a phase per entry drawn uniform in
+    [0, 2 pi) from ``seed``: a grid whose phases a kernel must divide out."""
+    amplitude = make_pilots(config).symbols.real
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=amplitude.shape)
+    return PilotGrid(symbols=amplitude * np.exp(1j * phases))

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channels import echo_path, los_path, make_snapshot, random_multipath
+from channels import (
+    echo_path,
+    los_path,
+    make_snapshot,
+    random_multipath,
+    random_phase_pilots,
+)
 import slpos.cli
 from oracle_fim import column_stack_fim, finite_difference_fim
 from slpos import bounds, harness
@@ -158,11 +164,13 @@ def test_crb_nonpositive_diagonal_is_infinite():
 # --- one-path closed form ------------------------------------------------------
 
 def _pilot_grid(ofdm, kind):
+    if kind == "all_ones":
+        return make_pilots(ofdm)
+    grid = random_phase_pilots(ofdm, 5)
     if kind == "varying_amplitude":
-        base = make_pilots(ofdm, "seeded_random_phase", seed=5)
-        amplitudes = np.random.default_rng(6).uniform(0.3, 2.0, base.symbols.shape)
-        return PilotGrid(base.symbols * amplitudes)
-    return make_pilots(ofdm, kind, seed=5)
+        amplitudes = np.random.default_rng(6).uniform(0.3, 2.0, grid.symbols.shape)
+        grid = PilotGrid(grid.symbols * amplitudes)
+    return grid
 
 
 @pytest.mark.parametrize("kind", ["all_ones", "seeded_random_phase", "varying_amplitude"])

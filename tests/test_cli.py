@@ -61,6 +61,19 @@ def test_scenario_writes_file(tmp_path, capsys):
     assert scenario.rsu is None
 
 
+def test_scenario_out_with_dump_prints_only_the_file_text(tmp_path, capsys):
+    # The confirmation goes to stderr, so the dumped stdout is a scenario
+    # file in its own right: it equals --out's file and feeds --scenario-file.
+    out, dumped = tmp_path / "s.txt", tmp_path / "d.txt"
+    assert main(["scenario", "--id", "1", "--out", str(out), "--dump"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    assert captured.err == f"scenario 1 written to {out}\n"
+    dumped.write_text(captured.out)
+    assert main(["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--scenario-file",
+                 str(dumped), "--out", str(tmp_path / "b.csv")]) == 0
+
+
 def test_ranging_subcommand_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
@@ -137,12 +150,12 @@ def test_check_subcommand(capsys):
 
 
 @pytest.mark.parametrize("vmax, accuracy, lines", [
-    ("14", "3", ["coherent symbol limit 435.5, pilot uses 12 symbols (margin 36.3x, ok)",
+    ("14", "3", ["coherent symbol limit 435.5, pilot uses 12 symbols (margin 36.3x)",
                  "latency budget for 3.0 m at 14.0 m/s: 21.43 ms"]),
-    ("150", "1e-3", ["coherent symbol limit 40.65, pilot uses 12 symbols (margin 3.39x, ok)",
+    ("150", "1e-3", ["coherent symbol limit 40.65, pilot uses 12 symbols (margin 3.39x)",
                      "latency budget for 0.001 m at 150.0 m/s: 0.0006667 ms"]),
     ("0.1", "1e3", ["coherent symbol limit 6.097e+04, pilot uses 12 symbols "
-                    "(margin 5.08e+03x, ok)",
+                    "(margin 5.08e+03x)",
                     "latency budget for 1000.0 m at 0.1 m/s: 1e+06 ms"]),
 ], ids=["default", "tiny", "huge"])
 def test_check_prints_each_result_in_significant_digits(vmax, accuracy, lines, capsys):

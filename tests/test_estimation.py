@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channels import echo_path, los_path, make_snapshot
+from channels import echo_path, los_path, make_snapshot, random_phase_pilots
 from oracle_coarse import dense_coarse_search
 from oracle_peak import full_spectrum_peak
 from slpos.bounds import reb_los_only, reb_waa
@@ -110,7 +110,7 @@ def test_window_of_the_wrong_length_rejected(ofdm, pilots):
 @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
 def test_delay_spectrum_matches_zero_padded_ifft(ofdm, n_sub, oversample, batch):
     cfg = OfdmConfig(**{**ofdm.__dict__, "num_subcarriers": n_sub})
-    grid_pilots = make_pilots(cfg, "seeded_random_phase", seed=2)
+    grid_pilots = random_phase_pilots(cfg, 2)
     rng = np.random.default_rng(n_sub * oversample)
     shape = batch + (cfg.num_symbols, n_sub)
     rx = RxSymbols(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -192,7 +192,7 @@ def test_coarse_search_equals_the_dense_oracle(oversample):
 
 def test_pilot_invariance(ofdm):
     ones = make_pilots(ofdm, "all_ones")
-    randomized = make_pilots(ofdm, "seeded_random_phase", seed=5)
+    randomized = random_phase_pilots(ofdm, 5)
     paths = [los_path(150e-9, gain=0.3 + 0.1j), echo_path(190e-9, -0.2 + 0.25j)]
     spec_a = spectrum_of(paths, ofdm, ones, oversample=4)
     rx_b = synthesize_rx(make_snapshot(paths), randomized, ofdm, noise_seed=None)

@@ -32,6 +32,7 @@ from slpos.estimation import (
     zoom,
 )
 from slpos.harness import (
+    CHECK_RANGES,
     CSV_COLUMNS,
     LINKS,
     REQUIREMENT_SETS,
@@ -229,7 +230,8 @@ def test_every_sweep_sample_traces_a_reciprocal_channel(link, monkeypatch):
 
 
 def _assert_csv_matches_reference(argv, reference, tmp_path):
-    """Non-RMSE cells as exact strings, rmse_m to 1e-9 relative."""
+    """Non-RMSE cells as exact strings, rmse_m to 1e-9 relative (a bound
+    sweep's nan matching nan)."""
     out = tmp_path / "sweep.csv"
     assert main(argv + ["--out", str(out)]) == 0
     expected = (DATA / reference).read_text()
@@ -240,7 +242,7 @@ def _assert_csv_matches_reference(argv, reference, tmp_path):
     for got, want in zip(got_lines[1:], want_lines[1:]):
         got_cells, want_cells = got.split(","), want.split(",")
         assert float(got_cells.pop(rmse_col)) == pytest.approx(
-            float(want_cells.pop(rmse_col)), rel=1e-9)
+            float(want_cells.pop(rmse_col)), rel=1e-9, nan_ok=True)
         assert got_cells == want_cells
 
 
@@ -501,6 +503,25 @@ def test_first_peak_sweep_zooms_on_the_full_spectrum_peak(monkeypatch):
                     peak_policy="first_peak")
     points = run_ranging_sweep(cfg)
     assert sum(checked) == 2 * cfg.trials * len(points)
+
+
+@pytest.mark.usefixtures("one_process")
+@pytest.mark.parametrize("policy", PEAK_POLICIES)
+def test_benchmark_sweep_never_falls_back_to_the_full_spectrum(policy, monkeypatch):
+    # The benchmarked sweep (scenario 1 rsu-vehicle, 10 trials, seed 1): every
+    # arrival is picked inside its zoom window, none on the 2672-point spectrum.
+    rows = []
+
+    def recording_zoom(*args, **kwargs):
+        zoomed = zoom(*args, **kwargs)
+        rows.extend(zoomed.fallback.tolist())
+        return zoomed
+
+    monkeypatch.setattr(harness, "zoom", recording_zoom)
+    cfg = RunConfig(scenario_id=1, link="rsu-vehicle", trials=10, seed=1, peak_policy=policy)
+    points = run_ranging_sweep(cfg)
+    assert len(rows) == 2 * cfg.trials * len(points) == 2020
+    assert not any(rows)
 
 
 def test_scenario1_csv_matches_committed_reference(tmp_path, capsys):
@@ -813,6 +834,47 @@ def test_bounds_sweep_has_nan_rmse(tmp_path):
     assert 0.0136 <= points[-1].reb_los <= 0.0184
     assert 0.0017 <= center.reb_los <= 0.0023
     assert center.reb_waa > 10 * center.reb_los
+
+
+# --- the paper's default curves ------------------------------------------------------
+
+def _default_curve(command, link):
+    """The argv of the paper's default ``command`` curve on ``link`` and its
+    committed file under data/curves.  A change that moves a cell
+    regenerates the file with this argv and lists what moved."""
+    argv = [command, *_LINK_ARGS[link]]
+    name = f"{command}_scenario{argv[2]}_{link}"
+    if command == "ranging":
+        argv += ["--trials", "100", "--seed", "42"]
+        name += "_trials100_seed42"
+    return argv, f"curves/{name}.csv"
+
+
+@pytest.mark.parametrize("link", LINKS)
+@pytest.mark.parametrize("command", ["ranging", "bounds"])
+def test_default_curve_matches_committed_file(command, link, tmp_path, capsys):
+    # Split across the CPUs the host allows, two at most.
+    _assert_csv_matches_reference(*_default_curve(command, link), tmp_path)
+
+
+@pytest.mark.usefixtures("one_process")
+def test_default_rsu_vehicle_curve_matches_committed_file_in_one_process(tmp_path, capsys):
+    # With the test above on a two-CPU host: a 100-trial sweep's chunks,
+    # aligned to whole peak-search batches, at one and at two processes.
+    _assert_csv_matches_reference(*_default_curve("ranging", "rsu-vehicle"), tmp_path)
+
+
+@pytest.mark.parametrize("link, agreeing, with_los", [
+    ("rsu-vehicle", 77, 101), ("rsu-bicycle", 261, 351), ("vehicle-bicycle", 64, 101)])
+def test_default_curves_agree_with_the_waa_bound_within_factor_3(link, agreeing, with_los):
+    # Criterion 9's count on each committed ranging curve: the samples with
+    # line of sight whose RMSE lies within a factor 3 of a finite, positive
+    # WAA bound.  README's Experiments section quotes these counts.
+    points = read_csv(str(DATA / _default_curve("ranging", link)[1]))
+    clear = [p for p in points if p.los_present]
+    within = sum(math.isfinite(p.reb_waa) and p.reb_waa > 0
+                 and 1.0 / 3.0 <= p.rmse / p.reb_waa <= 3.0 for p in clear)
+    assert (within, len(clear)) == (agreeing, with_los)
 
 
 # --- CSV ----------------------------------------------------------------------------
@@ -1192,6 +1254,13 @@ def test_coherence_violated_by_more_symbols_than_the_limit(ofdm):
     report = coherence_and_latency_check(many, v_max=150.0, accuracy_req=3.0)
     assert report.coherence_symbol_limit == pytest.approx(40.65, rel=1e-3)
     assert not report.coherent
+
+
+@pytest.mark.parametrize("v_max", CHECK_RANGES["maximum speed"][:2])
+def test_default_waveform_is_coherent_at_both_ends_of_the_speed_range(ofdm, v_max):
+    # Why `slpos check`, which always uses the default waveform, prints no
+    # verdict: its 12 pilot symbols fit the limit at every accepted speed.
+    assert coherence_and_latency_check(ofdm, v_max=v_max, accuracy_req=3.0).coherent
 
 
 def test_zero_speed_reports_unbounded(ofdm):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channels import echo_path, los_path, make_snapshot, symbol_sum
+from channels import echo_path, los_path, make_snapshot, random_phase_pilots, symbol_sum
 from slpos.estimation import hamming_window
 from slpos import signal
 from slpos.signal import (
@@ -151,16 +151,6 @@ def test_per_symbol_energy_is_power_over_spacing(ofdm, pilots):
     assert energy[0] == pytest.approx(8.333e-8, rel=1e-3)
 
 
-def test_random_phase_pilots_deterministic(ofdm):
-    a = make_pilots(ofdm, "seeded_random_phase", seed=11)
-    b = make_pilots(ofdm, "seeded_random_phase", seed=11)
-    c = make_pilots(ofdm, "seeded_random_phase", seed=12)
-    assert np.array_equal(a.symbols, b.symbols)
-    assert not np.array_equal(a.symbols, c.symbols)
-    expected = ofdm.tx_power / (ofdm.subcarrier_spacing * ofdm.num_subcarriers)
-    assert np.allclose(np.abs(a.symbols) ** 2, expected, rtol=1e-12)
-
-
 def test_unknown_phase_mode_rejected(ofdm):
     with pytest.raises(ValueError):
         make_pilots(ofdm, "fancy")
@@ -271,7 +261,7 @@ def test_delay_beyond_alias_period_rejected(ofdm, pilots):
 def test_mean_vector_is_the_noiseless_symbol_sum(ofdm, doppler):
     # Rotated by a bias's ramps, m is the symbol sum of an arrival whose
     # clock is off by that bias; rotated by their conjugates, by its negative.
-    pilots = make_pilots(ofdm, "seeded_random_phase", seed=4)
+    pilots = random_phase_pilots(ofdm, 4)
     window = hamming_window(ofdm.num_subcarriers)
     snap = make_snapshot([los_path(120e-9, gain=0.7 - 0.1j, velocity=9.0),
                           echo_path(310e-9, gain=-0.2 + 0.3j, index=0, velocity=-4.0)])
@@ -332,7 +322,7 @@ def test_noise_sum_has_the_scalar_chain_symbol_sum_statistics(ofdm):
     # Pilot amplitudes vary per symbol and subcarrier, so each subcarrier's
     # variance w^2 N0 / 2 sum_t 1/|p[t, n]|^2 per part weighs every symbol.
     rng = np.random.default_rng(4)
-    base = make_pilots(ofdm, "seeded_random_phase", seed=4)
+    base = random_phase_pilots(ofdm, 4)
     pilots = PilotGrid(base.symbols * rng.uniform(0.3, 2.0, base.symbols.shape))
     window = hamming_window(ofdm.num_subcarriers)
     var = window ** 2 * noise_variance(ofdm) / 2.0 * (np.abs(pilots.symbols) ** -2).sum(axis=0)

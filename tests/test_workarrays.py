@@ -7,12 +7,12 @@ import threading
 
 import numpy as np
 
-from channels import random_multipath
+from channels import random_multipath, random_phase_pilots
 from oracle_coarse import dense_coarse_search
 from oracle_fim import column_stack_fim
 from slpos.bounds import fim
 from slpos.estimation import coarse_search
-from slpos.signal import OfdmConfig, make_pilots
+from slpos.signal import OfdmConfig
 from slpos.workarrays import work_array
 
 
@@ -31,7 +31,7 @@ def test_a_work_array_grows_and_is_kept_per_key():
 def test_fims_of_changing_sizes_and_grids_equal_the_oracle(ofdm, pilots):
     rng = np.random.default_rng(19)
     small = OfdmConfig(**{**ofdm.__dict__, "num_subcarriers": 64, "num_symbols": 5})
-    other_pilots = make_pilots(small, "seeded_random_phase", seed=4)
+    other_pilots = random_phase_pilots(small, 4)
     cases = [(random_multipath(rng, n_paths), pilots, ofdm) for n_paths in (4, 2, 3, 4)]
     cases.append((random_multipath(rng, 3), other_pilots, small))
     cases.append(cases[0])
