@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .propagation import ChannelSnapshot, PathComponent, PathKind
+from .propagation import ChannelSnapshot, PathComponent
 from .signal import OfdmConfig, PilotGrid, noise_variance
 from .workarrays import work_array
 
@@ -175,37 +175,38 @@ def _single_path_crb(gain: complex, pilots: PilotGrid, config: OfdmConfig) -> fl
     return 1.0 / unit_info / amplitude / amplitude
 
 
-def _reb(paths: list[PathComponent] | tuple[PathComponent, ...], pilots: PilotGrid,
-         config: OfdmConfig, bias_s: float = 0.0) -> float:
-    """c * sqrt(delay CRB of ``paths[0]`` + ``bias_s``^2) in meters, or inf
-    when the joint FIM of ``paths`` is near-singular.  A lone path takes the
-    closed form; several go through ``fim`` and ``crb_delay``."""
-    if len(paths) == 1:
-        variance = _single_path_crb(paths[0].gain, pilots, config)
-    else:
-        variance = crb_delay(fim(paths, pilots, config))
+def _meters(variance: float, bias_s: float = 0.0) -> float:
+    """c * sqrt(``variance`` + ``bias_s``^2) in meters, or inf for an
+    infinite delay variance."""
     if not math.isfinite(variance):
         return math.inf
     return SPEED_OF_LIGHT * math.sqrt(variance + bias_s ** 2)
 
 
+def _reb(paths: list[PathComponent], pilots: PilotGrid, config: OfdmConfig) -> float:
+    """c * sqrt(delay CRB of ``paths[0]``) in meters, or inf when the joint
+    FIM of ``paths`` is near-singular.  A lone path takes the closed form;
+    several go through ``fim`` and ``crb_delay``."""
+    if len(paths) == 1:
+        return _meters(_single_path_crb(paths[0].gain, pilots, config))
+    return _meters(crb_delay(fim(paths, pilots, config)))
+
+
 def reb_los_only(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig) -> float:
-    """Range error bound with every other path perfectly known (meters)."""
-    if not channel.has_los:
-        raise ValueError("channel has no line-of-sight path")
-    return _reb(channel.paths[:1], pilots, config)
+    """Range error bound with every other path perfectly known (meters):
+    ``reb_waa``'s line-of-sight value."""
+    return reb_waa(channel, pilots, config).reb_los_only
 
 
 def reb_all_paths(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig) -> float:
-    """Range error bound estimating all in-cell paths jointly (meters or inf),
-    for the cell of the default width ``DEFAULT_BETA``; ``reb_waa``'s report
-    gives it at any width.
+    """Range error bound estimating all in-cell paths jointly (meters or inf):
+    ``reb_waa``'s all-paths value, for the cell of the default width
+    ``DEFAULT_BETA``; ``reb_waa`` gives it at any width.
 
     Paths outside the resolution cell do not affect the accuracy of the
     line-of-sight delay and are removed to tighten the bound.
     """
-    cell = resolution_cell(channel, DEFAULT_BETA, config)
-    return _reb([channel.paths[i] for i in cell], pilots, config)
+    return reb_waa(channel, pilots, config).reb_all_paths
 
 
 def reb_waa(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
@@ -236,9 +237,7 @@ def reb_waa(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
     if destructive:
         waa_value = math.inf
     else:
-        effective = PathComponent(delay=merged_toa, gain=merged_gain,
-                                  radial_velocity=0.0, kind=PathKind.LOS)
-        waa_value = _reb([effective], pilots, config, bias_s)
+        waa_value = _meters(_single_path_crb(merged_gain, pilots, config), bias_s)
 
     return BoundReport(
         reb_los_only=los_value,

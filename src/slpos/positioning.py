@@ -293,23 +293,8 @@ def _newton_step(normal: Sequence[np.ndarray], hessian: Sequence[np.ndarray],
 
 def _lowest_eigenvector(hessian: Sequence[np.ndarray]) -> np.ndarray:
     """Unit eigenvectors (dim, n) of the smallest eigenvalue of symmetric
-    matrices given by their unique entries: in closed form for 2 x 2, by
-    ``np.linalg.eigh`` for 3 x 3."""
-    if _dim(hessian) == 3:
-        return np.linalg.eigh(_symmetric(hessian))[1][:, :, 0].T
-    a, b, c = hessian
-    # With h = (a - c)/2 and r = hypot(h, b), the smallest eigenvalue is
-    # (a + c)/2 - r, and both (b, -h - r) and (h - r, b) solve
-    # (H - lambda I) v = 0.  The first is taken where h >= 0 and the second
-    # elsewhere, so that |h| + r enters, not r - |h|: neither vanishes unless
-    # H is a multiple of I, where any unit vector serves and (1, 0) is taken.
-    h = 0.5 * (a - c)
-    r = np.hypot(h, b)
-    vec = np.where(h >= 0.0, [b, -h - r], [h - r, b])
-    norm = np.hypot(*vec)
-    flat = norm == 0.0
-    vec[0, flat], norm[flat] = 1.0, 1.0
-    return vec / norm
+    matrices given by their unique entries, by ``np.linalg.eigh``."""
+    return np.linalg.eigh(_symmetric(hessian))[1][:, :, 0].T
 
 
 def _curvature_step(hessian: Sequence[np.ndarray], half_grad: np.ndarray,

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import os
 import pathlib
+import platform
 import re
 import statistics
 import subprocess
@@ -875,6 +876,80 @@ def test_default_curves_agree_with_the_waa_bound_within_factor_3(link, agreeing,
     within = sum(math.isfinite(p.reb_waa) and p.reb_waa > 0
                  and 1.0 / 3.0 <= p.rmse / p.reb_waa <= 3.0 for p in clear)
     assert (within, len(clear)) == (agreeing, with_los)
+
+
+def _cell_conditions(link, monkeypatch):
+    """Per sample of the default bounds curve on ``link``, the condition
+    number of its cell FIM after diagonal equilibration, which ``crb_delay``
+    checks (nan without line of sight)."""
+    conditions = []
+    bound = harness.reb_waa
+
+    def spy(snap, pilots, ofdm, beta):
+        report = bound(snap, pilots, ofdm, beta=beta)
+        j = fim([snap.paths[i] for i in report.cell_indices], pilots, ofdm)
+        scale = 1.0 / np.sqrt(np.diag(j))
+        eigenvalues = np.linalg.eigvalsh(scale[:, None] * j * scale[None, :])
+        conditions.append(eigenvalues[-1] / eigenvalues[0])
+        return report
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "reb_waa", spy)
+        points = run_bounds_sweep(RunConfig(scenario_id=int(_LINK_ARGS[link][1]), link=link))
+    found = iter(conditions)
+    return [next(found) if p.los_present else math.nan for p in points]
+
+
+# The committed files a BLAS kernel can move: the three bound curves, and
+# the benchmarked 10-trial sweep on the rsu-vehicle geometry.
+_KERNEL_FILES = [(["bounds", *_LINK_ARGS[link]], _default_curve("bounds", link)[1], link)
+                 for link in LINKS] + [
+    (["ranging", *_LINK_ARGS["rsu-vehicle"], "--trials", "10", "--seed", "1"],
+     "ranging_scenario1_rsu-vehicle_trials10_seed1.csv", "rsu-vehicle")]
+
+
+@pytest.mark.usefixtures("one_process")
+def test_committed_files_hold_under_another_blas_kernel(tmp_path, monkeypatch):
+    # The committed files were written under OpenBLAS's SkylakeX kernel
+    # (NumPy 2.4.6).  Another kernel rounds the FIM's matrix product and its
+    # eigendecomposition differently, which moves only reb_all_m, the one
+    # column read from the FIM of two or more paths, by a relative amount
+    # that grows with the cell's condition number kappa: at most 2.8 kappa
+    # eps under Nehalem and 14.5 kappa eps under Haswell or Zen.  On x86-64
+    # the sweeps run under Nehalem, a kernel every x86-64 CPU that NumPy 2
+    # supports can run; elsewhere OPENBLAS_CORETYPE is left unset, and the
+    # host's own kernel runs.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    if platform.machine().lower() in ("x86_64", "amd64"):
+        env["OPENBLAS_CORETYPE"] = "Nehalem"
+    outs = [tmp_path / f"{i}.csv" for i in range(len(_KERNEL_FILES))]
+    argvs = [[*argv, "--out", str(out)] for (argv, _, _), out in zip(_KERNEL_FILES, outs)]
+    code = ("from slpos import harness\nfrom slpos.cli import main\n"
+            "cpus = harness._usable_cpus\nharness._usable_cpus = lambda: min(2, cpus())\n"
+            f"for argv in {argvs!r}:\n    assert main(argv) == 0\n")
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                   timeout=120, check=True)
+
+    conditions = {link: _cell_conditions(link, monkeypatch) for link in LINKS}
+    rmse_col, all_col = CSV_COLUMNS.index("rmse_m"), CSV_COLUMNS.index("reb_all_m")
+    others = [c for c in range(len(CSV_COLUMNS)) if c not in (rmse_col, all_col)]
+    eps = np.finfo(float).eps
+    for (_, reference, link), out in zip(_KERNEL_FILES, outs):
+        got_lines = out.read_text().splitlines()
+        want_lines = (DATA / reference).read_text().splitlines()
+        assert got_lines[0] == want_lines[0]
+        assert len(got_lines) == len(want_lines)
+        for got, want, kappa in zip(got_lines[1:], want_lines[1:], conditions[link]):
+            got_cells, want_cells = got.split(","), want.split(",")
+            assert float(got_cells[rmse_col]) == pytest.approx(
+                float(want_cells[rmse_col]), rel=1e-9, nan_ok=True)
+            got_all, want_all = float(got_cells[all_col]), float(want_cells[all_col])
+            if math.isfinite(want_all):
+                drift = abs(got_all - want_all) / (want_all * kappa * eps)
+                assert drift <= 64.0, (reference, got, want, kappa, drift)
+            else:
+                assert got_cells[all_col] == want_cells[all_col], (reference, got, want)
+            assert [got_cells[c] for c in others] == [want_cells[c] for c in others]
 
 
 # --- CSV ----------------------------------------------------------------------------

@@ -536,25 +536,6 @@ def test_no_saddle_point_reported_converged(anchors, point):
         assert np.all(eigenvalues[:, 0] >= -1e-9 * eigenvalues[:, -1]), seed
 
 
-def test_closed_form_lowest_eigenvector_matches_eigh():
-    # Random 2 x 2 matrices, and the edge cases of the closed form: a
-    # diagonal matrix either way round, and a multiple of the identity.
-    rng = np.random.default_rng(21)
-    entries = [column for column in rng.uniform(-3.0, 3.0, (3, 2000))]
-    for column, (a, b, c) in zip(range(4), [(2.0, 0.0, 1.0), (1.0, 0.0, 2.0), (1.5, 0.0, 1.5),
-                                            (1.0, 1e-300, 1.0)]):
-        entries[0][column], entries[1][column], entries[2][column] = a, b, c
-    vec = positioning._lowest_eigenvector(entries)
-    full = positioning._symmetric(entries)
-    values, vectors = np.linalg.eigh(full)
-    np.testing.assert_allclose(np.linalg.norm(vec, axis=0), 1.0, rtol=1e-15)
-    np.testing.assert_allclose(np.einsum("nij,jn->in", full, vec), values[:, 0] * vec,
-                               atol=1e-13)
-    distinct = values[:, 1] - values[:, 0] > 1e-6
-    np.testing.assert_allclose(np.abs(np.sum(vec.T * vectors[:, :, 0], axis=1))[distinct], 1.0,
-                               rtol=1e-9)
-
-
 def test_other_dimensions_rejected():
     with pytest.raises(ValueError, match="dim must be 2 or 3"):
         solve_fixes(np.array([[0.0], [10.0]]), np.array([[3.0, 7.0]]))
