@@ -326,6 +326,12 @@ def _stationary_test(x: np.ndarray, res: np.ndarray, ranges: np.ndarray, dists: 
     return half_grad, hessian, definite, step, stationary
 
 
+def _shape_error(name: str, value: np.ndarray, expected: object,
+                 anchors: np.ndarray) -> ValueError:
+    return ValueError(f"{name} has shape {value.shape}, but anchors of shape "
+                      f"{anchors.shape} need {expected}")
+
+
 def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                 weights: np.ndarray | None = None, init: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -360,18 +366,26 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
     the iteration counts (F,) and the converged flags (F,).
     """
     anchors = np.asarray(anchors, dtype=float)
-    all_dists = np.array(distances, dtype=float).T
-    n_anchor, n_fix = all_dists.shape
-    dim = anchors.shape[1]
+    n_anchor, dim = anchors.shape
     if dim not in _PAIRS:
         raise ValueError("dim must be 2 or 3")
+    dists = np.array(distances, dtype=float)
+    if dists.ndim != 2 or dists.shape[1] != n_anchor:
+        raise _shape_error("distances", dists, f"(F, {n_anchor})", anchors)
+    n_fix = len(dists)
+    all_dists = dists.T
     if init is None:
         x = _linear_init(anchors, all_dists)
     elif n_anchor < dim:
         raise ValueError(f"need at least {dim} anchors")
     else:
-        x = np.array(init, dtype=float).reshape(n_fix, dim).T.copy()
+        x = np.array(init, dtype=float)
+        if x.shape != (n_fix, dim):
+            raise _shape_error("init", x, (n_fix, dim), anchors)
+        x = x.T.copy()
     raw_weights = np.ones(n_anchor) if weights is None else np.asarray(weights, dtype=float)
+    if raw_weights.shape != (n_anchor,):
+        raise _shape_error("weights", raw_weights, (n_anchor,), anchors)
     if np.any(raw_weights <= 0) or not np.all(np.isfinite(raw_weights)):
         raise ValueError("weights must be positive and finite")
     weight_scale = raw_weights.max()
@@ -473,11 +487,16 @@ def range_position_crb(anchors: Sequence[Anchor], point: Vec3, sigmas: Sequence[
     """Root of the trace of the inverse range-only position FIM (meters).
 
     The FIM is sum_i (1/sigma_i^2) u_i u_i^T with u_i the unit vector from
-    anchor i to the evaluation point.
+    anchor i to the evaluation point.  ``sigmas`` holds one positive, finite
+    value per anchor.
     """
     p = coordinates([point], dim)[0]
+    values = np.asarray(sigmas, dtype=float)
+    if values.shape != (len(anchors),) or not np.all((values > 0) & np.isfinite(values)):
+        raise ValueError("sigmas must hold one positive, finite value per anchor "
+                         f"({len(anchors)} anchors), got {list(sigmas)}")
     info = np.zeros((dim, dim))
-    for a, sigma in zip(coordinates([anchor.position for anchor in anchors], dim), sigmas):
+    for a, sigma in zip(coordinates([anchor.position for anchor in anchors], dim), values):
         u = p - a
         norm = np.linalg.norm(u)
         if norm == 0:

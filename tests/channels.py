@@ -2,8 +2,14 @@
 
 import numpy as np
 
-from slpos.propagation import ChannelSnapshot, PathComponent, PathKind
+from slpos.positioning import Anchor
+from slpos.propagation import ChannelSnapshot, PathComponent, PathKind, Vec3
 from slpos.signal import PilotGrid, make_pilots
+
+# The square anchor layout of the positioning tests, the 10 m square of
+# data/anchors_square.txt.
+SQUARE = [Anchor(Vec3(0.0, 0.0, 0.0)), Anchor(Vec3(10.0, 0.0, 0.0)),
+          Anchor(Vec3(0.0, 10.0, 0.0)), Anchor(Vec3(10.0, 10.0, 0.0))]
 
 
 def make_snapshot(paths, tx=None, rx=None):

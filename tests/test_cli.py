@@ -102,44 +102,13 @@ def test_ranging_with_scenario_file(tmp_path):
     assert code == 0
 
 
-def test_position_subcommand(tmp_path, capsys):
-    anchors = tmp_path / "anchors.txt"
-    anchors.write_text("# corner anchors\n0,0,0,a\n10,0,0,b\n0,10,0,c\n10,10,0,d\n")
-    code = main(["position", "--anchors", str(anchors), "--sigma", "1.0",
+def test_position_subcommand(capsys):
+    code = main(["position", "--anchors", str(DATA / "anchors_square.txt"), "--sigma", "1.0",
                  "--trials", "50", "--true-point", "3,4,0"])
     assert code == 0
     out = capsys.readouterr().out
     assert "synthetic anchor layout" in out
     assert "set3 (0.1-0.5 m, 95%-99%)" in out
-
-
-def test_position_negative_seed_rejected_by_name_before_any_fix(tmp_path, monkeypatch,
-                                                                capsys):
-    anchors = tmp_path / "anchors.txt"
-    anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
-    calls = []
-    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
-    assert main(["position", "--anchors", str(anchors), "--sigma", "1", "--seed", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ("slpos: configuration error: seed must lie in [0, inf] "
-                            "(a NumPy seed), got -1\n")
-    assert captured.out == ""
-    assert calls == []
-
-
-def test_position_trials_beyond_the_cap_rejected_by_name_before_any_fix(tmp_path,
-                                                                       monkeypatch, capsys):
-    anchors = tmp_path / "anchors.txt"
-    anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
-    calls = []
-    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
-    argv = ["position", "--anchors", str(anchors), "--sigma", "1", "--trials", "2000000000"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ("slpos: configuration error: trials must lie in [1, 1e+07] "
-                            "fixes, got 2000000000\n")
-    assert captured.out == ""
-    assert calls == []
 
 
 def test_check_subcommand(capsys):
@@ -168,23 +137,6 @@ def test_check_prints_each_result_in_significant_digits(vmax, accuracy, lines, c
 def test_check_zero_speed(capsys):
     assert main(["check", "--vmax", "0", "--accuracy", "3"]) == 0
     assert "unbounded" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("vmax, accuracy, quantity", [
-    ("5e-324", "1", "maximum speed must lie in [0.1, 150] m/s, or 0 (unbounded), got 5e-324"),
-    ("1e-308", "1e308", "accuracy requirement must lie in [0.001, 1000] m, got 1e+308"),
-    ("1e308", "1", "maximum speed must lie in [0.1, 150] m/s, or 0 (unbounded), got 1e+308"),
-    ("100", "5e-324", "accuracy requirement must lie in [0.001, 1000] m, got 5e-324"),
-    ("1e-300", "2e6", "accuracy requirement must lie in [0.001, 1000] m, got 2000000.0"),
-])
-def test_check_rejects_results_outside_the_float_range(vmax, accuracy, quantity, capsys):
-    # Inputs that once gave an infinite limit or budget, a budget that
-    # underflows to 0 ms, or a speed beyond any road's lie outside
-    # CHECK_RANGES, and are rejected by name.
-    assert main(["check", "--vmax", vmax, "--accuracy", accuracy]) == 1
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err and quantity in captured.err
-    assert captured.out == ""
 
 
 def test_bad_usage_exits_1():
@@ -273,6 +225,9 @@ _BEYOND_RANGE = [
      "first_peak_threshold_db must lie in [0, inf] dB, got inf"),
     ([*_RANGING, "--first-peak-threshold-db=-inf"],
      "first_peak_threshold_db must lie in [0, inf] dB, got -inf"),
+    # Both ends of beta's open interval.
+    ([*_RANGING, "--beta", "1"], "beta must lie in (1, 2), got 1.0"),
+    ([*_RANGING, "--beta", "2"], "beta must lie in (1, 2), got 2.0"),
     (["position", "--sigma", "1", "--trials", "0"], "trials must lie in [1, 1e+07] fixes, got 0"),
     (["position", "--sigma", "1", "--trials", "10000001"],
      "trials must lie in [1, 1e+07] fixes, got 10000001"),
@@ -300,7 +255,8 @@ _BEYOND_RANGE_IDS = ["tx-power-top", "tx-power-floor", "noise-figure-top", "nois
                        for argv, _ in _BEYOND_RANGE[8:])]
 
 # Each RUN_RANGES and POSITION_RANGES row at both edges, the largest finite
-# float standing in for an infinite top, and for a seed an integer beyond it.
+# float standing in for an infinite top, and for a seed an integer beyond it;
+# beta one step inside each end of its open interval.
 _HUGE_SEED = str(10**400)
 _AT_RANGE_EDGE = [
     [*_RANGING, "--trials", "1"],
@@ -313,6 +269,8 @@ _AT_RANGE_EDGE = [
     [*_RANGING, "--oversample", "256"],
     [*_RANGING, "--first-peak-threshold-db", "0"],
     [*_RANGING, "--first-peak-threshold-db", "1.7976931348623157e308"],
+    [*_RANGING, "--beta", repr(math.nextafter(1.0, 2.0))],
+    [*_RANGING, "--beta", repr(math.nextafter(2.0, 1.0))],
     ["position", "--sigma", "1", "--trials", "1"],
     ["position", "--sigma", "1", "--trials", "10000000"],
     ["position", "--sigma", "1", "--seed", "0"],
@@ -322,15 +280,22 @@ _AT_RANGE_EDGE = [
 ]
 
 
+class _TraceReached(Exception):
+    """Raised in place of a sweep's first trace or a position run's first
+    fix: every check before it passed."""
+
+
+def _trace_reached(*args, **kwargs):
+    raise _TraceReached
+
+
 def _with_files(argv, tmp_path):
     """``argv`` with an --out file in ``tmp_path`` for a sweep, and for a
-    ``position`` without --anchors a square anchor file there."""
+    ``position`` without --anchors the square anchor file."""
     if argv[0] in ("ranging", "bounds"):
         return argv + ["--out", str(tmp_path / "out.csv")]
     if argv[0] == "position" and "--anchors" not in argv:
-        anchors = tmp_path / "anchors.txt"
-        anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
-        return argv + ["--anchors", str(anchors)]
+        return argv + ["--anchors", str(DATA / "anchors_square.txt")]
     return argv
 
 
@@ -362,25 +327,12 @@ def test_input_at_an_edge_of_its_working_range_reaches_the_first_trace_or_fix(ar
         main(_with_files(argv, tmp_path))
 
 
+# Besides every _BEYOND_RANGE row: values of another class than that table's
+# (a NaN or an infinity it lacks), true points on an anchor, and radio
+# budgets whose dB conversion can overflow before the range check.
 @pytest.mark.parametrize("argv", [
-    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
-     "--clock-bias-std", "nan"],
-    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
-     "--clock-bias-std=-1e-6"],
-    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
-     "--clock-bias-std", "inf"],
-    ["position", "--sigma=-1"],
-    ["position", "--sigma", "nan"],
-    ["position", "--sigma", "inf"],
-    ["position", "--sigma", "1", "--trials", "0"],
-    ["check", "--vmax", "14", "--accuracy=-3"],
-    ["check", "--vmax", "14", "--accuracy", "0"],
     ["check", "--vmax", "0", "--accuracy", "nan"],
     ["check", "--vmax", "nan", "--accuracy", "3"],
-    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
-     "--peak-policy", "first_peak", "--first-peak-threshold-db", "nan"],
-    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
-     "--peak-policy", "first_peak", "--first-peak-threshold-db=-3"],
     ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
      "--tx-power-dbm", "nan"],
     ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
@@ -388,20 +340,11 @@ def test_input_at_an_edge_of_its_working_range_reaches_the_first_trace_or_fix(ar
     ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
      "--noise-figure-db=inf"],
     ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
-     "--oversample", "0"],
-    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
-     "--beta", "2"],
-    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
      "--beta", "nan"],
-    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--beta", "1"],
-    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "nan"],
     ["check", "--vmax", "inf", "--accuracy", "3"],
     ["check", "--vmax", "14", "--accuracy", "inf"],
     ["position", "--sigma", "1", "--true-point", "0,0,0"],
     ["position", "--sigma", "1", "--true-point", "10,10,5"],
-    ["position", "--sigma", "1e160"],
-    ["position", "--sigma", "1e308"],
-    ["position", "--sigma", "1", "--true-point", "1e200,0,0"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "4000"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db", "4000"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db=-4000"],
@@ -520,14 +463,6 @@ def test_scenario_2_file_rejected_as_a_whole(argv, extra, message, tmp_path, cap
     assert captured.err == f"slpos: configuration error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
-
-
-class _TraceReached(Exception):
-    """Raised in place of a sweep's first trace: every check before it passed."""
-
-
-def _trace_reached(*args, **kwargs):
-    raise _TraceReached
 
 
 # (scenario id, key) of every value in the two scenario dumps.
@@ -688,11 +623,10 @@ def test_bad_anchor_row_exits_1_naming_its_line(row, reason, tmp_path, capsys):
     ("a,b,c", "could not convert string to float: 'a'"),
     ("1,2", "expected 3 comma-separated numbers, got '1,2'"),
 ], ids=("nan", "letters", "two-numbers"))
-def test_bad_true_point_exits_1_with_its_reason(point, reason, tmp_path, capsys):
-    anchors = tmp_path / "anchors.txt"
-    anchors.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n")
+def test_bad_true_point_exits_1_with_its_reason(point, reason, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["position", "--anchors", str(anchors), "--sigma", "1", "--true-point", point])
+        main(["position", "--anchors", str(DATA / "anchors_square.txt"), "--sigma", "1",
+              "--true-point", point])
     assert exc.value.code == 1
     assert f"argument --true-point: {reason}" in capsys.readouterr().err
 
@@ -700,10 +634,7 @@ def test_bad_true_point_exits_1_with_its_reason(point, reason, tmp_path, capsys)
 @pytest.mark.parametrize("command", ["ranging", "bounds"])
 def test_unwritable_out_rejected_before_the_first_sample(command, tmp_path, monkeypatch,
                                                          capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("a sweep sample ran")
-
-    monkeypatch.setattr(harness, "trace_paths", never)
+    monkeypatch.setattr(harness, "trace_paths", _trace_reached)
     for out in (tmp_path / "missing_dir" / "x.csv", tmp_path, ""):
         assert main([command, "--scenario", "1", "--link", "rsu-vehicle",
                      "--out", str(out)]) == 2
@@ -713,52 +644,35 @@ def test_unwritable_out_rejected_before_the_first_sample(command, tmp_path, monk
     assert not (tmp_path / "missing_dir").exists()
 
 
-@pytest.mark.parametrize("command", ["ranging", "bounds"])
-def test_sample_count_beyond_the_cap_rejected_before_the_first_sample(command, tmp_path,
-                                                                     monkeypatch, capsys):
-    # At the floors of the vehicle speed and the measurement interval, the
-    # 140 m rsu-vehicle lane takes 1400 s: 1.4e6 samples, beyond the cap.
-    entries = {**_scenario_entries(1), "vehicle_speed": "0.1", "measurement_interval": "0.001"}
-    scn_file = tmp_path / "scn.txt"
-    scn_file.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
-
-    def never(*args, **kwargs):
-        raise AssertionError("a sweep sample ran")
-
-    monkeypatch.setattr(harness, "sample_trajectory", never)
-    out = tmp_path / "out.csv"
-    assert main([command, "--scenario", "1", "--link", "rsu-vehicle",
-                 "--scenario-file", str(scn_file), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err
-    assert "measurement_interval" in captured.err and "rsu-vehicle" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
 # At 1.4 m/s the 140 m rsu-bicycle lane takes 100 s: an interval of
-# 100/99999 s gives exactly the cap's 10^5 samples, and 1 ms one more.
-@pytest.mark.parametrize("command", ["ranging", "bounds"])
+# 100/99999 s gives exactly the cap's 10^5 samples, and 1 ms one more, which
+# is rejected before the first pose.  `bounds` runs the same lines of the
+# sweep up to its first trace.
 @pytest.mark.parametrize("interval, accepted", [(repr(100 / 99999), True), ("0.001", False)],
                          ids=["at-the-cap", "one-over"])
 def test_sample_count_at_the_cap_reaches_the_first_trace_and_one_more_is_rejected(
-        command, interval, accepted, tmp_path, monkeypatch, capsys):
+        interval, accepted, tmp_path, monkeypatch, capsys):
     assert harness._MAX_SAMPLES == 10**5
     entries = {**_scenario_entries(1), "bicycle_speed": "1.4", "measurement_interval": interval}
     scn_file = tmp_path / "scn.txt"
     scn_file.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
     monkeypatch.setattr(harness, "trace_paths", _trace_reached)
-    argv = [command, "--scenario", "1", "--link", "rsu-bicycle", "--scenario-file",
-            str(scn_file), "--out", str(tmp_path / "out.csv")]
+    out = tmp_path / "out.csv"
+    argv = ["ranging", "--scenario", "1", "--link", "rsu-bicycle", "--scenario-file",
+            str(scn_file), "--out", str(out)]
     if accepted:
         with pytest.raises(_TraceReached):
             main(argv)
         return
+    monkeypatch.setattr(harness, "sample_trajectory", _trace_reached)
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("slpos: configuration error: measurement_interval=0.001 s over the "
-                          "100 s horizon of link rsu-bicycle (from bicycle_start and "
-                          "bicycle_speed) gives more than 100000 sweep samples")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("slpos: configuration error: measurement_interval=0.001 s "
+                                   "over the 100 s horizon of link rsu-bicycle (from "
+                                   "bicycle_start and bicycle_speed) gives more than 100000 "
+                                   "sweep samples")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_ranging_beyond_the_alias_range_rejected_before_the_first_sample(tmp_path, monkeypatch,
@@ -773,11 +687,7 @@ def test_ranging_beyond_the_alias_range_rejected_before_the_first_sample(tmp_pat
     # Bounds combine no round trip, so they keep the file.
     assert main(["bounds", *common, "--out", str(tmp_path / "bounds.csv")]) == 0
     capsys.readouterr()
-
-    def never(*args, **kwargs):
-        raise AssertionError("a sweep sample ran")
-
-    monkeypatch.setattr(harness, "trace_paths", never)
+    monkeypatch.setattr(harness, "trace_paths", _trace_reached)
     out = tmp_path / "out.csv"
     assert main(["ranging", *common, "--trials", "2", "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -800,11 +710,7 @@ def test_ranging_beyond_the_alias_range_names_the_key_of_each_end(key, value, li
              for line in scenario_to_text(build_scenario(1)).splitlines()]
     scn_file = tmp_path / "scn.txt"
     scn_file.write_text("\n".join(lines) + "\n")
-
-    def never(*args, **kwargs):
-        raise AssertionError("a sweep sample was traced")
-
-    monkeypatch.setattr(harness, "trace_paths", never)
+    monkeypatch.setattr(harness, "trace_paths", _trace_reached)
     out = tmp_path / "out.csv"
     assert main(["ranging", "--scenario", "1", "--link", link, "--scenario-file", str(scn_file),
                  "--trials", "1", "--out", str(out)]) == 1
@@ -1000,63 +906,6 @@ def test_readme_range_table_matches_the_code():
         if entry == "tx_power":  # documented in dBm
             code_lo, code_hi = (10.0 * math.log10(watts / 1e-3) for watts in (code_lo, code_hi))
         assert (lo, hi) == pytest.approx((code_lo, code_hi), rel=1e-12), name
-
-
-@pytest.mark.parametrize("oversample", ["257", "10000"])
-def test_oversample_too_large_rejected_before_the_first_sample(oversample, tmp_path,
-                                                               monkeypatch, capsys):
-    # Beyond the cap, one batch of full-spectrum fallbacks can exhaust the
-    # memory partway through the sweep.
-    def never(*args, **kwargs):
-        raise AssertionError("a sweep sample ran")
-
-    monkeypatch.setattr(harness, "trace_paths", never)
-    out = tmp_path / "x.csv"
-    assert main(["ranging", "--scenario", "1", "--link", "rsu-vehicle", "--trials", "32",
-                 "--oversample", oversample, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err
-    assert "oversample" in captured.err and oversample in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("trials", ["1000001", "1000000000"])
-def test_trials_beyond_the_cap_rejected_before_the_first_sample(trials, tmp_path,
-                                                                monkeypatch, capsys):
-    # 10^9 trials per sample would run for months; the cap, 10^6, for hours.
-    def never(*args, **kwargs):
-        raise AssertionError("a sweep sample ran")
-
-    monkeypatch.setattr(harness, "trace_paths", never)
-    out = tmp_path / "x.csv"
-    assert main(["ranging", "--scenario", "1", "--link", "rsu-vehicle", "--trials", trials,
-                 "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ("slpos: configuration error: trials must lie in [1, 1e+06] "
-                            f"round trips per sample, got {trials}\n")
-    assert captured.out == ""
-    assert not out.exists()
-    # The cap itself is a valid configuration; no sweep is started here.
-    assert harness.RUN_RANGES["trials"][1] == 10**6
-    RunConfig(scenario_id=1, link="rsu-vehicle", trials=harness.RUN_RANGES["trials"][1])
-
-
-def test_clock_bias_std_that_can_overflow_rejected_before_the_first_sample(tmp_path,
-                                                                         monkeypatch, capsys):
-    # A draw of 1e308 * N(0, 1) overflows to inf as soon as |N(0, 1)| > 1.8.
-    def never(*args, **kwargs):
-        raise AssertionError("a sweep sample ran")
-
-    monkeypatch.setattr(harness, "trace_paths", never)
-    out = tmp_path / "out.csv"
-    assert main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
-                 "--clock-bias-std", "1e308", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err
-    assert "clock_bias_std" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
 
 
 def test_existing_out_is_kept_until_the_sweep_ends(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from channels import make_snapshot, symbol_sum
+from channels import SQUARE, make_snapshot, symbol_sum
 from oracle_peak import full_spectrum_peak
 import slpos
 from slpos import estimation, harness
@@ -76,10 +76,6 @@ def one_process(monkeypatch):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
 
 
-SQUARE = [Anchor(Vec3(0.0, 0.0, 0.0)), Anchor(Vec3(10.0, 0.0, 0.0)),
-          Anchor(Vec3(0.0, 10.0, 0.0)), Anchor(Vec3(10.0, 10.0, 0.0))]
-
-
 # --- run configuration -----------------------------------------------------------
 
 def test_link_scenario_consistency():
@@ -100,13 +96,12 @@ def test_scenario_without_the_link_rejected_before_any_sample(sweep):
         sweep(RunConfig(scenario_id=1, link="rsu-bicycle"), scenario=build_scenario(2))
 
 
+# The range edges of the numeric fields are rows of test_cli.py's
+# _BEYOND_RANGE and _AT_RANGE_EDGE tables; these are the checks beside them:
+# the peak policy, beta's open interval, and types the command line cannot
+# send.
 @pytest.mark.parametrize("field, value", [
     ("peak_policy", "psychic"),
-    ("first_peak_threshold_db", math.nan),
-    ("first_peak_threshold_db", -3.0),
-    ("first_peak_threshold_db", math.inf),
-    ("oversample", 0),
-    ("oversample", harness.RUN_RANGES["oversample"][1] + 1),
     ("beta", 1.0),
     ("beta", 2.0),
     ("beta", math.nan),
@@ -120,28 +115,7 @@ def test_estimator_knobs_validated_up_front(field, value):
         RunConfig(scenario_id=1, link="rsu-vehicle", **{field: value})
 
 
-def test_largest_oversample_accepted():
-    assert RunConfig(scenario_id=1, link="rsu-vehicle",
-                     oversample=harness.RUN_RANGES["oversample"][1]).oversample == 256
-
-
-def test_zero_first_peak_threshold_accepted():
-    assert RunConfig(scenario_id=1, link="rsu-vehicle",
-                     first_peak_threshold_db=0.0).first_peak_threshold_db == 0.0
-
-
 # --- ranging sweep ----------------------------------------------------------------
-
-def test_sweep_deterministic_csv(tmp_path):
-    paths = []
-    for run in range(2):
-        out = tmp_path / f"sweep_{run}.csv"
-        cfg = RunConfig(scenario_id=2, link="vehicle-bicycle", trials=2, seed=42,
-                        output_path=str(out))
-        run_ranging_sweep(cfg)
-        paths.append(out.read_bytes())
-    assert paths[0] == paths[1]
-
 
 def test_sweep_covers_the_lane():
     cfg = RunConfig(scenario_id=1, link="rsu-vehicle", trials=1, seed=0)
@@ -189,19 +163,6 @@ def test_rmse_does_not_depend_on_clock_bias_std():
         assert sum(r > 5.0 for r in rmses) <= sum(r > 5.0 for r in reference), std
 
 
-@pytest.mark.parametrize("link", LINKS)
-def test_ranging_and_bounds_sweeps_share_every_non_rmse_column(link):
-    cfg = RunConfig(scenario_id=2 if link == "vehicle-bicycle" else 1, link=link,
-                    trials=1, seed=0)
-    ranging = run_ranging_sweep(cfg)
-    bounds = run_bounds_sweep(cfg)
-    assert len(ranging) == len(bounds)
-    for a, b in zip(ranging, bounds):
-        for name in CurvePoint.__dataclass_fields__:
-            if name != "rmse":
-                np.testing.assert_equal(getattr(a, name), getattr(b, name), err_msg=name)
-
-
 @pytest.mark.usefixtures("one_process")
 @pytest.mark.parametrize("link", LINKS)
 def test_every_sweep_sample_traces_a_reciprocal_channel(link, monkeypatch):
@@ -230,13 +191,11 @@ def test_every_sweep_sample_traces_a_reciprocal_channel(link, monkeypatch):
                     assert abs(a - b) <= 1e-10 * abs(a), name
 
 
-def _assert_csv_matches_reference(argv, reference, tmp_path):
-    """Non-RMSE cells as exact strings, rmse_m to 1e-9 relative (a bound
+def _assert_csv_matches_reference(text, reference):
+    """A sweep CSV's ``text`` against the committed file ``reference``:
+    non-RMSE cells as exact strings, rmse_m to 1e-9 relative (a bound
     sweep's nan matching nan)."""
-    out = tmp_path / "sweep.csv"
-    assert main(argv + ["--out", str(out)]) == 0
-    expected = (DATA / reference).read_text()
-    got_lines, want_lines = out.read_text().splitlines(), expected.splitlines()
+    got_lines, want_lines = text.splitlines(), (DATA / reference).read_text().splitlines()
     assert got_lines[0] == want_lines[0]
     assert len(got_lines) == len(want_lines)
     rmse_col = CSV_COLUMNS.index("rmse_m")
@@ -245,24 +204,6 @@ def _assert_csv_matches_reference(argv, reference, tmp_path):
         assert float(got_cells.pop(rmse_col)) == pytest.approx(
             float(want_cells.pop(rmse_col)), rel=1e-9, nan_ok=True)
         assert got_cells == want_cells
-
-
-def test_ranging_csv_matches_committed_reference(tmp_path, capsys):
-    # Output of `slpos ranging --scenario 2 --link vehicle-bicycle --trials 2
-    # --seed 42`: a refactor that keeps the sweep arithmetic keeps this file.
-    _assert_csv_matches_reference(
-        ["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
-         "--trials", "2", "--seed", "42"],
-        "ranging_scenario2_vehicle-bicycle_trials2_seed42.csv", tmp_path)
-
-
-def test_first_peak_csv_matches_committed_reference(tmp_path, capsys):
-    # Output of the first-peak estimator, whose candidate threshold depends
-    # on the spectrum values away from the global peak.
-    _assert_csv_matches_reference(
-        ["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
-         "--peak-policy", "first_peak", "--trials", "4", "--seed", "1"],
-        "ranging_scenario2_vehicle-bicycle_first_peak_trials4_seed1.csv", tmp_path)
 
 
 def test_trial_batch_size_does_not_change_rmse(monkeypatch):
@@ -525,22 +466,6 @@ def test_benchmark_sweep_never_falls_back_to_the_full_spectrum(policy, monkeypat
     assert not any(rows)
 
 
-def test_scenario1_csv_matches_committed_reference(tmp_path, capsys):
-    # The benchmarked configuration: scenario 1 rsu-vehicle, 10 trials.
-    _assert_csv_matches_reference(
-        ["ranging", "--scenario", "1", "--link", "rsu-vehicle",
-         "--trials", "10", "--seed", "1"],
-        "ranging_scenario1_rsu-vehicle_trials10_seed1.csv", tmp_path)
-
-
-def test_rsu_bicycle_csv_matches_committed_reference(tmp_path, capsys):
-    # Scenario 1's third link, whose two-path lobes can be flat-topped.
-    _assert_csv_matches_reference(
-        ["ranging", "--scenario", "1", "--link", "rsu-bicycle",
-         "--peak-policy", "first_peak", "--trials", "2", "--seed", "2"],
-        "ranging_scenario1_rsu-bicycle_first_peak_trials2_seed2.csv", tmp_path)
-
-
 # --- sweeps split across processes -------------------------------------------------
 
 def _forks(monkeypatch, cpus):
@@ -562,22 +487,48 @@ _LINK_ARGS = {"rsu-vehicle": ["--scenario", "1", "--link", "rsu-vehicle"],
               "vehicle-bicycle": ["--scenario", "2", "--link", "vehicle-bicycle"]}
 
 
-@pytest.mark.parametrize("argv", [
-    # The committed ranging references, a 40 dB first-peak sweep, then the
-    # three bound sweeps.
-    ["ranging", *_LINK_ARGS["vehicle-bicycle"], "--trials", "2", "--seed", "42"],
-    ["ranging", *_LINK_ARGS["vehicle-bicycle"], "--peak-policy", "first_peak",
-     "--trials", "4", "--seed", "1"],
-    ["ranging", *_LINK_ARGS["rsu-vehicle"], "--trials", "10", "--seed", "1"],
-    ["ranging", *_LINK_ARGS["rsu-bicycle"], "--peak-policy", "first_peak",
-     "--trials", "2", "--seed", "2"],
+def _default_curve(command, link):
+    """The argv of the paper's default ``command`` curve on ``link`` and its
+    committed file under data/curves.  A change that moves a cell
+    regenerates the file with this argv and lists what moved."""
+    argv = [command, *_LINK_ARGS[link]]
+    name = f"{command}_scenario{argv[2]}_{link}"
+    if command == "ranging":
+        argv += ["--trials", "100", "--seed", "42"]
+        name += "_trials100_seed42"
+    return argv, f"curves/{name}.csv"
+
+
+# Each sweep of the split test with its committed file, if it has one.
+_SPLIT_SWEEPS = [
+    # A refactor that keeps the sweep arithmetic keeps these files.
+    (["ranging", *_LINK_ARGS["vehicle-bicycle"], "--trials", "2", "--seed", "42"],
+     "ranging_scenario2_vehicle-bicycle_trials2_seed42.csv"),
+    # The first-peak estimator, whose candidate threshold depends on the
+    # spectrum values away from the global peak.
+    (["ranging", *_LINK_ARGS["vehicle-bicycle"], "--peak-policy", "first_peak",
+      "--trials", "4", "--seed", "1"],
+     "ranging_scenario2_vehicle-bicycle_first_peak_trials4_seed1.csv"),
+    # The benchmarked configuration.
+    (["ranging", *_LINK_ARGS["rsu-vehicle"], "--trials", "10", "--seed", "1"],
+     "ranging_scenario1_rsu-vehicle_trials10_seed1.csv"),
+    # Scenario 1's third link, whose two-path lobes can be flat-topped.
+    (["ranging", *_LINK_ARGS["rsu-bicycle"], "--peak-policy", "first_peak",
+      "--trials", "2", "--seed", "2"],
+     "ranging_scenario1_rsu-bicycle_first_peak_trials2_seed2.csv"),
     # 321 of its 808 arrivals fall back to the full spectrum; at 4 trials,
     # not 3, its chunks start every 8 samples, so that two of them fit.
-    ["ranging", *_LINK_ARGS["vehicle-bicycle"], "--peak-policy", "first_peak",
-     "--first-peak-threshold-db", "40", "--trials", "4", "--seed", "5"],
-    *(["bounds", *args] for args in _LINK_ARGS.values()),
-], ids=lambda argv: "-".join(argv[:5:2] + argv[7::2]))
-def test_split_sweep_writes_the_single_process_csv(argv, tmp_path, monkeypatch, capsys):
+    (["ranging", *_LINK_ARGS["vehicle-bicycle"], "--peak-policy", "first_peak",
+      "--first-peak-threshold-db", "40", "--trials", "4", "--seed", "5"], None),
+    # The paper's default bound curves.
+    *(_default_curve("bounds", link) for link in LINKS),
+]
+
+
+@pytest.mark.parametrize("argv, reference", _SPLIT_SWEEPS,
+                         ids=["-".join(argv[:5:2] + argv[7::2]) for argv, _ in _SPLIT_SWEEPS])
+def test_split_sweep_writes_the_single_process_csv(argv, reference, tmp_path, monkeypatch,
+                                                   capsys):
     # Three CPUs take chunks of 20 samples or more, so that three chunks fit.
     csv = []
     for cpus, min_chunk in ((1, harness._MIN_CHUNK), (2, harness._MIN_CHUNK), (3, 20)):
@@ -588,6 +539,8 @@ def test_split_sweep_writes_the_single_process_csv(argv, tmp_path, monkeypatch, 
         assert len(forks) == cpus - 1
         csv.append(out.read_bytes())
     assert csv[2] == csv[1] == csv[0]
+    if reference is not None:
+        _assert_csv_matches_reference(csv[0].decode(), reference)
 
 
 @pytest.mark.parametrize("policy", [*PEAK_POLICIES, None])
@@ -839,30 +792,35 @@ def test_bounds_sweep_has_nan_rmse(tmp_path):
 
 # --- the paper's default curves ------------------------------------------------------
 
-def _default_curve(command, link):
-    """The argv of the paper's default ``command`` curve on ``link`` and its
-    committed file under data/curves.  A change that moves a cell
-    regenerates the file with this argv and lists what moved."""
-    argv = [command, *_LINK_ARGS[link]]
-    name = f"{command}_scenario{argv[2]}_{link}"
-    if command == "ranging":
-        argv += ["--trials", "100", "--seed", "42"]
-        name += "_trials100_seed42"
-    return argv, f"curves/{name}.csv"
-
-
 @pytest.mark.parametrize("link", LINKS)
-@pytest.mark.parametrize("command", ["ranging", "bounds"])
-def test_default_curve_matches_committed_file(command, link, tmp_path, capsys):
-    # Split across the CPUs the host allows, two at most.
-    _assert_csv_matches_reference(*_default_curve(command, link), tmp_path)
+def test_default_curve_matches_committed_file(link, tmp_path, capsys):
+    # The ranging curves, split across the CPUs the host allows; the split
+    # sweep test holds the bound curves at one, two and three processes.
+    argv, reference = _default_curve("ranging", link)
+    assert main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
+    _assert_csv_matches_reference((tmp_path / "sweep.csv").read_text(), reference)
 
 
 @pytest.mark.usefixtures("one_process")
 def test_default_rsu_vehicle_curve_matches_committed_file_in_one_process(tmp_path, capsys):
     # With the test above on a two-CPU host: a 100-trial sweep's chunks,
     # aligned to whole peak-search batches, at one and at two processes.
-    _assert_csv_matches_reference(*_default_curve("ranging", "rsu-vehicle"), tmp_path)
+    argv, reference = _default_curve("ranging", "rsu-vehicle")
+    assert main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
+    _assert_csv_matches_reference((tmp_path / "sweep.csv").read_text(), reference)
+
+
+@pytest.mark.parametrize("link", LINKS)
+def test_ranging_and_bounds_sweeps_share_every_non_rmse_column(link):
+    # On the committed default curves, which the tests above regenerate.
+    rmse_col = CSV_COLUMNS.index("rmse_m")
+    ranging, bounds = ((DATA / _default_curve(command, link)[1]).read_text().splitlines()
+                       for command in ("ranging", "bounds"))
+    assert len(ranging) == len(bounds)
+    for a, b in zip(ranging, bounds):
+        a_cells, b_cells = a.split(","), b.split(",")
+        del a_cells[rmse_col], b_cells[rmse_col]
+        assert a_cells == b_cells
 
 
 @pytest.mark.parametrize("link, agreeing, with_los", [
@@ -1147,34 +1105,13 @@ def test_positioning_at_the_edges_of_its_working_range_is_finite(dim):
     assert summary.crb > 0
 
 
-def test_positioning_rejects_one_step_beyond_each_working_range_edge(monkeypatch):
-    calls = []
-    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
-    beyond = math.nextafter(MAX_COORDINATE_M, math.inf)
-    with pytest.raises(ValueError, match=re.escape("sigma must lie in [0, 1e+06] m")):
-        run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=beyond, trials=1)
-    with pytest.raises(ValueError, match="true_point must lie within 1e[+]06 m"):
-        run_positioning_demo(SQUARE, Vec3(3.0, -beyond, 0.0), sigma=1.0, trials=1)
-    with pytest.raises(ValueError, match="anchor must lie within 1e[+]06 m"):
-        Anchor(Vec3(0.0, 0.0, beyond))
-    assert calls == []
-
-
-def test_clock_bias_std_lies_in_zero_to_one_second():
-    for std in (0.0, 1.0):
-        assert RunConfig(scenario_id=1, link="rsu-vehicle", clock_bias_std=std).clock_bias_std == std
-    for std in (-5e-324, math.nextafter(1.0, 2.0)):
-        with pytest.raises(ValueError, match=re.escape("clock_bias_std must lie in [0, 1] s")):
-            RunConfig(scenario_id=1, link="rsu-vehicle", clock_bias_std=std)
-
-
 class _Reached(Exception):
     pass
 
 
+# The cap's edges are rows of test_cli.py's _BEYOND_RANGE and _AT_RANGE_EDGE
+# tables; these are the types the command line cannot send.
 @pytest.mark.parametrize("trials, accepted", [
-    (harness.POSITION_RANGES["trials"][1], True),
-    (harness.POSITION_RANGES["trials"][1] + 1, False),
     (np.int64(5), True),
     (5.0, False),
     (True, False),
@@ -1342,14 +1279,3 @@ def test_zero_speed_reports_unbounded(ofdm):
     report = coherence_and_latency_check(ofdm, v_max=0.0, accuracy_req=3.0)
     assert math.isinf(report.coherence_margin)
     assert math.isinf(report.latency_budget_s)
-
-
-def test_negative_speed_rejected(ofdm):
-    with pytest.raises(ValueError):
-        coherence_and_latency_check(ofdm, v_max=-1.0, accuracy_req=3.0)
-
-
-@pytest.mark.parametrize("v_max, accuracy", [(math.inf, 3.0), (14.0, math.inf)])
-def test_infinite_speed_or_accuracy_rejected(ofdm, v_max, accuracy):
-    with pytest.raises(ValueError, match="must lie in"):
-        coherence_and_latency_check(ofdm, v_max=v_max, accuracy_req=accuracy)

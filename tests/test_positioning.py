@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from channels import SQUARE
 from oracle_newton import lapack_branches, lapack_newton_step, stacked_normal_and_hessian
 from slpos import positioning
 from slpos.estimation import RangeMeasurement
@@ -17,8 +19,6 @@ from slpos.positioning import (
 )
 from slpos.propagation import Vec3
 
-SQUARE = [Anchor(Vec3(0.0, 0.0, 0.0)), Anchor(Vec3(10.0, 0.0, 0.0)),
-          Anchor(Vec3(0.0, 10.0, 0.0)), Anchor(Vec3(10.0, 10.0, 0.0))]
 SQUARE_XY = [[a.position.x, a.position.y] for a in SQUARE]
 
 
@@ -566,11 +566,40 @@ def test_numpy_integer_dimension_accepted():
     (SQUARE_XY, {"weights": [1.0, 1.0, 0.0, 1.0]}, "weights must be positive and finite"),
     (SQUARE_XY, {"weights": [1.0, -1.0, 1.0, 1.0]}, "weights must be positive and finite"),
     (SQUARE_XY, {"weights": [1.0, 1.0, 1.0, math.nan]}, "weights must be positive and finite"),
+    # Shapes that do not fit the four 2-D anchors, which once raised an
+    # anchor-count or a broadcasting error, or broadcast silently; "ranges"
+    # is the shape of the distances.
+    (SQUARE_XY, {"ranges": (1, 1), "init": [[1.0, 1.0]]},
+     "distances has shape (1, 1), but anchors of shape (4, 2) need (F, 4)"),
+    *((SQUARE_XY, {"ranges": (1, width)},
+       f"distances has shape (1, {width}), but anchors of shape (4, 2) need (F, 4)")
+      for width in (2, 3, 5)),
+    (SQUARE_XY, {"ranges": (4,)},
+     "distances has shape (4,), but anchors of shape (4, 2) need (F, 4)"),
+    (SQUARE_XY, {"weights": [1.0, 1.0]},
+     "weights has shape (2,), but anchors of shape (4, 2) need (4,)"),
+    (SQUARE_XY, {"weights": [1.0]},
+     "weights has shape (1,), but anchors of shape (4, 2) need (4,)"),
+    (SQUARE_XY, {"init": [[1.0], [1.0]]},
+     "init has shape (2, 1), but anchors of shape (4, 2) need (1, 2)"),
 ])
 def test_solve_fixes_rejects_bad_options(anchors, options, message):
-    ranges = np.full((1, len(anchors)), 5.0)
-    with pytest.raises(ValueError, match=message):
+    options = dict(options)
+    ranges = np.full(options.pop("ranges", (1, len(anchors))), 5.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
         solve_fixes(np.array(anchors), ranges, **options)
+
+
+@pytest.mark.parametrize("sigmas", [[1.0, 1.0], [1.0] * 5, [1.0, 1.0, 1.0, -1.0],
+                                    [1.0, 1.0, 1.0, math.nan], [1.0, 1.0, 1.0, 0.0],
+                                    [1.0, 1.0, 1.0, math.inf]],
+                         ids=["two", "five", "negative", "nan", "zero", "inf"])
+def test_crb_rejects_sigmas_other_than_one_positive_finite_value_per_anchor(sigmas):
+    # Once two anchors were dropped, a sign squared away, a nan returned or
+    # a divide by zero warned.
+    with pytest.raises(ValueError, match=re.escape(
+            f"sigmas must hold one positive, finite value per anchor (4 anchors), got {sigmas}")):
+        range_position_crb(SQUARE, Vec3(3.0, 4.0, 0.0), sigmas)
 
 
 def test_crb_rejects_point_on_anchor():
