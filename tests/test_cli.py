@@ -111,6 +111,31 @@ def test_position_subcommand(capsys):
     assert "set3 (0.1-0.5 m, 95%-99%)" in out
 
 
+def test_position_negative_seed_rejected_by_name_before_any_fix(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
+    assert main(["position", "--anchors", str(DATA / "anchors_square.txt"), "--sigma", "1",
+                 "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("slpos: configuration error: seed must lie in [0, inf] "
+                            "(a NumPy seed), got -1\n")
+    assert captured.out == ""
+    assert calls == []
+
+
+def test_position_trials_beyond_the_cap_rejected_by_name_before_any_fix(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
+    argv = ["position", "--anchors", str(DATA / "anchors_square.txt"), "--sigma", "1",
+            "--trials", "2000000000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("slpos: configuration error: trials must lie in [1, 1e+07] "
+                            "fixes, got 2000000000\n")
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_check_subcommand(capsys):
     assert main(["check", "--vmax", "14", "--accuracy", "3"]) == 0
     out = capsys.readouterr().out
@@ -137,6 +162,23 @@ def test_check_prints_each_result_in_significant_digits(vmax, accuracy, lines, c
 def test_check_zero_speed(capsys):
     assert main(["check", "--vmax", "0", "--accuracy", "3"]) == 0
     assert "unbounded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("vmax, accuracy, quantity", [
+    ("5e-324", "1", "maximum speed must lie in [0.1, 150] m/s, or 0 (unbounded), got 5e-324"),
+    ("1e-308", "1e308", "accuracy requirement must lie in [0.001, 1000] m, got 1e+308"),
+    ("1e308", "1", "maximum speed must lie in [0.1, 150] m/s, or 0 (unbounded), got 1e+308"),
+    ("100", "5e-324", "accuracy requirement must lie in [0.001, 1000] m, got 5e-324"),
+    ("1e-300", "2e6", "accuracy requirement must lie in [0.001, 1000] m, got 2000000.0"),
+])
+def test_check_rejects_results_outside_the_float_range(vmax, accuracy, quantity, capsys):
+    # Inputs that once gave an infinite limit or budget, a budget that
+    # underflows to 0 ms, or a speed beyond any road's lie outside
+    # CHECK_RANGES, and are rejected by name.
+    assert main(["check", "--vmax", vmax, "--accuracy", accuracy]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and quantity in captured.err
+    assert captured.out == ""
 
 
 def test_bad_usage_exits_1():
@@ -327,12 +369,25 @@ def test_input_at_an_edge_of_its_working_range_reaches_the_first_trace_or_fix(ar
         main(_with_files(argv, tmp_path))
 
 
-# Besides every _BEYOND_RANGE row: values of another class than that table's
-# (a NaN or an infinity it lacks), true points on an anchor, and radio
-# budgets whose dB conversion can overflow before the range check.
 @pytest.mark.parametrize("argv", [
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--clock-bias-std", "nan"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--clock-bias-std=-1e-6"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--clock-bias-std", "inf"],
+    ["position", "--sigma=-1"],
+    ["position", "--sigma", "nan"],
+    ["position", "--sigma", "inf"],
+    ["position", "--sigma", "1", "--trials", "0"],
+    ["check", "--vmax", "14", "--accuracy=-3"],
+    ["check", "--vmax", "14", "--accuracy", "0"],
     ["check", "--vmax", "0", "--accuracy", "nan"],
     ["check", "--vmax", "nan", "--accuracy", "3"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--peak-policy", "first_peak", "--first-peak-threshold-db", "nan"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--peak-policy", "first_peak", "--first-peak-threshold-db=-3"],
     ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
      "--tx-power-dbm", "nan"],
     ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
@@ -340,11 +395,20 @@ def test_input_at_an_edge_of_its_working_range_reaches_the_first_trace_or_fix(ar
     ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
      "--noise-figure-db=inf"],
     ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--oversample", "0"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+     "--beta", "2"],
+    ["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
      "--beta", "nan"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--beta", "1"],
+    ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "nan"],
     ["check", "--vmax", "inf", "--accuracy", "3"],
     ["check", "--vmax", "14", "--accuracy", "inf"],
     ["position", "--sigma", "1", "--true-point", "0,0,0"],
     ["position", "--sigma", "1", "--true-point", "10,10,5"],
+    ["position", "--sigma", "1e160"],
+    ["position", "--sigma", "1e308"],
+    ["position", "--sigma", "1", "--true-point", "1e200,0,0"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--tx-power-dbm", "4000"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db", "4000"],
     ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--noise-figure-db=-4000"],
@@ -906,6 +970,54 @@ def test_readme_range_table_matches_the_code():
         if entry == "tx_power":  # documented in dBm
             code_lo, code_hi = (10.0 * math.log10(watts / 1e-3) for watts in (code_lo, code_hi))
         assert (lo, hi) == pytest.approx((code_lo, code_hi), rel=1e-12), name
+
+
+@pytest.mark.parametrize("oversample", ["257", "10000"])
+def test_oversample_too_large_rejected_before_the_first_sample(oversample, tmp_path,
+                                                               monkeypatch, capsys):
+    # Beyond the cap, one batch of full-spectrum fallbacks can exhaust the
+    # memory partway through the sweep.
+    monkeypatch.setattr(harness, "trace_paths", _trace_reached)
+    out = tmp_path / "x.csv"
+    assert main(["ranging", "--scenario", "1", "--link", "rsu-vehicle", "--trials", "32",
+                 "--oversample", oversample, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "oversample" in captured.err and oversample in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["1000001", "1000000000"])
+def test_trials_beyond_the_cap_rejected_before_the_first_sample(trials, tmp_path,
+                                                                monkeypatch, capsys):
+    # 10^9 trials per sample would run for months; the cap, 10^6, for hours.
+    monkeypatch.setattr(harness, "trace_paths", _trace_reached)
+    out = tmp_path / "x.csv"
+    assert main(["ranging", "--scenario", "1", "--link", "rsu-vehicle", "--trials", trials,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("slpos: configuration error: trials must lie in [1, 1e+06] "
+                            f"round trips per sample, got {trials}\n")
+    assert captured.out == ""
+    assert not out.exists()
+    # The cap itself is a valid configuration; no sweep is started here.
+    assert harness.RUN_RANGES["trials"][1] == 10**6
+    RunConfig(scenario_id=1, link="rsu-vehicle", trials=harness.RUN_RANGES["trials"][1])
+
+
+def test_clock_bias_std_that_can_overflow_rejected_before_the_first_sample(tmp_path,
+                                                                         monkeypatch, capsys):
+    # A draw of 1e308 * N(0, 1) overflows to inf as soon as |N(0, 1)| > 1.8.
+    monkeypatch.setattr(harness, "trace_paths", _trace_reached)
+    out = tmp_path / "out.csv"
+    assert main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle", "--trials", "1",
+                 "--clock-bias-std", "1e308", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "clock_bias_std" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_existing_out_is_kept_until_the_sweep_ends(tmp_path, monkeypatch):

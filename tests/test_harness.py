@@ -96,12 +96,13 @@ def test_scenario_without_the_link_rejected_before_any_sample(sweep):
         sweep(RunConfig(scenario_id=1, link="rsu-bicycle"), scenario=build_scenario(2))
 
 
-# The range edges of the numeric fields are rows of test_cli.py's
-# _BEYOND_RANGE and _AT_RANGE_EDGE tables; these are the checks beside them:
-# the peak policy, beta's open interval, and types the command line cannot
-# send.
 @pytest.mark.parametrize("field, value", [
     ("peak_policy", "psychic"),
+    ("first_peak_threshold_db", math.nan),
+    ("first_peak_threshold_db", -3.0),
+    ("first_peak_threshold_db", math.inf),
+    ("oversample", 0),
+    ("oversample", harness.RUN_RANGES["oversample"][1] + 1),
     ("beta", 1.0),
     ("beta", 2.0),
     ("beta", math.nan),
@@ -113,6 +114,16 @@ def test_scenario_without_the_link_rejected_before_any_sample(sweep):
 def test_estimator_knobs_validated_up_front(field, value):
     with pytest.raises(ValueError):
         RunConfig(scenario_id=1, link="rsu-vehicle", **{field: value})
+
+
+def test_largest_oversample_accepted():
+    assert RunConfig(scenario_id=1, link="rsu-vehicle",
+                     oversample=harness.RUN_RANGES["oversample"][1]).oversample == 256
+
+
+def test_zero_first_peak_threshold_accepted():
+    assert RunConfig(scenario_id=1, link="rsu-vehicle",
+                     first_peak_threshold_db=0.0).first_peak_threshold_db == 0.0
 
 
 # --- ranging sweep ----------------------------------------------------------------
@@ -1105,13 +1116,35 @@ def test_positioning_at_the_edges_of_its_working_range_is_finite(dim):
     assert summary.crb > 0
 
 
+def test_positioning_rejects_one_step_beyond_each_working_range_edge(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "solve_fixes", lambda *args, **kwargs: calls.append(args))
+    beyond = math.nextafter(MAX_COORDINATE_M, math.inf)
+    with pytest.raises(ValueError, match=re.escape("sigma must lie in [0, 1e+06] m")):
+        run_positioning_demo(SQUARE, Vec3(3.0, 4.0, 0.0), sigma=beyond, trials=1)
+    with pytest.raises(ValueError, match="true_point must lie within 1e[+]06 m"):
+        run_positioning_demo(SQUARE, Vec3(3.0, -beyond, 0.0), sigma=1.0, trials=1)
+    with pytest.raises(ValueError, match="anchor must lie within 1e[+]06 m"):
+        Anchor(Vec3(0.0, 0.0, beyond))
+    assert calls == []
+
+
+def test_clock_bias_std_lies_in_zero_to_one_second():
+    for std in (0.0, 1.0):
+        assert RunConfig(scenario_id=1, link="rsu-vehicle",
+                         clock_bias_std=std).clock_bias_std == std
+    for std in (-5e-324, math.nextafter(1.0, 2.0)):
+        with pytest.raises(ValueError, match=re.escape("clock_bias_std must lie in [0, 1] s")):
+            RunConfig(scenario_id=1, link="rsu-vehicle", clock_bias_std=std)
+
+
 class _Reached(Exception):
     pass
 
 
-# The cap's edges are rows of test_cli.py's _BEYOND_RANGE and _AT_RANGE_EDGE
-# tables; these are the types the command line cannot send.
 @pytest.mark.parametrize("trials, accepted", [
+    (harness.POSITION_RANGES["trials"][1], True),
+    (harness.POSITION_RANGES["trials"][1] + 1, False),
     (np.int64(5), True),
     (5.0, False),
     (True, False),
@@ -1279,3 +1312,14 @@ def test_zero_speed_reports_unbounded(ofdm):
     report = coherence_and_latency_check(ofdm, v_max=0.0, accuracy_req=3.0)
     assert math.isinf(report.coherence_margin)
     assert math.isinf(report.latency_budget_s)
+
+
+def test_negative_speed_rejected(ofdm):
+    with pytest.raises(ValueError):
+        coherence_and_latency_check(ofdm, v_max=-1.0, accuracy_req=3.0)
+
+
+@pytest.mark.parametrize("v_max, accuracy", [(math.inf, 3.0), (14.0, math.inf)])
+def test_infinite_speed_or_accuracy_rejected(ofdm, v_max, accuracy):
+    with pytest.raises(ValueError, match="must lie in"):
+        coherence_and_latency_check(ofdm, v_max=v_max, accuracy_req=accuracy)

@@ -37,12 +37,31 @@ def test_default_config_values(ofdm):
     assert ofdm.noise_figure_db == 8.0
 
 
+def test_config_validation():
+    with pytest.raises(ValueError):
+        OfdmConfig(num_subcarriers=1, subcarrier_spacing=120e3, num_symbols=12,
+                   symbol_duration=8.35e-6, carrier_freq=5.9e9, tx_power=0.01,
+                   noise_psd=4e-21, noise_figure_db=8.0)
+    with pytest.raises(ValueError):
+        # Symbol shorter than the inverse subcarrier spacing.
+        OfdmConfig(num_subcarriers=167, subcarrier_spacing=120e3, num_symbols=12,
+                   symbol_duration=5e-6, carrier_freq=5.9e9, tx_power=0.01,
+                   noise_psd=4e-21, noise_figure_db=8.0)
+
+
 @pytest.mark.parametrize("field", ["subcarrier_spacing", "symbol_duration", "carrier_freq",
                                    "tx_power", "noise_psd", "noise_figure_db"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_rejects_non_finite_fields(ofdm, field, value):
     with pytest.raises(ValueError, match=field):
         OfdmConfig(**{**ofdm.__dict__, field: value})
+
+
+@pytest.mark.parametrize("figure_db", [4000.0, -4000.0])
+def test_config_rejects_a_noise_figure_whose_variance_is_not_finite_and_positive(ofdm,
+                                                                                 figure_db):
+    with pytest.raises(ValueError, match="noise_figure_db"):
+        OfdmConfig(**{**ofdm.__dict__, "noise_figure_db": figure_db})
 
 
 def test_noise_variance_with_noise_figure(ofdm):
