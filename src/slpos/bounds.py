@@ -132,14 +132,15 @@ class BoundReport:
 
     ``weights`` follow ``cell_indices`` order and sum to one; ``waa_bias_m``
     is the speed of light times the gap between the true and merged times
-    of arrival.  ``destructive_interference`` marks cells whose gains sum
-    to (numerically) zero, where the merged-path bound is infinite.
+    of arrival.  A snapshot's paths are sorted by delay with the line of
+    sight first, so the merged time of arrival is the line-of-sight delay
+    plus ``waa_bias_m`` / c.  ``destructive_interference`` marks cells whose
+    gains sum to (numerically) zero, where the merged-path bound is infinite.
     """
 
     reb_los_only: float
     reb_all_paths: float
     reb_waa: float
-    merged_toa: float
     waa_bias_m: float
     cell_indices: tuple[int, ...]
     weights: tuple[float, ...]
@@ -183,15 +184,6 @@ def _meters(variance: float, bias_s: float = 0.0) -> float:
     return SPEED_OF_LIGHT * math.sqrt(variance + bias_s ** 2)
 
 
-def _reb(paths: list[PathComponent], pilots: PilotGrid, config: OfdmConfig) -> float:
-    """c * sqrt(delay CRB of ``paths[0]``) in meters, or inf when the joint
-    FIM of ``paths`` is near-singular.  A lone path takes the closed form;
-    several go through ``fim`` and ``crb_delay``."""
-    if len(paths) == 1:
-        return _meters(_single_path_crb(paths[0].gain, pilots, config))
-    return _meters(crb_delay(fim(paths, pilots, config)))
-
-
 def reb_los_only(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig) -> float:
     """Range error bound with every other path perfectly known (meters):
     ``reb_waa``'s line-of-sight value."""
@@ -225,13 +217,16 @@ def reb_waa(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
     amps = np.array([abs(p.gain) for p in cell_paths])
     weights = amps / amps.sum()
     delays = np.array([p.delay for p in cell_paths])
-    merged_toa = float(weights @ delays)
     merged_gain = complex(sum(p.gain for p in cell_paths))
-    bias_s = cell_paths[0].delay - merged_toa
+    bias_s = cell_paths[0].delay - float(weights @ delays)
 
-    # The cell always starts with the line-of-sight path.
-    los_value = _reb(cell_paths[:1], pilots, config)
-    all_value = _reb(cell_paths, pilots, config)
+    # The cell always starts with the line-of-sight path, whose closed-form
+    # bound is also the all-paths bound of a cell of one path.
+    los_value = _meters(_single_path_crb(cell_paths[0].gain, pilots, config))
+    if len(cell_paths) == 1:
+        all_value = los_value
+    else:
+        all_value = _meters(crb_delay(fim(cell_paths, pilots, config)))
 
     destructive = abs(merged_gain) < _DESTRUCTIVE_GAIN_FRACTION * amps.max()
     if destructive:
@@ -243,7 +238,6 @@ def reb_waa(channel: ChannelSnapshot, pilots: PilotGrid, config: OfdmConfig,
         reb_los_only=los_value,
         reb_all_paths=all_value,
         reb_waa=waa_value,
-        merged_toa=merged_toa,
         waa_bias_m=SPEED_OF_LIGHT * abs(bias_s),
         cell_indices=tuple(cell),
         weights=tuple(float(w) for w in weights),

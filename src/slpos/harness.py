@@ -586,7 +586,7 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
         stop = min(start + _FIX_BATCH, trials)
         noisy = true_ranges + sigma * rng.standard_normal((stop - start, len(anchors)))
         clipped += int(np.count_nonzero(noisy < 0.0))
-        fixes, _, iterations, converged = solve_fixes(anchor_xyz, np.maximum(noisy, 0.0))
+        fixes, iterations, converged = solve_fixes(anchor_xyz, np.maximum(noisy, 0.0))
         errors[start:stop] = np.linalg.norm(fixes - true, axis=1)
         limit = iterations >= MAX_ITERS
         at_limit += int(np.count_nonzero(~converged & limit))
@@ -605,16 +605,13 @@ def run_positioning_demo(anchors: Sequence[Anchor], true_point,
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Doppler coherence margin and the end-to-end latency budget."""
+    """Doppler coherence margin and the end-to-end latency budget.  A
+    ``coherence_margin`` above 1 means the pilot's symbols fit the limit."""
 
     coherence_symbol_limit: float
     num_symbols: int
     coherence_margin: float
     latency_budget_s: float
-
-    @property
-    def coherent(self) -> bool:
-        return self.coherence_margin > 1.0
 
 
 def coherence_and_latency_check(config: OfdmConfig, v_max: float,

@@ -128,7 +128,7 @@ def ml_position(measurements: Sequence[tuple[RangeMeasurement, Anchor]],
     if np.any(~np.isfinite(sigmas)) or np.any(sigmas <= 0):
         raise ValueError("measurement sigmas must be positive and finite")
     start = None if init is None else coordinates([init], dim)
-    x, _, iterations, converged = solve_fixes(anchors, dists[None, :], 1.0 / sigmas ** 2, start)
+    x, iterations, converged = solve_fixes(anchors, dists[None, :], 1.0 / sigmas ** 2, start)
     return PositionEstimate(position=Vec3(*x[0], *[0.0] * (3 - dim)),
                             iterations=int(iterations[0]), converged=bool(converged[0]))
 
@@ -293,8 +293,13 @@ def _newton_step(normal: Sequence[np.ndarray], hessian: Sequence[np.ndarray],
 
 def _lowest_eigenvector(hessian: Sequence[np.ndarray]) -> np.ndarray:
     """Unit eigenvectors (dim, n) of the smallest eigenvalue of symmetric
-    matrices given by their unique entries, by ``np.linalg.eigh``."""
-    return np.linalg.eigh(_symmetric(hessian))[1][:, :, 0].T
+    matrices given by their unique entries, by ``np.linalg.eigh``, each
+    signed so that its largest-magnitude component (the first on ties) is
+    positive.  The sign eigh returns is LAPACK's choice; on a symmetry line
+    of the cost it would pick the side of the escape."""
+    vec = np.linalg.eigh(_symmetric(hessian))[1][:, :, 0]
+    lead = vec[np.arange(len(vec)), np.argmax(np.abs(vec), axis=1)]
+    return np.where(lead[:, None] < 0.0, -vec, vec).T
 
 
 def _curvature_step(hessian: Sequence[np.ndarray], half_grad: np.ndarray,
@@ -334,7 +339,7 @@ def _shape_error(name: str, value: np.ndarray, expected: object,
 
 def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
                 weights: np.ndarray | None = None, init: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton fixes of F range sets against one anchor layout, all at
     once: fix f minimizes sum_i w_i (d_fi - ||x - a_i||)^2.
 
@@ -362,8 +367,8 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
     stops there, converged only where it is a minimum.
     Non-convergence is reported, never raised.
 
-    Returns the positions (F, dim), the costs with the given weights (F,),
-    the iteration counts (F,) and the converged flags (F,).
+    Returns the positions (F, dim), the iteration counts (F,) and the
+    converged flags (F,).
     """
     anchors = np.asarray(anchors, dtype=float)
     n_anchor, dim = anchors.shape
@@ -388,19 +393,17 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
         raise _shape_error("weights", raw_weights, (n_anchor,), anchors)
     if np.any(raw_weights <= 0) or not np.all(np.isfinite(raw_weights)):
         raise ValueError("weights must be positive and finite")
-    weight_scale = raw_weights.max()
-    weights = (raw_weights / weight_scale)[:, None]
+    weights = (raw_weights / raw_weights.max())[:, None]
     anchor_cols = anchors.T[:, :, None]
 
     res, ranges = _residuals(x, anchor_cols, all_dists)
     cost = _anchor_sum(weights * res ** 2)
     positions = np.empty((n_fix, dim))
-    costs = np.empty(n_fix)
     converged = np.zeros(n_fix, dtype=bool)
     iterations = np.zeros(n_fix, dtype=int)
     # The loop's arrays hold only the fixes still iterating, fix axis last:
     # column k is fix ids[k], and each has taken `done` steps.  A fix's
-    # position, cost and iteration count are written back as it leaves.
+    # position and iteration count are written back as it leaves.
     ids, dists, done = np.arange(n_fix), all_dists, 0
 
     def leave(mask: np.ndarray) -> np.ndarray:
@@ -409,7 +412,7 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
         nonlocal ids, x, res, ranges, cost, dists
         gone = np.flatnonzero(mask)
         positions[ids[gone]] = x.take(gone, axis=1).T
-        costs[ids[gone]], iterations[ids[gone]] = cost[gone], done
+        iterations[ids[gone]] = done
         keep = np.flatnonzero(~mask)
         ids, x, res, ranges, cost, dists = (
             array.take(keep, axis=-1) for array in (ids, x, res, ranges, cost, dists))
@@ -479,7 +482,7 @@ def solve_fixes(anchors: np.ndarray, distances: np.ndarray,
             stalled = np.zeros(ids.size, dtype=bool)
             stalled[pending] = True
             leave(stalled)
-    return positions, costs * weight_scale, iterations, converged
+    return positions, iterations, converged
 
 
 def range_position_crb(anchors: Sequence[Anchor], point: Vec3, sigmas: Sequence[float],

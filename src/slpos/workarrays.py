@@ -5,9 +5,10 @@ matrix would otherwise allocate fresh arrays of a few hundred kB each
 time, which the C allocator hands back to the system and faults in again
 on the next call; at 64 x 512 complex points that costs about as much as
 the IFFT it feeds.  ``work_array`` keeps one grow-only flat buffer per key
-and thread (``threading.local``), so two threads never share one.  A
-caller must not return a view of it: the next call with the same key
-overwrites it.
+and thread (``threading.local``), so two threads never share one.  The
+next call with the same key overwrites the array, so a kernel that returns
+a view of it says so, and its callers copy what they keep, as
+``delay_spectrum`` copies ``_idft_power``'s spectrum.
 """
 
 from __future__ import annotations

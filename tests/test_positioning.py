@@ -68,11 +68,26 @@ def test_linear_init_3d():
 
 # --- damped Newton solver ------------------------------------------------------
 
+def _costs(x, dists, anchor_cols, weights=1.0):
+    """The solver's cost of iterates x (dim, n) for the ranges dists (A, n),
+    weighted by weights (A, 1) (default uniform)."""
+    res, _ = positioning._residuals(x, anchor_cols, dists)
+    return positioning._anchor_sum(weights * res ** 2)
+
+
+def _fix_costs(xyz, dists, positions, weights=None):
+    """Costs (F,) of solve_fixes' positions (F, dim) for its anchors (A, dim),
+    ranges (F, A) and weights (A,) (default uniform)."""
+    w = np.ones(len(xyz)) if weights is None else np.asarray(weights, dtype=float)
+    return _costs(positions.T, dists.T, xyz.T[:, :, None], w[:, None])
+
+
 def test_noiseless_recovery():
-    dists = np.linalg.norm(np.array(SQUARE_XY) - [3.0, 4.0], axis=1)[None, :]
-    positions, costs, iterations, converged = solve_fixes(np.array(SQUARE_XY), dists)
+    xyz = np.array(SQUARE_XY)
+    dists = np.linalg.norm(xyz - [3.0, 4.0], axis=1)[None, :]
+    positions, iterations, converged = solve_fixes(xyz, dists)
     assert math.hypot(positions[0, 0] - 3.0, positions[0, 1] - 4.0) < 1e-6
-    assert costs[0] < 1e-12
+    assert _fix_costs(xyz, dists, positions)[0] < 1e-12
     assert converged[0]
     assert iterations[0] <= 10
 
@@ -98,9 +113,9 @@ def test_explicit_uniform_weights():
                     for m, a in exact_measurements(SQUARE, Vec3(6.0, 2.0, 0.0))]
     with pytest.raises(ValueError):
         ml_position(measurements, dim=2)
-    dists = np.array([[m.distance for m, _ in measurements]])
-    _, costs, _, _ = solve_fixes(np.array(SQUARE_XY), dists, weights=np.ones(4))
-    assert costs[0] < 1e-12
+    xyz, dists = np.array(SQUARE_XY), np.array([[m.distance for m, _ in measurements]])
+    positions, _, _ = solve_fixes(xyz, dists, weights=np.ones(4))
+    assert _fix_costs(xyz, dists, positions, np.ones(4))[0] < 1e-12
 
 
 def test_iterate_collides_with_anchor_is_perturbed_not_fatal():
@@ -147,8 +162,8 @@ def test_cost_not_above_initial_cost():
     dists = np.array([m.distance for m, _ in measurements])
     init_cost = float(np.sum((dists - np.linalg.norm(
         np.array([init.x, init.y]) - anchors_xy, axis=1)) ** 2))
-    _, costs, _, _ = solve_fixes(anchors_xy, dists[None, :], init=[[init.x, init.y]])
-    assert costs[0] <= init_cost + 1e-12
+    positions, _, _ = solve_fixes(anchors_xy, dists[None, :], init=[[init.x, init.y]])
+    assert _fix_costs(anchors_xy, dists[None, :], positions)[0] <= init_cost + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,7 +233,8 @@ def test_batched_rows_equal_single_fix_solves(anchors, point, dim, options, monk
     init = {"on_anchor": np.tile(xyz[0], (len(dists), 1)),
             "far": np.tile([500.0, -500.0], (len(dists), 1))}.get(options.get("init"))
     monkeypatch.setattr(positioning, "MAX_ITERS", options.get("max_iters", positioning.MAX_ITERS))
-    positions, costs, iterations, converged = solve_fixes(xyz, dists, weights=weights, init=init)
+    positions, iterations, converged = solve_fixes(xyz, dists, weights=weights, init=init)
+    costs = _fix_costs(xyz, dists, positions, weights)
     if options.get("init") == "far":
         assert not converged.any()
     else:
@@ -227,11 +243,12 @@ def test_batched_rows_equal_single_fix_solves(anchors, point, dim, options, monk
         np.testing.assert_allclose(positions[0], true, atol=1e-6)
     for row, (d, position) in enumerate(zip(dists, positions)):
         start = None if init is None else init[row:row + 1]
-        got, cost, single_iterations, single_converged = solve_fixes(
+        got, single_iterations, single_converged = solve_fixes(
             xyz, d[None, :], weights=weights, init=start)
         assert np.linalg.norm(got[0] - position) <= 1e-12
         assert single_iterations[0] == iterations[row]
         assert single_converged[0] == converged[row]
+        cost = _fix_costs(xyz, d[None, :], got, weights)
         assert cost[0] == pytest.approx(costs[row], rel=1e-12, abs=1e-300)
 
 
@@ -240,7 +257,7 @@ def test_singular_gauss_newton_system_does_not_raise():
     # rank 1, so the step is the minimum-norm one along that line.
     xyz = np.array([[0.0, 0.0], [10.0, 0.0]])
     dists = np.array([[3.0, 7.0], [4.0, 6.0]])
-    positions, _, _, _ = solve_fixes(xyz, dists, init=np.array([[5.0, 0.0], [1.0, 0.0]]))
+    positions, _, _ = solve_fixes(xyz, dists, init=np.array([[5.0, 0.0], [1.0, 0.0]]))
     np.testing.assert_allclose(positions, [[3.0, 0.0], [4.0, 0.0]], atol=1e-9)
 
 
@@ -254,9 +271,9 @@ def test_zero_iteration_limit_tests_the_start_in_place(start, cost, converged, m
     monkeypatch.setattr(positioning, "MAX_ITERS", 0)
     xyz = np.array([[a.position.x, a.position.y] for a in SQUARE])
     dists = np.linalg.norm(xyz - [4.0, 5.0], axis=1)[None, :]
-    positions, costs, iterations, flags = solve_fixes(xyz, dists, init=[start])
+    positions, iterations, flags = solve_fixes(xyz, dists, init=[start])
     assert positions.tolist() == [start]
-    assert costs[0] == pytest.approx(cost, rel=1e-9, abs=1e-12)
+    assert _fix_costs(xyz, dists, positions)[0] == pytest.approx(cost, rel=1e-9, abs=1e-12)
     assert iterations[0] == 0
     assert flags[0] == converged
 
@@ -413,29 +430,22 @@ def test_start_without_positive_definite_hessian_lowers_the_cost_every_step(poin
     costs = []
     for max_iters in range(51):
         monkeypatch.setattr(positioning, "MAX_ITERS", max_iters)
-        _, cost, iterations, converged = solve_fixes(xyz, dists, init=[start])
+        positions, iterations, converged = solve_fixes(xyz, dists, init=[start])
         if iterations[0] < max_iters:
             break
-        costs.append(cost[0])
+        costs.append(_fix_costs(xyz, dists, positions)[0])
     assert converged[0] and len(costs) > 3
     assert np.all(np.diff(costs) < 0.0)
 
 
-def _demo_ranges(anchors, point, sigma, seed):
-    """Anchor coordinates and the position demo's 1000 fixes of ranges to
-    `point`: sigma * standard_normal((1000, A)) from default_rng(seed),
+def _demo_ranges(anchors, point, sigma, seed, n_fixes=1000):
+    """Anchor coordinates and the position demo's n_fixes fixes of ranges to
+    `point`: sigma * standard_normal((n_fixes, A)) from default_rng(seed),
     added to the true ranges and clipped at 0."""
     xyz = np.array([[a.position.x, a.position.y, a.position.z][:len(point)] for a in anchors])
     true_ranges = np.linalg.norm(xyz - point, axis=1)
-    noise = sigma * np.random.default_rng(seed).standard_normal((1000, len(xyz)))
+    noise = sigma * np.random.default_rng(seed).standard_normal((n_fixes, len(xyz)))
     return xyz, np.maximum(true_ranges + noise, 0.0)
-
-
-def _costs(x, dists, anchor_cols):
-    """The solver's uniformly weighted cost of iterates x (dim, n) for the
-    ranges dists (A, n)."""
-    res, _ = positioning._residuals(x, anchor_cols, dists)
-    return positioning._anchor_sum(res ** 2)
 
 
 def test_backtracking_takes_the_first_halving_that_lowers_the_cost(monkeypatch):
@@ -445,7 +455,7 @@ def test_backtracking_takes_the_first_halving_that_lowers_the_cost(monkeypatch):
     # found here by a scan of each fix on its own, or stays at x and stalls.
     monkeypatch.setattr(positioning, "MAX_ITERS", 1)
     xyz, dists = _demo_ranges(SQUARE, (3.0, 4.0), 10.0, 7)
-    positions, _, iterations, converged = solve_fixes(xyz, dists)
+    positions, iterations, converged = solve_fixes(xyz, dists)
     anchor_cols, dists = xyz.T[:, :, None], dists.T
     x = positioning._linear_init(xyz, dists)
     res, ranges = positioning._residuals(x, anchor_cols, dists)
@@ -473,7 +483,7 @@ def test_benchmark_configuration_needs_few_iterations():
     # square layout, point (3, 4), sigma 1 m, 1000 fixes per seed.
     for seed in range(101, 111):
         xyz, dists = _demo_ranges(SQUARE, (3.0, 4.0), 1.0, seed)
-        _, _, iterations, converged = solve_fixes(xyz, dists)
+        _, iterations, converged = solve_fixes(xyz, dists)
         assert converged.all()
         assert iterations.max() <= 5
 
@@ -482,7 +492,7 @@ def test_3d_benchmark_configuration_needs_few_iterations():
     # The 3x3 systems: the mast layout, point (3, 4, 1.5), sigma 1 m.
     for seed in range(101, 111):
         xyz, dists = _demo_ranges(MAST, (3.0, 4.0, 1.5), 1.0, seed)
-        _, _, iterations, converged = solve_fixes(xyz, dists)
+        _, iterations, converged = solve_fixes(xyz, dists)
         assert converged.all()
         assert iterations.max() <= 8
 
@@ -494,7 +504,7 @@ def test_fix_whose_gradient_stalls_above_the_tolerance_converges(seed, fix):
     # tolerance; the predicted-decrease test stops them there.
     xyz, dists = _demo_ranges(MAST, (3.0, 4.0, 1.5), 3.0, seed)
     dists = dists[fix:fix + 1]
-    positions, _, iterations, converged = solve_fixes(xyz, dists)
+    positions, iterations, converged = solve_fixes(xyz, dists)
     assert converged[0] and iterations[0] <= 5
     grad = _cost_gradient(xyz, dists[0], positions[0], np.ones(len(xyz)))
     assert np.linalg.norm(grad) > 1e-8
@@ -511,12 +521,33 @@ def test_saddle_on_the_diagonal_escapes_to_a_lower_minimum():
     xyz, dists = _demo_ranges(SQUARE, (3.0, 4.0), 10.0, 111)
     dists = dists[698:699]
     assert dists[0, 1] == dists[0, 2] == 0.0
-    positions, costs, _, converged = solve_fixes(xyz, dists)
+    positions, _, converged = solve_fixes(xyz, dists)
     assert converged[0]
     assert abs(positions[0, 0] - positions[0, 1]) > 1.0
-    assert costs[0] < 359.99
+    assert _fix_costs(xyz, dists, positions)[0] < 359.99
     _, hessians = _half_hessians(xyz, dists, positions, np.ones(len(xyz)))
     assert np.linalg.eigvalsh(hessians[0])[0] > 0.0
+
+
+@pytest.mark.parametrize("seed", [111, 7])
+def test_saddle_escape_does_not_depend_on_the_eigenvector_sign(seed, monkeypatch):
+    # Square layout, sigma 10 m: fixes with tied clipped ranges stop at
+    # saddles on a symmetry line, where the side of the escape would follow
+    # the sign LAPACK gives the eigenvector.  Negating every eigenvector
+    # np.linalg.eigh returns leaves every position bit for bit.
+    xyz, dists = _demo_ranges(SQUARE, (3.0, 4.0), 10.0, seed, n_fixes=5000)
+    want, _, _ = solve_fixes(xyz, dists)
+    eigh, calls = np.linalg.eigh, []
+
+    def negated_eigh(a, *args, **kwargs):
+        values, vectors = eigh(a, *args, **kwargs)
+        calls.append(len(a))
+        return values, -vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
+    got, _, _ = solve_fixes(xyz, dists)
+    assert calls
+    assert got.tobytes() == want.tobytes(), np.flatnonzero(np.any(got != want, axis=1))
 
 
 @pytest.mark.parametrize("anchors, point", [
@@ -530,7 +561,7 @@ def test_no_saddle_point_reported_converged(anchors, point):
     # Hessian has no eigenvalue below -1e-9 of its largest.
     for seed in range(111, 131):
         xyz, dists = _demo_ranges(anchors, point, 10.0, seed)
-        positions, _, _, converged = solve_fixes(xyz, dists)
+        positions, _, converged = solve_fixes(xyz, dists)
         _, hessians = _half_hessians(xyz, dists, positions, np.ones(len(xyz)))
         eigenvalues = np.linalg.eigvalsh(hessians[converged])
         assert np.all(eigenvalues[:, 0] >= -1e-9 * eigenvalues[:, -1]), seed
