@@ -56,7 +56,7 @@ def _load_anchors(path: str) -> list[Anchor]:
     """The anchors of a text file, one ``x,y,z[,label]`` row per line; a bad
     row raises ``ValueError`` naming its 1-based line number."""
     anchors = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -160,7 +160,7 @@ def _cmd_sweep(args: argparse.Namespace, monte_carlo: bool) -> int:
     a finite bound that a round trip cannot resolve are counted on stderr."""
     scenario = None
     if args.scenario_file:
-        with open(args.scenario_file, "r", encoding="utf-8") as handle:
+        with open(args.scenario_file, "r", encoding="utf-8-sig") as handle:
             scenario = scenario_from_text(handle.read())
         if scenario.scenario_id != args.scenario_id:
             raise ValueError("scenario file id does not match --scenario")

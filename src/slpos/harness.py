@@ -9,20 +9,20 @@ of both directions from three streams of its own, seeded by (seed, sample
 index), one trial after another: a sample's results do not depend on the
 other samples, and its first trials not on the trial count.
 
-A sweep checks its inputs, then splits its samples into contiguous chunks
-(``_chunks``), one per CPU the process may use as long as each gets
-``_MIN_CHUNK`` samples.  The first chunk runs in this process and each
-other one in a child forked for it alone, which sends its ``CurvePoint``s
-back pickled through a pipe and exits (``_forked``).  A process without
-``os.fork``, with other threads, or with a function this module imported
-replaced (a spy, a timing wrapper) counts one CPU, so it runs one chunk
-(``_usable_cpus``).  A chunk traces and bounds its samples first.
-Its round trips then fill peak-search batches of ``_TRIAL_BATCH`` in
-(sample, trial) order, so with few trials per sample one coarse search and
-one zoom serve several samples; each sample still sums its own squared
-errors in trial order.  Chunks start on batch boundaries, so the batches,
-and every bit of the CSV, are those of a single process whatever the CPU
-count.
+A sweep checks its inputs and traces every sample, in sample order, then
+splits the traced samples into contiguous chunks (``_chunks``), one per
+CPU the process may use as long as each gets ``_MIN_CHUNK`` samples.  The
+first chunk runs in this process and each other one in a child forked for
+it alone, which sends its ``CurvePoint``s back pickled through a pipe and
+exits (``_forked``).  A process without ``os.fork``, with other threads,
+or with a function this module imported replaced (a spy, a timing
+wrapper) counts one CPU, so it runs one chunk (``_usable_cpus``).  A
+chunk bounds its samples first.  Its round trips then fill peak-search
+batches of ``_TRIAL_BATCH`` in (sample, trial) order, so with few trials
+per sample one coarse search and one zoom serve several samples; each
+sample still sums its own squared errors in trial order.  Chunks start on
+batch boundaries, so the batches, and every bit of the CSV, are those of
+a single process whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -111,11 +111,11 @@ _TRIAL_BATCH = 32
 # sweeps less their first chunk alone; 14-15 ms with the multiprocessing
 # pool it replaced).  About 3.5 ms of that is the fork, the pipe, the
 # pickled results and the reaping; the rest is the copy-on-write faults of
-# a 40 MB process and two processes sharing the CPUs.  The cheapest sample,
-# bounds only, takes about 0.3 ms (a vehicle-bicycle sample, traced and
-# bounded), so a chunk of 40 such samples does more work than the split
-# costs; a ranging sample at 10 trials takes about 1 ms, so the 101-sample
-# ranging-mc sweep splits two ways with a clear gain.
+# a 40 MB process and two processes sharing the CPUs.  The cheapest sample
+# a chunk runs, bounds only, takes about 0.3 ms (a vehicle-bicycle sample,
+# traced before the split in about 0.07 ms more), so a chunk of 40 such
+# samples does more work than the split costs; a ranging sample at 10
+# trials takes about 1 ms, so ranging-mc's 101 samples split with a gain.
 _MIN_CHUNK = 40
 
 # Positioning fixes solved together, bounding the solver's buffers as
@@ -123,10 +123,11 @@ _MIN_CHUNK = 40
 _FIX_BATCH = 1024
 
 # Largest sweep sample count, about 300 times the 351-sample rsu-bicycle
-# sweep.  Every sample's poses, snapshot and bounds are held until the CSV
-# is written, about 2 KB per sample: a 10^5-sample rsu-bicycle bounds sweep
-# peaks at 223 MB RSS in one process (30 MB after import), and split two
-# ways at 164 MB in the parent and 146 MB in its forked child.
+# sweep.  Every sample's snapshot and bounds, under 2 KB, are held until the
+# CSV is written, its poses only until it is traced: a 10^5-sample
+# rsu-bicycle bounds sweep peaks at 190 MB RSS in one process (30 MB after
+# import), and split two ways at 201 MB in the parent, which traces every
+# sample, and 150 MB in its forked child.
 _MAX_SAMPLES = 10**5
 
 # Working range (low, high, unit) of each numeric RunConfig field but beta,
@@ -269,9 +270,11 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
     of ``cfg.trials`` round trips, whose RMSE is reported (else NaN).  With
     ``monte_carlo``, a link whose range reaches ``ofdm.unambiguous_range``,
     c / (2 subcarrier_spacing), where round trips alias, is rejected before
-    the first trace, naming the scenario keys that place its ends.  The
-    samples are split by ``_chunks`` and run by ``_forked``, as the module
-    docstring says."""
+    the first trace, naming the scenario keys that place its ends, and so
+    is a sample with a path that long, naming the building of a wall echo
+    or, for a ground echo, those keys.  Every sample is traced here, so
+    before any is bounded or forked; ``_chunks`` and ``_forked`` split and
+    run the traced samples, as the module docstring says."""
     if cfg.output_path is not None:
         _check_writable(cfg.output_path)
     scenario = scenario if scenario is not None else build_scenario(cfg.scenario_id)
@@ -290,41 +293,18 @@ def _sweep(cfg: RunConfig, scenario: ScenarioConfig | None, ofdm: OfdmConfig | N
 
     samples = []
     for sample_idx in range(n_samples):
-        t = sample_idx * scenario.measurement_interval
-        poses = dict(zip(LANE_AXES, sample_trajectory(scenario, min(t, horizon))))
+        t = min(sample_idx * scenario.measurement_interval, horizon)
+        poses = dict(zip(LANE_AXES, sample_trajectory(scenario, t)))
         end_a, end_b = (poses.get(end, scenario.rsu) for end in ends)
         coord = poses[lanes[0]].position.component(LANE_AXES[lanes[0]])
-        samples.append((t, end_a, end_b, coord, distance(end_a.position, end_b.position)))
+        samples.append((end_a, end_b, coord, distance(end_a.position, end_b.position)))
     farthest = max(sample[-1] for sample in samples)
     if monte_carlo and farthest >= ofdm.unambiguous_range:
         raise ValueError(f"link {cfg.link} (from {', '.join(end_keys[:-1])} and {end_keys[-1]}) "
                          f"reaches {farthest:.1f} m, but a round trip is unambiguous only "
                          f"below c / (2 subcarrier_spacing) = {ofdm.unambiguous_range:.1f} m")
-
-    # A chunk starting at a sample whose first round trip is a multiple of
-    # _TRIAL_BATCH fills exactly the batches a single process would.
-    align = _TRIAL_BATCH // math.gcd(cfg.trials, _TRIAL_BATCH) if monte_carlo else 1
-    work = functools.partial(_sweep_chunk, cfg, scenario, ofdm, pilots, samples, monte_carlo,
-                             end_keys)
-    points = _forked(work, _chunks(n_samples, _usable_cpus(), align))
-
-    if cfg.output_path is not None:
-        export_csv(points, cfg.output_path)
-    return points
-
-
-def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pilots,
-                 samples: Sequence[tuple], monte_carlo: bool, end_keys: Sequence[str],
-                 chunk: range) -> list[CurvePoint]:
-    """Trace, bound and (with ``monte_carlo``) Monte-Carlo the samples of
-    ``chunk``, all traced and bounded first; one point per sample.  A Monte
-    Carlo sample with a path of ``ofdm.unambiguous_range`` or more, whose
-    round trip wraps modulo the alias period, is rejected when traced,
-    naming the building of a wall echo or, for a ground echo, ``end_keys``."""
-    chunk_samples = samples[chunk.start:chunk.stop]
-    traced = []
-    for t, end_a, end_b, coord, _ in chunk_samples:
-        snap = trace_paths(end_a, end_b, scenario, ofdm.wavelength, time=t)
+    for i, (end_a, end_b, coord, true_range) in enumerate(samples):
+        snap = trace_paths(end_a, end_b, scenario, ofdm.wavelength)
         longest = snap.paths[-1].delay * SPEED_OF_LIGHT if snap.paths else 0.0
         if monte_carlo and longest >= ofdm.unambiguous_range:
             wall = snap.paths[-1].wall_index
@@ -338,6 +318,27 @@ def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pil
                              f"{keys[-1]}) of "
                              f"{longest:.1f} m, but a round trip resolves paths only below "
                              f"c / (2 subcarrier_spacing) = {ofdm.unambiguous_range:.1f} m")
+        samples[i] = (coord, true_range, snap)
+
+    # A chunk starting at a sample whose first round trip is a multiple of
+    # _TRIAL_BATCH fills exactly the batches a single process would.
+    align = _TRIAL_BATCH // math.gcd(cfg.trials, _TRIAL_BATCH) if monte_carlo else 1
+    work = functools.partial(_sweep_chunk, cfg, ofdm, pilots, samples, monte_carlo)
+    points = _forked(work, _chunks(n_samples, _usable_cpus(), align))
+
+    if cfg.output_path is not None:
+        export_csv(points, cfg.output_path)
+    return points
+
+
+def _sweep_chunk(cfg: RunConfig, ofdm: OfdmConfig, pilots, samples: Sequence[tuple],
+                 monte_carlo: bool, chunk: range) -> list[CurvePoint]:
+    """Bound and (with ``monte_carlo``) Monte-Carlo the ``(coord, true_range,
+    snapshot)`` samples of ``chunk``, all bounded first; one point per
+    sample."""
+    coords, true_ranges, snaps = zip(*samples[chunk.start:chunk.stop])
+    bounded = []
+    for snap in snaps:
         if snap.has_los:
             report = reb_waa(snap, pilots, ofdm, beta=cfg.beta)
             bounds = (report.reb_los_only, report.reb_all_paths, report.reb_waa,
@@ -346,16 +347,14 @@ def _sweep_chunk(cfg: RunConfig, scenario: ScenarioConfig, ofdm: OfdmConfig, pil
         else:
             bounds = (math.nan,) * 4
             n_cell = 0
-        traced.append((snap, bounds, n_cell))
+        bounded.append((bounds, n_cell))
 
     rmses = [math.nan] * len(chunk)
     if monte_carlo:
-        rmses = _monte_carlo_rmse(cfg, [snap for snap, _, _ in traced],
-                                  [sample[-1] for sample in chunk_samples], chunk.start,
-                                  pilots, ofdm)
+        rmses = _monte_carlo_rmse(cfg, snaps, true_ranges, chunk.start, pilots, ofdm)
     return [CurvePoint(coord, true_range, rmse, *bounds, len(snap.paths), n_cell, snap.has_los)
-            for (*_, coord, true_range), (snap, bounds, n_cell), rmse
-            in zip(chunk_samples, traced, rmses)]
+            for coord, true_range, snap, (bounds, n_cell), rmse
+            in zip(coords, true_ranges, snaps, bounded, rmses)]
 
 
 def _monte_carlo_rmse(cfg: RunConfig, snaps: Sequence[ChannelSnapshot],

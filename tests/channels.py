@@ -12,11 +12,12 @@ SQUARE = [Anchor(Vec3(0.0, 0.0, 0.0)), Anchor(Vec3(10.0, 0.0, 0.0)),
           Anchor(Vec3(0.0, 10.0, 0.0)), Anchor(Vec3(10.0, 10.0, 0.0))]
 
 
-def make_snapshot(paths, tx=None, rx=None):
+def make_snapshot(paths, rx=None):
     """Channel snapshot from a bare path list (sorted here for convenience).
 
-    ``tx`` and ``rx`` only document a caller's link geometry: a snapshot
-    holds its paths, not the poses of its ends."""
+    ``rx`` only documents a caller's receiver position (the acceptance
+    gate passes it): a snapshot holds its paths, not the poses of its
+    ends."""
     return ChannelSnapshot(paths=tuple(sorted(paths, key=lambda p: p.delay)))
 
 

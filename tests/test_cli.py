@@ -74,6 +74,27 @@ def test_scenario_out_with_dump_prints_only_the_file_text(tmp_path, capsys):
                  str(dumped), "--out", str(tmp_path / "b.csv")]) == 0
 
 
+@pytest.mark.parametrize("option", ["--anchors", "--scenario-file"])
+def test_a_utf8_byte_order_mark_reads_like_the_plain_file(option, tmp_path, capsys):
+    # Some editors start a UTF-8 file with a byte-order mark: an anchor or
+    # scenario file gives the same stdout and CSV with it as without.
+    out = tmp_path / "out.csv"
+    if option == "--anchors":
+        text = (DATA / "anchors_square.txt").read_text()
+        argv = ["position", "--sigma", "1", "--trials", "50"]
+    else:
+        assert main(["scenario", "--id", "1", "--dump"]) == 0
+        text = capsys.readouterr().out
+        argv = ["bounds", "--scenario", "1", "--link", "rsu-vehicle", "--out", str(out)]
+    results = []
+    for mark in ("", "\ufeff"):
+        path = tmp_path / "input.txt"
+        path.write_text(mark + text, encoding="utf-8")
+        assert main([*argv, option, str(path)]) == 0
+        results.append((capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    assert results[0] == results[1]
+
+
 def test_ranging_subcommand_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["ranging", "--scenario", "2", "--link", "vehicle-bicycle",
@@ -821,9 +842,9 @@ def test_ranging_with_an_echo_beyond_the_alias_period_rejected_naming_its_keys(
         edits, at, reflector, keys, tmp_path, monkeypatch, capsys):
     # Every end lies within c / (2 subcarrier_spacing) = 1249.1 m, but a
     # reflection is at least as long, so its round trip wraps modulo the
-    # alias period: the sweep stops at that sample's trace, before its
-    # bounds or any round trip, naming the keys that place the reflector.
-    # Bounds take no round trip and keep the file.
+    # alias period: the sweep stops at that sample's trace, before any
+    # sample's bounds or round trips, naming the keys that place the
+    # reflector.  Bounds take no round trip and keep the file.
     if isinstance(edits, str):
         text = edits
     else:
@@ -854,7 +875,7 @@ def test_ranging_with_an_echo_beyond_the_alias_period_rejected_naming_its_keys(
                                    f"(from {', '.join(keys[:-1])} and {keys[-1]}) of ")
     assert captured.err.endswith(" m, but a round trip resolves paths only below "
                                  "c / (2 subcarrier_spacing) = 1249.1 m\n")
-    assert len(bounded) == at
+    assert not bounded
     assert captured.out == ""
     assert not out.exists()
 

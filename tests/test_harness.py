@@ -19,7 +19,7 @@ from channels import SQUARE, make_snapshot, symbol_sum
 from oracle_peak import full_spectrum_peak
 import slpos
 from slpos import estimation, harness
-from slpos.bounds import fim
+from slpos.bounds import fim, reb_waa
 from slpos.cli import main
 from slpos.constants import SPEED_OF_LIGHT
 from slpos.estimation import (
@@ -55,6 +55,7 @@ from slpos.propagation import (
     Vec3,
     build_scenario,
     sample_trajectory,
+    scenario_to_text,
     trace_paths,
 )
 from slpos.signal import (
@@ -356,7 +357,7 @@ def _kernel_and_scalar_chain(scenario_id, link, policy, oversample, doppler):
         vehicle, bicycle = sample_trajectory(scenario, t)
         ends = {"rsu-vehicle": (scenario.rsu, vehicle), "rsu-bicycle": (scenario.rsu, bicycle),
                 "vehicle-bicycle": (vehicle, bicycle)}[link]
-        snap = trace_paths(*ends, scenario, ofdm.wavelength, time=t)
+        snap = trace_paths(*ends, scenario, ofdm.wavelength)
         biases = np.concatenate([_BIASES, -_BIASES])
         seeds = [np.random.SeedSequence(entropy=(7, int(t * 10), row))
                  for row in range(len(biases))]
@@ -598,10 +599,13 @@ def _raise_unpicklable():
 def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_child(sweep, failing_chunk,
                                                                   monkeypatch, tmp_path,
                                                                   capsys):
-    # A sample whose trace raises, in this process's chunk or in the forked
+    # A sample whose bounds raise, in this process's chunk or in the forked
     # one: the caller gets the exception, main exits 1 without output, and
-    # no child is left to reap.  The fault sits inside trace_paths, which
-    # harness still calls as imported.  "dies-1": the forked chunk ends
+    # no child is left to reap.  The fault sits inside reb_waa's
+    # resolution_cell, which harness does not import, so the sweep still
+    # forks.  It picks the sample by its whole line-of-sight path: sample
+    # 100 - k, the vehicle's mirror image about the RSU, has sample k's
+    # delay but the opposite radial velocity.  "dies-1": the forked chunk ends
     # without reporting, and the caller gets an error naming its samples
     # rather than an EOFError or a hang.  "interrupt-0": Ctrl-C in this
     # process's chunk, while the child still runs, reaps the child too.
@@ -618,19 +622,22 @@ def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_child(sweep, failing
     bad = (10, 70)[chunk] if workers == 2 else 50
     assert (bad in harness._chunks(101, workers, 16)[chunk]
             and bad in harness._chunks(101, workers, 1)[chunk])
-    interval = build_scenario(1).measurement_interval
-    snapshot = slpos.propagation.ChannelSnapshot
+    scenario = build_scenario(1)
+    vehicle, _ = sample_trajectory(scenario, bad * scenario.measurement_interval)
+    bad_los = trace_paths(scenario.rsu, vehicle, scenario,
+                          default_config().wavelength).paths[0]
+    cell = slpos.bounds.resolution_cell
     parent = os.getpid()
 
-    def failing_snapshot(*, paths, time):
-        if time == bad * interval:
+    def failing_cell(channel, beta, config):
+        if channel.paths[0] == bad_los:
             if fault is None:
                 raise ValueError(f"no channel at sample {bad}")
             assert fault is _interrupt or os.getpid() != parent
             fault()
-        return snapshot(paths=paths, time=time)
+        return cell(channel, beta, config)
 
-    monkeypatch.setattr(slpos.propagation, "ChannelSnapshot", failing_snapshot)
+    monkeypatch.setattr(slpos.bounds, "resolution_cell", failing_cell)
     cfg = RunConfig(scenario_id=1, link="rsu-vehicle", trials=10, seed=1)
     if fault is _die:
         with pytest.raises(RuntimeError, match=r"^the process sweeping samples \d+-100 ended "
@@ -655,6 +662,37 @@ def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_child(sweep, failing
     assert len(forks) == (workers - 1) * (1 if fault else 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_rejection_in_the_second_chunk_comes_before_any_fork(monkeypatch, tmp_path, capsys):
+    # Scenario 1 with a fifth building 650 m down the vehicle lane: from sweep
+    # coordinate 0.0 m on (sample 50, in the second of two chunks) its facade
+    # echo runs 1250.0 m, a path whose round trip wraps modulo the alias
+    # period.  The caller traces every sample before the split, so the
+    # sweep is rejected before it bounds a sample or forks a child.
+    forks = _forks(monkeypatch, 2)
+    bounded = []
+
+    def counting_reb_waa(*args, **kwargs):
+        bounded.append(None)
+        return reb_waa(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "reb_waa", counting_reb_waa)
+    assert 50 in harness._chunks(101, 2, 16)[1]
+    scn_file = tmp_path / "scn.txt"
+    scn_file.write_text(scenario_to_text(build_scenario(1))
+                        + "building4_center=0.0,-650.0,15.0\n"
+                        + "building4_half_extents=100.0,25.0,15.0\n")
+    out = tmp_path / "out.csv"
+    assert main(["ranging", *_LINK_ARGS["rsu-vehicle"], "--scenario-file", str(scn_file),
+                 "--trials", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("slpos: configuration error: link rsu-vehicle at sweep coordinate "
+                            "0.0 m has a reflection off building 4 (from building4_center and "
+                            "building4_half_extents) of 1250.0 m, but a round trip resolves "
+                            "paths only below c / (2 subcarrier_spacing) = 1249.1 m\n")
+    assert captured.out == "" and not out.exists()
+    assert not forks and not bounded
 
 
 def test_a_split_sweep_imports_no_multiprocessing():
